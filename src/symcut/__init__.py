@@ -19,9 +19,7 @@ from .instances import (ParseError, gen_random_graph, gen_random_hypergraph,
 from .oracles import (ConnectivityOracle, GraphCutOracle, Hypergraph,
                       HypergraphCutOracle, InducedOracle, LaxOracle,
                       SetFunctionTable, TableOracle, ThresholdedOracle,
-                      WeightedGraph, complete_table,
-                      connectivity_from_submodular, graph_cut_table,
-                      thresholded)
+                      WeightedGraph, complete_table, graph_cut_table)
 from .order import LaxBackOrder, lax_back_order_queue, lax_back_order_scan
 from .partition import Partition
 from .queues import BucketQueue, HeapQueue
@@ -37,8 +35,8 @@ __all__ = [
     "Partition",
     "LaxOracle", "WeightedGraph", "GraphCutOracle", "Hypergraph",
     "HypergraphCutOracle", "SetFunctionTable", "ConnectivityOracle",
-    "connectivity_from_submodular", "TableOracle", "complete_table",
-    "ThresholdedOracle", "thresholded", "InducedOracle", "graph_cut_table",
+    "TableOracle", "complete_table", "ThresholdedOracle", "InducedOracle",
+    "graph_cut_table",
     "HeapQueue", "BucketQueue",
     "LaxBackOrder", "lax_back_order_scan", "lax_back_order_queue",
     "MinimizeConfig", "RunStats", "RoundRecord", "contract_round", "optimal_set",

@@ -16,12 +16,12 @@ import json
 import sys
 import time
 
-from .brute import brute_min_bipartition
+from .brute import brute_min_bipartition, check_symmetric_submodular
 from .driver import MinimizeConfig, optimal_set
 from .instances import (ParseError, gen_random_graph, load_instance,
                         parse_table, write_graph)
-from .oracles import (ConnectivityOracle, GraphCutOracle, HypergraphCutOracle)
-from .values import values_equal
+from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
+from .values import mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
 VARIANTS = {
@@ -90,13 +90,14 @@ def build_parser():
 def _add_config_flags(p):
     p.add_argument("--algorithm", choices=["laxback", "maxback"], default="laxback")
     p.add_argument("--builder", choices=["scan", "queue"], default="scan")
-    p.add_argument("--queue", choices=["heap", "bucket"], default="heap")
+    p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
+                   help="priority queue of --builder queue; the scan builder uses none")
     p.add_argument("--init", choices=["inf", "min-singleton"], default="inf")
     p.add_argument("--first", type=int, default=1, metavar="VERTEX",
                    help="1-based vertex whose class starts every order")
 
 
-def _config_from(args, n):
+def _config_from(args):
     return MinimizeConfig(
         algorithm=args.algorithm,
         order_builder=args.builder,
@@ -136,100 +137,71 @@ def _emit_report(args, report):
 
 
 def cmd_mincut(args):
-    text = _read(args.path)
-    kind, instance = load_instance(text, args.kind)
+    kind, instance = load_instance(_read(args.path), args.kind)
     if kind == "table":
         print("error: table instances go through the 'minimize' subcommand",
               file=sys.stderr)
         return 2
     oracle = (GraphCutOracle(instance) if kind == "graph"
               else HypergraphCutOracle(instance))
-    if args.queue == "bucket" and not oracle.integer_valued:
-        print("error: the bucket queue needs integer weights; "
-              "this instance parsed as floats", file=sys.stderr)
-        return 2
-    config = _config_from(args, instance.n)
-    start = time.perf_counter_ns()
-    best, value, stats = optimal_set(oracle, instance.n, config)
-    wall = time.perf_counter_ns() - start
-    side = _canonical_side(best, instance.n)
-    report = {
-        "instance": {"kind": kind, "n": instance.n, "m": instance.m,
-                     "integer_weights": instance.integer_weights},
-        "config": {"algorithm": config.algorithm,
-                   "order_builder": config.order_builder,
-                   "queue_kind": config.queue_kind,
-                   "init_threshold": config.init_threshold,
-                   "first_element": config.first_element + 1},
-        "lambda": value,
-        "set": sorted(v + 1 for v in side),
-        "stats": {"rounds": stats.rounds, "oracle_calls": stats.oracle_calls,
-                  "joins_per_round": stats.joins_per_round,
-                  "calls_per_order": [list(x) for x in stats.calls_per_order],
-                  "final_value": stats.final_value},
-        "wall_ns": wall,
-    }
-    if args.check:
-        if instance.n <= 24:
-            expected = brute_min_bipartition(oracle, instance.n).value
-            ok = values_equal(value, expected)
-            report["check"] = {"ran": True, "ok": ok, "expected": expected}
-            if not ok:
-                _emit_report(args, report)
-                print(f"error: value {value} != enumerated {expected}", file=sys.stderr)
-                return 1
-        else:
-            report["check"] = {"ran": False, "ok": None,
-                               "reason": "instance too large to enumerate"}
-    _emit_report(args, report)
-    return 0
+    return _solve_and_report(args, oracle, {
+        "kind": kind, "n": instance.n, "m": instance.m,
+        "integer_weights": instance.integer_weights})
 
 
 def cmd_minimize(args):
     table = parse_table(_read(args.table))
-    from .brute import check_symmetric_submodular
     symmetric, submodular = (check_symmetric_submodular(table)
                              if table.n <= 12 else (True, True))
     if not symmetric or not submodular:
         print("error: table is not a symmetric submodular function "
               f"(symmetric={symmetric}, submodular={submodular})", file=sys.stderr)
         return 2
-    oracle = ConnectivityOracle(table)
-    if args.queue == "bucket" and not oracle.integer_valued:
-        print("error: the bucket queue needs integer values", file=sys.stderr)
-        return 2
-    config = _config_from(args, table.n)
+    return _solve_and_report(args, ConnectivityOracle(table),
+                             {"kind": "table", "n": table.n}, table)
+
+
+def _solve_and_report(args, oracle, instance, table=None):
+    """Solve with the flags' configuration, print the report, return the exit code.
+
+    With a `table` the report adds f(S) and --check enumerates f; otherwise
+    --check enumerates the oracle's bipartitions (n <= 24).
+    """
+    n = instance["n"]
+    config = _config_from(args)
     start = time.perf_counter_ns()
-    best, value, stats = optimal_set(oracle, table.n, config)
+    best, value, stats = optimal_set(oracle, n, config)
     wall = time.perf_counter_ns() - start
-    side = _canonical_side(best, table.n)
-    mask = 0
-    for v in side:
-        mask |= 1 << v
+    side = _canonical_side(best, n)
     report = {
-        "instance": {"kind": "table", "n": table.n},
+        "instance": instance,
         "config": {"algorithm": config.algorithm,
                    "order_builder": config.order_builder,
                    "queue_kind": config.queue_kind,
                    "init_threshold": config.init_threshold,
                    "first_element": config.first_element + 1},
         "lambda": value,
-        "f_value": table.table_values[mask],
         "set": sorted(v + 1 for v in side),
         "stats": {"rounds": stats.rounds, "oracle_calls": stats.oracle_calls,
                   "joins_per_round": stats.joins_per_round,
-                  "calls_per_order": [list(x) for x in stats.calls_per_order],
-                  "final_value": stats.final_value},
+                  "calls_per_order": [list(x) for x in stats.calls_per_order]},
         "wall_ns": wall,
     }
-    if args.check:
-        f = table.table_values
-        best_f = min(f[m] for m in range(1, (1 << table.n) - 1))
-        ok = f[mask] == best_f
-        report["check"] = {"ran": True, "ok": ok, "expected": best_f}
+    if table is not None:
+        report["f_value"] = table.table_values[mask_of(side)]
+    if args.check and table is None and n > 24:
+        report["check"] = {"ran": False, "ok": None,
+                           "reason": "instance too large to enumerate"}
+    elif args.check:
+        if table is not None:
+            what, got, expected = "f(S)", report["f_value"], min(table.table_values[1:-1])
+        else:
+            what, got, expected = "value", value, brute_min_bipartition(oracle, n).value
+        ok = values_equal(got, expected)
+        report["check"] = {"ran": True, "ok": ok, "expected": expected}
         if not ok:
             _emit_report(args, report)
-            print(f"error: f(S) = {f[mask]} != enumerated {best_f}", file=sys.stderr)
+            print(f"error: {what} {got} != enumerated {expected}", file=sys.stderr)
             return 1
     _emit_report(args, report)
     return 0
@@ -312,8 +284,6 @@ def bench_rows(graphs, variant_names):
         for name in variant_names:
             config = VARIANTS[name]
             oracle = GraphCutOracle(graph)
-            if config.queue_kind == "bucket" and not oracle.integer_valued:
-                continue
             start = time.perf_counter_ns()
             _, value, stats = optimal_set(oracle, graph.n, config)
             wall = time.perf_counter_ns() - start

@@ -12,11 +12,8 @@ when one class remains, tau is the optimum and the recorded set attains it.
 from dataclasses import dataclass, field
 
 from .order import lax_back_order_queue, lax_back_order_scan
-from .oracles import InducedOracle
 from .partition import Partition
-from .values import INF, values_equal
-
-DEBUG_MAX_N = 12
+from .values import INF
 
 
 @dataclass
@@ -27,13 +24,13 @@ class MinimizeConfig:
                     round; "maxback" builds uncapped orders and contracts
                     only the final pair (the classic pendant-pair loop)
     order_builder   "scan" | "queue"
-    queue_kind      "heap" | "bucket" (bucket needs a nonnegative
-                    integer-valued oracle with a declared value bound)
+    queue_kind      "heap" | "bucket", for the queue builder only (bucket
+                    needs a nonnegative integer-valued oracle with a
+                    declared value bound); the scan builder uses no queue
+                    and accepts only the default
     init_threshold  "infinity" | "min_singleton" (seed tau with the best
                     singleton at the cost of n extra oracle calls)
     first_element   element whose class starts every order
-    debug_checks    cross-check the round invariants against brute-force
-                    enumeration (small ground sets only; slow)
     """
 
     algorithm: str = "laxback"
@@ -41,16 +38,14 @@ class MinimizeConfig:
     queue_kind: str = "heap"
     init_threshold: str = "infinity"
     first_element: int = 0
-    debug_checks: bool = False
 
 
 @dataclass
 class RunStats:
     rounds: int = 0
-    oracle_calls: int = 0
+    oracle_calls: int = 0  # eval calls: singleton probes, scan builds, final value
     joins_per_round: list = field(default_factory=list)
     calls_per_order: list = field(default_factory=list)  # (class count, builder ops)
-    final_value: object = None
 
 
 @dataclass(frozen=True)
@@ -65,24 +60,6 @@ class RoundRecord:
     joins: int
     members_after: dict
     builder_ops: int
-
-
-class _CountingOracle:
-    """Pass-through wrapper counting eval calls."""
-
-    def __init__(self, base):
-        self.base = base
-        self.calls = 0
-        self.keyed = getattr(base, "keyed", False)
-        self.integer_valued = getattr(base, "integer_valued", False)
-        self.value_bound = getattr(base, "value_bound", None)
-
-    def eval(self, left, right, tau=INF):
-        self.calls += 1
-        return self.base.eval(left, right, tau)
-
-    def key_tracker(self, partition, first):
-        return self.base.key_tracker(partition, first)
 
 
 def contract_round(partition, order, tau):
@@ -102,13 +79,15 @@ def contract_round(partition, order, tau):
     return joins
 
 
-def _validate(config, oracle, n):
+def _validate(config, n):
     if config.algorithm not in ("laxback", "maxback"):
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
     if config.order_builder not in ("scan", "queue"):
         raise ValueError(f"unknown order builder {config.order_builder!r}")
-    if config.queue_kind not in ("heap", "bucket"):
-        raise ValueError(f"unknown queue kind {config.queue_kind!r}")
+    if config.order_builder == "scan" and config.queue_kind != "heap":
+        # the queue builder's own factory rejects unknown kinds
+        raise ValueError(f"queue kind {config.queue_kind!r} needs the queue "
+                         "order builder; the scan builder uses no queue")
     if config.init_threshold not in ("infinity", "min_singleton"):
         raise ValueError(f"unknown threshold init {config.init_threshold!r}")
     if not 0 <= config.first_element < n:
@@ -119,43 +98,46 @@ def optimal_set(oracle, n, config=None, observer=None):
     """Find a nontrivial S minimizing d(S, V\\S) for V = {0..n-1}.
 
     `oracle` provides lax evaluation of a monotone and consistent symmetric
-    set function d. Returns (S, value, stats) with value = d(S, V\\S) equal
-    to the minimum over all nontrivial bipartitions. An `observer` callable
-    receives a RoundRecord after every round.
+    set function d. Returns (S, value, stats) with value = d(S, V\\S), the
+    oracle's uncapped value of S, equal to the minimum over all nontrivial
+    bipartitions. An `observer` callable receives a RoundRecord after every
+    round.
     """
     if n < 2:
         raise ValueError("need at least two elements")
     cfg = config or MinimizeConfig()
-    _validate(cfg, oracle, n)
-    counter = _CountingOracle(oracle)
+    _validate(cfg, n)
     partition = Partition(n)
     stats = RunStats()
+    universe = frozenset(range(n))
     tau = INF
     best = None
 
     if cfg.init_threshold == "min_singleton":
-        universe = frozenset(range(n))
         for v in range(n):
-            val = counter.eval(frozenset((v,)), universe - {v}, INF)
+            val = oracle.eval(frozenset((v,)), universe - {v}, INF)
             if val < tau:
                 tau = val
                 best = frozenset((v,))
+        stats.oracle_calls += n
         # the argmin singleton witnesses tau, keeping d(best, rest) == tau
 
-    snapshots = observer is not None or cfg.debug_checks
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
         first = partition.class_of(cfg.first_element)
-        members_before = partition.blocks() if snapshots else None
+        members_before = partition.blocks() if observer is not None else None
         if cfg.order_builder == "scan":
-            order, ops = lax_back_order_scan(counter, partition, build_tau, first)
-            k = len(order.order)
-            assert ops <= k * (k - 1) // 2, "scan builder exceeded its call bound"
+            order, ops = lax_back_order_scan(oracle, partition, build_tau, first)
+            stats.oracle_calls += ops
         else:
             order, ops = lax_back_order_queue(
-                counter, partition, build_tau, first, cfg.queue_kind)
+                oracle, partition, build_tau, first, cfg.queue_kind)
 
         last_key = order.keys[-1]
+        if not -INF < last_key < INF:
+            # a NaN would contract nothing and repeat the round forever
+            raise ValueError(f"round {stats.rounds}: the oracle gave the last "
+                             f"class the non-finite key {last_key!r}")
         if last_key < tau:
             best = partition.member_set(order.order[-1])
             tau = last_key
@@ -164,14 +146,14 @@ def optimal_set(oracle, n, config=None, observer=None):
             partition.join(order.order[-2], order.order[-1])
             joins = 1
         else:
+            # tau <= last_key, so at least the last pair contracts
             joins = contract_round(partition, order, tau)
-        assert joins >= 1, "every round must contract at least one pair"
 
         stats.rounds += 1
         stats.joins_per_round.append(joins)
         stats.calls_per_order.append((len(order.order), ops))
-        if snapshots:
-            record = RoundRecord(
+        if observer is not None:
+            observer(RoundRecord(
                 index=stats.rounds - 1,
                 tau_build=build_tau,
                 order=order,
@@ -180,38 +162,8 @@ def optimal_set(oracle, n, config=None, observer=None):
                 joins=joins,
                 members_after=partition.blocks(),
                 builder_ops=ops,
-            )
-            if observer is not None:
-                observer(record)
-            if cfg.debug_checks and n <= DEBUG_MAX_N:
-                _debug_round_checks(oracle, n, best, tau, record)
+            ))
 
-    stats.oracle_calls = counter.calls
-    stats.final_value = tau
-    return set(best), tau, stats
-
-
-def _debug_round_checks(oracle, n, best, tau, record):
-    """Round invariants, re-derived by enumeration. Debug mode only."""
-    from .brute import brute_min_bipartition
-
-    rest = frozenset(range(n)) - best
-    attained = oracle.eval(frozenset(best), rest, INF)
-    if not values_equal(attained, tau):
-        raise AssertionError(
-            f"round {record.index}: recorded set attains {attained}, threshold is {tau}")
-    optimum = brute_min_bipartition(oracle, n).value
-    if optimum > tau and not values_equal(optimum, tau):
-        raise AssertionError(
-            f"round {record.index}: threshold {tau} below true optimum {optimum}")
-    blocks_after = [record.members_after[c] for c in sorted(record.members_after)]
-    if len(blocks_after) >= 2:
-        induced = brute_min_bipartition(InducedOracle(oracle, blocks_after),
-                                        len(blocks_after)).value
-        if not values_equal(min(tau, induced), min(tau, optimum)):
-            raise AssertionError(
-                f"round {record.index}: contraction changed the capped optimum "
-                f"({min(tau, induced)} vs {min(tau, optimum)})")
-    elif not (optimum >= tau or values_equal(optimum, tau)):
-        raise AssertionError(
-            f"round {record.index}: contracted everything while optimum {optimum} < {tau}")
+    value = oracle.eval(best, universe - best, INF)
+    stats.oracle_calls += 1
+    return set(best), value, stats

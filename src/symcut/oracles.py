@@ -20,7 +20,7 @@ verify exhaustively on small ground sets.
 
 import math
 
-from .values import INF, mask_of
+from .values import INF, mask_of, set_of
 
 
 class LaxOracle:
@@ -56,6 +56,13 @@ def _require_disjoint(left, right):
         raise ValueError("left and right sets overlap")
 
 
+def _require_finite(items, what):
+    """Reject the first NaN or infinite value among (key, value) pairs."""
+    for key, v in items:
+        if not -INF < v < INF:
+            raise ValueError(f"{what} {key} is not finite: {v!r}")
+
+
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1.
 
@@ -89,17 +96,6 @@ class WeightedGraph:
     def m(self):
         return len(self.edges)
 
-    def cut(self, left, right):
-        """Exact crossing weight between two disjoint vertex sets."""
-        _require_disjoint(left, right)
-        small, big = (left, right) if len(left) <= len(right) else (right, left)
-        total = 0
-        for u in small:
-            for v, w in self.adjacency[u].items():
-                if v in big:
-                    total += w
-        return total
-
     def __eq__(self, other):
         return (isinstance(other, WeightedGraph)
                 and self.n == other.n and self.edges == other.edges)
@@ -129,12 +125,13 @@ class GraphCutOracle(LaxOracle):
         _require_disjoint(left, right)
         small, big = (left, right) if len(left) <= len(right) else (right, left)
         adjacency = self.graph.adjacency
+        early_exit = self.early_exit
         total = 0
         for u in small:
             for v, w in adjacency[u].items():
                 if v in big:
                     total += w
-                    if self.early_exit and total >= tau:
+                    if early_exit and total >= tau:
                         return tau
         return min(tau, total)
 
@@ -293,6 +290,8 @@ class SetFunctionTable:
         self.n = n
         self.table_values = table_values
         self.integer_valued = all(isinstance(v, int) for v in table_values)
+        if not self.integer_valued:
+            _require_finite(enumerate(table_values), "table value at mask")
 
     def __call__(self, mask):
         return self.table_values[mask]
@@ -328,11 +327,6 @@ class ConnectivityOracle(LaxOracle):
         return min(tau, f[s] + f[t] - f[s | t])
 
 
-def connectivity_from_submodular(table):
-    """Oracle whose bipartition minimum locates a nontrivial minimizer of f."""
-    return ConnectivityOracle(table)
-
-
 class TableOracle(LaxOracle):
     """d given explicitly for every disjoint bitmask pair.
 
@@ -346,6 +340,7 @@ class TableOracle(LaxOracle):
             raise ValueError("need at least one element")
         self.n = n
         self.table = dict(table)
+        _require_finite(self.table.items(), "entry for masks")
         full = (1 << n) - 1
         for s in range(1 << n):
             t = full ^ s
@@ -410,11 +405,6 @@ class ThresholdedOracle(LaxOracle):
         return self.base.eval(left, right, min(tau, self.cap))
 
 
-def thresholded(oracle, cap):
-    """Cap an oracle's values at `cap`; with cap = INF this changes nothing."""
-    return ThresholdedOracle(oracle, cap)
-
-
 class InducedOracle(LaxOracle):
     """Class-level view of an oracle.
 
@@ -445,9 +435,6 @@ def graph_cut_table(graph):
     """
     n = graph.n
     full = (1 << n) - 1
-    values = []
-    for mask in range(1 << n):
-        side = frozenset(v for v in range(n) if mask >> v & 1)
-        rest = frozenset(v for v in range(n) if (full ^ mask) >> v & 1)
-        values.append(graph.cut(side, rest))
+    oracle = GraphCutOracle(graph, early_exit=False)
+    values = [oracle.eval(set_of(mask), set_of(full ^ mask)) for mask in range(1 << n)]
     return SetFunctionTable(n, values)

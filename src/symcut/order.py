@@ -117,10 +117,11 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
 
 def _make_queue(kind, tau, oracle):
     if kind == "heap":
-        return HeapQueue(tau)
+        return HeapQueue()
     if kind == "bucket":
-        if not oracle.integer_valued or oracle.value_bound is None:
+        bound = getattr(oracle, "value_bound", None)
+        if not getattr(oracle, "integer_valued", False) or bound is None:
             raise ValueError(
                 "bucket queue requires an integer-valued oracle with a declared value bound")
-        return BucketQueue(tau, oracle.value_bound)
+        return BucketQueue(tau, bound)
     raise ValueError(f"unknown queue kind {kind!r}")

@@ -13,15 +13,14 @@ from .values import INF
 
 
 class HeapQueue:
-    """Lazy max-heap; ignores tau and always returns the true maximum.
+    """Lazy max-heap; takes no threshold and always returns the true maximum.
 
     A true maximum trivially satisfies the relaxed rule. Ties break toward
     the lowest index. Updates push a fresh heap entry; stale ones are
     skipped on extraction.
     """
 
-    def __init__(self, tau=INF):
-        self.tau = tau
+    def __init__(self):
         self._heap = []
         self._key = {}
 

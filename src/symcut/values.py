@@ -3,26 +3,24 @@
 Cut values are plain ints or floats; ``INF`` (= ``math.inf``) is the
 "no threshold" sentinel and compares greater than every finite value.
 Integer instances admit exact comparison; float instances are compared
-with a small absolute tolerance.
+with a relative plus an absolute tolerance, so that rounding in the sums
+of large weights does not read as a different value.
 """
 
 import math
 
 INF = math.inf
 
-#: absolute tolerance for comparing fractional cut values
-FLOAT_TOL = 1e-9
+#: relative and absolute tolerance for comparing fractional cut values
+REL_TOL = 1e-9
+ABS_TOL = 1e-9
 
 
-def values_equal(a, b, tol=FLOAT_TOL):
-    """Equality for cut values: exact for ints (and infinities), tolerant otherwise."""
-    if a == b:
-        return True
+def values_equal(a, b):
+    """Equality for cut values: exact for ints, within REL_TOL or ABS_TOL otherwise."""
     if isinstance(a, int) and isinstance(b, int):
-        return False
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol
+        return a == b
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 def mask_of(elements):

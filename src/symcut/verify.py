@@ -14,8 +14,8 @@ from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
                     check_consistent, check_monotone,
                     check_symmetric_submodular, verify_lax_back_order)
 from .driver import MinimizeConfig, optimal_set
-from .oracles import (ConnectivityOracle, InducedOracle, thresholded)
-from .values import INF, values_equal
+from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
+from .values import INF, mask_of, values_equal
 
 
 @dataclass
@@ -214,7 +214,7 @@ def verify_oracle(oracle, n, *, deep=None, axioms=None, strict_oracle=None):
         entries.append(VerifyEntry("oracle-consistent", bool(cons),
                                    "" if cons else repr(cons.witness)))
         for cap in _sample_caps(ref, n):
-            capped = thresholded(ref, cap)
+            capped = ThresholdedOracle(ref, cap)
             mono = check_monotone(capped, n)
             cons = check_consistent(capped, n)
             entries.append(VerifyEntry(
@@ -242,10 +242,8 @@ def verify_table(table, axioms=None):
     if symmetric and submodular:
         f = table.table_values
         best_f = min(f[mask] for mask in range(1, (1 << n) - 1))
-        found, value, _ = optimal_set(oracle, n)
-        mask = 0
-        for v in found:
-            mask |= 1 << v
+        found, _, _ = optimal_set(oracle, n)
+        mask = mask_of(found)
         ok = f[mask] == best_f
         entries.append(VerifyEntry(
             "minimizes-set-function", ok, f"f(S) = {f[mask]}, best {best_f}"))

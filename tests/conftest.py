@@ -18,6 +18,3 @@ def triangle_oracle(triangle):
 def path3():
     return WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
 
-
-TRIANGLE_TEXT = "3 3\n1 2 3\n1 3 1\n2 3 2\n"
-TWO_VERTEX_TEXT = "2 1\n1 2 5\n"

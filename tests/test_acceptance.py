@@ -11,25 +11,23 @@ import re
 
 import pytest
 
-from symcut import (INF, GraphCutOracle, HypergraphCutOracle, MinimizeConfig,
+from symcut import (INF, ConnectivityOracle, GraphCutOracle,
+                    HypergraphCutOracle, MinimizeConfig, ThresholdedOracle,
                     brute_min_bipartition, check_consistent, check_monotone,
                     check_separation_triangle, check_symmetric_submodular,
-                    connectivity_from_submodular, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table, optimal_set,
-                    thresholded)
+                    gen_random_graph, gen_random_hypergraph, graph_cut_table,
+                    optimal_set)
 from symcut.cli import bench_rows, main
 from symcut.verify import check_contraction_record, check_order_record
 
 CORPUS_SIZE = 200
 
+# every distinct builder/queue/init configuration (the scan builder has no queue)
 CONFIGS = {
-    "scan-heap-inf": MinimizeConfig(),
-    "scan-bucket-inf": MinimizeConfig(queue_kind="bucket"),
+    "scan-inf": MinimizeConfig(),
     "queue-heap-inf": MinimizeConfig(order_builder="queue"),
     "queue-bucket-inf": MinimizeConfig(order_builder="queue", queue_kind="bucket"),
-    "scan-heap-ms": MinimizeConfig(init_threshold="min_singleton"),
-    "scan-bucket-ms": MinimizeConfig(queue_kind="bucket",
-                                     init_threshold="min_singleton"),
+    "scan-ms": MinimizeConfig(init_threshold="min_singleton"),
     "queue-heap-ms": MinimizeConfig(order_builder="queue",
                                     init_threshold="min_singleton"),
     "queue-bucket-ms": MinimizeConfig(order_builder="queue", queue_kind="bucket",
@@ -112,7 +110,7 @@ def test_criterion_03_capped_oracles_keep_the_axioms(corpus):
         top = max(finite_values)
         caps = [0, top, INF, rng.randint(0, top), rng.randint(0, top)]
         for cap in caps:
-            capped = thresholded(oracle, cap)
+            capped = ThresholdedOracle(oracle, cap)
             if not (check_monotone(capped, n) and check_consistent(capped, n)):
                 violations += 1
             checked += 1
@@ -176,7 +174,7 @@ def test_criterion_06_symmetric_submodular_minimization():
         assert symmetric and submodular
         f = table.table_values
         best_f = min(f[m] for m in range(1, (1 << n) - 1))
-        found, _, _ = optimal_set(connectivity_from_submodular(table), n)
+        found, _, _ = optimal_set(ConnectivityOracle(table), n)
         if f[sum(1 << v for v in found)] != best_f:
             bad += 1
     report(6, bad == 0,
@@ -211,7 +209,7 @@ def test_criterion_08_queue_differential():
     rng = random.Random(777)
     tau = 8
     steps = 10000
-    heap, bucket = HeapQueue(tau), BucketQueue(tau, bound=2 * tau)
+    heap, bucket = HeapQueue(), BucketQueue(tau, bound=2 * tau)
     exact_h, exact_b = {}, {}
     next_v = 0
     violations = 0
@@ -272,7 +270,7 @@ def test_criterion_10_multi_join_rounds_reduce_round_count(corpus_runs, corpus):
     worse = 0
     strictly_better = 0
     for n, graph, _, per_config, maxback in corpus_runs:
-        lax_rounds = per_config["scan-heap-inf"][2].rounds
+        lax_rounds = per_config["scan-inf"][2].rounds
         max_rounds = maxback[2].rounds
         if lax_rounds > max_rounds:
             worse += 1

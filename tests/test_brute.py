@@ -1,9 +1,9 @@
 import pytest
 
 from symcut import (GraphCutOracle, TableOracle, SetFunctionTable,
-                    WeightedGraph, brute_lambda, brute_min_bipartition,
-                    check_consistent, check_monotone,
-                    check_symmetric_submodular, complete_table, thresholded)
+                    ThresholdedOracle, WeightedGraph, brute_lambda,
+                    brute_min_bipartition, check_consistent, check_monotone,
+                    check_symmetric_submodular, complete_table)
 
 # elements {0,1,2}: d({0},{2})=5 >= d({1},{2})=3, yet
 # d({0},{1,2})=1 < d({0,2},{1})=9 -- found by random search, kept frozen
@@ -74,7 +74,7 @@ def test_consistent_graph_cut(triangle_oracle):
 
 def test_consistent_thresholded_graph_cut(triangle_oracle):
     for cap in (0, 1, 2, 3, 4):
-        assert check_consistent(thresholded(triangle_oracle, cap), 3)
+        assert check_consistent(ThresholdedOracle(triangle_oracle, cap), 3)
 
 
 def test_consistency_violation_fixture():

@@ -1,10 +1,12 @@
 import json
+import random
 import re
 
 import pytest
 
+from symcut import GraphCutOracle, WeightedGraph, values_equal, write_graph
 from symcut.cli import main
-from conftest import TRIANGLE_TEXT, TWO_VERTEX_TEXT
+from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
 
 @pytest.fixture
@@ -43,6 +45,11 @@ class TestMincut:
                 for init in ("inf", "min-singleton"):
                     code = main(["mincut", triangle_file, "--builder", builder,
                                  "--queue", queue, "--init", init, "--json"])
+                    if builder == "scan" and queue == "bucket":
+                        # the scan builder uses no queue
+                        assert code == 2
+                        assert "bucket" in capsys.readouterr().err
+                        continue
                     assert code == 0
                     assert json.loads(capsys.readouterr().out)["lambda"] == 3
 
@@ -50,6 +57,25 @@ class TestMincut:
         assert main(["mincut", triangle_file, "--check", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["check"] == {"ran": True, "ok": True, "expected": 3}
+
+    def test_check_passes_on_float_weights_of_mixed_magnitude(self, tmp_path, capsys):
+        # weights from 1e-3 to 1e12: the queue builder's accumulated keys and
+        # enumeration round differently in the last digits of a 1e12 value
+        r = random.Random(519)
+        n = r.randint(4, 12)
+        edges = [(u, v, r.choice([0.1, 1 / 3, 1e12, 0.7, 2.5, 1e-3]))
+                 for u in range(n) for v in range(u + 1, n) if r.random() < 0.6]
+        graph = WeightedGraph(n, edges)
+        path = tmp_path / "mixed.graph"
+        path.write_text(write_graph(graph))
+        assert main(["mincut", str(path), "--builder", "queue", "--check",
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["check"]["ok"] is True
+        side = frozenset(v - 1 for v in report["set"])
+        strict = GraphCutOracle(graph, early_exit=False)
+        assert values_equal(report["lambda"],
+                            strict.eval(side, frozenset(range(n)) - side))
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.graph"
@@ -65,7 +91,8 @@ class TestMincut:
     def test_bucket_on_float_weights_exits_2(self, tmp_path, capsys):
         path = tmp_path / "float.graph"
         path.write_text("2 1\n1 2 2.5\n")
-        assert main(["mincut", str(path), "--queue", "bucket"]) == 2
+        assert main(["mincut", str(path), "--builder", "queue",
+                     "--queue", "bucket"]) == 2
         assert "bucket" in capsys.readouterr().err
 
     def test_hypergraph_instance(self, tmp_path, capsys):

@@ -1,8 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from symcut import (INF, GraphCutOracle, LaxBackOrder, MinimizeConfig,
-                    Partition, TableOracle, WeightedGraph, complete_table,
-                    contract_round, gen_random_graph, optimal_set)
+from symcut import (INF, GraphCutOracle, LaxBackOrder, LaxOracle,
+                    MinimizeConfig, Partition, TableOracle, WeightedGraph,
+                    complete_table, contract_round, gen_random_graph,
+                    optimal_set, verify_oracle)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# an oracle answering NaN everywhere; without a guard the driver's round
+# contracts nothing and, with asserts stripped by -O, repeats forever
+NAN_ORACLE_RUN = """
+import math
+from symcut import LaxOracle, optimal_set
+
+class NanOracle(LaxOracle):
+    def eval(self, left, right, tau=math.inf):
+        return math.nan
+
+optimal_set(NanOracle(), 4)
+"""
 
 
 def make_order(labels, keys, tau):
@@ -38,7 +59,6 @@ class TestOptimalSet:
         assert best == {2}
         assert stats.rounds == 1
         assert stats.joins_per_round == [2]
-        assert stats.final_value == 3
 
     def test_two_elements(self):
         o = GraphCutOracle(WeightedGraph(2, [(0, 1, 5)]))
@@ -103,6 +123,43 @@ class TestOptimalSet:
             optimal_set(triangle_oracle, 3, MinimizeConfig(order_builder="spiral"))
         with pytest.raises(ValueError):
             optimal_set(triangle_oracle, 3, MinimizeConfig(first_element=5))
+        with pytest.raises(ValueError, match="bucket"):
+            optimal_set(triangle_oracle, 3, MinimizeConfig(queue_kind="bucket"))
+        with pytest.raises(ValueError, match="fibonacci"):
+            optimal_set(triangle_oracle, 3,
+                        MinimizeConfig(order_builder="queue", queue_kind="fibonacci"))
+
+    def test_oracle_calls_count_every_eval(self, triangle):
+        class Counting(GraphCutOracle):
+            calls = 0
+
+            def eval(self, left, right, tau=INF):
+                self.calls += 1
+                return super().eval(left, right, tau)
+
+        for cfg in (MinimizeConfig(), MinimizeConfig(init_threshold="min_singleton"),
+                    MinimizeConfig(order_builder="queue"),
+                    MinimizeConfig(order_builder="queue", init_threshold="min_singleton")):
+            oracle = Counting(triangle)
+            _, _, stats = optimal_set(oracle, 3, cfg)
+            assert stats.oracle_calls == oracle.calls
+
+    def test_nan_oracle_fails_loudly_under_optimize(self):
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", NAN_ORACLE_RUN],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=20)
+        assert result.returncode == 1
+        assert "ValueError" in result.stderr
+        assert "non-finite key nan" in result.stderr
+
+    def test_infinite_oracle_value_rejected(self):
+        class InfOracle(LaxOracle):
+            def eval(self, left, right, tau=INF):
+                return INF
+
+        with pytest.raises(ValueError, match="non-finite key inf"):
+            optimal_set(InfOracle(), 3)
 
     def test_queue_builder_on_unkeyed_oracle(self):
         o = TableOracle(2, complete_table(2, {(1, 2): 4}))
@@ -123,12 +180,11 @@ class TestOptimalSet:
         best, value, _ = optimal_set(table, 4)
         assert value == brute_min_bipartition(table, 4).value
 
-    def test_debug_checks_pass_on_valid_oracle(self):
-        oracle = GraphCutOracle(gen_random_graph(6, 0.6, 8, seed=3,
-                                                 connected=True))
-        _, value, _ = optimal_set(oracle, 6, MinimizeConfig(debug_checks=True))
-        from symcut import brute_min_bipartition
-        assert value == brute_min_bipartition(oracle, 6).value
+    def test_round_records_pass_verify_on_valid_oracle(self):
+        graph = gen_random_graph(6, 0.6, 8, seed=3, connected=True)
+        report = verify_oracle(GraphCutOracle(graph), 6,
+                               strict_oracle=GraphCutOracle(graph, early_exit=False))
+        assert report.ok, [e for e in report.entries if not e.ok]
 
     def test_observer_sees_every_round(self, triangle_oracle):
         records = []

@@ -4,7 +4,7 @@ from symcut import (Hypergraph, ParseError, SetFunctionTable, WeightedGraph,
                     gen_random_graph, gen_random_hypergraph, graph_cut_table,
                     load_instance, parse_graph, parse_hypergraph, parse_table,
                     write_graph, write_hypergraph, write_table)
-from conftest import TRIANGLE_TEXT, TWO_VERTEX_TEXT
+from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
 
 class TestParseGraph:

@@ -1,10 +1,12 @@
+import math
+
 import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InducedOracle, Partition,
-                    SetFunctionTable, TableOracle, WeightedGraph,
-                    complete_table, connectivity_from_submodular,
-                    gen_random_graph, graph_cut_table, thresholded)
+                    SetFunctionTable, TableOracle, ThresholdedOracle,
+                    WeightedGraph, complete_table, gen_random_graph,
+                    graph_cut_table)
 
 
 def F(*xs):
@@ -152,7 +154,7 @@ class TestConnectivity:
         n = 4
         table = SetFunctionTable(n, [bin(m).count("1") * (n - bin(m).count("1"))
                                      for m in range(1 << n)])
-        o = connectivity_from_submodular(table)
+        o = ConnectivityOracle(table)
         assert o.eval(F(0), F(1)) == 3 + 3 - 4
         assert o.eval(F(0), frozenset()) == 0
 
@@ -164,6 +166,15 @@ class TestConnectivity:
             s = frozenset(v for v in range(3) if mask >> v & 1)
             t = full - s
             assert o.eval(s, t) == 2 * triangle_oracle.eval(s, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_value_rejected(self, bad):
+        values = graph_cut_table(gen_random_graph(4, 0.8, 5, seed=1)).table_values
+        for mask in (0b0110, 0b1111):  # an inner subset and the full set
+            broken = list(values)
+            broken[mask] = bad
+            with pytest.raises(ValueError, match=f"mask {mask} is not finite"):
+                SetFunctionTable(4, broken)
 
 
 class TestTableOracle:
@@ -186,18 +197,23 @@ class TestTableOracle:
         with pytest.raises(ValueError):
             TableOracle(2, t)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            TableOracle(2, complete_table(2, {(1, 2): bad}))
+
 
 class TestThresholded:
     def test_caps_above(self):
         o = TableOracle(2, complete_table(2, {(1, 2): 7}))
-        assert thresholded(o, 5).eval(F(0), F(1)) == 5
+        assert ThresholdedOracle(o, 5).eval(F(0), F(1)) == 5
 
     def test_passes_below(self):
         o = TableOracle(2, complete_table(2, {(1, 2): 3}))
-        assert thresholded(o, 5).eval(F(0), F(1)) == 3
+        assert ThresholdedOracle(o, 5).eval(F(0), F(1)) == 3
 
     def test_infinite_cap_is_identity(self, triangle_oracle):
-        capped = thresholded(triangle_oracle, INF)
+        capped = ThresholdedOracle(triangle_oracle, INF)
         full = frozenset(range(3))
         for mask in range(1, 7):
             s = frozenset(v for v in range(3) if mask >> v & 1)

@@ -7,14 +7,14 @@ failures quickly.
 
 import pytest
 
-from symcut import (INF, GraphCutOracle, HypergraphCutOracle, MinimizeConfig,
-                    Partition, brute_lambda, brute_min_bipartition,
+from symcut import (INF, ConnectivityOracle, GraphCutOracle,
+                    HypergraphCutOracle, MinimizeConfig, Partition,
+                    ThresholdedOracle, brute_lambda, brute_min_bipartition,
                     check_consistent, check_monotone,
                     check_separation_triangle, check_symmetric_submodular,
-                    connectivity_from_submodular, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table,
+                    gen_random_graph, gen_random_hypergraph, graph_cut_table,
                     lax_back_order_queue, lax_back_order_scan, optimal_set,
-                    thresholded, verify_lax_back_order, verify_oracle)
+                    verify_lax_back_order, verify_oracle)
 from symcut.verify import check_contraction_record, check_order_record
 
 
@@ -41,7 +41,7 @@ def test_capping_preserves_the_axioms():
         oracle = GraphCutOracle(g, early_exit=False)
         top = g.total_weight
         for cap in (0, 1, top // 2, top, INF):
-            capped = thresholded(oracle, cap)
+            capped = ThresholdedOracle(oracle, cap)
             assert check_monotone(capped, n)
             assert check_consistent(capped, n)
 
@@ -52,7 +52,7 @@ def test_connectivity_of_submodular_is_monotone_consistent():
         table = graph_cut_table(gen_random_graph(n, 0.7, 5, seed=40 + i))
         _, submodular = check_symmetric_submodular(table)
         assert submodular
-        o = connectivity_from_submodular(table)
+        o = ConnectivityOracle(table)
         assert check_monotone(o, n)
         assert check_consistent(o, n)
 
@@ -132,7 +132,7 @@ def test_symmetric_submodular_minimization_matches_exhaustive():
         assert symmetric and submodular
         f = table.table_values
         best_f = min(f[m] for m in range(1, (1 << n) - 1))
-        found, _, _ = optimal_set(connectivity_from_submodular(table), n)
+        found, _, _ = optimal_set(ConnectivityOracle(table), n)
         assert f[sum(1 << v for v in found)] == best_f
 
 

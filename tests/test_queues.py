@@ -21,7 +21,7 @@ def test_insert_duplicate_rejected():
 
 
 def test_heap_del_max_is_true_max():
-    q = HeapQueue(tau=7)
+    q = HeapQueue()
     q.insert("a", 5)
     q.insert("b", 9)
     assert q.del_max() == ("b", 9)
@@ -122,7 +122,7 @@ def test_bucket_zero_threshold():
 
 def test_heap_matches_exact_queue_at_infinite_threshold():
     rng = random.Random(5)
-    q = HeapQueue(tau=INF)
+    q = HeapQueue()
     shadow = {}
     for step in range(500):
         op = rng.random()
@@ -153,7 +153,7 @@ def test_differential_contract_small():
     # shared op stream; each queue checked against its own exact shadow
     rng = random.Random(11)
     tau = 6
-    heap, bucket = HeapQueue(tau), BucketQueue(tau, bound=2 * tau)
+    heap, bucket = HeapQueue(), BucketQueue(tau, bound=2 * tau)
     sh, sb = {}, {}
     next_v = 0
     for _ in range(1000):
