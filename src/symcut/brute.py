@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from .values import INF, set_of
 
-MAX_ENUM = 24
+#: largest n enumerated; 2^(n-1) evaluations take seconds at n = 20 and
+#: double with every further element
+MAX_ENUM = 20
 
 
 @dataclass(frozen=True)

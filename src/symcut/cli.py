@@ -4,33 +4,22 @@ Subcommands:
   mincut    minimum cut / bipartition of a graph or hypergraph file
   minimize  nontrivial minimizer of an explicit symmetric submodular f
   verify    run all configurations against brute force plus the property suite
-  bench     CSV comparison of algorithm variants on seeded instances
   gen       emit a seeded random graph instance
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 import argparse
-import csv
 import json
 import sys
 import time
 
-from .brute import brute_min_bipartition, check_symmetric_submodular
+from .brute import MAX_ENUM, brute_min_bipartition, check_symmetric_submodular
 from .driver import MinimizeConfig, optimal_set
-from .instances import (ParseError, gen_random_graph, load_instance,
-                        parse_table, write_graph)
+from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
 from .values import mask_of, values_equal
 from .verify import verify_oracle, verify_table
-
-VARIANTS = {
-    "maxback": MinimizeConfig(algorithm="maxback"),
-    "laxback": MinimizeConfig(),
-    "laxback-ms": MinimizeConfig(init_threshold="min_singleton"),
-    "queue-heap": MinimizeConfig(order_builder="queue"),
-    "queue-bucket": MinimizeConfig(order_builder="queue", queue_kind="bucket"),
-}
 
 
 def build_parser():
@@ -44,7 +33,7 @@ def build_parser():
     p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
     _add_config_flags(p)
     p.add_argument("--check", action="store_true",
-                   help="re-verify the result against enumeration (n <= 24)")
+                   help=f"re-verify the result against enumeration (n <= {MAX_ENUM})")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=cmd_mincut)
 
@@ -66,16 +55,6 @@ def build_parser():
     p.add_argument("--wmax", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="CSV comparison of variants on seeded graphs")
-    p.add_argument("--variants", default="maxback,laxback",
-                   help=f"comma list from: {', '.join(sorted(VARIANTS))}")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.6)
-    p.add_argument("--wmax", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen", help="emit a seeded random graph instance")
     p.add_argument("--n", type=int, required=True)
@@ -165,7 +144,7 @@ def _solve_and_report(args, oracle, instance, table=None):
     """Solve with the flags' configuration, print the report, return the exit code.
 
     With a `table` the report adds f(S) and --check enumerates f; otherwise
-    --check enumerates the oracle's bipartitions (n <= 24).
+    --check enumerates the oracle's bipartitions (n <= brute.MAX_ENUM).
     """
     n = instance["n"]
     config = _config_from(args)
@@ -189,7 +168,7 @@ def _solve_and_report(args, oracle, instance, table=None):
     }
     if table is not None:
         report["f_value"] = table.table_values[mask_of(side)]
-    if args.check and table is None and n > 24:
+    if args.check and table is None and n > MAX_ENUM:
         report["check"] = {"ran": False, "ok": None,
                            "reason": "instance too large to enumerate"}
     elif args.check:
@@ -235,10 +214,6 @@ def cmd_verify(args):
             report = verify_table(instance)
         else:
             oracle_cls = GraphCutOracle if kind == "graph" else HypergraphCutOracle
-            if instance.n > 24:
-                print(f"error: {label}: too large to enumerate (n <= 24)",
-                      file=sys.stderr)
-                return 2
             report = verify_oracle(oracle_cls(instance), instance.n,
                                    strict_oracle=oracle_cls(instance, early_exit=False))
         for entry in report.entries:
@@ -249,54 +224,6 @@ def cmd_verify(args):
                 failures += 1
     print(f"verify: {'all checks passed' if not failures else f'{failures} checks failed'}")
     return 0 if failures == 0 else 1
-
-
-def cmd_bench(args):
-    names = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for name in names:
-        if name not in VARIANTS:
-            print(f"error: unknown variant {name!r} "
-                  f"(choose from {', '.join(sorted(VARIANTS))})", file=sys.stderr)
-            return 2
-    graphs = [gen_random_graph(args.n, args.p, args.wmax, seed=args.seed + i,
-                               connected=True)
-              for i in range(args.count)]
-    rows, ok = bench_rows(graphs, names)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "m", "variant", "rounds", "oracle_calls",
-                     "joins_total", "lambda", "wall_ns"])
-    for row in rows:
-        writer.writerow([row["n"], row["m"], row["variant"], row["rounds"],
-                         row["oracle_calls"], row["joins_total"], row["lambda"],
-                         row["wall_ns"]])
-    if not ok:
-        print("error: variants disagreed on some instance", file=sys.stderr)
-        return 1
-    return 0
-
-
-def bench_rows(graphs, variant_names):
-    """One row per (instance, variant); flags whether all values agreed."""
-    rows = []
-    agreed = True
-    for idx, graph in enumerate(graphs):
-        values = {}
-        for name in variant_names:
-            config = VARIANTS[name]
-            oracle = GraphCutOracle(graph)
-            start = time.perf_counter_ns()
-            _, value, stats = optimal_set(oracle, graph.n, config)
-            wall = time.perf_counter_ns() - start
-            values[name] = value
-            rows.append({
-                "instance": idx, "n": graph.n, "m": graph.m, "variant": name,
-                "rounds": stats.rounds, "oracle_calls": stats.oracle_calls,
-                "joins_total": sum(stats.joins_per_round), "lambda": value,
-                "wall_ns": wall,
-            })
-        if len(set(values.values())) > 1:
-            agreed = False
-    return rows, agreed
 
 
 def cmd_gen(args):
@@ -316,9 +243,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .order import lax_back_order_queue, lax_back_order_scan
 from .partition import Partition
-from .values import INF
+from .values import INF, finite_key
 
 
 @dataclass
@@ -115,7 +115,7 @@ def optimal_set(oracle, n, config=None, observer=None):
 
     if cfg.init_threshold == "min_singleton":
         for v in range(n):
-            val = oracle.eval(frozenset((v,)), universe - {v}, INF)
+            val = finite_key(oracle.eval(frozenset((v,)), universe - {v}, INF), v)
             if val < tau:
                 tau = val
                 best = frozenset((v,))
@@ -134,10 +134,6 @@ def optimal_set(oracle, n, config=None, observer=None):
                 oracle, partition, build_tau, first, cfg.queue_kind)
 
         last_key = order.keys[-1]
-        if not -INF < last_key < INF:
-            # a NaN would contract nothing and repeat the round forever
-            raise ValueError(f"round {stats.rounds}: the oracle gave the last "
-                             f"class the non-finite key {last_key!r}")
         if last_key < tau:
             best = partition.member_set(order.order[-1])
             tau = last_key

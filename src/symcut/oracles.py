@@ -33,14 +33,13 @@ class LaxOracle:
     ``keyed``
         supports :meth:`key_tracker` for incremental prefix keys
         (required by the queue-based order builder)
-    ``integer_valued``
-        every value of d is an integer (required by the bucket queue)
     ``value_bound``
-        finite upper bound on d's values when ``integer_valued``
+        an integer upper bound on d's values, declared only when every
+        value of d is an integer (required by the bucket queue); None
+        otherwise
     """
 
     keyed = False
-    integer_valued = False
     value_bound = None
 
     def eval(self, left, right, tau=INF):
@@ -118,7 +117,6 @@ class GraphCutOracle(LaxOracle):
     def __init__(self, graph, early_exit=True):
         self.graph = graph
         self.early_exit = early_exit
-        self.integer_valued = graph.integer_weights
         self.value_bound = graph.total_weight if graph.integer_weights else None
 
     def eval(self, left, right, tau=INF):
@@ -139,29 +137,37 @@ class GraphCutOracle(LaxOracle):
         return _GraphKeyTracker(self.graph, partition, first)
 
 
-class _GraphKeyTracker:
-    """Exact prefix keys for graph cuts.
+class _KeyTracker:
+    """Exact prefix keys for one order construction.
 
-    ``keys[c]`` is the crossing weight between class c and the classes
-    appended to the order so far. ``advance`` folds one more class into
-    the prefix and returns the keys it changed.
+    ``keys[c]`` is d(class c, classes appended so far) for every class not
+    yet appended. ``advance`` folds one more class into the prefix and
+    returns {class: new key} for the keys it changed; ``pop`` drops a
+    class once it is appended. The partition must not change while a
+    tracker is live.
     """
 
-    def __init__(self, graph, partition, first):
-        self._adjacency = graph.adjacency
+    def __init__(self, partition, first):
         self._partition = partition
-        self._blocks = {c: partition.members(c) for c in partition.classes()}
-        self.keys = {c: 0 for c in self._blocks if c != first}
+        self.keys = {c: 0 for c in partition.classes() if c != first}
         self.advance(first)
 
     def pop(self, label):
         return self.keys.pop(label)
 
+
+class _GraphKeyTracker(_KeyTracker):
+    """Prefix keys for graph cuts: summed weight of edges into the prefix."""
+
+    def __init__(self, graph, partition, first):
+        self._adjacency = graph.adjacency
+        super().__init__(partition, first)
+
     def advance(self, appended):
         changed = {}
         class_of = self._partition.class_of
         keys = self.keys
-        for x in self._blocks[appended]:
+        for x in self._partition.members(appended):
             for y, w in self._adjacency[x].items():
                 c = class_of(y)
                 if c in keys:
@@ -221,7 +227,6 @@ class HypergraphCutOracle(LaxOracle):
     def __init__(self, hypergraph, early_exit=True):
         self.hypergraph = hypergraph
         self.early_exit = early_exit
-        self.integer_valued = hypergraph.integer_weights
         self.value_bound = hypergraph.total_weight if hypergraph.integer_weights else None
 
     def eval(self, left, right, tau=INF):
@@ -238,8 +243,8 @@ class HypergraphCutOracle(LaxOracle):
         return _HypergraphKeyTracker(self.hypergraph, partition, first)
 
 
-class _HypergraphKeyTracker:
-    """Exact prefix keys for hypergraph cuts.
+class _HypergraphKeyTracker(_KeyTracker):
+    """Prefix keys for hypergraph cuts.
 
     A hyperedge starts contributing to key(c) the moment it first touches
     the prefix; each edge is credited to every remaining class it pins,
@@ -248,14 +253,8 @@ class _HypergraphKeyTracker:
 
     def __init__(self, hypergraph, partition, first):
         self._hypergraph = hypergraph
-        self._partition = partition
-        self._blocks = {c: partition.members(c) for c in partition.classes()}
         self._hit = [False] * hypergraph.m
-        self.keys = {c: 0 for c in self._blocks if c != first}
-        self.advance(first)
-
-    def pop(self, label):
-        return self.keys.pop(label)
+        super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
@@ -263,7 +262,7 @@ class _HypergraphKeyTracker:
         keys = self.keys
         hyperedges = self._hypergraph.hyperedges
         incident = self._hypergraph.incident
-        for x in self._blocks[appended]:
+        for x in self._partition.members(appended):
             for ei in incident[x]:
                 if self._hit[ei]:
                     continue
@@ -314,7 +313,6 @@ class ConnectivityOracle(LaxOracle):
 
     def __init__(self, table):
         self.table = table
-        self.integer_valued = table.integer_valued
         if table.integer_valued:
             vals = table.table_values
             self.value_bound = 2 * max(vals) - min(vals)
@@ -353,8 +351,7 @@ class TableOracle(LaxOracle):
                     break
                 t = (t - 1) & (full ^ s)
         vals = self.table.values()
-        self.integer_valued = all(isinstance(v, int) for v in vals)
-        if self.integer_valued:
+        if all(isinstance(v, int) for v in vals):
             self.value_bound = max(vals)
 
     def eval(self, left, right, tau=INF):
@@ -397,9 +394,8 @@ class ThresholdedOracle(LaxOracle):
     def __init__(self, base, cap):
         self.base = base
         self.cap = cap
-        self.integer_valued = base.integer_valued and (cap == INF or isinstance(cap, int))
-        if base.value_bound is not None and self.integer_valued:
-            self.value_bound = base.value_bound if cap == INF else min(base.value_bound, cap)
+        if base.value_bound is not None and (cap == INF or isinstance(cap, int)):
+            self.value_bound = min(base.value_bound, cap)
 
     def eval(self, left, right, tau=INF):
         return self.base.eval(left, right, min(tau, self.cap))
@@ -417,7 +413,6 @@ class InducedOracle(LaxOracle):
         self.base = base
         self.blocks = [frozenset(b) for b in blocks]
         self.n = len(self.blocks)
-        self.integer_valued = base.integer_valued
         self.value_bound = base.value_bound
 
     def eval(self, left, right, tau=INF):

@@ -14,7 +14,7 @@ incrementally.
 from dataclasses import dataclass
 
 from .queues import BucketQueue, HeapQueue
-from .values import INF
+from .values import INF, finite_key
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def lax_back_order_scan(oracle, partition, tau=INF, first=None):
         best = None
         best_val = None
         for c in list(remaining):
-            val = oracle.eval(blocks[c], prefix, tau)
+            val = finite_key(oracle.eval(blocks[c], prefix, tau), c)
             calls += 1
             if val >= tau:
                 order.append(c)
@@ -99,8 +99,8 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
         raise ValueError(f"unknown class {first}")
     queue = _make_queue(queue_kind, tau, oracle)
     tracker = oracle.key_tracker(partition, first)
-    for c in sorted(tracker.keys):
-        queue.insert(c, tracker.keys[c])
+    for c, key in tracker.keys.items():
+        queue.insert(c, finite_key(key, c))
     order = [first]
     keys = [INF]
     updates = 0
@@ -109,8 +109,8 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
         order.append(v)
         keys.append(min(tau, k))
         tracker.pop(v)
-        for c in sorted(tracker.advance(v)):
-            queue.update_key(c, tracker.keys[c])
+        for c, key in tracker.advance(v).items():
+            queue.update_key(c, finite_key(key, c))
             updates += 1
     return LaxBackOrder(tuple(order), tuple(keys), tau), updates
 
@@ -120,7 +120,7 @@ def _make_queue(kind, tau, oracle):
         return HeapQueue()
     if kind == "bucket":
         bound = getattr(oracle, "value_bound", None)
-        if not getattr(oracle, "integer_valued", False) or bound is None:
+        if bound is None:
             raise ValueError(
                 "bucket queue requires an integer-valued oracle with a declared value bound")
         return BucketQueue(tau, bound)

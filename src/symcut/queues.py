@@ -65,6 +65,10 @@ class BucketQueue:
     push it up (an O(1) jump), ``del_max`` walks it down lazily.
     ``scan_steps`` counts downward steps and ``raise_steps`` upward pointer
     movement, for instrumentation.
+
+    This is the paper's integer-key device, kept as a reference
+    implementation: on the benchmark's library workloads it is slower than
+    :class:`HeapQueue` (see ``perfbench/README.md``).
     """
 
     def __init__(self, tau, bound):

@@ -23,6 +23,18 @@ def values_equal(a, b):
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
+def finite_key(value, label):
+    """`value` itself, or a ValueError if it is NaN or infinite.
+
+    Every key an order is built from passes through here: a NaN compares
+    false with everything, so it would otherwise read as "below tau" in a
+    scan, vanish inside a heap, or be recorded as tau by min(tau, nan).
+    """
+    if not -INF < value < INF:
+        raise ValueError(f"the oracle gave class {label} the non-finite key {value!r}")
+    return value
+
+
 def mask_of(elements):
     """Bitmask of a collection of element indices."""
     m = 0

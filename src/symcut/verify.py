@@ -46,7 +46,7 @@ def named_configs(oracle, include_maxback=True):
             ("queue-heap-minsingleton",
              MinimizeConfig(order_builder="queue", init_threshold="min_singleton")),
         ]
-        if oracle.integer_valued and oracle.value_bound is not None:
+        if oracle.value_bound is not None:
             configs += [
                 ("queue-bucket-inf",
                  MinimizeConfig(order_builder="queue", queue_kind="bucket")),

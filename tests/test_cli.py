@@ -1,10 +1,13 @@
 import json
 import random
 import re
+import time
 
 import pytest
 
-from symcut import GraphCutOracle, WeightedGraph, values_equal, write_graph
+from symcut import (GraphCutOracle, WeightedGraph, gen_random_graph,
+                    values_equal, write_graph)
+from symcut.brute import MAX_ENUM
 from symcut.cli import main
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
@@ -13,6 +16,15 @@ from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.graph"
     path.write_text(TRIANGLE_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def big_graph_file(tmp_path):
+    """A graph one vertex past the enumeration limit."""
+    graph = gen_random_graph(MAX_ENUM + 1, 0.4, 9, seed=3, connected=True)
+    path = tmp_path / "big.graph"
+    path.write_text(write_graph(graph))
     return str(path)
 
 
@@ -57,6 +69,14 @@ class TestMincut:
         assert main(["mincut", triangle_file, "--check", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["check"] == {"ran": True, "ok": True, "expected": 3}
+
+    def test_check_skipped_past_enumeration_limit(self, big_graph_file, capsys):
+        start = time.perf_counter()
+        assert main(["mincut", big_graph_file, "--check", "--json"]) == 0
+        elapsed = time.perf_counter() - start
+        report = json.loads(capsys.readouterr().out)
+        assert report["check"]["ran"] is False
+        assert elapsed < 1.0
 
     def test_check_passes_on_float_weights_of_mixed_magnitude(self, tmp_path, capsys):
         # weights from 1e-3 to 1e12: the queue builder's accumulated keys and
@@ -171,34 +191,9 @@ class TestVerify:
     def test_no_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
 
-
-class TestBench:
-    def test_csv_shape_and_agreement(self, capsys):
-        assert main(["bench", "--count", "3", "--n", "6", "--seed", "2",
-                     "--variants", "maxback,laxback,queue-heap,queue-bucket"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].split(",") == ["n", "m", "variant", "rounds",
-                                       "oracle_calls", "joins_total", "lambda",
-                                       "wall_ns"]
-        assert len(lines) == 1 + 3 * 4
-        by_instance = {}
-        for line in lines[1:]:
-            cells = line.split(",")
-            by_instance.setdefault(cells[1], set()).add(cells[6])
-
-    def test_unknown_variant_exits_2(self, capsys):
-        assert main(["bench", "--variants", "quantum"]) == 2
-
-    def test_laxback_rounds_never_exceed_maxback(self, capsys):
-        assert main(["bench", "--count", "6", "--n", "8", "--seed", "5",
-                     "--variants", "maxback,laxback"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()[1:]
-        rounds = {}
-        for idx, line in enumerate(lines):
-            cells = line.split(",")
-            rounds.setdefault(idx // 2, {})[cells[2]] = int(cells[3])
-        for per in rounds.values():
-            assert per["laxback"] <= per["maxback"]
+    def test_file_past_enumeration_limit_exits_2(self, big_graph_file, capsys):
+        assert main(["verify", big_graph_file]) == 2
+        assert f"n <= {MAX_ENUM}" in capsys.readouterr().err
 
 
 class TestGen:

@@ -1,6 +1,6 @@
 """Differential check against networkx.stoer_wagner past brute-force scale.
 
-Enumeration stops at n = 24; these graphs run from n = 25 to 300. Every
+Enumeration stops at n = 20; these graphs run from n = 21 to 300. Every
 reported lambda must equal both the reference value and the strict
 oracle's value of the returned set. The scan builder makes O(k^2) oracle
 calls per order and rings take hundreds of rounds, so scan runs on the
@@ -54,8 +54,9 @@ def stoer_wagner_value(graph):
 
 
 @pytest.mark.parametrize("kind", ["int", "float"])
-@pytest.mark.parametrize("family,n", [("sparse", 25), ("sparse", 80), ("sparse", 300),
-                                      ("ring", 30), ("ring", 100), ("ring", 250)])
+@pytest.mark.parametrize("family,n", [("sparse", 21), ("sparse", 25), ("sparse", 80),
+                                      ("sparse", 300), ("ring", 22), ("ring", 30),
+                                      ("ring", 100), ("ring", 250)])
 def test_matches_stoer_wagner(family, n, kind):
     configs = (HEAP, BUCKET) if family == "ring" and n > 100 else (SCAN, HEAP, BUCKET)
     make = sparse_graph if family == "sparse" else noisy_ring

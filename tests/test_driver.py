@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,30 @@ class NanOracle(LaxOracle):
 
 optimal_set(NanOracle(), 4)
 """
+
+# NaN for one class in the middle of a scan-built order; unchecked, the
+# scan passes over it and the run returns ({3}, 2) without an error
+MID_ORDER_NAN_RUN = """
+import math
+from symcut import GraphCutOracle, WeightedGraph, optimal_set
+
+class MidOrderNan(GraphCutOracle):
+    def eval(self, left, right, tau=math.inf):
+        if set(left) == {2} and len(right) == 1:
+            return math.nan
+        return super().eval(left, right, tau)
+
+ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
+optimal_set(MidOrderNan(ring), 4)
+"""
+
+
+def run_optimized(script):
+    """Run `script` under python -O, so that no check can be an assert."""
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=20)
 
 
 def make_order(labels, keys, tau):
@@ -145,13 +170,52 @@ class TestOptimalSet:
             assert stats.oracle_calls == oracle.calls
 
     def test_nan_oracle_fails_loudly_under_optimize(self):
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", NAN_ORACLE_RUN],
-            env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True, text=True, timeout=20)
+        result = run_optimized(NAN_ORACLE_RUN)
         assert result.returncode == 1
         assert "ValueError" in result.stderr
         assert "non-finite key nan" in result.stderr
+
+    def test_mid_order_nan_fails_loudly_under_optimize(self):
+        result = run_optimized(MID_ORDER_NAN_RUN)
+        assert result.returncode == 1
+        assert "ValueError" in result.stderr
+        assert "class 2 the non-finite key nan" in result.stderr
+
+    @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
+    @pytest.mark.parametrize("on_advance", [False, True])
+    def test_nan_tracker_key_rejected(self, queue_kind, on_advance):
+        # class 2 gets a NaN key at tracker start or from an advance; a heap
+        # never extracts a NaN entry, and min(tau, nan) would record tau
+        class NanKeys(GraphCutOracle):
+            def key_tracker(self, partition, first):
+                tracker = super().key_tracker(partition, first)
+                if not on_advance:
+                    tracker.keys[2] = math.nan
+                    return tracker
+                advance = tracker.advance
+
+                def nan_advance(appended):
+                    changed = advance(appended)
+                    if 2 in changed:
+                        changed[2] = math.nan
+                    return changed
+
+                tracker.advance = nan_advance
+                return tracker
+
+        ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
+        cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+        with pytest.raises(ValueError, match="class 2 the non-finite key nan"):
+            optimal_set(NanKeys(ring), 4, cfg)
+
+    def test_nan_singleton_probe_rejected(self):
+        class NanSingleton(GraphCutOracle):
+            def eval(self, left, right, tau=INF):
+                return math.nan if set(left) == {1} else super().eval(left, right, tau)
+
+        cfg = MinimizeConfig(init_threshold="min_singleton")
+        with pytest.raises(ValueError, match="class 1 the non-finite key nan"):
+            optimal_set(NanSingleton(WeightedGraph(3, [(0, 1, 2), (1, 2, 2)])), 3, cfg)
 
     def test_infinite_oracle_value_rejected(self):
         class InfOracle(LaxOracle):

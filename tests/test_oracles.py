@@ -61,9 +61,13 @@ class TestGraphCut:
 
     def test_capability_flags(self, triangle):
         o = GraphCutOracle(triangle)
-        assert o.keyed and o.integer_valued and o.value_bound == 6
+        assert o.keyed and o.value_bound == 6
         f = GraphCutOracle(WeightedGraph(2, [(0, 1, 1.5)]))
-        assert not f.integer_valued and f.value_bound is None
+        assert f.value_bound is None
+        assert ThresholdedOracle(o, INF).value_bound == 6
+        assert ThresholdedOracle(o, 4).value_bound == 4
+        assert ThresholdedOracle(o, 2.5).value_bound is None
+        assert ThresholdedOracle(f, 4).value_bound is None
 
 
 class TestGraphKeyTracker:
