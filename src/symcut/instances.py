@@ -55,6 +55,15 @@ def _parse_weight(token, lineno):
     return value, False
 
 
+def _float_weight(w, lineno):
+    """`w` as a float, for an instance whose weights are not all integers."""
+    try:
+        return float(w)
+    except OverflowError:
+        raise ParseError(f"integer weight of {len(str(w))} digits is too large "
+                         "for a float, and other weights are fractional", lineno) from None
+
+
 def parse_graph(text):
     rows = _data_lines(text)
     if not rows:
@@ -86,7 +95,8 @@ def parse_graph(text):
         all_int = all_int and is_int
         edges.append((u - 1, v - 1, w))
     if not all_int:
-        edges = [(u, v, float(w)) for u, v, w in edges]
+        edges = [(u, v, _float_weight(w, lineno))
+                 for (u, v, w), (lineno, _) in zip(edges, rows[1:])]
     return WeightedGraph(n, edges)
 
 
@@ -136,7 +146,8 @@ def parse_hypergraph(text):
         all_int = all_int and is_int
         hyperedges.append((w, frozenset(pins)))
     if not all_int:
-        hyperedges = [(float(w), pins) for w, pins in hyperedges]
+        hyperedges = [(_float_weight(w, lineno), pins)
+                      for (w, pins), (lineno, _) in zip(hyperedges, rows[1:])]
     return Hypergraph(n, hyperedges)
 
 
@@ -160,6 +171,7 @@ def parse_table(text):
         raise ParseError(f"table supports 1 <= n <= {SetFunctionTable.MAX_N}", header_line)
     size = 1 << n
     values = [None] * size
+    line_of = [None] * size
     all_int = True
     count = 0
     for lineno, tokens in rows[1:]:
@@ -173,13 +185,14 @@ def parse_table(text):
         v, is_int = _parse_weight(tokens[1], lineno)
         all_int = all_int and is_int
         values[mask] = v
+        line_of[mask] = lineno
         count += 1
     if count != size:
         missing = next(i for i, v in enumerate(values) if v is None)
         raise ParseError(f"missing subset {missing} ({count} of {size} lines)",
                          rows[-1][0] if len(rows) > 1 else header_line)
     if not all_int:
-        values = [float(v) for v in values]
+        values = [_float_weight(v, lineno) for v, lineno in zip(values, line_of)]
     return SetFunctionTable(n, values)
 
 

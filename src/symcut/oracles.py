@@ -19,6 +19,7 @@ verify exhaustively on small ground sets.
 """
 
 import math
+import weakref
 
 from .values import INF, mask_of, set_of
 
@@ -83,7 +84,7 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             if w < 0:
                 raise ValueError(f"negative edge weight {w}")
-            if not math.isfinite(w):
+            if not isinstance(w, int) and not math.isfinite(w):
                 raise ValueError("edge weights must be finite")
             self.edges.append((u, v, w))
             self.adjacency[u][v] = self.adjacency[u].get(v, 0) + w
@@ -118,6 +119,7 @@ class GraphCutOracle(LaxOracle):
         self.graph = graph
         self.early_exit = early_exit
         self.value_bound = graph.total_weight if graph.integer_weights else None
+        self._quotients = weakref.WeakKeyDictionary()  # partition -> _GraphQuotient
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
@@ -134,7 +136,24 @@ class GraphCutOracle(LaxOracle):
         return min(tau, total)
 
     def key_tracker(self, partition, first):
-        return _GraphKeyTracker(self.graph, partition, first)
+        """Prefix keys read from the partition's class-level adjacency.
+
+        Before any join the graph is its own quotient. Once the partition
+        has joined classes, the quotient graph is built and kept, weakly
+        keyed by the partition, until the partition is freed; each later
+        call first folds in the joins made since the previous one. An
+        order thus costs O(k + m_k) on k classes and the m_k edges between
+        them.
+        """
+        if partition.class_count == self.graph.n:
+            return _GraphKeyTracker(self.graph.adjacency, partition, first)
+        quotient = self._quotients.get(partition)
+        if quotient is None:
+            quotient = _GraphQuotient(self.graph.adjacency, partition)
+            self._quotients[partition] = quotient
+        else:
+            quotient.sync(partition)
+        return _GraphKeyTracker(quotient.rows, partition, first)
 
 
 class _KeyTracker:
@@ -144,7 +163,8 @@ class _KeyTracker:
     yet appended. ``advance`` folds one more class into the prefix and
     returns {class: new key} for the keys it changed; ``pop`` drops a
     class once it is appended. The partition must not change while a
-    tracker is live.
+    tracker is live; between trackers it may, and the graph quotient
+    follows the joins made in between.
     """
 
     def __init__(self, partition, first):
@@ -156,23 +176,68 @@ class _KeyTracker:
         return self.keys.pop(label)
 
 
-class _GraphKeyTracker(_KeyTracker):
-    """Prefix keys for graph cuts: summed weight of edges into the prefix."""
+class _GraphQuotient:
+    """Class-level adjacency of one partition of a graph.
 
-    def __init__(self, graph, partition, first):
-        self._adjacency = graph.adjacency
+    ``rows[c][d]`` is the summed weight of the edges between classes c and
+    d, present for every pair of classes joined by at least one edge (zero
+    weights included, so a tracker reports the same changed classes as a
+    walk over the element-level edges would). It holds labels, never the
+    partition itself, so caching it weakly keyed by the partition frees it
+    with the partition.
+    """
+
+    def __init__(self, adjacency, partition):
+        class_of = partition.class_of
+        self.rows = rows = {c: {} for c in partition.classes()}
+        for x, neighbours in enumerate(adjacency):
+            cx = class_of(x)
+            row = rows[cx]
+            for y, w in neighbours.items():
+                cy = class_of(y)
+                if cy != cx:
+                    row[cy] = row.get(cy, 0) + w
+
+    def sync(self, partition):
+        """Fold in the joins the partition made since the rows were current.
+
+        A class label is one of its class's elements, so ``class_of`` of a
+        label that is no longer live names the class it ended up in, however
+        many joins chained it there. Its row merges into that class's row:
+        parallel weights add up, the now-internal entry is dropped, and each
+        neighbour's entry is renamed.
+        """
+        rows = self.rows
+        for gone in rows.keys() - partition.classes():
+            into = partition.class_of(gone)
+            target = rows[into]
+            for c, w in rows.pop(gone).items():
+                row = rows[c]
+                del row[gone]
+                if c != into:
+                    target[c] = target.get(c, 0) + w
+                    row[into] = row.get(into, 0) + w
+
+
+class _GraphKeyTracker(_KeyTracker):
+    """Prefix keys for graph cuts: summed weight of edges into the prefix.
+
+    ``rows[c]`` maps each class adjacent to class c to the weight between
+    them: a quotient's rows, or the graph's adjacency while every class is
+    a single vertex labelled by itself.
+    """
+
+    def __init__(self, rows, partition, first):
+        self._rows = rows
         super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
-        class_of = self._partition.class_of
         keys = self.keys
-        for x in self._partition.members(appended):
-            for y, w in self._adjacency[x].items():
-                c = class_of(y)
-                if c in keys:
-                    keys[c] += w
-                    changed[c] = keys[c]
+        for c, w in self._rows[appended].items():
+            if c in keys:
+                keys[c] += w
+                changed[c] = keys[c]
         return changed
 
 
@@ -193,7 +258,7 @@ class Hypergraph:
                 raise ValueError("hyperedge pin out of range")
             if w < 0:
                 raise ValueError(f"negative hyperedge weight {w}")
-            if not math.isfinite(w):
+            if not isinstance(w, int) and not math.isfinite(w):
                 raise ValueError("hyperedge weights must be finite")
             idx = len(self.hyperedges)
             self.hyperedges.append((w, pins))

@@ -4,6 +4,11 @@ Classes carry stable integer labels (the label of the class that absorbed
 the others survives a join) and remember their members in join order, so a
 class's member list is the concatenation history of everything contracted
 into it.
+
+Invariant: a label is one of its class's elements. Every class starts as
+the singleton {v} labelled v, and a join keeps the absorbing class's label,
+so ``class_of(label)`` of a label that a join retired names the live class
+that now holds it (the graph quotient relies on this to follow joins).
 """
 
 

@@ -69,7 +69,14 @@ class BucketQueue:
     This is the paper's integer-key device, kept as a reference
     implementation: on the benchmark's library workloads it is slower than
     :class:`HeapQueue` (see ``perfbench/README.md``).
+
+    It allocates one bucket per level up to ``min(tau, bound)`` and refuses
+    a top level above ``MAX_TOP`` before allocating anything: with tau =
+    INF the bound is the instance's total weight, which can be far larger
+    than memory.
     """
+
+    MAX_TOP = 1 << 20
 
     def __init__(self, tau, bound):
         if bound is None or bound != int(bound) or bound < 0:
@@ -78,6 +85,9 @@ class BucketQueue:
             raise ValueError("bucket queue needs a nonnegative integer threshold")
         self.tau = tau
         self._top = int(bound) if tau == INF else min(int(tau), int(bound))
+        if self._top > self.MAX_TOP:
+            raise ValueError(f"bucket queue key bound {self._top} is above its limit "
+                             f"{self.MAX_TOP}; use the heap queue")
         self._buckets = [set() for _ in range(self._top + 1)]
         self._level = {}   # v -> clamped key (== its bucket level)
         self._exact = {}   # v -> last exact key, for the monotone-update check

@@ -15,6 +15,7 @@ from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
                     check_symmetric_submodular, verify_lax_back_order)
 from .driver import MinimizeConfig, optimal_set
 from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
+from .queues import BucketQueue
 from .values import INF, mask_of, values_equal
 
 
@@ -46,7 +47,7 @@ def named_configs(oracle, include_maxback=True):
             ("queue-heap-minsingleton",
              MinimizeConfig(order_builder="queue", init_threshold="min_singleton")),
         ]
-        if oracle.value_bound is not None:
+        if oracle.value_bound is not None and oracle.value_bound <= BucketQueue.MAX_TOP:
             configs += [
                 ("queue-bucket-inf",
                  MinimizeConfig(order_builder="queue", queue_kind="bucket")),

@@ -11,6 +11,8 @@ from symcut.brute import MAX_ENUM
 from symcut.cli import main
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
+HUGE = 10**400  # 401 digits: past float range, exact as a Python int
+
 
 @pytest.fixture
 def triangle_file(tmp_path):
@@ -115,6 +117,40 @@ class TestMincut:
                      "--queue", "bucket"]) == 2
         assert "bucket" in capsys.readouterr().err
 
+    def test_bucket_over_its_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "heavy.graph"
+        path.write_text("2 1\n1 2 1000000000\n")
+        assert main(["mincut", str(path), "--builder", "queue",
+                     "--queue", "bucket"]) == 2
+        assert "use the heap queue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    @pytest.mark.parametrize("kind,text,expected,side", [
+        ("graph", f"3 3\n1 2 {HUGE}\n2 3 {HUGE + 2}\n1 3 {HUGE + 1}\n", 2 * HUGE + 1, [1]),
+        ("hypergraph", f"3 3\n{HUGE} 2 1 2\n{HUGE + 1} 2 2 3\n1 2 1 3\n", HUGE + 1, [1]),
+    ], ids=["graph", "hypergraph"])
+    def test_huge_integer_weights_stay_exact(self, tmp_path, capsys, builder, kind,
+                                             text, expected, side):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["mincut", str(path), "--kind", kind, "--builder", builder,
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lambda"] == expected and report["set"] == side
+
+    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    @pytest.mark.parametrize("kind,text", [
+        ("graph", f"3 3\n1 2 2.5\n2 3 {HUGE}\n1 3 1\n"),
+        ("hypergraph", f"3 2\n2.5 2 1 2\n{HUGE} 3 1 2 3\n"),
+    ], ids=["graph", "hypergraph"])
+    def test_huge_integer_among_float_weights_exits_2(self, tmp_path, capsys, builder,
+                                                      kind, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        assert main(["mincut", str(path), "--kind", kind, "--builder", builder]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "too large for a float" in err
+
     def test_hypergraph_instance(self, tmp_path, capsys):
         path = tmp_path / "h.hgr"
         path.write_text("3 2\n2 3 1 2 3\n5 2 1 2\n")
@@ -163,6 +199,13 @@ class TestMinimize:
 
 
 class TestVerify:
+    def test_verify_skips_the_bucket_queue_over_its_limit(self, tmp_path, capsys):
+        path = tmp_path / "heavy.graph"
+        path.write_text("3 3\n1 2 1000000000\n2 3 5\n1 3 4\n")
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "queue-heap-inf" in out and "queue-bucket" not in out
+
     def test_graph_file_passes(self, triangle_file, capsys):
         assert main(["verify", triangle_file]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,11 @@
 """Differential check against networkx.stoer_wagner past brute-force scale.
 
-Enumeration stops at n = 20; these graphs run from n = 21 to 300. Every
-reported lambda must equal both the reference value and the strict
-oracle's value of the returned set. The scan builder makes O(k^2) oracle
-calls per order and rings take hundreds of rounds, so scan runs on the
-smaller rings only.
+Enumeration stops at n = 20; these graphs run from n = 21 to 300, and a
+pure weighted ring, whose exact value is known without a reference, goes
+to n = 1000. Every reported lambda must equal both the reference value and
+the strict oracle's value of the returned set. The scan builder makes
+O(k^2) oracle calls per order and rings take hundreds of rounds, so scan
+runs on the smaller rings only.
 """
 
 import random
@@ -72,3 +73,19 @@ def test_matches_stoer_wagner(family, n, kind):
         assert values_equal(value, expected), (config, value, expected)
         attained = strict.eval(frozenset(best), universe - best)
         assert values_equal(value, attained), (config, value, attained)
+
+
+def test_weighted_ring_past_networkx_scale():
+    # a pure ring's minimum cut removes its two lightest edges; the heap
+    # path runs one round per join here, hundreds of rounds on the quotient
+    n = 1000
+    r = random.Random(n)
+    weights = [r.randint(5, 10) for _ in range(n)]
+    graph = WeightedGraph(n, [(v, (v + 1) % n, weights[v]) for v in range(n)])
+    expected = sum(sorted(weights)[:2])
+    best, value, _ = optimal_set(GraphCutOracle(graph), n, HEAP)
+    assert 0 < len(best) < n
+    assert value == expected
+    universe = frozenset(range(n))
+    assert GraphCutOracle(graph, early_exit=False).eval(
+        frozenset(best), universe - best) == expected

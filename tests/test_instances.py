@@ -79,6 +79,10 @@ class TestParseTable:
         with pytest.raises(ParseError):
             parse_table("2\n0 0\n1 3\n1 4\n3 0\n")
 
+    def test_huge_integer_among_floats_names_its_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_table(f"1\n0 0.5\n1 {10**400}\n")
+
 
 @pytest.mark.parametrize("seed", range(6))
 def test_graph_round_trip(seed):

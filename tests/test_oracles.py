@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -109,6 +111,35 @@ class TestGraphKeyTracker:
             prefix |= p.member_set(c)
             for u, key in tracker.keys.items():
                 assert key == oracle.eval(p.member_set(u), prefix, INF)
+
+
+    def test_one_sync_follows_a_chain_of_joins(self):
+        # ring 0-1-2-3-4-0 with weights 1..5, a parallel 0-4 edge, a zero 1-4 edge
+        g = WeightedGraph(5, [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 0, 5),
+                              (0, 4, 6), (1, 4, 0)])
+        oracle = GraphCutOracle(g)
+        p = Partition(5)
+        p.join(1, 0)
+        assert oracle.key_tracker(p, first=1).keys == {2: 2, 3: 0, 4: 11}
+        p.join(2, 1)  # {0, 1} into 2, then {0, 1, 2} into 3: one sync
+        p.join(3, 2)
+        assert oracle.key_tracker(p, first=4).keys == {3: 15}
+        assert oracle.key_tracker(p, first=3).keys == {4: 15}
+
+    def test_quotient_cache_frees_its_partition(self):
+        # the cached quotient must not keep its partition alive: one
+        # leaked partition per solve shows up as peak memory
+        oracle = GraphCutOracle(gen_random_graph(6, 0.7, 8, seed=2))
+        p = Partition(6)
+        oracle.key_tracker(p, first=0)
+        p.join(0, 1)
+        oracle.key_tracker(p, first=0)
+        assert len(oracle._quotients) == 1
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+        assert len(oracle._quotients) == 0
 
 
 class TestHypergraphCut:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -92,6 +93,22 @@ def test_bucket_rejects_negative_and_fractional_keys():
         BucketQueue(tau=5, bound=None)
     with pytest.raises(ValueError):
         BucketQueue(tau=-1, bound=10)
+
+
+def test_bucket_refuses_a_top_level_over_its_limit_before_allocating():
+    # with the check missing this would try to build 10**12 + 1 buckets
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="heap queue"):
+            BucketQueue(tau=INF, bound=10**12)
+        with pytest.raises(ValueError, match=str(BucketQueue.MAX_TOP)):
+            BucketQueue(tau=10**12, bound=10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the limit is on the top level: a small threshold keeps a huge bound usable
+    assert len(BucketQueue(tau=5, bound=10**12)._buckets) == 6
 
 
 def test_bucket_rejects_keys_over_declared_bound():
