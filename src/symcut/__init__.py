@@ -17,8 +17,8 @@ from .instances import (ParseError, gen_random_graph, gen_random_hypergraph,
                         parse_table, write_graph, write_hypergraph,
                         write_table)
 from .oracles import (ConnectivityOracle, GraphCutOracle, Hypergraph,
-                      HypergraphCutOracle, InducedOracle, LaxOracle,
-                      SetFunctionTable, TableOracle, ThresholdedOracle,
+                      HypergraphCutOracle, InducedOracle, InstanceError,
+                      LaxOracle, SetFunctionTable, TableOracle, ThresholdedOracle,
                       WeightedGraph, complete_table, graph_cut_table)
 from .order import LaxBackOrder, lax_back_order_queue, lax_back_order_scan
 from .partition import Partition
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "INF", "values_equal",
     "Partition",
-    "LaxOracle", "WeightedGraph", "GraphCutOracle", "Hypergraph",
+    "LaxOracle", "InstanceError", "WeightedGraph", "GraphCutOracle", "Hypergraph",
     "HypergraphCutOracle", "SetFunctionTable", "ConnectivityOracle",
     "TableOracle", "complete_table", "ThresholdedOracle", "InducedOracle",
     "graph_cut_table",

@@ -88,7 +88,7 @@ def brute_lambda(oracle, n, s, t):
     return best
 
 
-def check_monotone(oracle, n, tol=0.0):
+def check_monotone(oracle, n):
     """Exhaustively check d(S, T') <= d(S, T) for all disjoint S, T and T' in T.
 
     Costs about 4^n cached pair evaluations; meant for n <= 6.
@@ -102,7 +102,7 @@ def check_monotone(oracle, n, tol=0.0):
             d_st = _full_eval(oracle, s, t, cache)
             tp = t
             while True:
-                if tp != t and _full_eval(oracle, s, tp, cache) > d_st + tol:
+                if tp != t and _full_eval(oracle, s, tp, cache) > d_st:
                     return CheckResult(False, (s, t, tp))
                 if tp == 0:
                     break
@@ -113,7 +113,7 @@ def check_monotone(oracle, n, tol=0.0):
     return CheckResult(True)
 
 
-def check_consistent(oracle, n, tol=0.0):
+def check_consistent(oracle, n):
     """Exhaustively check consistency on all pairwise disjoint triples.
 
     For disjoint R, S, T: d(S,R) >= d(T,R) must imply
@@ -128,10 +128,10 @@ def check_consistent(oracle, n, tol=0.0):
             rest2 = rest ^ s
             t = rest2
             while True:
-                if _full_eval(oracle, s, r, cache) >= _full_eval(oracle, t, r, cache) - tol:
+                if _full_eval(oracle, s, r, cache) >= _full_eval(oracle, t, r, cache):
                     lhs = _full_eval(oracle, s, r | t, cache)
                     rhs = _full_eval(oracle, s | r, t, cache)
-                    if lhs < rhs - tol:
+                    if lhs < rhs:
                         return CheckResult(False, (r, s, t))
                 if t == 0:
                     break
@@ -140,6 +140,10 @@ def check_consistent(oracle, n, tol=0.0):
                 break
             s = (s - 1) & rest
     return CheckResult(True)
+
+
+#: largest table n the CLI gives to check_symmetric_submodular (4^n pairs)
+MAX_TABLE_CHECK = 12
 
 
 def check_symmetric_submodular(table):
@@ -164,7 +168,7 @@ def check_symmetric_submodular(table):
     return symmetric, submodular
 
 
-def verify_lax_back_order(oracle, blocks, order, tau=None, tol=0.0):
+def verify_lax_back_order(oracle, blocks, order, tau=None):
     """Re-check the defining back-order inequality from scratch.
 
     `blocks` maps class labels to member sets. For every prefix position i
@@ -180,7 +184,7 @@ def verify_lax_back_order(oracle, blocks, order, tau=None, tol=0.0):
         own = min(tau, oracle.eval(frozenset(blocks[seq[i]]), prefix, INF))
         for j in range(i + 1, k):
             later = min(tau, oracle.eval(frozenset(blocks[seq[j]]), prefix, INF))
-            if own < later - tol:
+            if own < later:
                 return CheckResult(False, (i, j))
         prefix = prefix | blocks[seq[i]]
     return CheckResult(True)

@@ -14,7 +14,8 @@ import json
 import sys
 import time
 
-from .brute import MAX_ENUM, brute_min_bipartition, check_symmetric_submodular
+from .brute import (MAX_ENUM, MAX_TABLE_CHECK, brute_min_bipartition,
+                    check_symmetric_submodular)
 from .driver import MinimizeConfig, optimal_set
 from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
@@ -131,7 +132,7 @@ def cmd_mincut(args):
 def cmd_minimize(args):
     table = parse_table(_read(args.table))
     symmetric, submodular = (check_symmetric_submodular(table)
-                             if table.n <= 12 else (True, True))
+                             if table.n <= MAX_TABLE_CHECK else (True, True))
     if not symmetric or not submodular:
         print("error: table is not a symmetric submodular function "
               f"(symmetric={symmetric}, submodular={submodular})", file=sys.stderr)
@@ -207,9 +208,9 @@ def cmd_verify(args):
     failures = 0
     for label, kind, instance in jobs:
         if kind == "table":
-            if instance.n > 12:
+            if instance.n > MAX_TABLE_CHECK:
                 print(f"error: {label}: table too large to verify exhaustively "
-                      "(n <= 12)", file=sys.stderr)
+                      f"(n <= {MAX_TABLE_CHECK})", file=sys.stderr)
                 return 2
             report = verify_table(instance)
         else:

@@ -50,16 +50,14 @@ class RunStats:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did, with member snapshots for independent checking."""
+    """What one round did (its order built with tau ``order.threshold``), with snapshots."""
 
     index: int
-    tau_build: object
     order: object
     members_before: dict
     tau_after: object
     joins: int
     members_after: dict
-    builder_ops: int
 
 
 def contract_round(partition, order, tau):
@@ -151,13 +149,11 @@ def optimal_set(oracle, n, config=None, observer=None):
         if observer is not None:
             observer(RoundRecord(
                 index=stats.rounds - 1,
-                tau_build=build_tau,
                 order=order,
                 members_before=members_before,
                 tau_after=tau,
                 joins=joins,
                 members_after=partition.blocks(),
-                builder_ops=ops,
             ))
 
     value = oracle.eval(best, universe - best, INF)

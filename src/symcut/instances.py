@@ -7,15 +7,16 @@ ids are 1-based in files and 0-based in memory):
   hypergraph  header "n m", then m lines "w k v1 ... vk"
   table       header "n", then 2^n lines "bitmask value"
 
-Weights parse as ints when every weight token is integral, else as floats;
-the graph/hypergraph objects report which mode was chosen so callers can
-refuse integer-only features on float instances.
+The parsers only read tokens. The WeightedGraph, Hypergraph and
+SetFunctionTable constructors hold files and library callers to the same
+instance rules, and a file's rejected item is reported at its line. They
+keep values as ints when every one is an int, else as floats, and report
+the mode so callers can refuse integer-only features on float instances.
 """
 
-import math
 import random
 
-from .oracles import Hypergraph, SetFunctionTable, WeightedGraph
+from .oracles import Hypergraph, InstanceError, SetFunctionTable, WeightedGraph
 
 
 class ParseError(ValueError):
@@ -43,61 +44,53 @@ def _parse_int(token, lineno, what):
 
 def _parse_weight(token, lineno):
     try:
-        return int(token), True
+        return int(token)
     except ValueError:
         pass
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise ParseError(f"bad weight {token!r}", lineno) from None
-    if not math.isfinite(value):
-        raise ParseError(f"weight must be finite: {token!r}", lineno)
-    return value, False
 
 
-def _float_weight(w, lineno):
-    """`w` as a float, for an instance whose weights are not all integers."""
-    try:
-        return float(w)
-    except OverflowError:
-        raise ParseError(f"integer weight of {len(str(w))} digits is too large "
-                         "for a float, and other weights are fractional", lineno) from None
-
-
-def parse_graph(text):
+def _counted_rows(text, kind, item):
+    """Header line, vertex count and item rows of a file headed "n m"."""
     rows = _data_lines(text)
     if not rows:
         raise ParseError("empty input", 1)
     header_line, header = rows[0]
     if len(header) != 2:
-        raise ParseError("graph header must be 'n m'", header_line)
+        raise ParseError(f"{kind} header must be 'n m'", header_line)
     n = _parse_int(header[0], header_line, "vertex count")
-    m = _parse_int(header[1], header_line, "edge count")
-    if n < 1 or m < 0:
-        raise ParseError("bad header counts", header_line)
+    m = _parse_int(header[1], header_line, f"{item} count")
+    if m < 0:
+        raise ParseError(f"negative {item} count", header_line)
     if len(rows) - 1 != m:
         lineno = rows[m + 1][0] if len(rows) - 1 > m else header_line
-        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}", lineno)
+        raise ParseError(f"expected {m} {item} lines, found {len(rows) - 1}", lineno)
+    return header_line, n, rows[1:]
+
+
+def _build(model, n, items, header_line, line_of):
+    """`model(n, items)`, its rejection reported at the line it concerns."""
+    try:
+        return model(n, items)
+    except InstanceError as fault:
+        raise ParseError(fault.reason, line_of[fault.index]) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), header_line) from None
+
+
+def parse_graph(text):
+    header_line, n, rows = _counted_rows(text, "graph", "edge")
     edges = []
-    all_int = True
-    for lineno, tokens in rows[1:]:
+    for lineno, tokens in rows:
         if len(tokens) != 3:
             raise ParseError("edge line must be 'u v w'", lineno)
         u = _parse_int(tokens[0], lineno, "vertex id")
         v = _parse_int(tokens[1], lineno, "vertex id")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex id out of range 1..{n}", lineno)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno)
-        w, is_int = _parse_weight(tokens[2], lineno)
-        if w < 0:
-            raise ParseError(f"negative weight {w}", lineno)
-        all_int = all_int and is_int
-        edges.append((u - 1, v - 1, w))
-    if not all_int:
-        edges = [(u, v, _float_weight(w, lineno))
-                 for (u, v, w), (lineno, _) in zip(edges, rows[1:])]
-    return WeightedGraph(n, edges)
+        edges.append((u - 1, v - 1, _parse_weight(tokens[2], lineno)))
+    return _build(WeightedGraph, n, edges, header_line, [lineno for lineno, _ in rows])
 
 
 def write_graph(graph):
@@ -108,47 +101,18 @@ def write_graph(graph):
 
 
 def parse_hypergraph(text):
-    rows = _data_lines(text)
-    if not rows:
-        raise ParseError("empty input", 1)
-    header_line, header = rows[0]
-    if len(header) != 2:
-        raise ParseError("hypergraph header must be 'n m'", header_line)
-    n = _parse_int(header[0], header_line, "vertex count")
-    m = _parse_int(header[1], header_line, "hyperedge count")
-    if n < 1 or m < 0:
-        raise ParseError("bad header counts", header_line)
-    if len(rows) - 1 != m:
-        lineno = rows[m + 1][0] if len(rows) - 1 > m else header_line
-        raise ParseError(f"expected {m} hyperedge lines, found {len(rows) - 1}", lineno)
+    header_line, n, rows = _counted_rows(text, "hypergraph", "hyperedge")
     hyperedges = []
-    all_int = True
-    for lineno, tokens in rows[1:]:
+    for lineno, tokens in rows:
         if len(tokens) < 2:
             raise ParseError("hyperedge line must be 'w k v1 ... vk'", lineno)
-        w, is_int = _parse_weight(tokens[0], lineno)
-        if w < 0:
-            raise ParseError(f"negative weight {w}", lineno)
+        w = _parse_weight(tokens[0], lineno)
         k = _parse_int(tokens[1], lineno, "pin count")
-        if k < 2:
-            raise ParseError(f"hyperedge needs at least 2 pins, got {k}", lineno)
         if len(tokens) - 2 != k:
             raise ParseError(
                 f"pin count mismatch: declared {k}, found {len(tokens) - 2}", lineno)
-        pins = []
-        for token in tokens[2:]:
-            p = _parse_int(token, lineno, "pin")
-            if not 1 <= p <= n:
-                raise ParseError(f"pin out of range 1..{n}", lineno)
-            pins.append(p - 1)
-        if len(set(pins)) != len(pins):
-            raise ParseError("duplicate pin in hyperedge", lineno)
-        all_int = all_int and is_int
-        hyperedges.append((w, frozenset(pins)))
-    if not all_int:
-        hyperedges = [(_float_weight(w, lineno), pins)
-                      for (w, pins), (lineno, _) in zip(hyperedges, rows[1:])]
-    return Hypergraph(n, hyperedges)
+        hyperedges.append((w, [_parse_int(t, lineno, "pin") - 1 for t in tokens[2:]]))
+    return _build(Hypergraph, n, hyperedges, header_line, [lineno for lineno, _ in rows])
 
 
 def write_hypergraph(hypergraph):
@@ -167,33 +131,28 @@ def parse_table(text):
     if len(header) != 1:
         raise ParseError("table header must be a single 'n'", header_line)
     n = _parse_int(header[0], header_line, "element count")
-    if not 1 <= n <= SetFunctionTable.MAX_N:
-        raise ParseError(f"table supports 1 <= n <= {SetFunctionTable.MAX_N}", header_line)
+    try:
+        SetFunctionTable.require_size(n)  # before reading 2^n lines
+    except ValueError as exc:
+        raise ParseError(str(exc), header_line) from None
     size = 1 << n
     values = [None] * size
     line_of = [None] * size
-    all_int = True
-    count = 0
     for lineno, tokens in rows[1:]:
         if len(tokens) != 2:
             raise ParseError("table line must be 'bitmask value'", lineno)
         mask = _parse_int(tokens[0], lineno, "bitmask")
         if not 0 <= mask < size:
             raise ParseError(f"bitmask out of range 0..{size - 1}", lineno)
-        if values[mask] is not None:
+        if line_of[mask] is not None:
             raise ParseError(f"duplicate bitmask {mask}", lineno)
-        v, is_int = _parse_weight(tokens[1], lineno)
-        all_int = all_int and is_int
-        values[mask] = v
+        values[mask] = _parse_weight(tokens[1], lineno)
         line_of[mask] = lineno
-        count += 1
+    count = len(rows) - 1
     if count != size:
-        missing = next(i for i, v in enumerate(values) if v is None)
-        raise ParseError(f"missing subset {missing} ({count} of {size} lines)",
-                         rows[-1][0] if len(rows) > 1 else header_line)
-    if not all_int:
-        values = [_float_weight(v, lineno) for v, lineno in zip(values, line_of)]
-    return SetFunctionTable(n, values)
+        raise ParseError(f"missing subset {line_of.index(None)} ({count} of {size} lines)",
+                         rows[-1][0] if count else header_line)
+    return _build(SetFunctionTable, n, values, header_line, line_of)
 
 
 def write_table(table):

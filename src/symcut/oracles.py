@@ -18,7 +18,6 @@ All of them are monotone and consistent, which the brute-force module can
 verify exhaustively on small ground sets.
 """
 
-import math
 import weakref
 
 from .values import INF, mask_of, set_of
@@ -56,41 +55,76 @@ def _require_disjoint(left, right):
         raise ValueError("left and right sets overlap")
 
 
-def _require_finite(items, what):
-    """Reject the first NaN or infinite value among (key, value) pairs."""
-    for key, v in items:
+class InstanceError(ValueError):
+    """A rejected edge, hyperedge or table entry, named by its ``index``.
+
+    ``reason`` names no vertex id, so a parser can report it at a line.
+    """
+
+    def __init__(self, item, index, reason):
+        super().__init__(f"{item} {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def _instance_values(values, item, what, nonnegative=False):
+    """The value rule of every instance: returns (values, all ints).
+
+    A list of ints is returned as it is; otherwise every value becomes a
+    float. NaN, +-inf, an int too large for a float among fractional
+    values and, with `nonnegative`, a negative value are rejected with an
+    InstanceError naming the first such item.
+    """
+    if all(map(int.__instancecheck__, values)):
+        if nonnegative and values and min(values) < 0:
+            i = next(i for i, v in enumerate(values) if v < 0)
+            raise InstanceError(item, i, f"negative {what} {values[i]}")
+        return values, True
+    floats = []
+    for i, v in enumerate(values):
         if not -INF < v < INF:
-            raise ValueError(f"{what} {key} is not finite: {v!r}")
+            raise InstanceError(item, i, f"{what} is not finite: {v!r}")
+        if nonnegative and v < 0:
+            raise InstanceError(item, i, f"negative {what} {v}")
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise InstanceError(item, i, f"integer {what} too large for a float, "
+                                f"and other {what}s are fractional") from None
+    return floats, False
 
 
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1.
 
     Parallel edges are allowed and their weights accumulate in the
-    adjacency structure; the raw edge list is kept as given. Self-loops
-    and negative weights are rejected.
+    adjacency structure; the raw edge list is kept as given (weights as
+    floats unless all are ints). Self-loops, endpoints out of range and
+    negative or non-finite weights are rejected.
     """
 
     def __init__(self, n, edges):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
+        edges = list(edges)
+        try:
+            weights, self.integer_weights = _instance_values(
+                [w for _, _, w in edges], "edge", "weight", nonnegative=True)
+        except InstanceError as fault:
+            WeightedGraph(n, edges[:fault.index])  # reports a bad edge before it
+            raise
         self.n = n
         self.edges = []
         self.adjacency = [{} for _ in range(n)]
-        for u, v, w in edges:
+        for i, ((u, v, _), w) in enumerate(zip(edges, weights)):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex out of range: ({u}, {v})")
+                raise InstanceError("edge", i, f"endpoint is not one of the {n} vertices")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if w < 0:
-                raise ValueError(f"negative edge weight {w}")
-            if not isinstance(w, int) and not math.isfinite(w):
-                raise ValueError("edge weights must be finite")
+                raise InstanceError("edge", i, "self-loop")
             self.edges.append((u, v, w))
             self.adjacency[u][v] = self.adjacency[u].get(v, 0) + w
             self.adjacency[v][u] = self.adjacency[v].get(u, 0) + w
-        self.integer_weights = all(isinstance(w, int) for _, _, w in self.edges)
-        self.total_weight = sum(w for _, _, w in self.edges)
+        self.total_weight = sum(weights)
 
     @property
     def m(self):
@@ -242,30 +276,36 @@ class _GraphKeyTracker(_KeyTracker):
 
 
 class Hypergraph:
-    """Weighted hypergraph on vertices 0..n-1; every hyperedge spans >= 2 pins."""
+    """Weighted hypergraph on vertices 0..n-1.
+
+    A hyperedge is (weight, collection of >= 2 distinct pins).
+    """
 
     def __init__(self, n, hyperedges):
         if n < 1:
             raise ValueError("hypergraph needs at least one vertex")
+        hyperedges = list(hyperedges)
+        try:
+            weights, self.integer_weights = _instance_values(
+                [w for w, _ in hyperedges], "hyperedge", "weight", nonnegative=True)
+        except InstanceError as fault:
+            Hypergraph(n, hyperedges[:fault.index])  # reports a bad hyperedge before it
+            raise
         self.n = n
         self.hyperedges = []
         self.incident = [[] for _ in range(n)]
-        for w, pins in hyperedges:
-            pins = frozenset(pins)
+        for i, ((_, pins), w) in enumerate(zip(hyperedges, weights)):
+            pin_set = frozenset(pins)
             if len(pins) < 2:
-                raise ValueError("hyperedge needs at least two pins")
-            if not all(0 <= p < n for p in pins):
-                raise ValueError("hyperedge pin out of range")
-            if w < 0:
-                raise ValueError(f"negative hyperedge weight {w}")
-            if not isinstance(w, int) and not math.isfinite(w):
-                raise ValueError("hyperedge weights must be finite")
-            idx = len(self.hyperedges)
-            self.hyperedges.append((w, pins))
-            for p in pins:
-                self.incident[p].append(idx)
-        self.integer_weights = all(isinstance(w, int) for w, _ in self.hyperedges)
-        self.total_weight = sum(w for w, _ in self.hyperedges)
+                raise InstanceError("hyperedge", i, "fewer than two pins")
+            if not all(0 <= p < n for p in pin_set):
+                raise InstanceError("hyperedge", i, f"pin is not one of the {n} vertices")
+            if len(pin_set) < len(pins):
+                raise InstanceError("hyperedge", i, "duplicate pin")
+            self.hyperedges.append((w, pin_set))
+            for p in pin_set:
+                self.incident[p].append(i)
+        self.total_weight = sum(weights)
 
     @property
     def m(self):
@@ -345,17 +385,19 @@ class SetFunctionTable:
 
     MAX_N = 20
 
+    @classmethod
+    def require_size(cls, n):
+        if not 1 <= n <= cls.MAX_N:
+            raise ValueError(f"table supports 1 <= n <= {cls.MAX_N}")
+
     def __init__(self, n, table_values):
-        if not 1 <= n <= self.MAX_N:
-            raise ValueError(f"table supports 1 <= n <= {self.MAX_N}")
+        self.require_size(n)
         table_values = list(table_values)
         if len(table_values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(table_values)}")
         self.n = n
-        self.table_values = table_values
-        self.integer_valued = all(isinstance(v, int) for v in table_values)
-        if not self.integer_valued:
-            _require_finite(enumerate(table_values), "table value at mask")
+        self.table_values, self.integer_valued = _instance_values(
+            table_values, "mask", "value")
 
     def __call__(self, mask):
         return self.table_values[mask]
@@ -402,8 +444,12 @@ class TableOracle(LaxOracle):
         if n < 1:
             raise ValueError("need at least one element")
         self.n = n
-        self.table = dict(table)
-        _require_finite(self.table.items(), "entry for masks")
+        table = dict(table)
+        try:
+            values, integer = _instance_values(list(table.values()), "entry", "value")
+        except InstanceError as fault:
+            raise InstanceError("masks", list(table)[fault.index], fault.reason) from None
+        self.table = dict(zip(table, values))
         full = (1 << n) - 1
         for s in range(1 << n):
             t = full ^ s
@@ -415,9 +461,8 @@ class TableOracle(LaxOracle):
                 if t == 0:
                     break
                 t = (t - 1) & (full ^ s)
-        vals = self.table.values()
-        if all(isinstance(v, int) for v in vals):
-            self.value_bound = max(vals)
+        if integer:
+            self.value_bound = max(values)
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)

@@ -35,7 +35,7 @@ class VerifyReport:
         return all(e.ok for e in self.entries)
 
 
-def named_configs(oracle, include_maxback=True):
+def named_configs(oracle):
     """Configuration sweep supported by the oracle's capabilities."""
     configs = [
         ("scan-inf", MinimizeConfig()),
@@ -55,9 +55,7 @@ def named_configs(oracle, include_maxback=True):
                  MinimizeConfig(order_builder="queue", queue_kind="bucket",
                                 init_threshold="min_singleton")),
             ]
-    if include_maxback:
-        configs.append(("maxback", MinimizeConfig(algorithm="maxback")))
-    return configs
+    return configs + [("maxback", MinimizeConfig(algorithm="maxback"))]
 
 
 def run_with_records(oracle, n, config):
@@ -66,14 +64,13 @@ def run_with_records(oracle, n, config):
     return best, value, stats, records
 
 
-def check_order_record(oracle, record, tol=0.0):
+def check_order_record(oracle, record):
     """Per-order checks against enumeration; returns [(name, CheckResult)]."""
     order = record.order
     seq = order.order
-    tau = record.tau_build
+    tau = order.threshold
     blocks = record.members_before
-    results = [("order-dominates-suffix",
-                verify_lax_back_order(oracle, blocks, order, tau, tol))]
+    results = [("order-dominates-suffix", verify_lax_back_order(oracle, blocks, order))]
 
     # stored keys must equal the capped value against the prefix they saw
     exact = CheckResult(True)
@@ -146,20 +143,16 @@ def check_separation_triangle(oracle, n, taus=None):
     return CheckResult(True)
 
 
-def verify_oracle(oracle, n, *, deep=None, axioms=None, strict_oracle=None):
+def verify_oracle(oracle, n, *, strict_oracle=None):
     """Full verification sweep for a pairwise oracle on {0..n-1}.
 
     Runs every supported configuration and compares each result to the
-    enumerated optimum; with `deep` (default n <= 8) the per-round order
-    and contraction checks run too, and with `axioms` (default n <= 6) the
-    monotonicity/consistency axioms are checked exhaustively, including on
-    capped views of the oracle. `strict_oracle` (no early exit) is used
-    for re-evaluation when given.
+    enumerated optimum; for n <= 8 the per-round order and contraction
+    checks run too, and for n <= 6 the monotonicity/consistency axioms are
+    checked exhaustively, including on capped views of the oracle.
+    `strict_oracle` (no early exit) is used for re-evaluation when given.
     """
-    if deep is None:
-        deep = n <= 8
-    if axioms is None:
-        axioms = n <= 6
+    deep = n <= 8
     ref = strict_oracle if strict_oracle is not None else oracle
     entries = []
     expected = brute_min_bipartition(ref, n)
@@ -207,7 +200,7 @@ def verify_oracle(oracle, n, *, deep=None, axioms=None, strict_oracle=None):
             "separation-triangle", bool(triangle),
             "" if triangle else repr(triangle.witness)))
 
-    if axioms:
+    if n <= 6:
         mono = check_monotone(ref, n)
         entries.append(VerifyEntry("oracle-monotone", bool(mono),
                                    "" if mono else repr(mono.witness)))
@@ -223,17 +216,15 @@ def verify_oracle(oracle, n, *, deep=None, axioms=None, strict_oracle=None):
     return VerifyReport(entries)
 
 
-def verify_table(table, axioms=None):
-    """Verification sweep for minimizing an explicit symmetric submodular f."""
+def verify_table(table):
+    """Sweep for minimizing an explicit symmetric submodular f; axioms for n <= 6."""
     n = table.n
-    if axioms is None:
-        axioms = n <= 6
     entries = []
     symmetric, submodular = check_symmetric_submodular(table)
     entries.append(VerifyEntry("table-symmetric", symmetric))
     entries.append(VerifyEntry("table-submodular", submodular))
     oracle = ConnectivityOracle(table)
-    if axioms:
+    if n <= 6:
         mono = check_monotone(oracle, n)
         entries.append(VerifyEntry("connectivity-monotone", bool(mono),
                                    "" if mono else repr(mono.witness)))

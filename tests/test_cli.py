@@ -206,6 +206,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "queue-heap-inf" in out and "queue-bucket" not in out
 
+    def test_huge_integer_weights_verify_exactly(self, tmp_path, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text(f"3 3\n1 2 {HUGE}\n2 3 {HUGE + 2}\n1 3 {HUGE + 1}\n")
+        assert main(["verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "oracle-monotone" in out and "oracle-consistent" in out
+        assert "verify: all checks passed" in out
+
     def test_graph_file_passes(self, triangle_file, capsys):
         assert main(["verify", triangle_file]) == 0
         out = capsys.readouterr().out

@@ -255,7 +255,7 @@ class TestOptimalSet:
         _, _, stats = optimal_set(triangle_oracle, 3, observer=records.append)
         assert len(records) == stats.rounds
         rec = records[0]
-        assert rec.tau_build == INF
+        assert rec.order.threshold == INF
         assert rec.members_before == {0: frozenset({0}), 1: frozenset({1}),
                                       2: frozenset({2})}
         assert rec.tau_after == 3

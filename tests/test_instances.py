@@ -84,6 +84,54 @@ class TestParseTable:
             parse_table(f"1\n0 0.5\n1 {10**400}\n")
 
 
+# each rule the model constructors enforce, broken on the fourth line of a
+# file whose first item line is valid
+GRAPH_HEAD = "3 2\n# one good edge\n1 2 1\n"
+HYPER_HEAD = "3 2\n# one good hyperedge\n1 2 1 2\n"
+TABLE_HEAD = "1\n# f(empty)\n0 0.5\n"
+
+
+@pytest.mark.parametrize("parse,text,reason", [
+    (parse_graph, GRAPH_HEAD + "2 2 1\n", "self-loop"),
+    (parse_graph, GRAPH_HEAD + "0 3 1\n", "not one of the 3 vertices"),
+    (parse_graph, GRAPH_HEAD + "2 4 1\n", "not one of the 3 vertices"),
+    (parse_graph, GRAPH_HEAD + "2 3 -1.5\n", "negative weight"),
+    (parse_graph, GRAPH_HEAD + "2 3 inf\n", "not finite"),
+    (parse_graph, GRAPH_HEAD + "2 3 -inf\n", "not finite"),
+    (parse_graph, GRAPH_HEAD + "2 3 nan\n", "not finite"),
+    (parse_hypergraph, HYPER_HEAD + "-2 2 1 3\n", "negative weight"),
+    (parse_hypergraph, HYPER_HEAD + "nan 2 1 3\n", "not finite"),
+    (parse_hypergraph, HYPER_HEAD + "1 3 1 3 3\n", "duplicate pin"),
+    (parse_hypergraph, HYPER_HEAD + "1 2 1 4\n", "not one of the 3 vertices"),
+    (parse_hypergraph, HYPER_HEAD + "1 2 0 1\n", "not one of the 3 vertices"),
+    (parse_hypergraph, HYPER_HEAD + "1 1 2\n", "fewer than two pins"),
+    (parse_table, TABLE_HEAD + "1 inf\n", "not finite"),
+    (parse_table, TABLE_HEAD + "1 nan\n", "not finite"),
+    (parse_table, TABLE_HEAD + f"1 {10**400}\n", "too large for a float"),
+])
+def test_broken_rule_reported_at_its_line(parse, text, reason):
+    with pytest.raises(ParseError, match=reason) as err:
+        parse(text)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text,line", [
+    ("3 2\n1 2 -5\n1 1 3\n", 2),
+    ("3 2\n1 1 3\n1 2 -5\n", 2),
+    ("3 3\n1 2 0.5\n1 1 3\n2 3 nan\n", 3),
+])
+def test_first_broken_edge_is_reported(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+
+
+def test_vertex_count_below_one_reported_at_the_header():
+    with pytest.raises(ParseError) as err:
+        parse_graph("# empty\n0 0\n")
+    assert err.value.line == 2
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_graph_round_trip(seed):
     g = gen_random_graph(5 + seed % 3, 0.6, 9, seed=seed)

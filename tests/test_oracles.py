@@ -5,10 +5,13 @@ import weakref
 import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
-                    HypergraphCutOracle, InducedOracle, Partition,
+                    HypergraphCutOracle, InducedOracle, InstanceError, Partition,
                     SetFunctionTable, TableOracle, ThresholdedOracle,
                     WeightedGraph, complete_table, gen_random_graph,
                     graph_cut_table)
+
+
+HUGE = 10**400  # 401 digits: past float range, exact as a Python int
 
 
 def F(*xs):
@@ -32,6 +35,21 @@ class TestWeightedGraph:
     def test_weight_mode(self):
         assert WeightedGraph(2, [(0, 1, 2)]).integer_weights
         assert not WeightedGraph(2, [(0, 1, 2.5)]).integer_weights
+
+    def test_mixed_weights_are_stored_as_floats(self):
+        g = WeightedGraph(3, [(0, 1, 2), (1, 2, 0.5)])
+        assert not g.integer_weights
+        assert g.edges == [(0, 1, 2.0), (1, 2, 0.5)]
+        assert all(isinstance(w, float) for _, _, w in g.edges)
+        assert isinstance(g.adjacency[0][1], float)
+        assert isinstance(g.total_weight, float)
+
+    def test_rejection_names_the_edge(self):
+        with pytest.raises(InstanceError, match="edge 2: self-loop") as err:
+            WeightedGraph(3, [(0, 1, 1), (1, 2, 1), (2, 2, 1)])
+        assert err.value.index == 2
+        with pytest.raises(InstanceError, match="edge 1: weight is not finite"):
+            WeightedGraph(3, [(0, 1, 1), (1, 2, math.nan)])
 
 
 class TestGraphCut:
@@ -158,6 +176,16 @@ class TestHypergraphCut:
         with pytest.raises(ValueError):
             Hypergraph(2, [(1, {0, 5})])
 
+    def test_duplicate_pins_rejected(self):
+        with pytest.raises(InstanceError, match="hyperedge 1: duplicate pin") as err:
+            Hypergraph(3, [(1, [0, 1]), (1, [0, 0, 1])])
+        assert err.value.index == 1
+
+    def test_mixed_weights_are_stored_as_floats(self):
+        h = Hypergraph(3, [(2, [0, 1]), (0.5, [0, 1, 2])])
+        assert h.hyperedges == [(2.0, frozenset({0, 1})), (0.5, frozenset({0, 1, 2}))]
+        assert not h.integer_weights and isinstance(h.hyperedges[0][0], float)
+
     def test_tracker_counts_each_edge_once(self):
         h = Hypergraph(4, [(2, {0, 1, 2}), (3, {1, 2, 3}), (1, {0, 3})])
         oracle = HypergraphCutOracle(h)
@@ -208,8 +236,19 @@ class TestConnectivity:
         for mask in (0b0110, 0b1111):  # an inner subset and the full set
             broken = list(values)
             broken[mask] = bad
-            with pytest.raises(ValueError, match=f"mask {mask} is not finite"):
+            with pytest.raises(ValueError, match=f"mask {mask}: value is not finite"):
                 SetFunctionTable(4, broken)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: WeightedGraph(3, [(0, 1, HUGE), (1, 2, 1.5)]),
+    lambda: Hypergraph(3, [(1.5, [0, 1]), (HUGE, [0, 1, 2])]),
+    lambda: SetFunctionTable(2, [0.5, HUGE, HUGE, 0.5]),
+    lambda: TableOracle(1, {(0, 1): 0.5, (1, 0): 0.5, (0, 0): HUGE}),
+], ids=["graph", "hypergraph", "table", "table-oracle"])
+def test_huge_integer_among_floats_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="too large for a float"):
+        build()
 
 
 class TestTableOracle:
