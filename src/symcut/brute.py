@@ -8,8 +8,9 @@ a discrepancy. Failed checks carry a witness.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
-from .values import INF, set_of
+from .values import INF, set_of, submasks
 
 #: largest n enumerated; 2^(n-1) evaluations take seconds at n = 20 and
 #: double with every further element
@@ -24,7 +25,7 @@ class BruteResult:
     value: object
 
     def elements(self):
-        return frozenset(set_of(self.mask))
+        return set_of(self.mask)
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,8 @@ class CheckResult:
         return self.ok
 
 
-def _full_eval(oracle, s_mask, t_mask, cache=None):
-    if cache is None:
-        return oracle.eval(frozenset(set_of(s_mask)), frozenset(set_of(t_mask)), INF)
-    key = (s_mask, t_mask)
-    if key not in cache:
-        cache[key] = oracle.eval(
-            frozenset(set_of(s_mask)), frozenset(set_of(t_mask)), INF)
-    return cache[key]
+def _full_eval(oracle, s_mask, t_mask):
+    return oracle.eval(set_of(s_mask), set_of(t_mask), INF)
 
 
 def brute_min_bipartition(oracle, n):
@@ -75,13 +70,9 @@ def brute_lambda(oracle, n, s, t):
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError("element out of range")
     full = (1 << n) - 1
-    others = [v for v in range(n) if v != s and v != t]
     best = None
-    for bits in range(1 << len(others)):
-        mask = 1 << s
-        for i, v in enumerate(others):
-            if bits >> i & 1:
-                mask |= 1 << v
+    for others in submasks(full ^ 1 << s ^ 1 << t):
+        mask = others | 1 << s
         val = _full_eval(oracle, mask, full ^ mask)
         if best is None or val < best:
             best = val
@@ -94,22 +85,13 @@ def check_monotone(oracle, n):
     Costs about 4^n cached pair evaluations; meant for n <= 6.
     """
     full = (1 << n) - 1
-    cache = {}
+    d = cache(lambda s, t: _full_eval(oracle, s, t))
     for s in range(1 << n):
-        comp = full ^ s
-        t = comp
-        while True:
-            d_st = _full_eval(oracle, s, t, cache)
-            tp = t
-            while True:
-                if tp != t and _full_eval(oracle, s, tp, cache) > d_st:
+        for t in submasks(full ^ s):
+            d_st = d(s, t)
+            for tp in submasks(t):
+                if tp != t and d(s, tp) > d_st:
                     return CheckResult(False, (s, t, tp))
-                if tp == 0:
-                    break
-                tp = (tp - 1) & t
-            if t == 0:
-                break
-            t = (t - 1) & comp
     return CheckResult(True)
 
 
@@ -120,25 +102,13 @@ def check_consistent(oracle, n):
     d(S, R|T) >= d(S|R, T). Costs about 4^n cached comparisons; n <= 6.
     """
     full = (1 << n) - 1
-    cache = {}
+    d = cache(lambda s, t: _full_eval(oracle, s, t))
     for r in range(1 << n):
         rest = full ^ r
-        s = rest
-        while True:
-            rest2 = rest ^ s
-            t = rest2
-            while True:
-                if _full_eval(oracle, s, r, cache) >= _full_eval(oracle, t, r, cache):
-                    lhs = _full_eval(oracle, s, r | t, cache)
-                    rhs = _full_eval(oracle, s | r, t, cache)
-                    if lhs < rhs:
-                        return CheckResult(False, (r, s, t))
-                if t == 0:
-                    break
-                t = (t - 1) & rest2
-            if s == 0:
-                break
-            s = (s - 1) & rest
+        for s in submasks(rest):
+            for t in submasks(rest ^ s):
+                if d(s, r) >= d(t, r) and d(s, r | t) < d(s | r, t):
+                    return CheckResult(False, (r, s, t))
     return CheckResult(True)
 
 

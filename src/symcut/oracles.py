@@ -20,7 +20,7 @@ verify exhaustively on small ground sets.
 
 import weakref
 
-from .values import INF, mask_of, set_of
+from .values import INF, mask_of, set_of, submasks
 
 
 class LaxOracle:
@@ -399,9 +399,6 @@ class SetFunctionTable:
         self.table_values, self.integer_valued = _instance_values(
             table_values, "mask", "value")
 
-    def __call__(self, mask):
-        return self.table_values[mask]
-
     def __eq__(self, other):
         return (isinstance(other, SetFunctionTable)
                 and self.n == other.n and self.table_values == other.table_values)
@@ -452,15 +449,11 @@ class TableOracle(LaxOracle):
         self.table = dict(zip(table, values))
         full = (1 << n) - 1
         for s in range(1 << n):
-            t = full ^ s
-            while True:
+            for t in submasks(full ^ s):
                 if (s, t) not in self.table:
                     raise ValueError(f"missing entry for masks ({s}, {t})")
                 if self.table[(s, t)] != self.table[(t, s)]:
                     raise ValueError(f"asymmetric entries for masks ({s}, {t})")
-                if t == 0:
-                    break
-                t = (t - 1) & (full ^ s)
         if integer:
             self.value_bound = max(values)
 
@@ -479,14 +472,7 @@ def complete_table(n, entries=None, default=0):
     Handy for constructing small adversarial fixtures.
     """
     full = (1 << n) - 1
-    table = {}
-    for s in range(1 << n):
-        t = full ^ s
-        while True:
-            table[(s, t)] = default
-            if t == 0:
-                break
-            t = (t - 1) & (full ^ s)
+    table = {(s, t): default for s in range(1 << n) for t in submasks(full ^ s)}
     for (s, t), v in (entries or {}).items():
         table[(s, t)] = v
         table[(t, s)] = v

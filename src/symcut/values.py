@@ -5,6 +5,11 @@ Cut values are plain ints or floats; ``INF`` (= ``math.inf``) is the
 Integer instances admit exact comparison; float instances are compared
 with a relative plus an absolute tolerance, so that rounding in the sums
 of large weights does not read as a different value.
+
+Subsets of V = {0..n-1} are bitmasks: bit v set means element v is in
+the subset. ``mask_of``, ``set_of`` and ``submasks`` are the package's
+only subset codec; every walk over the submasks of a set goes through
+``submasks``, so its order (descending) is fixed in one place.
 """
 
 import math
@@ -44,12 +49,21 @@ def mask_of(elements):
 
 
 def set_of(mask):
-    """Element indices of a bitmask, as a set."""
-    out = set()
+    """Element indices of a bitmask, as a frozenset."""
+    out = []
     v = 0
     while mask:
         if mask & 1:
-            out.add(v)
+            out.append(v)
         mask >>= 1
         v += 1
-    return out
+    return frozenset(out)
+
+
+def submasks(mask):
+    """Every submask of `mask`, each once, from `mask` itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0

@@ -16,7 +16,7 @@ from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
 from .driver import MinimizeConfig, optimal_set
 from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
 from .queues import BucketQueue
-from .values import INF, mask_of, values_equal
+from .values import INF, mask_of, set_of, values_equal
 
 
 @dataclass
@@ -233,7 +233,7 @@ def verify_table(table):
                                    "" if cons else repr(cons.witness)))
     if symmetric and submodular:
         f = table.table_values
-        best_f = min(f[mask] for mask in range(1, (1 << n) - 1))
+        best_f = min(f[1:-1])
         found, _, _ = optimal_set(oracle, n)
         mask = mask_of(found)
         ok = f[mask] == best_f
@@ -246,9 +246,7 @@ def _sample_caps(oracle, n):
     values = set()
     full = (1 << n) - 1
     for mask in range(1, full):
-        left = frozenset(v for v in range(n) if mask >> v & 1)
-        right = frozenset(v for v in range(n) if (full ^ mask) >> v & 1)
-        values.add(oracle.eval(left, right, INF))
+        values.add(oracle.eval(set_of(mask), set_of(full ^ mask), INF))
     top = max(values)
     mid = sorted(values)[len(values) // 2]
     return [0, mid, top]

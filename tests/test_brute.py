@@ -61,7 +61,7 @@ def test_monotone_violation_with_witness():
     t = complete_table(3, {(1, 6): 1, (1, 2): 2})
     res = check_monotone(TableOracle(3, t), 3)
     assert not res
-    assert res.witness is not None
+    assert res.witness == (1, 6, 2)  # (S, T, T') = ({0}, {1,2}, {1})
 
 
 def test_monotone_constant_function():
@@ -80,7 +80,7 @@ def test_consistent_thresholded_graph_cut(triangle_oracle):
 def test_consistency_violation_fixture():
     res = check_consistent(TableOracle(3, complete_table(3, CONSISTENCY_VIOLATION)), 3)
     assert not res
-    assert res.witness is not None
+    assert res.witness == (1, 4, 2)  # (R, S, T) = ({0}, {2}, {1})
 
 
 def test_symmetric_submodular_classification():

@@ -1,6 +1,7 @@
 import math
 
 from symcut import INF, values_equal
+from symcut.values import mask_of, set_of, submasks
 
 
 def test_ints_compare_exactly():
@@ -24,3 +25,19 @@ def test_non_finite():
     assert values_equal(INF, INF)
     assert not values_equal(INF, 1e300)
     assert not values_equal(math.nan, math.nan)
+
+
+def test_submasks_each_once_in_descending_order():
+    for m in range(256):
+        subs = list(submasks(m))
+        assert subs[0] == m and subs[-1] == 0
+        assert subs == sorted(subs, reverse=True)
+        assert len(set(subs)) == len(subs) == 2 ** bin(m).count("1")
+        assert all(s & ~m == 0 for s in subs)
+
+
+def test_set_of_inverts_mask_of():
+    for s in [(), (0,), (3,), (0, 2, 5), tuple(range(20))]:
+        decoded = set_of(mask_of(s))
+        assert decoded == frozenset(s)
+        assert isinstance(decoded, frozenset)
