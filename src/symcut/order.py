@@ -8,7 +8,9 @@ cheaper and can append several classes per scan.
 
 Two builders are provided: a rescanning one driven purely by lax oracle
 calls, and a queue-based one for oracles that can maintain prefix keys
-incrementally.
+incrementally. Both refuse a NaN or infinite key with
+``values.finite_key``'s error: the scan checks each oracle value, the
+queue builder each tracker key before its queue sees it.
 """
 
 from dataclasses import dataclass
@@ -92,36 +94,47 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
     """
     if not getattr(oracle, "keyed", False):
         raise TypeError("queue builder needs an oracle with incremental key support")
-    classes = partition.classes()
     if first is None:
-        first = classes[0]
-    if first not in partition:
+        first = partition.classes()[0]
+    elif first not in partition:
         raise ValueError(f"unknown class {first}")
-    queue = _make_queue(queue_kind, tau, oracle)
     tracker = oracle.key_tracker(partition, first)
-    for c, key in tracker.keys.items():
-        queue.insert(c, finite_key(key, c))
+    start = tracker.keys
+    for c, key in start.items():
+        if not -INF < key < INF:
+            finite_key(key, c)
+    queue = _make_queue(queue_kind, tau, oracle, start)
+    del_max, update_key = queue.del_max, queue.update_key
+    pop, advance = tracker.pop, tracker.advance
     order = [first]
     keys = [INF]
     updates = 0
-    while len(queue):
-        v, k = queue.del_max()
+    for _ in range(len(start)):
+        v, k = del_max()
         order.append(v)
-        keys.append(min(tau, k))
-        tracker.pop(v)
-        for c, key in tracker.advance(v).items():
-            queue.update_key(c, finite_key(key, c))
-            updates += 1
+        keys.append(k if k < tau else tau)
+        pop(v)
+        changed = advance(v)
+        for c, key in changed.items():
+            if not -INF < key < INF:
+                finite_key(key, c)
+            update_key(c, key)
+        updates += len(changed)
     return LaxBackOrder(tuple(order), tuple(keys), tau), updates
 
 
-def _make_queue(kind, tau, oracle):
+def _make_queue(kind, tau, oracle, keys):
+    """A queue of `kind` built from the starting `keys`, already tested finite.
+
+    The keys go in positionally, so a queue subclass whose constructor
+    takes ``*args`` only still receives them.
+    """
     if kind == "heap":
-        return HeapQueue()
+        return HeapQueue(keys)
     if kind == "bucket":
         bound = getattr(oracle, "value_bound", None)
         if bound is None:
             raise ValueError(
                 "bucket queue requires an integer-valued oracle with a declared value bound")
-        return BucketQueue(tau, bound)
+        return BucketQueue(tau, bound, keys)
     raise ValueError(f"unknown queue kind {kind!r}")

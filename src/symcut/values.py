@@ -31,9 +31,12 @@ def values_equal(a, b):
 def finite_key(value, label):
     """`value` itself, or a ValueError if it is NaN or infinite.
 
-    Every key an order is built from passes through here: a NaN compares
-    false with everything, so it would otherwise read as "below tau" in a
-    scan, vanish inside a heap, or be recorded as tau by min(tau, nan).
+    Every key an order is built from is checked: a NaN compares false
+    with everything, so it would otherwise read as "below tau" in a scan,
+    vanish inside a heap, or be recorded as tau by min(tau, nan). The scan
+    builder and the singleton probe pass each value through here; the
+    queue builder tests each tracker key inline, before the queue sees it,
+    and calls this only to raise.
     """
     if not -INF < value < INF:
         raise ValueError(f"the oracle gave class {label} the non-finite key {value!r}")

@@ -42,6 +42,48 @@ ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
 optimal_set(MidOrderNan(ring), 4)
 """
 
+# NaN or infinite keys from a key tracker, at its start or from an advance,
+# under both queues; the queue builder's test of each key is no assert either
+QUEUE_KEY_RUNS = """
+import math
+from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
+
+class BadKeys(GraphCutOracle):
+    def __init__(self, graph, bad, on_advance):
+        super().__init__(graph)
+        self.bad, self.on_advance = bad, on_advance
+
+    def key_tracker(self, partition, first):
+        tracker = super().key_tracker(partition, first)
+        if not self.on_advance:
+            tracker.keys[2] = self.bad
+            return tracker
+        advance = tracker.advance
+
+        def bad_advance(appended):
+            changed = advance(appended)
+            if 2 in changed:
+                changed[2] = self.bad
+            return changed
+
+        tracker.advance = bad_advance
+        return tracker
+
+ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
+for bad in (math.nan, math.inf, -math.inf):
+    for queue_kind in ("heap", "bucket"):
+        for on_advance in (False, True):
+            cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+            try:
+                optimal_set(BadKeys(ring, bad, on_advance), 4, cfg)
+            except ValueError as fault:
+                if f"class 2 the non-finite key {bad!r}" not in str(fault):
+                    raise
+            else:
+                raise SystemExit(f"{bad} {queue_kind} {on_advance}: no error")
+print("all refused")
+"""
+
 
 def run_optimized(script):
     """Run `script` under python -O, so that no check can be an assert."""
@@ -180,6 +222,11 @@ class TestOptimalSet:
         assert result.returncode == 1
         assert "ValueError" in result.stderr
         assert "class 2 the non-finite key nan" in result.stderr
+
+    def test_non_finite_tracker_keys_fail_loudly_under_optimize(self):
+        result = run_optimized(QUEUE_KEY_RUNS)
+        assert result.returncode == 0, result.stderr
+        assert "all refused" in result.stdout
 
     @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
     @pytest.mark.parametrize("on_advance", [False, True])

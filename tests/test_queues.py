@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -108,7 +109,30 @@ def test_bucket_refuses_a_top_level_over_its_limit_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     # the limit is on the top level: a small threshold keeps a huge bound usable
-    assert len(BucketQueue(tau=5, bound=10**12)._buckets) == 6
+    q = BucketQueue(tau=5, bound=10**12)
+    q.insert("a", 10**9)
+    assert q.del_max() == ("a", 5)
+
+
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
+def test_bucket_rejects_a_non_finite_bound(bound):
+    with pytest.raises(ValueError, match="finite nonnegative integer key bound"):
+        BucketQueue(5, bound)
+
+
+def test_bucket_allocates_only_the_levels_its_keys_reach():
+    # a bucket per level up to the bound would be 100,001 sets (~20 MB)
+    tracemalloc.start()
+    try:
+        q = BucketQueue(INF, 10**5, {v: v % 8 for v in range(20)})
+        q.insert(20, 9)
+        q.update_key(3, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert q.del_max() == (3, 10)
+    assert q.del_max() == (20, 9)
 
 
 def test_bucket_rejects_keys_over_declared_bound():
@@ -210,18 +234,16 @@ def test_bucket_scan_is_monotone_between_raises():
     rng = random.Random(3)
     tau = 9
     q = BucketQueue(tau, bound=30)
-    for v in range(12):
-        q.insert(v, rng.randint(0, 12))
-    alive = 12
-    while alive:
-        if alive % 3 == 0:
-            q.del_max()
-            alive -= 1
-        else:
-            for v in list(q._level):
-                q.update_key(v, q._exact[v] + rng.randint(0, 2))
-            q.del_max()
-            alive -= 1
+    exact = {v: rng.randint(0, 12) for v in range(12)}
+    for v, k in exact.items():
+        q.insert(v, k)
+    while exact:
+        if len(exact) % 3:
+            for v in exact:
+                exact[v] += rng.randint(0, 2)
+                q.update_key(v, exact[v])
+        v, _ = q.del_max()
+        del exact[v]
     assert q.scan_steps <= tau + 2 + q.raise_steps
 
 
