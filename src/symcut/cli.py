@@ -13,13 +13,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .brute import (MAX_ENUM, MAX_TABLE_CHECK, brute_min_bipartition,
                     check_symmetric_submodular)
 from .driver import MinimizeConfig, optimal_set
 from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
-from .values import mask_of, values_equal
+from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
 
@@ -97,22 +98,18 @@ def _canonical_side(best, n):
     return best if min(best) < min(other) else other
 
 
-def _format_value(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def _emit_report(args, report):
     if args.as_json:
         print(json.dumps(report, sort_keys=True, indent=2))
         return
     ids = ",".join(str(v) for v in report["set"])
-    print(f"lambda={_format_value(report['lambda'])} S={{{ids}}}")
+    print(f"lambda={format_value(report['lambda'])} S={{{ids}}}")
     stats = report["stats"]
     print(f"rounds: {stats['rounds']}")
     print(f"oracle_calls: {stats['oracle_calls']}")
     print(f"joins_per_round: {stats['joins_per_round']}")
     if "f_value" in report:
-        print(f"f(S): {_format_value(report['f_value'])}")
+        print(f"f(S): {format_value(report['f_value'])}")
     print(f"wall_ns: {report['wall_ns']}")
 
 
@@ -155,16 +152,10 @@ def _solve_and_report(args, oracle, instance, table=None):
     side = _canonical_side(best, n)
     report = {
         "instance": instance,
-        "config": {"algorithm": config.algorithm,
-                   "order_builder": config.order_builder,
-                   "queue_kind": config.queue_kind,
-                   "init_threshold": config.init_threshold,
-                   "first_element": config.first_element + 1},
+        "config": {**asdict(config), "first_element": config.first_element + 1},
         "lambda": value,
         "set": sorted(v + 1 for v in side),
-        "stats": {"rounds": stats.rounds, "oracle_calls": stats.oracle_calls,
-                  "joins_per_round": stats.joins_per_round,
-                  "calls_per_order": [list(x) for x in stats.calls_per_order]},
+        "stats": asdict(stats),
         "wall_ns": wall,
     }
     if table is not None:

@@ -25,9 +25,9 @@ class MinimizeConfig:
                     only the final pair (the classic pendant-pair loop)
     order_builder   "scan" | "queue"
     queue_kind      "heap" | "bucket", for the queue builder only (bucket
-                    needs a nonnegative integer-valued oracle with a
-                    declared value bound); the scan builder uses no queue
-                    and accepts only the default
+                    needs the keyed oracle's declared value bound, read
+                    and refused only by the bucket queue); the scan
+                    builder uses no queue and accepts only the default
     init_threshold  "infinity" | "min_singleton" (seed tau with the best
                     singleton at the cost of n extra oracle calls)
     first_element   element whose class starts every order

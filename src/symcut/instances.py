@@ -10,13 +10,14 @@ ids are 1-based in files and 0-based in memory):
 The parsers only read tokens. The WeightedGraph, Hypergraph and
 SetFunctionTable constructors hold files and library callers to the same
 instance rules, and a file's rejected item is reported at its line. They
-keep values as ints when every one is an int, else as floats, and report
-the mode so callers can refuse integer-only features on float instances.
+keep values as ints when every one is an int, else as floats; graphs and
+hypergraphs report which in ``integer_weights``, for the bucket queue.
 """
 
 import random
 
 from .oracles import Hypergraph, InstanceError, SetFunctionTable, WeightedGraph
+from .values import INF, format_value
 
 
 class ParseError(ValueError):
@@ -26,12 +27,15 @@ class ParseError(ValueError):
 
 
 def _data_lines(text):
+    """(line number, tokens) of each data line; no data line is an error."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         rows.append((lineno, stripped.split()))
+    if not rows:
+        raise ParseError("empty input", 1)
     return rows
 
 
@@ -56,8 +60,6 @@ def _parse_weight(token, lineno):
 def _counted_rows(text, kind, item):
     """Header line, vertex count and item rows of a file headed "n m"."""
     rows = _data_lines(text)
-    if not rows:
-        raise ParseError("empty input", 1)
     header_line, header = rows[0]
     if len(header) != 2:
         raise ParseError(f"{kind} header must be 'n m'", header_line)
@@ -96,7 +98,7 @@ def parse_graph(text):
 def write_graph(graph):
     lines = [f"{graph.n} {graph.m}"]
     for u, v, w in graph.edges:
-        lines.append(f"{u + 1} {v + 1} {_format_weight(w)}")
+        lines.append(f"{u + 1} {v + 1} {format_value(w)}")
     return "\n".join(lines) + "\n"
 
 
@@ -119,14 +121,12 @@ def write_hypergraph(hypergraph):
     lines = [f"{hypergraph.n} {hypergraph.m}"]
     for w, pins in hypergraph.hyperedges:
         pin_text = " ".join(str(p + 1) for p in sorted(pins))
-        lines.append(f"{_format_weight(w)} {len(pins)} {pin_text}")
+        lines.append(f"{format_value(w)} {len(pins)} {pin_text}")
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text):
     rows = _data_lines(text)
-    if not rows:
-        raise ParseError("empty input", 1)
     header_line, header = rows[0]
     if len(header) != 1:
         raise ParseError("table header must be a single 'n'", header_line)
@@ -158,7 +158,7 @@ def parse_table(text):
 def write_table(table):
     lines = [str(table.n)]
     for mask, value in enumerate(table.table_values):
-        lines.append(f"{mask} {_format_weight(value)}")
+        lines.append(f"{mask} {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,8 +176,6 @@ def load_instance(text, kind=None):
             raise ValueError(f"unknown instance kind {kind!r}")
         return kind, parser(text)
     rows = _data_lines(text)
-    if not rows:
-        raise ParseError("empty input", 1)
     if len(rows[0][1]) == 1:
         return "table", parse_table(text)
     if len(rows) > 1 and len(rows[1][1]) != 3:
@@ -185,8 +183,12 @@ def load_instance(text, kind=None):
     return "graph", parse_graph(text)
 
 
-def _format_weight(w):
-    return repr(w) if isinstance(w, float) else str(w)
+def _check_generator(n, max_weight):
+    """The generators' shared rule: two or more vertices, a whole max weight >= 1."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if not 1 <= max_weight < INF or max_weight != int(max_weight):
+        raise ValueError("max weight must be a positive integer")
 
 
 def gen_random_graph(n, p, max_weight, seed, connected=False):
@@ -196,12 +198,9 @@ def gen_random_graph(n, p, max_weight, seed, connected=False):
     draw repeats (continuing the same stream) until the graph is connected.
     Deterministic per (parameters, seed).
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    _check_generator(n, max_weight)
     if not 0 < p <= 1:
         raise ValueError("edge probability must be in (0, 1]")
-    if max_weight < 1 or max_weight != int(max_weight):
-        raise ValueError("max weight must be a positive integer")
     rng = random.Random(seed)
     for _ in range(10000):
         edges = []
@@ -217,12 +216,9 @@ def gen_random_graph(n, p, max_weight, seed, connected=False):
 
 def gen_random_hypergraph(n, m, max_weight, seed, max_pins=4):
     """Seeded random hypergraph with integer weights in [1, max_weight]."""
-    if n < 2:
-        raise ValueError("need at least two vertices")
+    _check_generator(n, max_weight)
     if m < 0:
         raise ValueError("edge count must be nonnegative")
-    if max_weight < 1:
-        raise ValueError("max weight must be a positive integer")
     rng = random.Random(seed)
     top = max(2, min(n, max_pins))
     hyperedges = []

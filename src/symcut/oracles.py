@@ -35,8 +35,9 @@ class LaxOracle:
         (required by the queue-based order builder)
     ``value_bound``
         an integer upper bound on d's values, declared only when every
-        value of d is an integer (required by the bucket queue); None
-        otherwise
+        value of d is an integer; None otherwise. Read only from keyed
+        oracles, by the bucket queue, which refuses a missing or unusable
+        bound
     """
 
     keyed = False
@@ -396,8 +397,7 @@ class SetFunctionTable:
         if len(table_values) != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {len(table_values)}")
         self.n = n
-        self.table_values, self.integer_valued = _instance_values(
-            table_values, "mask", "value")
+        self.table_values, _ = _instance_values(table_values, "mask", "value")
 
     def __eq__(self, other):
         return (isinstance(other, SetFunctionTable)
@@ -417,9 +417,6 @@ class ConnectivityOracle(LaxOracle):
 
     def __init__(self, table):
         self.table = table
-        if table.integer_valued:
-            vals = table.table_values
-            self.value_bound = 2 * max(vals) - min(vals)
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
@@ -443,7 +440,7 @@ class TableOracle(LaxOracle):
         self.n = n
         table = dict(table)
         try:
-            values, integer = _instance_values(list(table.values()), "entry", "value")
+            values, _ = _instance_values(list(table.values()), "entry", "value")
         except InstanceError as fault:
             raise InstanceError("masks", list(table)[fault.index], fault.reason) from None
         self.table = dict(zip(table, values))
@@ -454,8 +451,6 @@ class TableOracle(LaxOracle):
                     raise ValueError(f"missing entry for masks ({s}, {t})")
                 if self.table[(s, t)] != self.table[(t, s)]:
                     raise ValueError(f"asymmetric entries for masks ({s}, {t})")
-        if integer:
-            self.value_bound = max(values)
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
@@ -490,8 +485,6 @@ class ThresholdedOracle(LaxOracle):
     def __init__(self, base, cap):
         self.base = base
         self.cap = cap
-        if base.value_bound is not None and (cap == INF or isinstance(cap, int)):
-            self.value_bound = min(base.value_bound, cap)
 
     def eval(self, left, right, tau=INF):
         return self.base.eval(left, right, min(tau, self.cap))
@@ -509,7 +502,6 @@ class InducedOracle(LaxOracle):
         self.base = base
         self.blocks = [frozenset(b) for b in blocks]
         self.n = len(self.blocks)
-        self.value_bound = base.value_bound
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)

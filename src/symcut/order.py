@@ -127,14 +127,11 @@ def _make_queue(kind, tau, oracle, keys):
     """A queue of `kind` built from the starting `keys`, already tested finite.
 
     The keys go in positionally, so a queue subclass whose constructor
-    takes ``*args`` only still receives them.
+    takes ``*args`` only still receives them. The bucket queue gets the
+    oracle's ``value_bound`` unchecked (None if undeclared): it refuses it.
     """
     if kind == "heap":
         return HeapQueue(keys)
     if kind == "bucket":
-        bound = getattr(oracle, "value_bound", None)
-        if bound is None:
-            raise ValueError(
-                "bucket queue requires an integer-valued oracle with a declared value bound")
-        return BucketQueue(tau, bound, keys)
+        return BucketQueue(tau, getattr(oracle, "value_bound", None), keys)
     raise ValueError(f"unknown queue kind {kind!r}")

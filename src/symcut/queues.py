@@ -78,17 +78,21 @@ class BucketQueue:
     keys it holds, not for the instance's total weight. On the benchmark's
     library workloads it beats :class:`HeapQueue` where keys change many
     times before extraction (the heap piles up stale entries) and loses
-    where they change about once (figures in the README). It refuses a
-    top level ``min(tau, bound)`` above ``MAX_TOP`` before allocating
-    anything: a key may reach that level, and with tau = INF the bound is
-    the instance's total weight, which can be far larger than memory.
+    where they change about once (figures in the README). `bound` is a
+    keyed oracle's ``value_bound``, read nowhere else: the constructor is
+    the one place that refuses a missing, non-integer, negative or
+    non-finite bound, or a top level ``min(tau, bound)`` above ``MAX_TOP``,
+    before allocating anything: a key may reach that level, and with tau =
+    INF the bound is the instance's total weight, which can be far larger
+    than memory.
     """
 
     MAX_TOP = 1 << 20
 
     def __init__(self, tau, bound, keys=()):
         if bound is None or not 0 <= bound < INF or bound != int(bound):
-            raise ValueError("bucket queue needs a finite nonnegative integer key bound")
+            raise ValueError("bucket queue needs a finite nonnegative integer key bound: "
+                             "a keyed, integer-valued oracle declares it as value_bound")
         if tau != INF and (tau != int(tau) or tau < 0):
             raise ValueError("bucket queue needs a nonnegative integer threshold")
         self.tau = tau

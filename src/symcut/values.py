@@ -28,6 +28,11 @@ def values_equal(a, b):
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
+def format_value(value):
+    """Text of a value in files and reports: repr for floats, so it reads back exactly."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def finite_key(value, label):
     """`value` itself, or a ValueError if it is NaN or infinite.
 

@@ -8,6 +8,7 @@ the threshold triangle rule. `verify_oracle` bundles them with a
 configuration sweep whose results must all match the enumerated optimum.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
@@ -35,6 +36,11 @@ class VerifyReport:
         return all(e.ok for e in self.entries)
 
 
+def _entry(name, result):
+    """A VerifyEntry for a CheckResult, its witness as the detail on failure."""
+    return VerifyEntry(name, bool(result), "" if result else repr(result.witness))
+
+
 def named_configs(oracle):
     """Configuration sweep supported by the oracle's capabilities."""
     configs = [
@@ -47,7 +53,8 @@ def named_configs(oracle):
             ("queue-heap-minsingleton",
              MinimizeConfig(order_builder="queue", init_threshold="min_singleton")),
         ]
-        if oracle.value_bound is not None and oracle.value_bound <= BucketQueue.MAX_TOP:
+        with suppress(ValueError):  # a bound taken at tau = INF is taken at every tau
+            BucketQueue(INF, getattr(oracle, "value_bound", None))
             configs += [
                 ("queue-bucket-inf",
                  MinimizeConfig(order_builder="queue", queue_kind="bucket")),
@@ -154,10 +161,8 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
     """
     deep = n <= 8
     ref = strict_oracle if strict_oracle is not None else oracle
-    entries = []
     expected = brute_min_bipartition(ref, n)
-    entries.append(VerifyEntry(
-        "bruteforce-optimum", True, f"value {expected.value}"))
+    entries = [VerifyEntry("bruteforce-optimum", True, f"value {expected.value}")]
 
     deep_failures = {}
     deep_counts = {}
@@ -180,14 +185,11 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
                 "maxback-one-join-per-round", ok, f"rounds {stats.rounds}"))
         if deep:
             for record in records:
-                for check_name, result in check_order_record(ref, record):
+                for check_name, result in (check_order_record(ref, record)
+                                           + [check_contraction_record(ref, record)]):
                     deep_counts[check_name] = deep_counts.get(check_name, 0) + 1
                     if not result and check_name not in deep_failures:
                         deep_failures[check_name] = (name, record.index, result.witness)
-                check_name, result = check_contraction_record(ref, record)
-                deep_counts[check_name] = deep_counts.get(check_name, 0) + 1
-                if not result and check_name not in deep_failures:
-                    deep_failures[check_name] = (name, record.index, result.witness)
     for check_name in sorted(deep_counts):
         failure = deep_failures.get(check_name)
         entries.append(VerifyEntry(
@@ -195,18 +197,11 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
             f"{deep_counts[check_name]} rounds" if failure is None else repr(failure)))
 
     if deep:
-        triangle = check_separation_triangle(ref, n)
-        entries.append(VerifyEntry(
-            "separation-triangle", bool(triangle),
-            "" if triangle else repr(triangle.witness)))
+        entries.append(_entry("separation-triangle", check_separation_triangle(ref, n)))
 
     if n <= 6:
-        mono = check_monotone(ref, n)
-        entries.append(VerifyEntry("oracle-monotone", bool(mono),
-                                   "" if mono else repr(mono.witness)))
-        cons = check_consistent(ref, n)
-        entries.append(VerifyEntry("oracle-consistent", bool(cons),
-                                   "" if cons else repr(cons.witness)))
+        entries.append(_entry("oracle-monotone", check_monotone(ref, n)))
+        entries.append(_entry("oracle-consistent", check_consistent(ref, n)))
         for cap in _sample_caps(ref, n):
             capped = ThresholdedOracle(ref, cap)
             mono = check_monotone(capped, n)
@@ -219,18 +214,13 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
 def verify_table(table):
     """Sweep for minimizing an explicit symmetric submodular f; axioms for n <= 6."""
     n = table.n
-    entries = []
     symmetric, submodular = check_symmetric_submodular(table)
-    entries.append(VerifyEntry("table-symmetric", symmetric))
-    entries.append(VerifyEntry("table-submodular", submodular))
+    entries = [VerifyEntry("table-symmetric", symmetric),
+               VerifyEntry("table-submodular", submodular)]
     oracle = ConnectivityOracle(table)
     if n <= 6:
-        mono = check_monotone(oracle, n)
-        entries.append(VerifyEntry("connectivity-monotone", bool(mono),
-                                   "" if mono else repr(mono.witness)))
-        cons = check_consistent(oracle, n)
-        entries.append(VerifyEntry("connectivity-consistent", bool(cons),
-                                   "" if cons else repr(cons.witness)))
+        entries.append(_entry("connectivity-monotone", check_monotone(oracle, n)))
+        entries.append(_entry("connectivity-consistent", check_consistent(oracle, n)))
     if symmetric and submodular:
         f = table.table_values
         best_f = min(f[1:-1])

@@ -177,6 +177,25 @@ class TestMincut:
         assert "minimize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mincut", "minimize"])
+def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
+    path = tmp_path / "instance.txt"
+    if command == "mincut":
+        path.write_text(TRIANGLE_TEXT)
+        argv = ["mincut", str(path)]
+    else:
+        path.write_text("2\n0 0\n1 3\n2 3\n3 0\n")
+        argv = ["minimize", "--table", str(path)]
+    assert main(argv + ["--first", "2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report["config"]) == {"algorithm", "order_builder", "queue_kind",
+                                     "init_threshold", "first_element"}
+    assert report["config"]["first_element"] == 2
+    assert set(report["stats"]) == {"rounds", "oracle_calls", "joins_per_round",
+                                    "calls_per_order"}
+    assert all(isinstance(x, list) for x in report["stats"]["calls_per_order"])
+
+
 class TestMinimize:
     def test_crossing_table(self, tmp_path, capsys):
         from symcut import gen_random_graph, graph_cut_table, write_table

@@ -1,6 +1,8 @@
+from functools import partial
+
 import pytest
 
-from symcut import (Hypergraph, ParseError, SetFunctionTable, WeightedGraph,
+from symcut import (INF, Hypergraph, ParseError, SetFunctionTable, WeightedGraph,
                     gen_random_graph, gen_random_hypergraph, graph_cut_table,
                     load_instance, parse_graph, parse_hypergraph, parse_table,
                     write_graph, write_hypergraph, write_table)
@@ -126,6 +128,19 @@ def test_first_broken_edge_is_reported(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("parse", [
+    parse_graph, parse_hypergraph, parse_table, load_instance,
+    partial(load_instance, kind="graph"), partial(load_instance, kind="hypergraph"),
+    partial(load_instance, kind="table"),
+], ids=["graph", "hypergraph", "table", "load", "load-graph", "load-hypergraph",
+        "load-table"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"], ids=["blank", "comments"])
+def test_empty_input_reported_at_line_1(parse, text):
+    with pytest.raises(ParseError, match="^line 1: empty input$") as err:
+        parse(text)
+    assert err.value.line == 1
+
+
 def test_vertex_count_below_one_reported_at_the_header():
     with pytest.raises(ParseError) as err:
         parse_graph("# empty\n0 0\n")
@@ -179,6 +194,14 @@ class TestGenerators:
             gen_random_graph(4, 0.0, 5, seed=0)
         with pytest.raises(ValueError):
             gen_random_graph(4, 0.5, 0, seed=0)
+
+    @pytest.mark.parametrize("max_weight", [0, 2.5, INF, float("nan")])
+    def test_both_generators_refuse_a_max_weight_that_is_not_a_positive_integer(
+            self, max_weight):
+        with pytest.raises(ValueError, match="max weight must be a positive integer"):
+            gen_random_graph(5, 0.5, max_weight, seed=0)
+        with pytest.raises(ValueError, match="max weight must be a positive integer"):
+            gen_random_hypergraph(5, 4, max_weight, seed=0)
 
     def test_hypergraph_deterministic(self):
         assert gen_random_hypergraph(6, 4, 5, seed=3) == \

@@ -84,10 +84,6 @@ class TestGraphCut:
         assert o.keyed and o.value_bound == 6
         f = GraphCutOracle(WeightedGraph(2, [(0, 1, 1.5)]))
         assert f.value_bound is None
-        assert ThresholdedOracle(o, INF).value_bound == 6
-        assert ThresholdedOracle(o, 4).value_bound == 4
-        assert ThresholdedOracle(o, 2.5).value_bound is None
-        assert ThresholdedOracle(f, 4).value_bound is None
 
 
 class TestGraphKeyTracker:

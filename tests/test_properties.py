@@ -159,6 +159,19 @@ def test_verify_oracle_passes_on_sound_instances():
     assert report.ok, [e.name for e in report.entries if not e.ok]
 
 
+@pytest.mark.parametrize("bound,bucket", [
+    (2.5, False), (-1, False), (None, False), (2**21, False), ("total", True),
+])
+def test_verify_oracle_asks_the_bucket_queue_for_its_bound(bound, bucket):
+    g = gen_random_graph(5, 0.6, 8, seed=251, connected=True)
+    oracle = GraphCutOracle(g)
+    oracle.value_bound = g.total_weight if bound == "total" else bound
+    report = verify_oracle(oracle, 5, strict_oracle=GraphCutOracle(g, early_exit=False))
+    assert report.ok, [e.name for e in report.entries if not e.ok]
+    in_bucket = [e.name for e in report.entries if "queue-bucket-" in e.name]
+    assert len(in_bucket) == (4 if bucket else 0)
+
+
 def test_queue_scan_equivalence_keys_both_valid():
     for n, g in graphs(6, seed0=260):
         oracle = GraphCutOracle(g)
