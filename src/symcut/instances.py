@@ -15,6 +15,7 @@ hypergraphs report which in ``integer_weights``, for the bucket queue.
 """
 
 import random
+from numbers import Integral
 
 from .oracles import Hypergraph, InstanceError, SetFunctionTable, WeightedGraph
 from .values import INF, format_value
@@ -185,6 +186,8 @@ def load_instance(text, kind=None):
 
 def _check_generator(n, max_weight):
     """The generators' shared rule: two or more vertices, a whole max weight >= 1."""
+    if not isinstance(n, Integral):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("need at least two vertices")
     if not 1 <= max_weight < INF or max_weight != int(max_weight):

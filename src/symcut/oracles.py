@@ -324,8 +324,13 @@ class HypergraphCutOracle(LaxOracle):
     """Lax cut oracle for a hypergraph.
 
     A hyperedge is cut by (S, T) when it has at least one pin on each side;
-    its full weight then counts once. The per-edge crossing test
-    short-circuits (isdisjoint stops at the first shared pin).
+    its full weight then counts once. Only the hyperedges incident to the
+    smaller side can be cut, so a call costs the incidences of that side,
+    not all m hyperedges: each one already touches the smaller side and is
+    cut when it also touches the other (isdisjoint stops at the first
+    shared pin). The ids are visited in ascending order, the order of a
+    walk over all hyperedges, so the cut weights are added in the same
+    order and float sums and early exits come out bit for bit the same.
     """
 
     keyed = True
@@ -337,11 +342,20 @@ class HypergraphCutOracle(LaxOracle):
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
+        small, big = (left, right) if len(left) <= len(right) else (right, left)
+        incident = self.hypergraph.incident
+        if len(small) == 1:
+            ids = incident[next(iter(small))]  # ascending, no duplicates
+        else:
+            ids = sorted({e for u in small for e in incident[u]})
+        hyperedges = self.hypergraph.hyperedges
+        early_exit = self.early_exit
         total = 0
-        for w, pins in self.hypergraph.hyperedges:
-            if not pins.isdisjoint(left) and not pins.isdisjoint(right):
+        for e in ids:
+            w, pins = hyperedges[e]
+            if not pins.isdisjoint(big):
                 total += w
-                if self.early_exit and total >= tau:
+                if early_exit and total >= tau:
                     return tau
         return min(tau, total)
 

@@ -11,6 +11,7 @@ call, so an order's first k entries cost no per-entry ``insert``.
 """
 
 import heapq
+from numbers import Real
 
 from .values import INF
 
@@ -80,17 +81,17 @@ class BucketQueue:
     times before extraction (the heap piles up stale entries) and loses
     where they change about once (figures in the README). `bound` is a
     keyed oracle's ``value_bound``, read nowhere else: the constructor is
-    the one place that refuses a missing, non-integer, negative or
-    non-finite bound, or a top level ``min(tau, bound)`` above ``MAX_TOP``,
-    before allocating anything: a key may reach that level, and with tau =
-    INF the bound is the instance's total weight, which can be far larger
-    than memory.
+    the one place that refuses a missing, non-numeric, non-integer,
+    negative or non-finite bound, or a top level ``min(tau, bound)`` above
+    ``MAX_TOP``, before allocating anything: a key may reach that level,
+    and with tau = INF the bound is the instance's total weight, which can
+    be far larger than memory.
     """
 
     MAX_TOP = 1 << 20
 
     def __init__(self, tau, bound, keys=()):
-        if bound is None or not 0 <= bound < INF or bound != int(bound):
+        if not isinstance(bound, Real) or not 0 <= bound < INF or bound != int(bound):
             raise ValueError("bucket queue needs a finite nonnegative integer key bound: "
                              "a keyed, integer-valued oracle declares it as value_bound")
         if tau != INF and (tau != int(tau) or tau < 0):

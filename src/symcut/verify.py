@@ -154,9 +154,12 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
     """Full verification sweep for a pairwise oracle on {0..n-1}.
 
     Runs every supported configuration and compares each result to the
-    enumerated optimum; for n <= 8 the per-round order and contraction
-    checks run too, and for n <= 6 the monotonicity/consistency axioms are
-    checked exhaustively, including on capped views of the oracle.
+    enumerated optimum; a configuration that raises a ValueError (a key
+    above an understated ``value_bound``, say) fails its agreement entry
+    with the error as the detail. For n <= 8 the per-round order and
+    contraction checks run too, and for n <= 6 the monotonicity/consistency
+    axioms are checked exhaustively, including on capped views of the
+    oracle.
     `strict_oracle` (no early exit) is used for re-evaluation when given.
     """
     deep = n <= 8
@@ -167,7 +170,11 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
     deep_failures = {}
     deep_counts = {}
     for name, cfg in named_configs(oracle):
-        best, value, stats, records = run_with_records(oracle, n, cfg)
+        try:
+            best, value, stats, records = run_with_records(oracle, n, cfg)
+        except ValueError as exc:
+            entries.append(VerifyEntry(f"agrees-with-bruteforce[{name}]", False, str(exc)))
+            continue
         agree = values_equal(value, expected.value)
         entries.append(VerifyEntry(
             f"agrees-with-bruteforce[{name}]", agree,

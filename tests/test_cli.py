@@ -225,6 +225,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "queue-heap-inf" in out and "queue-bucket" not in out
 
+    def test_verify_fails_an_understated_bound_without_a_traceback(
+            self, tmp_path, capsys, monkeypatch):
+        class Understated(GraphCutOracle):
+            def __init__(self, graph, early_exit=True):
+                super().__init__(graph, early_exit)
+                self.value_bound = 3  # the instance has a cut of weight 7
+
+        monkeypatch.setattr("symcut.cli.GraphCutOracle", Understated)
+        path = tmp_path / "understated.graph"
+        path.write_text(write_graph(gen_random_graph(5, 0.6, 8, seed=251, connected=True)))
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket-inf]"
+                "  (key 7 exceeds declared key bound 3)") in captured.out
+        assert "verify: 2 checks failed" in captured.out
+        assert captured.err == ""
+
     def test_huge_integer_weights_verify_exactly(self, tmp_path, capsys):
         path = tmp_path / "huge.graph"
         path.write_text(f"3 3\n1 2 {HUGE}\n2 3 {HUGE + 2}\n1 3 {HUGE + 1}\n")

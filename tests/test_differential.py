@@ -1,25 +1,32 @@
-"""Differential check against networkx.stoer_wagner past brute-force scale.
+"""Differential checks past brute-force scale.
 
-Enumeration stops at n = 20; these graphs run from n = 21 to 300, and a
-pure weighted ring, whose exact value is known without a reference, goes
-to n = 1000. Every reported lambda must equal both the reference value and
-the strict oracle's value of the returned set. The scan builder makes
-O(k^2) oracle calls per order and rings take hundreds of rounds, so scan
-runs on the smaller rings only.
+Enumeration stops at n = 20; these graphs run from n = 21 to 300 against
+networkx.stoer_wagner, and a pure weighted ring, whose exact value is known
+without a reference, goes to n = 1000. Every reported lambda must equal both
+the reference value and the strict oracle's value of the returned set. The
+scan builder makes O(k^2) oracle calls per order and rings take hundreds of
+rounds, so scan runs on the smaller rings only.
+
+Hypergraphs (n = 21 to 150) have no networkx reference; the pendant-pair
+loop (maxback) with the heap queue serves instead. Its keys come from the
+key tracker, not from eval, so it checks eval-driven scan orders through a
+separate path, and each lambda is also checked against a walk over every
+hyperedge written out here.
 """
 
 import random
 
 import pytest
 
-from symcut import (GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set,
-                    values_equal)
+from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle,
+                    MinimizeConfig, WeightedGraph, optimal_set, values_equal)
 
 nx = pytest.importorskip("networkx")
 
 SCAN = MinimizeConfig()
 HEAP = MinimizeConfig(order_builder="queue")
 BUCKET = MinimizeConfig(order_builder="queue", queue_kind="bucket")
+MAXBACK = MinimizeConfig(algorithm="maxback", order_builder="queue")
 
 MIXED_WEIGHTS = [0.1, 1 / 3, 1e12, 0.7, 2.5, 1e-3]
 
@@ -89,3 +96,59 @@ def test_weighted_ring_past_networkx_scale():
     universe = frozenset(range(n))
     assert GraphCutOracle(graph, early_exit=False).eval(
         frozenset(best), universe - best) == expected
+
+
+def _hyperedges(r, vertices, count, kind, extra=0):
+    """`count` hyperedges of 2-4 pins; the first len - 1 connect `vertices`."""
+    hyperedges = []
+    for i in range(count):
+        k = r.randint(2, 4)
+        if i < len(vertices) - 1:
+            pins = {vertices[i + 1], vertices[r.randrange(i + 1)]}
+            pins |= set(r.sample(vertices, k - 2))
+        else:
+            pins = set(r.sample(vertices, k))
+        hyperedges.append((_weight(r, kind) + extra, pins))
+    return hyperedges
+
+
+def sparse_hypergraph(n, seed, kind):
+    return Hypergraph(n, _hyperedges(random.Random(seed), list(range(n)), 3 * n, kind))
+
+
+def split_hypergraph(n, seed, kind):
+    """Two connected halves of heavy hyperedges (weight > 4), joined by three
+    of weight 1: the minimum cut, of value 3, separates the halves."""
+    r = random.Random(seed)
+    halves = [list(range(n // 2)), list(range(n // 2, n))]
+    inner = 3 * n - 3
+    hyperedges = _hyperedges(r, halves[0], inner // 2, kind, extra=4)
+    hyperedges += _hyperedges(r, halves[1], inner - inner // 2, kind, extra=4)
+    hyperedges += [(1, {r.choice(halves[0]), r.choice(halves[1])}) for _ in range(3)]
+    return Hypergraph(n, hyperedges)
+
+
+def cut_value(hypergraph, side):
+    """Total weight of the hyperedges with pins on both sides, in index order."""
+    total = 0
+    for w, pins in hypergraph.hyperedges:
+        if not pins.isdisjoint(side) and not pins <= side:
+            total += w
+    return total
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+@pytest.mark.parametrize("family,n", [("sparse", 21), ("sparse", 60), ("sparse", 150),
+                                      ("split", 21), ("split", 60), ("split", 150)])
+def test_hypergraphs_match_maxback(family, n, kind):
+    make = sparse_hypergraph if family == "sparse" else split_hypergraph
+    hypergraph = make(n, seed=n, kind=kind)
+    _, expected, _ = optimal_set(HypergraphCutOracle(hypergraph), n, MAXBACK)
+    if family == "split":
+        assert expected == 3
+    configs = (SCAN, HEAP, BUCKET) if kind == "int" else (SCAN, HEAP)
+    for config in configs:
+        best, value, _ = optimal_set(HypergraphCutOracle(hypergraph), n, config)
+        assert 0 < len(best) < n
+        assert values_equal(value, expected), (config, value, expected)
+        assert value == cut_value(hypergraph, best), (config, value)

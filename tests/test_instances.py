@@ -190,6 +190,10 @@ class TestGenerators:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_random_graph(1, 0.5, 5, seed=0)
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            gen_random_graph(4.5, 0.5, 5, seed=0)
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            gen_random_hypergraph(4.5, 3, 5, seed=0)
         with pytest.raises(ValueError):
             gen_random_graph(4, 0.0, 5, seed=0)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import pytest
@@ -181,6 +182,53 @@ class TestHypergraphCut:
         h = Hypergraph(3, [(2, [0, 1]), (0.5, [0, 1, 2])])
         assert h.hyperedges == [(2.0, frozenset({0, 1})), (0.5, frozenset({0, 1, 2}))]
         assert not h.integer_weights and isinstance(h.hyperedges[0][0], float)
+
+    @pytest.mark.parametrize("kind", ["int", "float", "mixed"])
+    def test_eval_matches_the_definition(self, kind):
+        # eval walks only the smaller side's incident hyperedges; visited in
+        # ascending id order, it must add the same weights in the same order
+        # as a walk over every hyperedge, so values agree bit for bit
+        mixed = [0.1, 1 / 3, 1e12, 0.7, 2.5, 1e-3, 3]
+        draw = {"int": lambda r: r.randint(0, 9),
+                "float": lambda r: r.uniform(0, 10),
+                "mixed": lambda r: r.choice(mixed)}[kind]
+
+        def by_definition(h, left, right, tau):
+            total = 0
+            for w, pins in h.hyperedges:
+                if not pins.isdisjoint(left) and not pins.isdisjoint(right):
+                    total += w
+            return min(tau, total)
+
+        for seed in range(4):
+            r = random.Random(seed)
+            n = 14
+            h = Hypergraph(n, [(draw(r), r.sample(range(n), r.randint(2, 4)))
+                               for _ in range(3 * n)])
+            oracles = [HypergraphCutOracle(h), HypergraphCutOracle(h, early_exit=False)]
+            full = h.total_weight
+            queries = [(F(), F()), (F(), F(*range(n))), (F(3), F())]
+            for _ in range(60):
+                vertices = r.sample(range(n), n)
+                a, b = sorted(r.sample(range(n + 1), 2))
+                queries.append((F(*vertices[:a]), F(*vertices[a:b])))
+            for v in range(n):  # a singleton small side against the rest or a part
+                rest = [u for u in range(n) if u != v]
+                queries.append((F(v), F(*rest)))
+                queries.append((F(*r.sample(rest, 5)), F(v)))
+            for _, pins in h.hyperedges[:10]:  # small sides sharing a hyperedge
+                shared = F(*pins)
+                others = [u for u in range(n) if u not in shared]
+                queries.append((shared, F(*r.sample(others, len(others) // 2 + 2))))
+            for left, right in queries:
+                exact = by_definition(h, left, right, INF)
+                for tau in (INF, 7, 12.5, exact, full // 3, full / 7):
+                    want = by_definition(h, left, right, tau)
+                    for oracle in oracles:
+                        for s, t in ((left, right), (right, left)):
+                            got = oracle.eval(s, t, tau)
+                            assert type(got) is type(want) and repr(got) == repr(want), (
+                                oracle.early_exit, sorted(s), sorted(t), tau, got, want)
 
     def test_tracker_counts_each_edge_once(self):
         h = Hypergraph(4, [(2, {0, 1, 2}), (3, {1, 2, 3}), (1, {0, 3})])

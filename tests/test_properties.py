@@ -172,6 +172,25 @@ def test_verify_oracle_asks_the_bucket_queue_for_its_bound(bound, bucket):
     assert len(in_bucket) == (4 if bucket else 0)
 
 
+def test_verify_oracle_reports_an_understated_bound_and_skips_a_non_numeric_one():
+    g = gen_random_graph(5, 0.6, 8, seed=251, connected=True)
+    strict = GraphCutOracle(g, early_exit=False)
+    understated = GraphCutOracle(g)
+    understated.value_bound = 3  # the instance has a cut of weight 7
+    report = verify_oracle(understated, 5, strict_oracle=strict)
+    failed = {e.name: e.detail for e in report.entries if not e.ok}
+    assert failed == {
+        "agrees-with-bruteforce[queue-bucket-inf]": "key 7 exceeds declared key bound 3",
+        "agrees-with-bruteforce[queue-bucket-minsingleton]":
+            "key 7 exceeds declared key bound 3",
+    }
+    not_a_number = GraphCutOracle(g)
+    not_a_number.value_bound = "7"
+    report = verify_oracle(not_a_number, 5, strict_oracle=strict)
+    assert report.ok, [e.name for e in report.entries if not e.ok]
+    assert not [e.name for e in report.entries if "queue-bucket-" in e.name]
+
+
 def test_queue_scan_equivalence_keys_both_valid():
     for n, g in graphs(6, seed0=260):
         oracle = GraphCutOracle(g)

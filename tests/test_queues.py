@@ -92,6 +92,8 @@ def test_bucket_rejects_negative_and_fractional_keys():
         q.insert("a", 2.5)
     with pytest.raises(ValueError):
         BucketQueue(tau=5, bound=None)
+    with pytest.raises(ValueError, match="finite nonnegative integer key bound"):
+        BucketQueue(tau=5, bound="7")  # not a number: no TypeError from comparing it
     with pytest.raises(ValueError):
         BucketQueue(tau=-1, bound=10)
 
