@@ -7,6 +7,8 @@ far (the key of each order's last class is a candidate); pairs at or above
 it can never be separated by a strictly better bipartition, so contracting
 them is safe. The partition shrinks by at least one class per round, and
 when one class remains, tau is the optimum and the recorded set attains it.
+The queue builder is handed each round's order in the next round and
+replays the part of it that the joins left alone.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +47,9 @@ class RunStats:
     rounds: int = 0
     oracle_calls: int = 0  # eval calls: singleton probes, scan builds, final value
     joins_per_round: list = field(default_factory=list)
-    calls_per_order: list = field(default_factory=list)  # (class count, builder ops)
+    # (class count, builder ops): eval calls for a scan-built order, queue
+    # update_key calls for a queue-built one (its replayed appends make none)
+    calls_per_order: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,7 @@ def optimal_set(oracle, n, config=None, observer=None):
         stats.oracle_calls += n
         # the argmin singleton witnesses tau, keeping d(best, rest) == tau
 
+    order = None
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
         first = partition.class_of(cfg.first_element)
@@ -129,7 +134,7 @@ def optimal_set(oracle, n, config=None, observer=None):
             stats.oracle_calls += ops
         else:
             order, ops = lax_back_order_queue(
-                oracle, partition, build_tau, first, cfg.queue_kind)
+                oracle, partition, build_tau, first, cfg.queue_kind, previous=order)
 
         last_key = order.keys[-1]
         if last_key < tau:

@@ -56,6 +56,17 @@ def _require_disjoint(left, right):
         raise ValueError("left and right sets overlap")
 
 
+def _unknown_element(u, n):
+    """The error for an element id outside 0..n-1 on the side a cut oracle walks.
+
+    The cut oracles index their adjacency or incidence lists by the ids of
+    the smaller side, where -1 would read the last vertex's list, so they
+    test each id of that side before they read its list. The other side is
+    only tested for membership, so its ids are not checked.
+    """
+    return ValueError(f"element {u!r} is not one of the {n} vertices")
+
+
 class InstanceError(ValueError):
     """A rejected edge, hyperedge or table entry, named by its ``index``.
 
@@ -143,8 +154,10 @@ class GraphCutOracle(LaxOracle):
     """Lax cut oracle for a weighted graph.
 
     Iterates the adjacency of the smaller side and tests membership in the
-    other. With ``early_exit`` (the default) the scan stops as soon as the
-    running sum reaches tau; verification code disables it to cross-check
+    other. An id of the smaller side outside 0..n-1 is refused with a
+    ValueError when the walk reaches it. With ``early_exit`` (the default)
+    the walk stops as soon as the running sum reaches tau, possibly before
+    it reaches every id; verification code disables it to cross-check
     exact values.
     """
 
@@ -160,9 +173,12 @@ class GraphCutOracle(LaxOracle):
         _require_disjoint(left, right)
         small, big = (left, right) if len(left) <= len(right) else (right, left)
         adjacency = self.graph.adjacency
+        n = len(adjacency)
         early_exit = self.early_exit
         total = 0
         for u in small:
+            if not 0 <= u < n:
+                raise _unknown_element(u, n)
             for v, w in adjacency[u].items():
                 if v in big:
                     total += w
@@ -200,6 +216,12 @@ class _KeyTracker:
     class once it is appended. The partition must not change while a
     tracker is live; between trackers it may, and the graph quotient
     follows the joins made in between.
+
+    The queue builder's replay of the previous round's order reads the
+    keys without a queue, so it relies on both halves of that contract:
+    ``advance`` reports exactly the keys it changed (the replay tests each
+    one, and watches the heads' keys through them), and ``keys`` holds
+    every one of them (the replay reads the next class's key there).
     """
 
     def __init__(self, partition, first):
@@ -331,6 +353,7 @@ class HypergraphCutOracle(LaxOracle):
     shared pin). The ids are visited in ascending order, the order of a
     walk over all hyperedges, so the cut weights are added in the same
     order and float sums and early exits come out bit for bit the same.
+    An id of the smaller side outside 0..n-1 is refused with a ValueError.
     """
 
     keyed = True
@@ -344,9 +367,16 @@ class HypergraphCutOracle(LaxOracle):
         _require_disjoint(left, right)
         small, big = (left, right) if len(left) <= len(right) else (right, left)
         incident = self.hypergraph.incident
+        n = len(incident)
         if len(small) == 1:
-            ids = incident[next(iter(small))]  # ascending, no duplicates
+            u = next(iter(small))
+            if not 0 <= u < n:
+                raise _unknown_element(u, n)
+            ids = incident[u]  # ascending, no duplicates
         else:
+            for u in small:
+                if not 0 <= u < n:
+                    raise _unknown_element(u, n)
             ids = sorted({e for u in small for e in incident[u]})
         hyperedges = self.hypergraph.hyperedges
         early_exit = self.early_exit

@@ -8,9 +8,10 @@ cheaper and can append several classes per scan.
 
 Two builders are provided: a rescanning one driven purely by lax oracle
 calls, and a queue-based one for oracles that can maintain prefix keys
-incrementally. Both refuse a NaN or infinite key with
+incrementally, which can replay the unchanged prefix of its previous
+round's order. Both refuse a NaN or infinite key with
 ``values.finite_key``'s error: the scan checks each oracle value, the
-queue builder each tracker key before its queue sees it.
+queue builder each tracker key before its replay or its queue reads it.
 """
 
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ def lax_back_order_scan(oracle, partition, tau=INF, first=None):
     return LaxBackOrder(tuple(order), tuple(keys), tau), calls
 
 
-def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="heap"):
+def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="heap",
+                         *, previous=None):
     """Build an order with a thresholded queue and incremental keys.
 
     Needs a keyed oracle. The remaining classes sit in the queue keyed by
@@ -89,8 +91,31 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
     rule (anything at or above tau is as good as the maximum), and each
     append bumps the keys the oracle reports as changed.
 
+    `previous` is the order this builder made in the round before, on the
+    same partition before that round's joins. When it starts at the same
+    class and was built with a threshold of at least tau, its prefix is
+    replayed without a queue. The heads are the live classes that absorbed
+    a class of `previous` in the joins (the first class excepted). The
+    replay walks ``previous.order[1:]`` and appends each class whose tracker
+    key k is below tau and whose ``(k, -label)`` beats every head's; it
+    stops at the first head, the first class no longer live or the first
+    class that fails the test. The queue is then built from the keys left.
+
+    The result is the order a build without `previous` returns. A class
+    that is neither a head nor joined away is the same set of elements as
+    before, and the replayed prefix is the same set too, so its key is the
+    one it had at this step of the previous build, where it beat every
+    other class by ``(key, -label)``: below the previous threshold the heap
+    (true maximum, lowest label) and the bucket queue (highest level,
+    lowest label) both rank that way. Only the heads' keys differ, and the
+    test checks those. The tracker makes the same ``pop`` and ``advance``
+    calls in the same order, and every reported key gets the same
+    non-finite test. The bucket queue never sees a replayed key, but the
+    same key of the same class was in its queue the round before, under a
+    threshold at least as high.
+
     Returns (order, update_count) where update_count is the number of
-    update_key operations performed.
+    update_key operations performed; replayed appends make none.
     """
     if not getattr(oracle, "keyed", False):
         raise TypeError("queue builder needs an oracle with incremental key support")
@@ -99,17 +124,37 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
     elif first not in partition:
         raise ValueError(f"unknown class {first}")
     tracker = oracle.key_tracker(partition, first)
-    start = tracker.keys
-    for c, key in start.items():
+    remaining = tracker.keys
+    for c, key in remaining.items():
         if not -INF < key < INF:
             finite_key(key, c)
-    queue = _make_queue(queue_kind, tau, oracle, start)
-    del_max, update_key = queue.del_max, queue.update_key
     pop, advance = tracker.pop, tracker.advance
     order = [first]
     keys = [INF]
+    if previous is not None and previous.order[0] == first and previous.threshold >= tau:
+        # nothing is popped yet: `remaining` holds every live class but the first
+        class_of = partition.class_of
+        heads = {class_of(x) for x in previous.order[1:] if x not in remaining}
+        heads.discard(first)
+        best = max(((remaining[h], -h) for h in heads), default=(-INF, 0))
+        for v in previous.order[1:]:
+            if v in heads or v not in remaining:
+                break
+            k = remaining[v]
+            if not (k < tau and (k, -v) > best):
+                break
+            order.append(v)
+            keys.append(k)
+            pop(v)
+            for c, key in advance(v).items():
+                if not -INF < key < INF:
+                    finite_key(key, c)
+                if c in heads and (key, -c) > best:
+                    best = (key, -c)
+    queue = _make_queue(queue_kind, tau, oracle, remaining)
+    del_max, update_key = queue.del_max, queue.update_key
     updates = 0
-    for _ in range(len(start)):
+    for _ in range(len(remaining)):
         v, k = del_max()
         order.append(v)
         keys.append(k if k < tau else tau)

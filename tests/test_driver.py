@@ -43,18 +43,26 @@ optimal_set(MidOrderNan(ring), 4)
 """
 
 # NaN or infinite keys from a key tracker, at its start or from an advance,
-# under both queues; the queue builder's test of each key is no assert either
+# under both queues; the queue builder's test of each key is no assert either.
+# On the 4-ring class 2's key goes bad in round 1. On the uniform 6-ring it
+# goes bad from round 2 on, whose order replays classes 1..3 of round 1
+# before its queue is built: the run checks that a clean round 2 makes no
+# queue update, so the bad key reaches the replay, not the queue loop.
 QUEUE_KEY_RUNS = """
 import math
 from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
 
 class BadKeys(GraphCutOracle):
-    def __init__(self, graph, bad, on_advance):
+    def __init__(self, graph, bad, on_advance, from_round):
         super().__init__(graph)
         self.bad, self.on_advance = bad, on_advance
+        self.clean_rounds = from_round - 1
 
     def key_tracker(self, partition, first):
         tracker = super().key_tracker(partition, first)
+        if self.clean_rounds:
+            self.clean_rounds -= 1
+            return tracker
         if not self.on_advance:
             tracker.keys[2] = self.bad
             return tracker
@@ -69,18 +77,25 @@ class BadKeys(GraphCutOracle):
         tracker.advance = bad_advance
         return tracker
 
-ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
-for bad in (math.nan, math.inf, -math.inf):
-    for queue_kind in ("heap", "bucket"):
-        for on_advance in (False, True):
-            cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
-            try:
-                optimal_set(BadKeys(ring, bad, on_advance), 4, cfg)
-            except ValueError as fault:
-                if f"class 2 the non-finite key {bad!r}" not in str(fault):
-                    raise
-            else:
-                raise SystemExit(f"{bad} {queue_kind} {on_advance}: no error")
+ring4 = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
+ring6 = WeightedGraph(6, [(i, (i + 1) % 6, 3) for i in range(6)])
+for queue_kind in ("heap", "bucket"):
+    cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+    _, _, stats = optimal_set(GraphCutOracle(ring6), 6, cfg)
+    if stats.calls_per_order[1] != (5, 0):
+        raise SystemExit(f"{queue_kind}: round 2 {stats.calls_per_order[1]} is no replay")
+for ring, from_round in ((ring4, 1), (ring6, 2)):
+    for bad in (math.nan, math.inf, -math.inf):
+        for queue_kind in ("heap", "bucket"):
+            for on_advance in (False, True):
+                cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+                try:
+                    optimal_set(BadKeys(ring, bad, on_advance, from_round), ring.n, cfg)
+                except ValueError as fault:
+                    if f"class 2 the non-finite key {bad!r}" not in str(fault):
+                        raise
+                else:
+                    raise SystemExit(f"{ring} {bad} {queue_kind} {on_advance}: no error")
 print("all refused")
 """
 

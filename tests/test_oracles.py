@@ -157,6 +157,21 @@ class TestGraphKeyTracker:
         assert len(oracle._quotients) == 0
 
 
+@pytest.mark.parametrize("oracle", [
+    GraphCutOracle(WeightedGraph(3, [(1, 2, 5), (0, 1, 7)])),
+    HypergraphCutOracle(Hypergraph(3, [(5, {1, 2}), (7, {0, 1})])),
+], ids=["graph", "hypergraph"])
+@pytest.mark.parametrize("left, right, bad", [
+    (F(-1), F(1), -1),  # unchecked, index -1 reads vertex 2's list: 5
+    (F(3), F(1), 3),  # unchecked, a bare IndexError
+    (F(0, 2), F(-3), -3),  # the smaller side is the right one
+    (F(1, 9), F(0, 2), 9),
+])
+def test_cut_eval_refuses_an_element_out_of_range(oracle, left, right, bad):
+    with pytest.raises(ValueError, match=f"element {bad} is not one of the 3 vertices"):
+        oracle.eval(left, right)
+
+
 class TestHypergraphCut:
     def test_single_edge(self):
         h = Hypergraph(4, [(2, {0, 1, 2})])
