@@ -73,7 +73,6 @@ def _add_config_flags(p):
     p.add_argument("--builder", choices=["scan", "queue"], default="scan")
     p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
                    help="priority queue of --builder queue; the scan builder uses none")
-    p.add_argument("--init", choices=["inf", "min-singleton"], default="inf")
     p.add_argument("--first", type=int, default=1, metavar="VERTEX",
                    help="1-based vertex whose class starts every order")
 
@@ -83,7 +82,6 @@ def _config_from(args):
         algorithm=args.algorithm,
         order_builder=args.builder,
         queue_kind=args.queue,
-        init_threshold="min_singleton" if args.init == "min-singleton" else "infinity",
         first_element=args.first - 1,
     )
 

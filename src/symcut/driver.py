@@ -9,6 +9,12 @@ them is safe. The partition shrinks by at least one class per round, and
 when one class remains, tau is the optimum and the recorded set attains it.
 The queue builder is handed each round's order in the next round and
 replays the part of it that the joins left alone.
+
+Before the first round the scan path (laxback with the scan builder) seeds
+tau with the best singleton, at the cost of n probes: a scan pass appends
+every class that reaches tau, so with tau = INF its first round would be the
+classic max-back order at k(k-1)/2 evals. The queue builder's cost does not
+depend on tau, and maxback builds ignore it, so those paths start at INF.
 """
 
 from dataclasses import dataclass, field
@@ -25,27 +31,28 @@ class MinimizeConfig:
     algorithm       "laxback" contracts every threshold-reaching pair per
                     round; "maxback" builds uncapped orders and contracts
                     only the final pair (the classic pendant-pair loop)
-    order_builder   "scan" | "queue"
+    order_builder   "scan" | "queue"; laxback with the scan builder first
+                    seeds tau with the best singleton (n extra oracle
+                    calls), the other combinations start at tau = INF
     queue_kind      "heap" | "bucket", for the queue builder only (bucket
                     needs the keyed oracle's declared value bound, read
                     and refused only by the bucket queue); the scan
                     builder uses no queue and accepts only the default
-    init_threshold  "infinity" | "min_singleton" (seed tau with the best
-                    singleton at the cost of n extra oracle calls)
     first_element   element whose class starts every order
     """
 
     algorithm: str = "laxback"
     order_builder: str = "scan"
     queue_kind: str = "heap"
-    init_threshold: str = "infinity"
     first_element: int = 0
 
 
 @dataclass
 class RunStats:
     rounds: int = 0
-    oracle_calls: int = 0  # eval calls: singleton probes, scan builds, final value
+    # eval calls: the n singleton probes (laxback with the scan builder),
+    # scan builds and the final value
+    oracle_calls: int = 0
     joins_per_round: list = field(default_factory=list)
     # (class count, builder ops): eval calls for a scan-built order, queue
     # update_key calls for a queue-built one (its replayed appends make none)
@@ -90,8 +97,6 @@ def _validate(config, n):
         # the queue builder's own factory rejects unknown kinds
         raise ValueError(f"queue kind {config.queue_kind!r} needs the queue "
                          "order builder; the scan builder uses no queue")
-    if config.init_threshold not in ("infinity", "min_singleton"):
-        raise ValueError(f"unknown threshold init {config.init_threshold!r}")
     if not 0 <= config.first_element < n:
         raise ValueError(f"first element {config.first_element} out of range")
 
@@ -115,14 +120,19 @@ def optimal_set(oracle, n, config=None, observer=None):
     tau = INF
     best = None
 
-    if cfg.init_threshold == "min_singleton":
+    if cfg.order_builder == "scan" and cfg.algorithm == "laxback":
+        # one complement set serves every probe: O(deg v) each, not O(n)
+        rest = set(universe)
         for v in range(n):
-            val = finite_key(oracle.eval(frozenset((v,)), universe - {v}, INF), v)
+            rest.discard(v)
+            val = finite_key(oracle.eval(frozenset((v,)), rest, INF), v)
+            rest.add(v)
             if val < tau:
                 tau = val
                 best = frozenset((v,))
         stats.oracle_calls += n
-        # the argmin singleton witnesses tau, keeping d(best, rest) == tau
+        # the argmin singleton (lowest label on ties) witnesses tau, keeping
+        # d(best, V \ best) == tau
 
     order = None
     while partition.class_count >= 2:

@@ -28,7 +28,10 @@ class LaxOracle:
 
     Subclasses implement ``eval(left, right, tau)`` returning
     ``min(tau, d(left, right))`` for disjoint sets of element indices.
-    Evaluation must be pure. Capability flags:
+    Evaluation must be pure and must not keep references to its arguments:
+    callers mutate and reuse the sets they pass (the scan builder's growing
+    prefix, the driver's one complement set for all singleton probes).
+    Capability flags:
 
     ``keyed``
         supports :meth:`key_tracker` for incremental prefix keys

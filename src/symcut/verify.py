@@ -43,25 +43,13 @@ def _entry(name, result):
 
 def named_configs(oracle):
     """Configuration sweep supported by the oracle's capabilities."""
-    configs = [
-        ("scan-inf", MinimizeConfig()),
-        ("scan-minsingleton", MinimizeConfig(init_threshold="min_singleton")),
-    ]
+    configs = [("scan", MinimizeConfig())]
     if getattr(oracle, "keyed", False):
-        configs += [
-            ("queue-heap-inf", MinimizeConfig(order_builder="queue")),
-            ("queue-heap-minsingleton",
-             MinimizeConfig(order_builder="queue", init_threshold="min_singleton")),
-        ]
+        configs.append(("queue-heap", MinimizeConfig(order_builder="queue")))
         with suppress(ValueError):  # a bound taken at tau = INF is taken at every tau
             BucketQueue(INF, getattr(oracle, "value_bound", None))
-            configs += [
-                ("queue-bucket-inf",
-                 MinimizeConfig(order_builder="queue", queue_kind="bucket")),
-                ("queue-bucket-minsingleton",
-                 MinimizeConfig(order_builder="queue", queue_kind="bucket",
-                                init_threshold="min_singleton")),
-            ]
+            configs.append(("queue-bucket",
+                            MinimizeConfig(order_builder="queue", queue_kind="bucket")))
     return configs + [("maxback", MinimizeConfig(algorithm="maxback"))]
 
 

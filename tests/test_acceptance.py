@@ -22,16 +22,11 @@ from symcut.verify import check_contraction_record, check_order_record
 
 CORPUS_SIZE = 200
 
-# every distinct builder/queue/init configuration (the scan builder has no queue)
+# every distinct laxback builder/queue configuration (the scan builder has no queue)
 CONFIGS = {
-    "scan-inf": MinimizeConfig(),
-    "queue-heap-inf": MinimizeConfig(order_builder="queue"),
-    "queue-bucket-inf": MinimizeConfig(order_builder="queue", queue_kind="bucket"),
-    "scan-ms": MinimizeConfig(init_threshold="min_singleton"),
-    "queue-heap-ms": MinimizeConfig(order_builder="queue",
-                                    init_threshold="min_singleton"),
-    "queue-bucket-ms": MinimizeConfig(order_builder="queue", queue_kind="bucket",
-                                      init_threshold="min_singleton"),
+    "scan": MinimizeConfig(),
+    "queue-heap": MinimizeConfig(order_builder="queue"),
+    "queue-bucket": MinimizeConfig(order_builder="queue", queue_kind="bucket"),
 }
 
 
@@ -270,7 +265,7 @@ def test_criterion_10_multi_join_rounds_reduce_round_count(corpus_runs):
     worse = 0
     strictly_better = 0
     for n, graph, _, per_config, maxback in corpus_runs:
-        lax_rounds = per_config["scan-inf"][2].rounds
+        lax_rounds = per_config["scan"][2].rounds
         max_rounds = maxback[2].rounds
         if lax_rounds > max_rounds:
             worse += 1

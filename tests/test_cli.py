@@ -1,14 +1,16 @@
+import argparse
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
 from symcut import (GraphCutOracle, WeightedGraph, gen_random_graph,
                     values_equal, write_graph)
 from symcut.brute import MAX_ENUM
-from symcut.cli import main
+from symcut.cli import build_parser, main
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
 HUGE = 10**400  # 401 digits: past float range, exact as a Python int
@@ -56,16 +58,15 @@ class TestMincut:
     def test_all_flag_combinations(self, triangle_file, capsys):
         for builder in ("scan", "queue"):
             for queue in ("heap", "bucket"):
-                for init in ("inf", "min-singleton"):
-                    code = main(["mincut", triangle_file, "--builder", builder,
-                                 "--queue", queue, "--init", init, "--json"])
-                    if builder == "scan" and queue == "bucket":
-                        # the scan builder uses no queue
-                        assert code == 2
-                        assert "bucket" in capsys.readouterr().err
-                        continue
-                    assert code == 0
-                    assert json.loads(capsys.readouterr().out)["lambda"] == 3
+                code = main(["mincut", triangle_file, "--builder", builder,
+                             "--queue", queue, "--json"])
+                if builder == "scan" and queue == "bucket":
+                    # the scan builder uses no queue
+                    assert code == 2
+                    assert "bucket" in capsys.readouterr().err
+                    continue
+                assert code == 0
+                assert json.loads(capsys.readouterr().out)["lambda"] == 3
 
     def test_check_flag(self, triangle_file, capsys):
         assert main(["mincut", triangle_file, "--check", "--json"]) == 0
@@ -189,7 +190,7 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
     assert main(argv + ["--first", "2", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert set(report["config"]) == {"algorithm", "order_builder", "queue_kind",
-                                     "init_threshold", "first_element"}
+                                     "first_element"}
     assert report["config"]["first_element"] == 2
     assert set(report["stats"]) == {"rounds", "oracle_calls", "joins_per_round",
                                     "calls_per_order"}
@@ -223,7 +224,7 @@ class TestVerify:
         path.write_text("3 3\n1 2 1000000000\n2 3 5\n1 3 4\n")
         assert main(["verify", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "queue-heap-inf" in out and "queue-bucket" not in out
+        assert "queue-heap" in out and "queue-bucket" not in out
 
     def test_verify_fails_an_understated_bound_without_a_traceback(
             self, tmp_path, capsys, monkeypatch):
@@ -237,9 +238,9 @@ class TestVerify:
         path.write_text(write_graph(gen_random_graph(5, 0.6, 8, seed=251, connected=True)))
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
-        assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket-inf]"
+        assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket]"
                 "  (key 7 exceeds declared key bound 3)") in captured.out
-        assert "verify: 2 checks failed" in captured.out
+        assert "verify: 1 checks failed" in captured.out
         assert captured.err == ""
 
     def test_huge_integer_weights_verify_exactly(self, tmp_path, capsys):
@@ -303,3 +304,41 @@ class TestGen:
         path = tmp_path / "gen.graph"
         path.write_text(text)
         assert main(["mincut", str(path), "--check"]) == 0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_usage():
+    """{subcommand: {flag: choices or None}} from the README's CLI usage block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```\n(.*?)```", text, re.S).group(1)
+    usage = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("symcut "):
+            command = line.split()[1]
+            usage.setdefault(command, {})
+        for flag, choices in re.findall(r"(--[a-z][a-z-]*)(?: \{([^}]*)\})?", line):
+            usage[command][flag] = choices.split(",") if choices else None
+    return usage
+
+
+def _parser_usage():
+    """The same mapping from the parser the CLI runs."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    usage = {}
+    for command, parser in subparsers.choices.items():
+        usage[command] = {
+            flag: list(action.choices) if action.choices else None
+            for action in parser._actions
+            for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    return usage
+
+
+def test_readme_usage_names_exactly_the_parser_flags():
+    # every subcommand, every flag (those of _add_config_flags included) and
+    # every listed choice set, so a flag added or dropped in the CLI cannot
+    # drift from the README
+    assert _readme_usage() == _parser_usage()

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from symcut import (INF, GraphCutOracle, LaxBackOrder, LaxOracle,
+from symcut import (INF, ConnectivityOracle, GraphCutOracle,
+                    HypergraphCutOracle, LaxBackOrder, LaxOracle,
                     MinimizeConfig, Partition, TableOracle, WeightedGraph,
                     complete_table, contract_round, gen_random_graph,
-                    optimal_set, verify_oracle)
+                    gen_random_hypergraph, graph_cut_table, optimal_set,
+                    verify_oracle)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,15 +28,17 @@ class NanOracle(LaxOracle):
 optimal_set(NanOracle(), 4)
 """
 
-# NaN for one class in the middle of a scan-built order; unchecked, the
-# scan passes over it and the run returns ({3}, 2) without an error
+# NaN for one class in the middle of a scan-built order: class 2 against any
+# prefix of the ring, not in its singleton probe (whose other side is the
+# three other vertices); unchecked, the scan passes over it and the run
+# returns ({3}, 2) without an error
 MID_ORDER_NAN_RUN = """
 import math
 from symcut import GraphCutOracle, WeightedGraph, optimal_set
 
 class MidOrderNan(GraphCutOracle):
     def eval(self, left, right, tau=math.inf):
-        if set(left) == {2} and len(right) == 1:
+        if set(left) == {2} and 0 < len(right) < 3:
             return math.nan
         return super().eval(left, right, tau)
 
@@ -178,20 +182,33 @@ class TestOptimalSet:
             assert stats.rounds == n - 1
             assert stats.joins_per_round == [1] * (n - 1)
 
-    def test_min_singleton_init(self, triangle_oracle):
-        cfg = MinimizeConfig(init_threshold="min_singleton")
-        best, value, stats = optimal_set(triangle_oracle, 3, cfg)
+    def test_scan_path_seeds_tau_with_the_best_singleton(self, triangle_oracle):
+        best, value, stats = optimal_set(triangle_oracle, 3)
         assert value == 3 and best == {2}
-        # the three initial singleton probes are counted
-        assert stats.oracle_calls >= 3
+        # 3 singleton probes, 2 scan evals (both reach tau = 3), the final value
+        assert stats.oracle_calls == 3 + 2 + 1
+        assert stats.calls_per_order == [(3, 2)]
 
-    def test_min_singleton_keeps_witness_when_threshold_never_drops(self):
-        # the min-degree singleton is already optimal here
+    def test_best_singleton_keeps_witness_when_threshold_never_drops(self):
+        # the min-degree singleton is already optimal here; ties go to label 0
         g = WeightedGraph(3, [(0, 1, 5), (1, 2, 5)])
-        cfg = MinimizeConfig(init_threshold="min_singleton")
-        best, value, _ = optimal_set(GraphCutOracle(g), 3, cfg)
+        best, value, _ = optimal_set(GraphCutOracle(g), 3)
         assert value == 5
-        assert best in ({0}, {2})
+        assert best == {0}
+
+    @pytest.mark.parametrize("cfg", [
+        MinimizeConfig(algorithm="maxback"),
+        MinimizeConfig(order_builder="queue"),
+        MinimizeConfig(order_builder="queue", queue_kind="bucket"),
+    ])
+    def test_only_the_scan_path_probes_singletons(self, triangle_oracle, cfg):
+        records = []
+        _, value, stats = optimal_set(triangle_oracle, 3, cfg, observer=records.append)
+        assert value == 3
+        assert records[0].order.threshold == INF
+        # no probes: the builds' eval calls (a queue build makes none) and the final value
+        scan_evals = sum(ops for _, ops in stats.calls_per_order)
+        assert stats.oracle_calls == (scan_evals if cfg.order_builder == "scan" else 0) + 1
 
     def test_first_element_override(self, triangle_oracle):
         cfg = MinimizeConfig(first_element=2)
@@ -219,9 +236,8 @@ class TestOptimalSet:
                 self.calls += 1
                 return super().eval(left, right, tau)
 
-        for cfg in (MinimizeConfig(), MinimizeConfig(init_threshold="min_singleton"),
-                    MinimizeConfig(order_builder="queue"),
-                    MinimizeConfig(order_builder="queue", init_threshold="min_singleton")):
+        for cfg in (MinimizeConfig(), MinimizeConfig(algorithm="maxback"),
+                    MinimizeConfig(order_builder="queue")):
             oracle = Counting(triangle)
             _, _, stats = optimal_set(oracle, 3, cfg)
             assert stats.oracle_calls == oracle.calls
@@ -275,9 +291,8 @@ class TestOptimalSet:
             def eval(self, left, right, tau=INF):
                 return math.nan if set(left) == {1} else super().eval(left, right, tau)
 
-        cfg = MinimizeConfig(init_threshold="min_singleton")
         with pytest.raises(ValueError, match="class 1 the non-finite key nan"):
-            optimal_set(NanSingleton(WeightedGraph(3, [(0, 1, 2), (1, 2, 2)])), 3, cfg)
+            optimal_set(NanSingleton(WeightedGraph(3, [(0, 1, 2), (1, 2, 2)])), 3)
 
     def test_infinite_oracle_value_rejected(self):
         class InfOracle(LaxOracle):
@@ -293,7 +308,7 @@ class TestOptimalSet:
             optimal_set(o, 2, MinimizeConfig(order_builder="queue"))
 
     def test_negative_valued_function(self):
-        # graph cut shifted below zero; threshold init at infinity covers it
+        # graph cut shifted below zero, singleton probes included
         g = gen_random_graph(4, 0.8, 5, seed=7, connected=True)
         oracle = GraphCutOracle(g)
         shifted = {}
@@ -317,7 +332,8 @@ class TestOptimalSet:
         _, _, stats = optimal_set(triangle_oracle, 3, observer=records.append)
         assert len(records) == stats.rounds
         rec = records[0]
-        assert rec.order.threshold == INF
+        # the best singleton, {2} at 3, seeds the scan path's first round
+        assert rec.order.threshold == 3
         assert rec.members_before == {0: frozenset({0}), 1: frozenset({1}),
                                       2: frozenset({2})}
         assert rec.tau_after == 3
@@ -336,3 +352,26 @@ class TestOptimalSet:
                 _, value, _ = optimal_set(oracle, n, cfg)
                 values.add(value)
             assert len(values) == 1
+
+
+SCAN_PATH_INSTANCES = {
+    "graph-150": lambda: (150, GraphCutOracle(
+        gen_random_graph(150, 8 / 149, 10, seed=11, connected=True), early_exit=False)),
+    "hypergraph-100": lambda: (100, HypergraphCutOracle(
+        gen_random_hypergraph(100, 300, 10, seed=11), early_exit=False)),
+    "table-12": lambda: (12, ConnectivityOracle(
+        graph_cut_table(gen_random_graph(12, 4 / 11, 10, seed=11, connected=True)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_PATH_INSTANCES))
+def test_default_scan_path_beats_a_max_back_first_round(name):
+    # unseeded (tau = INF), round 1 alone is a max-back scan of exactly
+    # n(n-1)/2 evals; the best-singleton seed lets it append many classes
+    # per pass
+    n, oracle = SCAN_PATH_INSTANCES[name]()
+    best, value, stats = optimal_set(oracle, n)
+    assert stats.oracle_calls < n * (n - 1) // 2
+    _, pendant_pair_value, _ = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"))
+    assert value == pendant_pair_value
+    assert value == oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)

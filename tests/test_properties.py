@@ -116,7 +116,6 @@ def test_builder_and_queue_variants_agree_on_value():
         oracle = GraphCutOracle(g)
         expected = brute_min_bipartition(oracle, n).value
         for cfg in (MinimizeConfig(),
-                    MinimizeConfig(init_threshold="min_singleton"),
                     MinimizeConfig(order_builder="queue"),
                     MinimizeConfig(order_builder="queue", queue_kind="bucket"),
                     MinimizeConfig(algorithm="maxback")):
@@ -168,8 +167,8 @@ def test_verify_oracle_asks_the_bucket_queue_for_its_bound(bound, bucket):
     oracle.value_bound = g.total_weight if bound == "total" else bound
     report = verify_oracle(oracle, 5, strict_oracle=GraphCutOracle(g, early_exit=False))
     assert report.ok, [e.name for e in report.entries if not e.ok]
-    in_bucket = [e.name for e in report.entries if "queue-bucket-" in e.name]
-    assert len(in_bucket) == (4 if bucket else 0)
+    in_bucket = [e.name for e in report.entries if "[queue-bucket]" in e.name]
+    assert len(in_bucket) == (2 if bucket else 0)
 
 
 def test_verify_oracle_reports_an_understated_bound_and_skips_a_non_numeric_one():
@@ -180,15 +179,13 @@ def test_verify_oracle_reports_an_understated_bound_and_skips_a_non_numeric_one(
     report = verify_oracle(understated, 5, strict_oracle=strict)
     failed = {e.name: e.detail for e in report.entries if not e.ok}
     assert failed == {
-        "agrees-with-bruteforce[queue-bucket-inf]": "key 7 exceeds declared key bound 3",
-        "agrees-with-bruteforce[queue-bucket-minsingleton]":
-            "key 7 exceeds declared key bound 3",
+        "agrees-with-bruteforce[queue-bucket]": "key 7 exceeds declared key bound 3",
     }
     not_a_number = GraphCutOracle(g)
     not_a_number.value_bound = "7"
     report = verify_oracle(not_a_number, 5, strict_oracle=strict)
     assert report.ok, [e.name for e in report.entries if not e.ok]
-    assert not [e.name for e in report.entries if "queue-bucket-" in e.name]
+    assert not [e.name for e in report.entries if "[queue-bucket]" in e.name]
 
 
 def test_queue_scan_equivalence_keys_both_valid():

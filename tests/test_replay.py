@@ -84,9 +84,8 @@ def checked_rounds():
 def configs(integer):
     for algorithm in ("laxback", "maxback"):
         for queue_kind in ("heap", "bucket") if integer else ("heap",):
-            for init in ("infinity", "min_singleton"):
-                yield MinimizeConfig(algorithm=algorithm, order_builder="queue",
-                                     queue_kind=queue_kind, init_threshold=init)
+            yield MinimizeConfig(algorithm=algorithm, order_builder="queue",
+                                 queue_kind=queue_kind)
 
 
 INSTANCES = [
@@ -127,10 +126,9 @@ def test_every_round_equals_a_build_from_scratch(family, n, kind):
 @given(n=st.integers(2, 12), hyper=st.booleans(), integer=st.booleans(),
        algorithm=st.sampled_from(["laxback", "maxback"]),
        queue_kind=st.sampled_from(["heap", "bucket"]),
-       init=st.sampled_from(["infinity", "min_singleton"]),
        first=st.integers(0, 11), data=st.data())
 def test_replay_equals_scratch_on_small_instances(n, hyper, integer, algorithm,
-                                                  queue_kind, init, first, data):
+                                                  queue_kind, first, data):
     weight = st.integers(0, 6) if integer else st.sampled_from(FLOATS)
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     if hyper:
@@ -142,7 +140,7 @@ def test_replay_equals_scratch_on_small_instances(n, hyper, integer, algorithm,
         oracle = GraphCutOracle(WeightedGraph(n, [(u, v, w) for (u, v), w in items]))
     config = MinimizeConfig(algorithm=algorithm, order_builder="queue",
                             queue_kind=queue_kind if integer else "heap",
-                            init_threshold=init, first_element=first % n)
+                            first_element=first % n)
     with checked_rounds():
         optimal_set(oracle, n, config)
 
