@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -24,7 +25,9 @@ from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared: do not change it."""
     parser = argparse.ArgumentParser(
         prog="symcut",
         description="Minimum bipartitions of monotone consistent symmetric set functions")

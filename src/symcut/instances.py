@@ -12,9 +12,23 @@ SetFunctionTable constructors hold files and library callers to the same
 instance rules, and a file's rejected item is reported at its line. They
 keep values as ints when every one is an int, else as floats; graphs and
 hypergraphs report which in ``integer_weights``, for the bucket queue.
+
+Graphs and tables in exactly the writers' layout (single spaces, one item
+per "\n"-ended line, no comment, table masks 0..2^n-1 in order) are read
+in bulk: one shape check, one split and one int() or float() pass per
+column. Any other text, and any text the bulk read declines, goes through
+the line walk, the one general parser and the only source of ParseError.
+Both give the same instance. They call the same int() and float(); where
+the walk mixes ints with floats, float(token) equals float(int(token))
+for every int token that fits a float, as both round correctly. The bulk
+read declines the two cases where they differ: an int token past float
+range (float() gives inf, which the constructors refuse) and a negative
+zero in a float column ("-0" is the int 0, which the walk stores as 0.0).
 """
 
+import math
 import random
+import re
 from numbers import Integral
 
 from .oracles import Hypergraph, InstanceError, SetFunctionTable, WeightedGraph
@@ -27,17 +41,74 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _data_lines(text):
-    """(line number, tokens) of each data line; no data line is an error."""
+def _data_lines(text, limit=None):
+    """(line number, tokens) of each data line, or of the first `limit` ones.
+
+    No data line is an error.
+    """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.split()))
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            rows.append((lineno, tokens))
+            if len(rows) == limit:
+                break
     if not rows:
         raise ParseError("empty input", 1)
     return rows
+
+
+# the writers' layouts: whole text, single spaces, every line "\n"-ended
+_GRAPH_SHAPE = re.compile(r"\S+ \S+\n(?:\S+ \S+ \S+\n)*")
+_TABLE_SHAPE = re.compile(r"\S+\n(?:\S+ \S+\n)*")
+
+
+def _in_bulk(read, shape, text):
+    """`read(text.split())` on a comment-free text of `shape`, else None.
+
+    None declines: the caller then walks the lines, which reports any
+    fault. A ValueError from `read` (InstanceError included) declines too.
+    """
+    if "#" in text or shape.fullmatch(text) is None:
+        return None
+    try:
+        return read(text.split())
+    except ValueError:
+        return None
+
+
+def _bulk_values(tokens):
+    """A value column as the walk stores it, or a ValueError to decline.
+
+    Non-finite floats are left to the model constructors, which refuse them.
+    """
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        pass
+    values = list(map(float, tokens))
+    # float("-0") is -0.0, where the walk stores float(int("-0")), which is 0.0
+    if "-" in "".join(tokens) and any(math.copysign(1.0, v) < 0 for v in values if not v):
+        raise ValueError("negative zero")
+    return values
+
+
+def _bulk_graph(tokens):
+    n, m = int(tokens[0]), int(tokens[1])
+    if len(tokens) != 2 + 3 * m:
+        return None
+    weights = _bulk_values(tokens[4::3])
+    return WeightedGraph(n, [(u - 1, v - 1, w) for u, v, w in zip(
+        map(int, tokens[2::3]), map(int, tokens[3::3]), weights)])
+
+
+def _bulk_table(tokens):
+    n = int(tokens[0])
+    SetFunctionTable.require_size(n)  # before building range(2^n)
+    size = 1 << n
+    if len(tokens) != 1 + 2 * size or list(map(int, tokens[1::2])) != list(range(size)):
+        return None
+    return SetFunctionTable(n, _bulk_values(tokens[2::2]))
 
 
 def _parse_int(token, lineno, what):
@@ -85,6 +156,9 @@ def _build(model, n, items, header_line, line_of):
 
 
 def parse_graph(text):
+    graph = _in_bulk(_bulk_graph, _GRAPH_SHAPE, text)
+    if graph is not None:
+        return graph
     header_line, n, rows = _counted_rows(text, "graph", "edge")
     edges = []
     for lineno, tokens in rows:
@@ -127,6 +201,9 @@ def write_hypergraph(hypergraph):
 
 
 def parse_table(text):
+    table = _in_bulk(_bulk_table, _TABLE_SHAPE, text)
+    if table is not None:
+        return table
     rows = _data_lines(text)
     header_line, header = rows[0]
     if len(header) != 1:
@@ -176,7 +253,7 @@ def load_instance(text, kind=None):
         if parser is None:
             raise ValueError(f"unknown instance kind {kind!r}")
         return kind, parser(text)
-    rows = _data_lines(text)
+    rows = _data_lines(text, limit=2)
     if len(rows[0][1]) == 1:
         return "table", parse_table(text)
     if len(rows) > 1 and len(rows[1][1]) != 3:

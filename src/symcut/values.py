@@ -59,12 +59,10 @@ def mask_of(elements):
 def set_of(mask):
     """Element indices of a bitmask, as a frozenset."""
     out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+    while mask:  # one pass per set bit, highest first
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
     return frozenset(out)
 
 

@@ -197,6 +197,19 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
     assert all(isinstance(x, list) for x in report["stats"]["calls_per_order"])
 
 
+def test_calls_in_one_process_share_the_parser_but_not_their_flags(triangle_file, capsys):
+    assert build_parser() is build_parser()
+    configs = []
+    for flags in (["--builder", "queue", "--queue", "bucket", "--first", "3"], []):
+        assert main(["mincut", triangle_file, "--json"] + flags) == 0
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert configs == [
+        {"algorithm": "laxback", "order_builder": "queue", "queue_kind": "bucket",
+         "first_element": 3},
+        {"algorithm": "laxback", "order_builder": "scan", "queue_kind": "heap",
+         "first_element": 1}]
+
+
 class TestMinimize:
     def test_crossing_table(self, tmp_path, capsys):
         from symcut import gen_random_graph, graph_cut_table, write_table

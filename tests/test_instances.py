@@ -4,8 +4,8 @@ import pytest
 
 from symcut import (INF, Hypergraph, ParseError, SetFunctionTable, WeightedGraph,
                     gen_random_graph, gen_random_hypergraph, graph_cut_table,
-                    load_instance, parse_graph, parse_hypergraph, parse_table,
-                    write_graph, write_hypergraph, write_table)
+                    instances, load_instance, parse_graph, parse_hypergraph,
+                    parse_table, write_graph, write_hypergraph, write_table)
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
 
@@ -230,3 +230,63 @@ class TestLoadInstance:
         assert kind == "graph"
         with pytest.raises(ValueError):
             load_instance(TRIANGLE_TEXT, kind="matrix")
+
+
+def _stripped_rows(text):
+    """The data lines as stripping, then splitting, each line reads them."""
+    return [(lineno, raw.strip().split()) for lineno, raw in enumerate(text.splitlines(), 1)
+            if raw.strip() and not raw.strip().startswith("#")]
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\r\n1\t2  3\r\n",
+    "  # an indented comment\n\t\n 3 1 \n\t1 2 3\n",
+    "#\n#x y\n\t#\tz\n2\n0 1\n",
+    "\x0c3 1\x0b1 2 3\x85\u20282\xa03 4\x1c\n",
+    "3 1\n1 2 3 # not a comment line\n",
+    "\n\n",
+], ids=["tabs-crlf", "leading-blanks", "hash-led", "other-breaks", "inline-hash", "blank"])
+def test_data_lines_are_the_stripped_lines(text):
+    expected = _stripped_rows(text)
+    for limit in (None, 1, 2):
+        if expected:
+            assert instances._data_lines(text, limit) == expected[:limit]
+        else:
+            with pytest.raises(ParseError, match="^line 1: empty input$"):
+                instances._data_lines(text, limit)
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("# a graph\n\n3 1\n# its edge\n1 2 5\n", "graph"),
+    ("\n \t\n3 1\n\n2 3 1 2 3\n", "hypergraph"),
+    ("# a table\n\n1\n# f(empty)\n0 0\n1 0\n", "table"),
+    ("2 0\n", "graph"),
+    ("  \n# no items\n2 0", "graph"),
+], ids=["commented-graph", "blank-led-hypergraph", "commented-table", "one-line",
+        "blank-led-one-line"])
+def test_load_sniffs_commented_blank_led_and_one_line_inputs(text, kind):
+    got_kind, instance = load_instance(text)
+    assert got_kind == kind
+    assert instance == load_instance(text, kind=kind)[1]
+
+
+def test_load_reads_a_one_line_table_as_a_table():
+    with pytest.raises(ParseError, match=r"^line 2: missing subset 0 \(0 of 2 lines\)$"):
+        load_instance("# no values\n1\n")
+
+
+def test_sniffing_splits_no_line_past_the_second_data_line(monkeypatch):
+    split = []
+
+    class Line(str):
+        def split(self):
+            split.append(str(self))
+            return super().split()
+
+    class Text(str):
+        def splitlines(self):
+            return [Line(raw) for raw in super().splitlines()]
+
+    monkeypatch.setattr(instances, "parse_graph", lambda text: "parsed")
+    assert load_instance(Text("# c\n\n3 3\n1 2 3\n1 3 1\n2 3 2\n")) == ("graph", "parsed")
+    assert split == ["# c", "", "3 3", "1 2 3"]

@@ -1,4 +1,5 @@
 import math
+import random
 
 from symcut import INF, values_equal
 from symcut.values import mask_of, set_of, submasks
@@ -41,3 +42,12 @@ def test_set_of_inverts_mask_of():
         decoded = set_of(mask_of(s))
         assert decoded == frozenset(s)
         assert isinstance(decoded, frozenset)
+
+
+def test_set_of_lists_exactly_the_set_bits():
+    rng = random.Random(5)
+    wide = [rng.getrandbits(rng.randrange(1, 300)) for _ in range(300)] + [1 << 200, 2**64 - 1]
+    for mask in [*range(1 << 12), *wide]:
+        decoded = set_of(mask)
+        assert isinstance(decoded, frozenset)
+        assert decoded == frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
