@@ -16,6 +16,20 @@ Built-in oracles:
 
 All of them are monotone and consistent, which the brute-force module can
 verify exhaustively on small ground sets.
+
+The two cut oracles are also keyed: their key trackers keep the prefix
+keys of one order incrementally, for the queue builder. While every class
+is a single vertex a tracker walks the instance itself. Once classes have
+joined it walks a quotient of the partition: the graph or hypergraph with
+each class as one vertex and the edges inside a class dropped. Each oracle
+keeps one quotient per live partition and brings it up to date with the
+joins made since its last tracker, so an order costs in the class-level
+edges or pins, not in the instance. Keys of integer instances are exact;
+float keys after the first round may differ from a walk of the instance
+in the last place, since the quotient sums them in another order.
+
+Graphs and hypergraphs have at most ``MAX_VERTICES`` vertices, checked
+before their per-vertex lists are built.
 """
 
 import weakref
@@ -109,8 +123,22 @@ def _instance_values(values, item, what, nonnegative=False):
     return floats, False
 
 
+#: the most vertices a graph or hypergraph may have, like ``BucketQueue.MAX_TOP``
+MAX_VERTICES = 1 << 20
+
+
+def _require_vertex_count(n, kind):
+    """Refuse a vertex count outside 1..MAX_VERTICES, before anything is allocated.
+
+    A constructor builds one adjacency dict or incidence list per vertex,
+    so a count read from a file header must be bounded first.
+    """
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"{kind} supports 1 <= n <= {MAX_VERTICES} vertices")
+
+
 class WeightedGraph:
-    """Undirected weighted graph on vertices 0..n-1.
+    """Undirected weighted graph on vertices 0..n-1, n at most MAX_VERTICES.
 
     Parallel edges are allowed and their weights accumulate in the
     adjacency structure; the raw edge list is kept as given (weights as
@@ -119,8 +147,7 @@ class WeightedGraph:
     """
 
     def __init__(self, n, edges):
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        _require_vertex_count(n, "graph")
         edges = list(edges)
         try:
             weights, self.integer_weights = _instance_values(
@@ -193,21 +220,30 @@ class GraphCutOracle(LaxOracle):
         """Prefix keys read from the partition's class-level adjacency.
 
         Before any join the graph is its own quotient. Once the partition
-        has joined classes, the quotient graph is built and kept, weakly
-        keyed by the partition, until the partition is freed; each later
-        call first folds in the joins made since the previous one. An
+        has joined classes, the tracker reads the partition's quotient
+        graph, built once and then synced (:func:`_synced_quotient`). An
         order thus costs O(k + m_k) on k classes and the m_k edges between
         them.
         """
         if partition.class_count == self.graph.n:
             return _GraphKeyTracker(self.graph.adjacency, partition, first)
-        quotient = self._quotients.get(partition)
-        if quotient is None:
-            quotient = _GraphQuotient(self.graph.adjacency, partition)
-            self._quotients[partition] = quotient
-        else:
-            quotient.sync(partition)
+        quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
         return _GraphKeyTracker(quotient.rows, partition, first)
+
+
+def _synced_quotient(cache, quotient_type, instance, partition):
+    """The quotient of `partition` kept in `cache`, current with its joins.
+
+    Built on the first call for a partition and kept, weakly keyed by it,
+    until the partition is freed; each later call first folds in the joins
+    made since the previous one.
+    """
+    quotient = cache.get(partition)
+    if quotient is None:
+        quotient = cache[partition] = quotient_type(instance, partition)
+    else:
+        quotient.sync(partition)
+    return quotient
 
 
 class _KeyTracker:
@@ -217,8 +253,8 @@ class _KeyTracker:
     yet appended. ``advance`` folds one more class into the prefix and
     returns {class: new key} for the keys it changed; ``pop`` drops a
     class once it is appended. The partition must not change while a
-    tracker is live; between trackers it may, and the graph quotient
-    follows the joins made in between.
+    tracker is live; between trackers it may, and the graph and hypergraph
+    quotients follow the joins made in between.
 
     The queue builder's replay of the previous round's order reads the
     keys without a queue, so it relies on both halves of that contract:
@@ -228,7 +264,6 @@ class _KeyTracker:
     """
 
     def __init__(self, partition, first):
-        self._partition = partition
         self.keys = {c: 0 for c in partition.classes() if c != first}
         self.advance(first)
 
@@ -247,10 +282,10 @@ class _GraphQuotient:
     with the partition.
     """
 
-    def __init__(self, adjacency, partition):
+    def __init__(self, graph, partition):
         class_of = partition.class_of
         self.rows = rows = {c: {} for c in partition.classes()}
-        for x, neighbours in enumerate(adjacency):
+        for x, neighbours in enumerate(graph.adjacency):
             cx = class_of(x)
             row = rows[cx]
             for y, w in neighbours.items():
@@ -302,14 +337,13 @@ class _GraphKeyTracker(_KeyTracker):
 
 
 class Hypergraph:
-    """Weighted hypergraph on vertices 0..n-1.
+    """Weighted hypergraph on vertices 0..n-1, n at most MAX_VERTICES.
 
     A hyperedge is (weight, collection of >= 2 distinct pins).
     """
 
     def __init__(self, n, hyperedges):
-        if n < 1:
-            raise ValueError("hypergraph needs at least one vertex")
+        _require_vertex_count(n, "hypergraph")
         hyperedges = list(hyperedges)
         try:
             weights, self.integer_weights = _instance_values(
@@ -365,6 +399,7 @@ class HypergraphCutOracle(LaxOracle):
         self.hypergraph = hypergraph
         self.early_exit = early_exit
         self.value_bound = hypergraph.total_weight if hypergraph.integer_weights else None
+        self._quotients = weakref.WeakKeyDictionary()  # partition -> _HypergraphQuotient
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
@@ -393,7 +428,84 @@ class HypergraphCutOracle(LaxOracle):
         return min(tau, total)
 
     def key_tracker(self, partition, first):
-        return _HypergraphKeyTracker(self.hypergraph, partition, first)
+        """Prefix keys read from the partition's class-level hyperedges.
+
+        Before any join the hypergraph is its own quotient. Once the
+        partition has joined classes, the tracker reads the partition's
+        quotient hypergraph, built once and then synced
+        (:func:`_synced_quotient`). An order thus costs O(k + p_k) on k
+        classes, where p_k counts the pin classes of the hyperedges that
+        span at least two of them.
+        """
+        hypergraph = self.hypergraph
+        if partition.class_count == hypergraph.n:
+            return _HypergraphKeyTracker(hypergraph.incident, hypergraph.hyperedges,
+                                         hypergraph.m, partition, first)
+        quotient = _synced_quotient(self._quotients, _HypergraphQuotient, hypergraph,
+                                    partition)
+        return _HypergraphKeyTracker(quotient.incident, quotient.hyperedges,
+                                     hypergraph.m, partition, first)
+
+
+class _HypergraphQuotient:
+    """Class-level hyperedges of one partition of a hypergraph.
+
+    ``hyperedges[e]`` is ``(weight, frozenset of pin classes)`` for every
+    hyperedge e whose pins lie in at least two classes (zero weights
+    included, so a tracker reports the same changed classes as a walk over
+    the pins would); a hyperedge inside one class is dropped.
+    ``incident[c]`` lists, in ascending order, the ids of the kept
+    hyperedges that pin class c. Ascending ids make a synced quotient equal
+    to one built from scratch on the same partition. Like the graph
+    quotient it holds labels, never the partition.
+    """
+
+    def __init__(self, hypergraph, partition):
+        class_of = partition.class_of
+        self.hyperedges = hyperedges = {}
+        self.incident = incident = {c: [] for c in partition.classes()}
+        for e, (w, pins) in enumerate(hypergraph.hyperedges):
+            classes = frozenset(map(class_of, pins))
+            if len(classes) > 1:
+                hyperedges[e] = (w, classes)
+                for c in classes:
+                    incident[c].append(e)
+
+    def sync(self, partition):
+        """Fold in the joins the partition made since the quotient was current.
+
+        Each retired label is renamed to ``class_of(label)``, the live class
+        it ended up in (see :meth:`_GraphQuotient.sync`). The hyperedges of
+        a retired class are renamed and those left inside one class are
+        dropped; each absorbing class's list becomes the ascending merge of
+        its own and its retired classes' lists, less the dropped ids. A
+        dropped hyperedge's classes all end up in one absorbing class, so
+        no other list holds it.
+        """
+        incident = self.incident
+        gone = [c for c in incident if c not in partition]
+        if not gone:
+            return
+        class_of = partition.class_of
+        hyperedges = self.hyperedges
+        renamed = set()
+        merged = {}  # absorbing class -> ids of its own and its retired classes
+        for label in gone:
+            into = class_of(label)
+            ids = incident.pop(label)
+            renamed.update(ids)
+            if into not in merged:
+                merged[into] = set(incident[into])
+            merged[into].update(ids)
+        for e in renamed:
+            w, classes = hyperedges[e]
+            classes = frozenset(map(class_of, classes))
+            if len(classes) > 1:
+                hyperedges[e] = (w, classes)
+            else:
+                del hyperedges[e]
+        for into, ids in merged.items():
+            incident[into] = sorted(e for e in ids if e in hyperedges)
 
 
 class _HypergraphKeyTracker(_KeyTracker):
@@ -401,30 +513,37 @@ class _HypergraphKeyTracker(_KeyTracker):
 
     A hyperedge starts contributing to key(c) the moment it first touches
     the prefix; each edge is credited to every remaining class it pins,
-    exactly once.
+    exactly once. ``incident[c]`` lists the ascending ids of the
+    hyperedges at class c and ``hyperedges[e]`` gives ``(weight, pin
+    classes)``: a quotient's, or the hypergraph's own while every class is
+    a single vertex labelled by itself. A walk over the instance would
+    visit a class's hyperedges member by member; a quotient visits them in
+    id order. So the changed classes and integer keys are that walk's on
+    every round, and float keys in the first round too, but later float
+    keys may differ from it in the last place (they compare through
+    ``values_equal``).
     """
 
-    def __init__(self, hypergraph, partition, first):
-        self._hypergraph = hypergraph
-        self._hit = [False] * hypergraph.m
+    def __init__(self, incident, hyperedges, m, partition, first):
+        self._incident = incident
+        self._hyperedges = hyperedges
+        self._hit = [False] * m
         super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
-        class_of = self._partition.class_of
         keys = self.keys
-        hyperedges = self._hypergraph.hyperedges
-        incident = self._hypergraph.incident
-        for x in self._partition.members(appended):
-            for ei in incident[x]:
-                if self._hit[ei]:
-                    continue
-                self._hit[ei] = True
-                w, pins = hyperedges[ei]
-                for c in {class_of(p) for p in pins}:
-                    if c in keys:
-                        keys[c] += w
-                        changed[c] = keys[c]
+        hyperedges = self._hyperedges
+        hit = self._hit
+        for e in self._incident[appended]:
+            if hit[e]:
+                continue
+            hit[e] = True
+            w, classes = hyperedges[e]
+            for c in classes:
+                if c in keys:
+                    keys[c] += w
+                    changed[c] = keys[c]
         return changed
 
 

@@ -1,14 +1,13 @@
 """Contraction partition of a fixed ground set {0, ..., n-1}.
 
 Classes carry stable integer labels (the label of the class that absorbed
-the others survives a join) and remember their members in join order, so a
-class's member list is the concatenation history of everything contracted
-into it.
+the others survives a join) and are read as frozensets of their members.
 
 Invariant: a label is one of its class's elements. Every class starts as
 the singleton {v} labelled v, and a join keeps the absorbing class's label,
 so ``class_of(label)`` of a label that a join retired names the live class
-that now holds it (the graph quotient relies on this to follow joins).
+that now holds it (the graph and hypergraph quotients rely on this to
+follow joins).
 """
 
 
@@ -33,10 +32,6 @@ class Partition:
 
     def class_of(self, element):
         return self._class_of[element]
-
-    def members(self, label):
-        """Members of a class, in the order they were contracted in."""
-        return list(self._members[label])
 
     def member_set(self, label):
         return frozenset(self._members[label])

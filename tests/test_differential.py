@@ -7,11 +7,13 @@ the reference value and the strict oracle's value of the returned set. The
 scan builder makes O(k^2) oracle calls per order and rings take hundreds of
 rounds, so scan runs on the smaller rings only.
 
-Hypergraphs (n = 21 to 150) have no networkx reference; the pendant-pair
+Hypergraphs (n = 21 to 400) have no networkx reference; the pendant-pair
 loop (maxback) with the heap queue serves instead. Its keys come from the
 key tracker, not from eval, so it checks eval-driven scan orders through a
 separate path, and each lambda is also checked against a walk over every
-hyperedge written out here.
+hyperedge written out here. Hypergraph rings (n = 200 and 400) run on the
+queue path only; there laxback takes tens of rounds, each read from a
+hypergraph quotient synced with the round's joins.
 """
 
 import random
@@ -128,6 +130,18 @@ def split_hypergraph(n, seed, kind):
     return Hypergraph(n, hyperedges)
 
 
+def hypergraph_ring(n, seed, kind):
+    """Heavy hyperedges on consecutive triples plus n/10 light random ones.
+
+    The queue path takes tens of rounds of few joins here, so the hypergraph
+    quotient is synced many times over.
+    """
+    r = random.Random(seed)
+    hyperedges = [(_weight(r, kind) + 4, {v, (v + 1) % n, (v + 2) % n}) for v in range(n)]
+    hyperedges += [(1, set(r.sample(range(n), 3))) for _ in range(n // 10)]
+    return Hypergraph(n, hyperedges)
+
+
 def cut_value(hypergraph, side):
     """Total weight of the hyperedges with pins on both sides, in index order."""
     total = 0
@@ -139,16 +153,22 @@ def cut_value(hypergraph, side):
 
 @pytest.mark.parametrize("kind", ["int", "float"])
 @pytest.mark.parametrize("family,n", [("sparse", 21), ("sparse", 60), ("sparse", 150),
-                                      ("split", 21), ("split", 60), ("split", 150)])
+                                      ("split", 21), ("split", 60), ("split", 150),
+                                      ("ring", 200), ("ring", 400)])
 def test_hypergraphs_match_maxback(family, n, kind):
-    make = sparse_hypergraph if family == "sparse" else split_hypergraph
+    make = {"sparse": sparse_hypergraph, "split": split_hypergraph,
+            "ring": hypergraph_ring}[family]
     hypergraph = make(n, seed=n, kind=kind)
     _, expected, _ = optimal_set(HypergraphCutOracle(hypergraph), n, MAXBACK)
     if family == "split":
         assert expected == 3
-    configs = (SCAN, HEAP, BUCKET) if kind == "int" else (SCAN, HEAP)
+    configs = (HEAP, BUCKET) if family == "ring" else (SCAN, HEAP, BUCKET)
     for config in configs:
-        best, value, _ = optimal_set(HypergraphCutOracle(hypergraph), n, config)
+        if config.queue_kind == "bucket" and kind == "float":
+            continue  # the bucket queue needs integer weights
+        best, value, stats = optimal_set(HypergraphCutOracle(hypergraph), n, config)
         assert 0 < len(best) < n
         assert values_equal(value, expected), (config, value, expected)
         assert value == cut_value(hypergraph, best), (config, value)
+        if family == "ring":
+            assert stats.rounds >= 10, stats.rounds  # many synced quotients

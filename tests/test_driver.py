@@ -103,6 +103,30 @@ for ring, from_round in ((ring4, 1), (ring6, 2)):
 print("all refused")
 """
 
+# a float hypergraph whose key tracker reads a non-finite key only from its
+# quotient: in round 1 every key is finite (1e308 for 1, then 1e308 + 1e307
+# for 2, which joins 1), and in round 2 the class {1, 2} meets 0 through two
+# hyperedges of 1e308 each, which sum to inf; the run must stop in round 2
+QUOTIENT_KEY_RUN = """
+from symcut import Hypergraph, HypergraphCutOracle, MinimizeConfig, optimal_set
+
+h = Hypergraph(3, [(1e308, [0, 1]), (1e308, [0, 2]), (1e307, [1, 2])])
+for algorithm in ("laxback", "maxback"):
+    rounds = []
+    try:
+        optimal_set(HypergraphCutOracle(h), 3,
+                    MinimizeConfig(algorithm=algorithm, order_builder="queue"),
+                    observer=rounds.append)
+    except ValueError as fault:
+        if "class 1 the non-finite key inf" not in str(fault):
+            raise
+    else:
+        raise SystemExit(f"{algorithm}: no error")
+    if [r.members_after for r in rounds] != [{0: {0}, 1: {1, 2}}]:
+        raise SystemExit(f"{algorithm}: rounds before the error {rounds}")
+print("refused in round 2")
+"""
+
 
 def run_optimized(script):
     """Run `script` under python -O, so that no check can be an assert."""
@@ -258,6 +282,11 @@ class TestOptimalSet:
         result = run_optimized(QUEUE_KEY_RUNS)
         assert result.returncode == 0, result.stderr
         assert "all refused" in result.stdout
+
+    def test_non_finite_quotient_key_fails_loudly_under_optimize(self):
+        result = run_optimized(QUOTIENT_KEY_RUN)
+        assert result.returncode == 0, result.stderr
+        assert "refused in round 2" in result.stdout
 
     @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
     @pytest.mark.parametrize("on_advance", [False, True])

@@ -118,13 +118,11 @@ def walked(parse, text):
         return read(parse, text)
 
 
-# tokens a perturbation puts in place of one on a line; a header gets only
-# those that keep the vertex count small (a graph of 10**400 vertices would
-# not fit in memory)
-HEADER_TOKENS = ["x", "", "1_0", "+2", "-0", "-1", "0.5", "nan", "9" * 5000, "\u0663"]
-ITEM_TOKENS = HEADER_TOKENS + [
-    "-00", "-0.0", "1e3", "inf", "-inf", "1e400", str(10**400), str(2**1024),
-    "0" * 4999 + "7", "0x10", "3#"]
+# tokens a perturbation puts in place of one on a line, the header included:
+# a vertex count of 10**400 or 2**1024 is refused before anything is allocated
+TOKENS = ["x", "", "1_0", "+2", "-0", "-1", "0.5", "nan", "9" * 5000, "\u0663",
+          "-00", "-0.0", "1e3", "inf", "-inf", "1e400", str(10**400), str(2**1024),
+          "0" * 4999 + "7", "0x10", "3#"]
 
 
 @st.composite
@@ -150,8 +148,7 @@ def perturbed(draw, text):
             lines[at] = (gap + lines[at] if where == "lead" else lines[at] + gap
                          if where == "trail" else lines[at].replace(" ", gap, 1))
         elif edit == "token":
-            pool = HEADER_TOKENS if at == 0 else ITEM_TOKENS
-            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(pool))
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
             lines[at] = " ".join(tokens)
         elif edit == "shuffle" and len(lines) > 2:
             lines[1:] = draw(st.permutations(lines[1:]))
@@ -160,10 +157,11 @@ def perturbed(draw, text):
             breaks.insert(at, "\n")
         elif edit == "drop" and len(lines) > 1:
             del lines[at], breaks[at]
-        elif edit == "count" and lines[0].split(" ")[-1].isdecimal():
+        elif edit == "count":
             header = lines[0].split(" ")
-            header[-1] = str(int(header[-1]) + draw(st.sampled_from([-1, 1])))
-            lines[0] = " ".join(header)
+            if header[-1].isdecimal() and len(header[-1]) <= 4300:  # int()'s digit limit
+                header[-1] = str(int(header[-1]) + draw(st.sampled_from([-1, 1])))
+                lines[0] = " ".join(header)
         elif edit == "crlf":
             breaks[at] = draw(st.sampled_from(["\r\n", "\r", "\x85"]))
         elif edit == "unterminated":
@@ -206,6 +204,7 @@ def test_table_bulk_read_matches_the_line_walk(data):
     (parse_graph, "3 2\n1 2 5\n2 2 1\n"),
     (parse_graph, "3 3\n1 2 5\n2 3 1\n"),
     (parse_graph, "0 0\n"),
+    (parse_graph, f"{10**400} 0\n"),
     (parse_table, "1\n0 0.5\n1 -0\n"),
     (parse_table, "1\n0 -0.0\n1 -0.5\n"),
     (parse_table, f"1\n0 0.5\n1 {2**1024}\n"),
@@ -218,7 +217,8 @@ def test_table_bulk_read_matches_the_line_walk(data):
 ], ids=["graph-minus-0-among-floats", "graph-minus-0-and-minus-0.0", "graph-underscore-plus",
         "graph-underscore-among-floats", "graph-int-past-floats", "graph-5000-digit-7",
         "graph-5000-digit-weight", "graph-5000-digit-id", "graph-nan", "graph-self-loop",
-        "graph-short-count", "graph-no-vertex", "table-minus-0-among-floats",
+        "graph-short-count", "graph-no-vertex", "graph-huge-vertex-count",
+        "table-minus-0-among-floats",
         "table-minus-0.0", "table-int-past-floats", "table-masks-out-of-order",
         "table-duplicate-mask", "table-padded-masks", "table-ints", "table-n-21",
         "table-inf"])

@@ -6,6 +6,7 @@ from symcut import (INF, Hypergraph, ParseError, SetFunctionTable, WeightedGraph
                     gen_random_graph, gen_random_hypergraph, graph_cut_table,
                     instances, load_instance, parse_graph, parse_hypergraph,
                     parse_table, write_graph, write_hypergraph, write_table)
+from symcut.oracles import MAX_VERTICES
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
 
@@ -145,6 +146,18 @@ def test_vertex_count_below_one_reported_at_the_header():
     with pytest.raises(ParseError) as err:
         parse_graph("# empty\n0 0\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("parse", [parse_graph, parse_hypergraph, load_instance],
+                         ids=["graph", "hypergraph", "load"])
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 10**10, 10**400])
+def test_vertex_count_above_the_limit_reported_at_the_header(parse, n):
+    # refused before one list per vertex is allocated, with or without items
+    with pytest.raises(ParseError, match=f"^line 2: .* <= {MAX_VERTICES} vertices$") as err:
+        parse(f"# huge\n{n} 0\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="^line 1: ") as err:
+        parse(f"{n} 1\n1 2 3\n" if parse is parse_graph else f"{n} 1\n3 2 1 2\n")
 
 
 @pytest.mark.parametrize("seed", range(6))

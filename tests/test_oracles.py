@@ -9,7 +9,8 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InducedOracle, InstanceError, Partition,
                     SetFunctionTable, TableOracle, ThresholdedOracle,
                     WeightedGraph, complete_table, gen_random_graph,
-                    graph_cut_table)
+                    gen_random_hypergraph, graph_cut_table)
+from symcut.oracles import MAX_VERTICES
 
 
 HUGE = 10**400  # 401 digits: past float range, exact as a Python int
@@ -51,6 +52,14 @@ class TestWeightedGraph:
         assert err.value.index == 2
         with pytest.raises(InstanceError, match="edge 1: weight is not finite"):
             WeightedGraph(3, [(0, 1, 1), (1, 2, math.nan)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: WeightedGraph(n, []), lambda n: Hypergraph(n, [])], ids=["graph", "hypergraph"])
+@pytest.mark.parametrize("n", [0, -1, MAX_VERTICES + 1, 10**10, HUGE])
+def test_vertex_count_outside_the_limit_refused(build, n):
+    with pytest.raises(ValueError, match=f"supports 1 <= n <= {MAX_VERTICES} vertices"):
+        build(n)
 
 
 class TestGraphCut:
@@ -141,10 +150,13 @@ class TestGraphKeyTracker:
         assert oracle.key_tracker(p, first=4).keys == {3: 15}
         assert oracle.key_tracker(p, first=3).keys == {4: 15}
 
-    def test_quotient_cache_frees_its_partition(self):
+    @pytest.mark.parametrize("oracle", [
+        GraphCutOracle(gen_random_graph(6, 0.7, 8, seed=2)),
+        HypergraphCutOracle(gen_random_hypergraph(6, 8, 5, seed=2)),
+    ], ids=["graph", "hypergraph"])
+    def test_quotient_cache_frees_its_partition(self, oracle):
         # the cached quotient must not keep its partition alive: one
         # leaked partition per solve shows up as peak memory
-        oracle = GraphCutOracle(gen_random_graph(6, 0.7, 8, seed=2))
         p = Partition(6)
         oracle.key_tracker(p, first=0)
         p.join(0, 1)
@@ -255,8 +267,38 @@ class TestHypergraphCut:
         # edge {1,2,3} now touches the prefix; edge {0,1,2} already counted
         assert tracker.keys == {2: 5, 3: 4}
 
+    def test_one_sync_follows_a_chain_of_joins(self):
+        # a zero-weight hyperedge, one that becomes internal in the first
+        # round and one that becomes internal only after the chain
+        h = Hypergraph(5, [(1, {0, 1}), (2, {1, 2, 3}), (0, {0, 4}), (4, {2, 3, 4}),
+                           (8, {0, 1, 2})])
+        oracle = HypergraphCutOracle(h)
+        p = Partition(5)
+        p.join(1, 0)
+        assert oracle.key_tracker(p, first=1).keys == {2: 10, 3: 2, 4: 0}
+        quotient = oracle._quotients[p]
+        assert 0 not in quotient.hyperedges and quotient.incident[1] == [1, 2, 4]
+        p.join(2, 1)  # {0, 1} into 2, then {0, 1, 2} into 3: one sync
+        p.join(3, 2)
+        assert oracle.key_tracker(p, first=4).keys == {3: 4}
+        assert oracle.key_tracker(p, first=3).keys == {4: 4}
+        assert quotient.hyperedges == {2: (0, F(3, 4)), 3: (4, F(3, 4))}
+        assert quotient.incident == {3: [2, 3], 4: [2, 3]}
+
+    def test_synced_incidence_lists_stay_ascending(self):
+        # the absorbing class 3 holds hyperedge 10, the retired class 0
+        # hyperedge 3: merged as a set, they would come out as [10, 3]
+        filler = [(1, {4, 5})]
+        h = Hypergraph(6, filler * 3 + [(1, {0, 1})] + filler * 6 + [(1, {2, 3})])
+        oracle = HypergraphCutOracle(h)
+        p = Partition(6)
+        p.join(4, 5)
+        oracle.key_tracker(p, first=0)
+        p.join(3, 0)
+        oracle.key_tracker(p, first=1)
+        assert oracle._quotients[p].incident == {1: [3], 2: [10], 3: [3, 10], 4: []}
+
     def test_tracker_matches_eval_on_random_instances(self):
-        from symcut import gen_random_hypergraph
         for seed in range(8):
             h = gen_random_hypergraph(6, 8, 5, seed=seed)
             oracle = HypergraphCutOracle(h)

@@ -7,15 +7,15 @@ def test_starts_discrete():
     p = Partition(4)
     assert p.class_count == 4
     assert p.classes() == [0, 1, 2, 3]
-    assert p.members(2) == [2]
+    assert p.member_set(2) == {2}
     assert all(p.class_of(v) == v for v in range(4))
 
 
-def test_join_concatenates_members_in_order():
+def test_join_merges_members():
     p = Partition(4)
     p.join(0, 2)
     p.join(0, 1)
-    assert p.members(0) == [0, 2, 1]
+    assert p.blocks() == {0: frozenset({0, 1, 2}), 3: frozenset({3})}
     assert p.class_of(2) == 0 and p.class_of(1) == 0
     assert p.class_count == 2
     assert p.classes() == [0, 3]

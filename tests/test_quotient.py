@@ -1,18 +1,26 @@
-"""Property test of the graph quotient's sync path.
+"""Property tests of the graph and hypergraph quotients' sync path.
 
-Random graphs (parallel edges, zero weights, int or float weights) go
-through random rounds of joins. After each round a fresh tracker on the
-same partition, started from a random class and advanced in a random
-order, must report the strict oracle's value of every remaining class
-against the prefix (exactly for integer weights, within ``values_equal``
-for floats): the quotient has followed every join made since the
-previous tracker, including chains (A into B, then B into C) folded in
-by one sync.
+Random graphs (parallel edges) and hypergraphs (2 to 4 pins), with zero
+weights and int or float weights, go through random rounds of joins. After
+each round a fresh tracker on the same partition, started from a random
+class and advanced in a random order, must report the strict oracle's
+value of every remaining class against the prefix (exactly for integer
+weights, within ``values_equal`` for floats), and each ``advance`` must
+report exactly the classes a walk over the instance's own edges or pins
+would change: those sharing an edge or hyperedge with the appended class
+that did not touch the prefix before. The queue builder's replay relies on
+that report. So the quotient has followed every join made since the
+previous tracker, including chains (A into B, then B into C) folded in by
+one sync. A synced quotient must also equal one built from scratch on the
+same partition: exactly for hypergraphs, whose weights are never summed,
+and within ``values_equal`` for a graph's summed rows.
 """
 
 import pytest
 
-from symcut import GraphCutOracle, Partition, WeightedGraph, values_equal
+from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle, Partition,
+                    WeightedGraph, values_equal)
+from symcut.oracles import _GraphQuotient, _HypergraphQuotient
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -22,7 +30,14 @@ FLOAT_WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([0.1, 1 / 3, 2.5, 1e6]),
                           st.floats(0, 1000, allow_nan=False, allow_infinity=False))
 
 
-def check_tracker(data, oracle, strict, partition):
+def pin_sets(instance):
+    """The element sets of an instance's edges or hyperedges, weights aside."""
+    if isinstance(instance, WeightedGraph):
+        return [frozenset((u, v)) for u, v, _ in instance.edges]
+    return [pins for _, pins in instance.hyperedges]
+
+
+def check_tracker(data, oracle, strict, partition, pins):
     """One order over the current classes, every key checked after each step."""
     classes = partition.classes()
     first = data.draw(st.sampled_from(classes), label="first")
@@ -38,25 +53,57 @@ def check_tracker(data, oracle, strict, partition):
         if not remaining:
             return
         appended = remaining.pop(0)
+        block = partition.member_set(appended)
+        walked = {partition.class_of(p) for e in pins
+                  if not e.isdisjoint(block) and e.isdisjoint(prefix) for p in e}
         tracker.pop(appended)
+        before = dict(tracker.keys)
         changed = tracker.advance(appended)
-        assert all(tracker.keys[c] == key for c, key in changed.items())
-        prefix |= partition.member_set(appended)
+        assert changed.keys() == walked & set(remaining), (appended, changed, walked)
+        assert changed == {c: key for c, key in tracker.keys.items()
+                           if c in changed or key != before[c]}
+        prefix |= block
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_fresh_trackers_match_strict_eval_after_every_round(data):
-    n = data.draw(st.integers(2, 12), label="n")
-    weight = INT_WEIGHTS if data.draw(st.booleans(), label="integer") else FLOAT_WEIGHTS
+def check_synced_quotient(oracle, partition):
+    """The oracle's synced quotient against one built from scratch."""
+    synced = oracle._quotients[partition]
+    if isinstance(oracle, HypergraphCutOracle):
+        fresh = _HypergraphQuotient(oracle.hypergraph, partition)
+        assert vars(synced) == vars(fresh)
+        return
+    fresh = _GraphQuotient(oracle.graph, partition)
+    assert {c: row.keys() for c, row in synced.rows.items()} == {
+        c: row.keys() for c, row in fresh.rows.items()}
+    for c, row in synced.rows.items():
+        for d, w in row.items():
+            assert values_equal(w, fresh.rows[c][d]), (c, d, w, fresh.rows[c][d])
+
+
+def graphs(data, n, weight):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda p: p[0] != p[1])
     edges = data.draw(st.lists(st.tuples(pair, weight), max_size=4 * n), label="edges")
     graph = WeightedGraph(n, [(u, v, w) for (u, v), w in edges])
-    oracle = GraphCutOracle(graph)
-    strict = GraphCutOracle(graph, early_exit=False)
+    return graph, GraphCutOracle(graph), GraphCutOracle(graph, early_exit=False)
+
+
+def hypergraphs(data, n, weight):
+    pins = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(4, n), unique=True)
+    hyperedges = data.draw(st.lists(st.tuples(weight, pins), max_size=3 * n),
+                           label="hyperedges")
+    hypergraph = Hypergraph(n, hyperedges)
+    return (hypergraph, HypergraphCutOracle(hypergraph),
+            HypergraphCutOracle(hypergraph, early_exit=False))
+
+
+def run_rounds(data, make):
+    n = data.draw(st.integers(2, 12), label="n")
+    weight = INT_WEIGHTS if data.draw(st.booleans(), label="integer") else FLOAT_WEIGHTS
+    instance, oracle, strict = make(data, n, weight)
+    pins = pin_sets(instance)
     partition = Partition(n)
-    check_tracker(data, oracle, strict, partition)
+    check_tracker(data, oracle, strict, partition, pins)
     while partition.class_count > 1:
         joins = data.draw(st.integers(1, partition.class_count - 1), label="joins")
         last_dst = None
@@ -67,4 +114,17 @@ def test_fresh_trackers_match_strict_eval_after_every_round(data):
                 src = last_dst  # A into B, then B into C within one round
             partition.join(dst, src)
             last_dst = dst
-        check_tracker(data, oracle, strict, partition)
+        check_tracker(data, oracle, strict, partition, pins)
+        check_synced_quotient(oracle, partition)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fresh_trackers_match_strict_eval_after_every_round(data):
+    run_rounds(data, graphs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fresh_hypergraph_trackers_match_strict_eval_after_every_round(data):
+    run_rounds(data, hypergraphs)
