@@ -112,30 +112,37 @@ def check_consistent(oracle, n):
     return CheckResult(True)
 
 
-#: largest table n the CLI gives to check_symmetric_submodular (4^n pairs)
+#: largest table n the CLI gives to table_submodular (4^n pairs)
 MAX_TABLE_CHECK = 12
+
+
+def table_symmetric(table):
+    """Whether f(A) = f(V\\A) for every A, in O(2^n).
+
+    With A a bitmask, V\\A is ``full ^ A == full - A``, so the table must
+    read the same reversed.
+    """
+    f = table.table_values
+    return f == f[::-1]
+
+
+def table_submodular(table):
+    """Whether f(S) + f(T) >= f(S|T) + f(S&T) for every pair (a 4^n loop)."""
+    f = table.table_values
+    size = 1 << table.n
+    for s in range(size):
+        for t in range(s, size):
+            if f[s] + f[t] < f[s | t] + f[s & t]:
+                return False
+    return True
 
 
 def check_symmetric_submodular(table):
     """(symmetric, submodular) verdict for an explicit set function.
 
-    Symmetric: f(A) = f(V\\A) for every A. Submodular:
-    f(S) + f(T) >= f(S|T) + f(S&T) for every pair. Exhaustive, so keep n
-    small (the pair loop is 4^n).
+    Exhaustive, so keep n small: see :func:`table_submodular`.
     """
-    n = table.n
-    full = (1 << n) - 1
-    f = table.table_values
-    symmetric = all(f[a] == f[full ^ a] for a in range(1 << n))
-    submodular = True
-    for s in range(1 << n):
-        for t in range(s, 1 << n):
-            if f[s] + f[t] < f[s | t] + f[s & t]:
-                submodular = False
-                break
-        if not submodular:
-            break
-    return symmetric, submodular
+    return table_symmetric(table), table_submodular(table)
 
 
 def verify_lax_back_order(oracle, blocks, order, tau=None):

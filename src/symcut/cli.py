@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict
 
 from .brute import (MAX_ENUM, MAX_TABLE_CHECK, brute_min_bipartition,
-                    check_symmetric_submodular)
+                    table_submodular, table_symmetric)
 from .driver import MinimizeConfig, optimal_set
 from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
@@ -76,17 +76,6 @@ def _add_config_flags(p):
     p.add_argument("--builder", choices=["scan", "queue"], default="scan")
     p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
                    help="priority queue of --builder queue; the scan builder uses none")
-    p.add_argument("--first", type=int, default=1, metavar="VERTEX",
-                   help="1-based vertex whose class starts every order")
-
-
-def _config_from(args):
-    return MinimizeConfig(
-        algorithm=args.algorithm,
-        order_builder=args.builder,
-        queue_kind=args.queue,
-        first_element=args.first - 1,
-    )
 
 
 def _canonical_side(best, n):
@@ -129,8 +118,8 @@ def cmd_mincut(args):
 
 def cmd_minimize(args):
     table = parse_table(_read(args.table))
-    symmetric, submodular = (check_symmetric_submodular(table)
-                             if table.n <= MAX_TABLE_CHECK else (True, True))
+    symmetric = table_symmetric(table)
+    submodular = table_submodular(table) if table.n <= MAX_TABLE_CHECK else "unchecked"
     if not symmetric or not submodular:
         print("error: table is not a symmetric submodular function "
               f"(symmetric={symmetric}, submodular={submodular})", file=sys.stderr)
@@ -146,14 +135,15 @@ def _solve_and_report(args, oracle, instance, table=None):
     --check enumerates the oracle's bipartitions (n <= brute.MAX_ENUM).
     """
     n = instance["n"]
-    config = _config_from(args)
+    config = MinimizeConfig(algorithm=args.algorithm, order_builder=args.builder,
+                            queue_kind=args.queue)
     start = time.perf_counter_ns()
     best, value, stats = optimal_set(oracle, n, config)
     wall = time.perf_counter_ns() - start
     side = _canonical_side(best, n)
     report = {
         "instance": instance,
-        "config": {**asdict(config), "first_element": config.first_element + 1},
+        "config": asdict(config),
         "lambda": value,
         "set": sorted(v + 1 for v in side),
         "stats": asdict(stats),
@@ -181,6 +171,9 @@ def _solve_and_report(args, oracle, instance, table=None):
 
 def cmd_verify(args):
     jobs = []
+    if args.random < 0:
+        print("error: --random COUNT must be nonnegative", file=sys.stderr)
+        return 2
     if args.random:
         if not 2 <= args.nmin <= args.nmax:
             print("error: need 2 <= nmin <= nmax", file=sys.stderr)

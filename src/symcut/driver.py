@@ -38,13 +38,16 @@ class MinimizeConfig:
                     needs the keyed oracle's declared value bound, read
                     and refused only by the bucket queue); the scan
                     builder uses no queue and accepts only the default
-    first_element   element whose class starts every order
+
+    Every order starts at the class holding element 0. Any start gives a
+    valid order and the same minimum; the driver never joins that class
+    away (it heads its run, and maxback joins the last class into the one
+    before it), so its label stays 0.
     """
 
     algorithm: str = "laxback"
     order_builder: str = "scan"
     queue_kind: str = "heap"
-    first_element: int = 0
 
 
 @dataclass
@@ -88,7 +91,7 @@ def contract_round(partition, order, tau):
     return joins
 
 
-def _validate(config, n):
+def _validate(config):
     if config.algorithm not in ("laxback", "maxback"):
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
     if config.order_builder not in ("scan", "queue"):
@@ -97,8 +100,6 @@ def _validate(config, n):
         # the queue builder's own factory rejects unknown kinds
         raise ValueError(f"queue kind {config.queue_kind!r} needs the queue "
                          "order builder; the scan builder uses no queue")
-    if not 0 <= config.first_element < n:
-        raise ValueError(f"first element {config.first_element} out of range")
 
 
 def optimal_set(oracle, n, config=None, observer=None):
@@ -113,7 +114,7 @@ def optimal_set(oracle, n, config=None, observer=None):
     if n < 2:
         raise ValueError("need at least two elements")
     cfg = config or MinimizeConfig()
-    _validate(cfg, n)
+    _validate(cfg)
     partition = Partition(n)
     stats = RunStats()
     universe = frozenset(range(n))
@@ -137,14 +138,13 @@ def optimal_set(oracle, n, config=None, observer=None):
     order = None
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
-        first = partition.class_of(cfg.first_element)
         members_before = partition.blocks() if observer is not None else None
         if cfg.order_builder == "scan":
-            order, ops = lax_back_order_scan(oracle, partition, build_tau, first)
+            order, ops = lax_back_order_scan(oracle, partition, build_tau)
             stats.oracle_calls += ops
         else:
             order, ops = lax_back_order_queue(
-                oracle, partition, build_tau, first, cfg.queue_kind, previous=order)
+                oracle, partition, build_tau, cfg.queue_kind, previous=order)
 
         last_key = order.keys[-1]
         if last_key < tau:

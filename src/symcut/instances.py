@@ -294,13 +294,13 @@ def gen_random_graph(n, p, max_weight, seed, connected=False):
     raise RuntimeError("could not draw a connected graph; raise p")
 
 
-def gen_random_hypergraph(n, m, max_weight, seed, max_pins=4):
-    """Seeded random hypergraph with integer weights in [1, max_weight]."""
+def gen_random_hypergraph(n, m, max_weight, seed):
+    """Seeded random hypergraph: 2 to min(n, 4) pins, integer weights in [1, max_weight]."""
     _check_generator(n, max_weight)
     if m < 0:
         raise ValueError("edge count must be nonnegative")
     rng = random.Random(seed)
-    top = max(2, min(n, max_pins))
+    top = min(n, 4)  # n >= 2
     hyperedges = []
     for _ in range(m):
         k = rng.randint(2, top)

@@ -48,8 +48,9 @@ class LaxOracle:
     Capability flags:
 
     ``keyed``
-        supports :meth:`key_tracker` for incremental prefix keys
-        (required by the queue-based order builder)
+        provides ``key_tracker(partition, first)`` for incremental prefix
+        keys (required by the queue-based order builder, which refuses an
+        oracle that is not keyed)
     ``value_bound``
         an integer upper bound on d's values, declared only when every
         value of d is an integer; None otherwise. Read only from keyed
@@ -62,10 +63,6 @@ class LaxOracle:
 
     def eval(self, left, right, tau=INF):
         raise NotImplementedError
-
-    def key_tracker(self, partition, first):
-        """Start incremental prefix keys for one order construction."""
-        raise TypeError("oracle does not support incremental keys")
 
 
 def _require_disjoint(left, right):

@@ -9,9 +9,10 @@ cheaper and can append several classes per scan.
 Two builders are provided: a rescanning one driven purely by lax oracle
 calls, and a queue-based one for oracles that can maintain prefix keys
 incrementally, which can replay the unchanged prefix of its previous
-round's order. Both refuse a NaN or infinite key with
-``values.finite_key``'s error: the scan checks each oracle value, the
-queue builder each tracker key before its replay or its queue reads it.
+round's order. Both start every order at the class holding element 0,
+and both refuse a NaN or infinite key with ``values.finite_key``'s error:
+the scan checks each oracle value, the queue builder each tracker key
+before its replay or its queue reads it.
 """
 
 from dataclasses import dataclass
@@ -34,10 +35,11 @@ class LaxBackOrder:
     threshold: object
 
     def __post_init__(self):
-        assert len(self.order) == len(self.keys)
+        if len(self.order) != len(self.keys):
+            raise ValueError(f"{len(self.order)} classes but {len(self.keys)} keys")
 
 
-def lax_back_order_scan(oracle, partition, tau=INF, first=None):
+def lax_back_order_scan(oracle, partition, tau=INF):
     """Build an order by rescanning the remaining classes each round.
 
     Any class whose capped value against the current prefix reaches tau is
@@ -48,10 +50,7 @@ def lax_back_order_scan(oracle, partition, tau=INF, first=None):
     Returns (order, eval_count); eval_count <= k(k-1)/2 for k classes.
     """
     classes = partition.classes()
-    if first is None:
-        first = classes[0]
-    if first not in partition:
-        raise ValueError(f"unknown class {first}")
+    first = partition.class_of(0)
     blocks = {c: partition.member_set(c) for c in classes}
     order = [first]
     keys = [INF]
@@ -82,8 +81,7 @@ def lax_back_order_scan(oracle, partition, tau=INF, first=None):
     return LaxBackOrder(tuple(order), tuple(keys), tau), calls
 
 
-def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="heap",
-                         *, previous=None):
+def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
     """Build an order with a thresholded queue and incremental keys.
 
     Needs a keyed oracle. The remaining classes sit in the queue keyed by
@@ -119,10 +117,7 @@ def lax_back_order_queue(oracle, partition, tau=INF, first=None, queue_kind="hea
     """
     if not getattr(oracle, "keyed", False):
         raise TypeError("queue builder needs an oracle with incremental key support")
-    if first is None:
-        first = partition.classes()[0]
-    elif first not in partition:
-        raise ValueError(f"unknown class {first}")
+    first = partition.class_of(0)
     tracker = oracle.key_tracker(partition, first)
     remaining = tracker.keys
     for c, key in remaining.items():

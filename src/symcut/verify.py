@@ -118,16 +118,14 @@ def check_contraction_record(oracle, record):
     return "contraction-preserves-capped-min", CheckResult(ok, witness)
 
 
-def check_separation_triangle(oracle, n, taus=None):
+def check_separation_triangle(oracle, n):
     """If two overlapping pairs separate at >= tau, so does the outer pair."""
     lam = {}
     for s in range(n):
         for t in range(s + 1, n):
             lam[(s, t)] = lam[(t, s)] = brute_lambda(oracle, n, s, t)
-    if taus is None:
-        vals = sorted(set(lam.values()))
-        taus = [0, INF] + vals[:3] + vals[-2:]
-    for tau in taus:
+    vals = sorted(set(lam.values()))
+    for tau in [0, INF] + vals[:3] + vals[-2:]:
         for u in range(n):
             for v in range(n):
                 for w in range(n):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from symcut import (GraphCutOracle, WeightedGraph, gen_random_graph,
-                    values_equal, write_graph)
-from symcut.brute import MAX_ENUM
+from symcut import (GraphCutOracle, SetFunctionTable, WeightedGraph,
+                    gen_random_graph, graph_cut_table, values_equal, write_graph,
+                    write_table)
+from symcut.brute import MAX_ENUM, MAX_TABLE_CHECK
 from symcut.cli import build_parser, main
 from instance_texts import TRIANGLE_TEXT, TWO_VERTEX_TEXT
 
@@ -167,9 +168,12 @@ class TestMincut:
         second = capsys.readouterr().out
         assert _strip_wall(first) == _strip_wall(second)
 
-    def test_first_vertex_flag(self, triangle_file, capsys):
-        assert main(["mincut", triangle_file, "--first", "3"]) == 0
-        assert "lambda=3" in capsys.readouterr().out
+    def test_first_vertex_flag_is_refused(self, triangle_file, capsys):
+        # every order starts at vertex 1's class; there is no setting for it
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mincut", triangle_file, "--first", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --first 3" in capsys.readouterr().err
 
     def test_table_file_redirected_to_minimize(self, tmp_path, capsys):
         path = tmp_path / "f.table"
@@ -187,11 +191,10 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
     else:
         path.write_text("2\n0 0\n1 3\n2 3\n3 0\n")
         argv = ["minimize", "--table", str(path)]
-    assert main(argv + ["--first", "2", "--json"]) == 0
+    assert main(argv + ["--algorithm", "maxback", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report["config"]) == {"algorithm", "order_builder", "queue_kind",
-                                     "first_element"}
-    assert report["config"]["first_element"] == 2
+    assert report["config"] == {"algorithm": "maxback", "order_builder": "scan",
+                                "queue_kind": "heap"}
     assert set(report["stats"]) == {"rounds", "oracle_calls", "joins_per_round",
                                     "calls_per_order"}
     assert all(isinstance(x, list) for x in report["stats"]["calls_per_order"])
@@ -200,14 +203,12 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
 def test_calls_in_one_process_share_the_parser_but_not_their_flags(triangle_file, capsys):
     assert build_parser() is build_parser()
     configs = []
-    for flags in (["--builder", "queue", "--queue", "bucket", "--first", "3"], []):
+    for flags in (["--builder", "queue", "--queue", "bucket", "--algorithm", "maxback"], []):
         assert main(["mincut", triangle_file, "--json"] + flags) == 0
         configs.append(json.loads(capsys.readouterr().out)["config"])
     assert configs == [
-        {"algorithm": "laxback", "order_builder": "queue", "queue_kind": "bucket",
-         "first_element": 3},
-        {"algorithm": "laxback", "order_builder": "scan", "queue_kind": "heap",
-         "first_element": 1}]
+        {"algorithm": "maxback", "order_builder": "queue", "queue_kind": "bucket"},
+        {"algorithm": "laxback", "order_builder": "scan", "queue_kind": "heap"}]
 
 
 class TestMinimize:
@@ -229,6 +230,19 @@ class TestMinimize:
         path = tmp_path / "bad.table"
         path.write_text("\n".join(lines) + "\n")
         assert main(["minimize", "--table", str(path)]) == 2
+
+    def test_rejects_non_symmetric_past_the_submodularity_limit(self, tmp_path, capsys):
+        n = MAX_TABLE_CHECK + 1
+        table = graph_cut_table(gen_random_graph(n, 4 / (n - 1), 9, seed=1, connected=True))
+        path = tmp_path / "f.table"
+        path.write_text(write_table(table))
+        assert main(["minimize", "--table", str(path)]) == 0
+        capsys.readouterr()
+        values = list(table.table_values)
+        values[1] += 1000  # f({0}) no longer equals f(V - {0})
+        path.write_text(write_table(SetFunctionTable(n, values)))
+        assert main(["minimize", "--table", str(path)]) == 2
+        assert "symmetric=False, submodular=unchecked" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -288,6 +302,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "table-submodular" in out
+
+    def test_negative_random_count_exits_2(self, capsys):
+        assert main(["verify", "--random", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "nonnegative" in captured.err
+        assert "all checks passed" not in captured.out
 
     def test_no_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
@@ -355,3 +375,13 @@ def test_readme_usage_names_exactly_the_parser_flags():
     # every listed choice set, so a flag added or dropped in the CLI cannot
     # drift from the README
     assert _readme_usage() == _parser_usage()
+
+
+def test_readme_library_quick_start_runs():
+    # the README's python block runs as written, so a renamed or dropped
+    # configuration field cannot drift from the docs
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert (namespace["best"], namespace["value"]) == ({2}, 3)

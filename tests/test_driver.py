@@ -10,8 +10,8 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle,
                     HypergraphCutOracle, LaxBackOrder, LaxOracle,
                     MinimizeConfig, Partition, TableOracle, WeightedGraph,
                     complete_table, contract_round, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table, optimal_set,
-                    verify_oracle)
+                    gen_random_hypergraph, graph_cut_table, named_configs,
+                    optimal_set, verify_oracle)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,6 +127,15 @@ for algorithm in ("laxback", "maxback"):
 print("refused in round 2")
 """
 
+# an order with one key too few: were it accepted, contract_round would zip
+# past class 2 and join only 1 into 0
+SHORT_KEYS_RUN = """
+from symcut import INF, LaxBackOrder, Partition, contract_round
+
+order = LaxBackOrder((0, 1, 2), (INF, 5), 3)
+print(contract_round(Partition(3), order, 3))
+"""
+
 
 def run_optimized(script):
     """Run `script` under python -O, so that no check can be an assert."""
@@ -234,18 +243,11 @@ class TestOptimalSet:
         scan_evals = sum(ops for _, ops in stats.calls_per_order)
         assert stats.oracle_calls == (scan_evals if cfg.order_builder == "scan" else 0) + 1
 
-    def test_first_element_override(self, triangle_oracle):
-        cfg = MinimizeConfig(first_element=2)
-        best, value, _ = optimal_set(triangle_oracle, 3, cfg)
-        assert value == 3
-
     def test_invalid_configs(self, triangle_oracle):
         with pytest.raises(ValueError):
             optimal_set(triangle_oracle, 3, MinimizeConfig(algorithm="magic"))
         with pytest.raises(ValueError):
             optimal_set(triangle_oracle, 3, MinimizeConfig(order_builder="spiral"))
-        with pytest.raises(ValueError):
-            optimal_set(triangle_oracle, 3, MinimizeConfig(first_element=5))
         with pytest.raises(ValueError, match="bucket"):
             optimal_set(triangle_oracle, 3, MinimizeConfig(queue_kind="bucket"))
         with pytest.raises(ValueError, match="fibonacci"):
@@ -277,6 +279,11 @@ class TestOptimalSet:
         assert result.returncode == 1
         assert "ValueError" in result.stderr
         assert "class 2 the non-finite key nan" in result.stderr
+
+    def test_order_key_count_mismatch_fails_loudly_under_optimize(self):
+        result = run_optimized(SHORT_KEYS_RUN)
+        assert result.returncode == 1
+        assert "ValueError: 3 classes but 2 keys" in result.stderr
 
     def test_non_finite_tracker_keys_fail_loudly_under_optimize(self):
         result = run_optimized(QUEUE_KEY_RUNS)
@@ -404,3 +411,21 @@ def test_default_scan_path_beats_a_max_back_first_round(name):
     _, pendant_pair_value, _ = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"))
     assert value == pendant_pair_value
     assert value == oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)
+
+
+START_CLASS_INSTANCES = {
+    "graph": lambda: (GraphCutOracle(gen_random_graph(9, 0.5, 9, seed=5, connected=True)), 9),
+    "hypergraph": lambda: (HypergraphCutOracle(gen_random_hypergraph(9, 18, 9, seed=5)), 9),
+    "table": lambda: (ConnectivityOracle(graph_cut_table(
+        gen_random_graph(6, 0.6, 7, seed=5, connected=True))), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_CLASS_INSTANCES))
+def test_every_order_starts_at_element_0(name):
+    # maxback's n - 1 rounds take the start class through every join
+    oracle, n = START_CLASS_INSTANCES[name]()
+    for config_name, config in named_configs(oracle):
+        records = []
+        optimal_set(oracle, n, config, observer=records.append)
+        assert [r.order.order[0] for r in records] == [0] * len(records), config_name

@@ -30,17 +30,17 @@ def test_scan_single_class(triangle_oracle):
     assert order.order == (0,) and order.keys == (INF,) and calls == 0
 
 
-def test_scan_invalid_first(triangle_oracle):
-    with pytest.raises(ValueError):
-        lax_back_order_scan(triangle_oracle, Partition(3), first=9)
-
-
-def test_scan_first_override(triangle_oracle):
-    order, _ = lax_back_order_scan(triangle_oracle, Partition(3), first=2)
-    assert order.order[0] == 2
-    # from 2, keys are d(1,{2})=2 vs d(0,{2})=1, then d(0,{2,1})=4
-    assert order.order == (2, 1, 0)
-    assert order.keys == (INF, 2, 4)
+@pytest.mark.parametrize("build", [lax_back_order_scan, lax_back_order_queue])
+def test_builders_start_at_the_class_of_element_0(build):
+    # a path 0-1-2-3 of weights 1, 5, 2: class 2 holds element 0 after the
+    # join, though 1 is the lowest live label
+    oracle = GraphCutOracle(WeightedGraph(4, [(0, 1, 1), (1, 2, 5), (2, 3, 2)]))
+    p = Partition(4)
+    p.join(2, 0)
+    order, _ = build(oracle, p)
+    # from {0, 2}: d(1, .) = 6 beats d(3, .) = 2, then d(3, {0, 1, 2}) = 2
+    assert order.order == (2, 1, 3)
+    assert order.keys == (INF, 6, 2)
 
 
 def test_scan_handles_negative_values():

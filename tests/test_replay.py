@@ -67,10 +67,9 @@ def checked_rounds():
     real = driver.lax_back_order_queue
     updates = []
 
-    def both(oracle, partition, tau, first, queue_kind, *, previous=None):
-        scratch, scratch_updates = real(oracle, partition, tau, first, queue_kind)
-        order, order_updates = real(oracle, partition, tau, first, queue_kind,
-                                    previous=previous)
+    def both(oracle, partition, tau, queue_kind, *, previous=None):
+        scratch, scratch_updates = real(oracle, partition, tau, queue_kind)
+        order, order_updates = real(oracle, partition, tau, queue_kind, previous=previous)
         assert (order.order, order.keys, order.threshold) == (
             scratch.order, scratch.keys, scratch.threshold)
         updates.append((order_updates, scratch_updates))
@@ -125,10 +124,9 @@ def test_every_round_equals_a_build_from_scratch(family, n, kind):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 12), hyper=st.booleans(), integer=st.booleans(),
        algorithm=st.sampled_from(["laxback", "maxback"]),
-       queue_kind=st.sampled_from(["heap", "bucket"]),
-       first=st.integers(0, 11), data=st.data())
+       queue_kind=st.sampled_from(["heap", "bucket"]), data=st.data())
 def test_replay_equals_scratch_on_small_instances(n, hyper, integer, algorithm,
-                                                  queue_kind, first, data):
+                                                  queue_kind, data):
     weight = st.integers(0, 6) if integer else st.sampled_from(FLOATS)
     pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     if hyper:
@@ -139,8 +137,7 @@ def test_replay_equals_scratch_on_small_instances(n, hyper, integer, algorithm,
         items = data.draw(st.lists(st.tuples(pair, weight), max_size=3 * n))
         oracle = GraphCutOracle(WeightedGraph(n, [(u, v, w) for (u, v), w in items]))
     config = MinimizeConfig(algorithm=algorithm, order_builder="queue",
-                            queue_kind=queue_kind if integer else "heap",
-                            first_element=first % n)
+                            queue_kind=queue_kind if integer else "heap")
     with checked_rounds():
         optimal_set(oracle, n, config)
 
@@ -153,7 +150,7 @@ BOGUS = (0, 4, 3, 2, 1)
 @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
 def test_replay_falls_back_to_a_full_build(queue_kind):
     def built(tau, previous=None):
-        return lax_back_order_queue(RING5, Partition(5), tau, 0, queue_kind,
+        return lax_back_order_queue(RING5, Partition(5), tau, queue_kind,
                                     previous=previous)
 
     scratch, scratch_updates = built(5)
