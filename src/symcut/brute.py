@@ -4,13 +4,15 @@ Everything the fast path relies on can be recomputed here by direct
 enumeration: minimum bipartitions, pairwise separation values, and the
 monotonicity / consistency axioms the minimizer assumes. All evaluations
 go through the oracle uncapped (tau = INF), so thresholding can never mask
-a discrepancy. Failed checks carry a witness.
+a discrepancy. Failed checks carry a witness. An inequality counts as
+violated only beyond the float tolerance (``values.value_below``), and a
+premise holds within it; integer values compare exactly.
 """
 
 from dataclasses import dataclass
 from functools import cache
 
-from .values import INF, set_of, submasks
+from .values import INF, set_of, submasks, value_below, values_equal
 
 #: largest n enumerated; 2^(n-1) evaluations take seconds at n = 20 and
 #: double with every further element
@@ -90,7 +92,7 @@ def check_monotone(oracle, n):
         for t in submasks(full ^ s):
             d_st = d(s, t)
             for tp in submasks(t):
-                if tp != t and d(s, tp) > d_st:
+                if tp != t and value_below(d_st, d(s, tp)):
                     return CheckResult(False, (s, t, tp))
     return CheckResult(True)
 
@@ -107,33 +109,46 @@ def check_consistent(oracle, n):
         rest = full ^ r
         for s in submasks(rest):
             for t in submasks(rest ^ s):
-                if d(s, r) >= d(t, r) and d(s, r | t) < d(s | r, t):
+                if (not value_below(d(s, r), d(t, r))
+                        and value_below(d(s, r | t), d(s | r, t))):
                     return CheckResult(False, (r, s, t))
     return CheckResult(True)
 
 
-#: largest table n the CLI gives to table_submodular (4^n pairs)
+#: largest table n the CLI gives to table_submodular (O(2^n n^2) steps)
 MAX_TABLE_CHECK = 12
 
 
 def table_symmetric(table):
-    """Whether f(A) = f(V\\A) for every A, in O(2^n).
+    """Whether f(A) = f(V\\A) for every A, within `values_equal`, in O(2^n).
 
     With A a bitmask, V\\A is ``full ^ A == full - A``, so the table must
-    read the same reversed.
+    read the same reversed. That exact test decides every table it passes;
+    only a table it fails (a float table off in the last place, say) is
+    compared entry by entry.
     """
     f = table.table_values
-    return f == f[::-1]
+    return f == f[::-1] or all(map(values_equal, f, reversed(f)))
 
 
 def table_submodular(table):
-    """Whether f(S) + f(T) >= f(S|T) + f(S&T) for every pair (a 4^n loop)."""
+    """Whether f(S) + f(T) >= f(S|T) + f(S&T) for every pair, in O(2^n n^2).
+
+    Tested in the local form f(S+i) + f(S+j) >= f(S+i+j) + f(S) for every
+    S and i < j outside S, which is equivalent: any pair's inequality is a
+    sum of local ones along a chain from S&T to S|T.
+    """
     f = table.table_values
-    size = 1 << table.n
-    for s in range(size):
-        for t in range(s, size):
-            if f[s] + f[t] < f[s | t] + f[s & t]:
-                return False
+    n = table.n
+    for s in range(1 << n):
+        fs = f[s]
+        outside = [1 << i for i in range(n) if not s >> i & 1]
+        for a, bit_i in enumerate(outside):
+            si = s | bit_i
+            fsi = f[si]
+            for bit_j in outside[a + 1:]:
+                if value_below(fsi + f[s | bit_j], f[si | bit_j] + fs):
+                    return False
     return True
 
 
@@ -161,7 +176,7 @@ def verify_lax_back_order(oracle, blocks, order, tau=None):
         own = min(tau, oracle.eval(frozenset(blocks[seq[i]]), prefix, INF))
         for j in range(i + 1, k):
             later = min(tau, oracle.eval(frozenset(blocks[seq[j]]), prefix, INF))
-            if own < later:
+            if value_below(own, later):
                 return CheckResult(False, (i, j))
         prefix = prefix | blocks[seq[i]]
     return CheckResult(True)

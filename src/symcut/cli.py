@@ -36,7 +36,10 @@ def build_parser():
     p = sub.add_parser("mincut", help="minimum cut of a graph or hypergraph file")
     p.add_argument("path")
     p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
-    _add_config_flags(p)
+    _add_algorithm_flag(p)
+    p.add_argument("--builder", choices=["scan", "queue"], default="scan")
+    p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
+                   help="priority queue of --builder queue; the scan builder uses none")
     p.add_argument("--check", action="store_true",
                    help=f"re-verify the result against enumeration (n <= {MAX_ENUM})")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -44,7 +47,7 @@ def build_parser():
 
     p = sub.add_parser("minimize", help="minimize an explicit symmetric submodular f")
     p.add_argument("--table", required=True, help="set-function table file")
-    _add_config_flags(p)
+    _add_algorithm_flag(p)
     p.add_argument("--check", action="store_true")
     p.add_argument("--json", action="store_true", dest="as_json")
     p.set_defaults(func=cmd_minimize)
@@ -71,11 +74,8 @@ def build_parser():
     return parser
 
 
-def _add_config_flags(p):
+def _add_algorithm_flag(p):
     p.add_argument("--algorithm", choices=["laxback", "maxback"], default="laxback")
-    p.add_argument("--builder", choices=["scan", "queue"], default="scan")
-    p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
-                   help="priority queue of --builder queue; the scan builder uses none")
 
 
 def _canonical_side(best, n):
@@ -111,12 +111,15 @@ def cmd_mincut(args):
         return 2
     oracle = (GraphCutOracle(instance) if kind == "graph"
               else HypergraphCutOracle(instance))
-    return _solve_and_report(args, oracle, {
+    config = MinimizeConfig(algorithm=args.algorithm, order_builder=args.builder,
+                            queue_kind=args.queue)
+    return _solve_and_report(args, config, oracle, {
         "kind": kind, "n": instance.n, "m": instance.m,
         "integer_weights": instance.integer_weights})
 
 
 def cmd_minimize(args):
+    """Minimize a table's f on the scan builder: ConnectivityOracle is not keyed."""
     table = parse_table(_read(args.table))
     symmetric = table_symmetric(table)
     submodular = table_submodular(table) if table.n <= MAX_TABLE_CHECK else "unchecked"
@@ -124,19 +127,18 @@ def cmd_minimize(args):
         print("error: table is not a symmetric submodular function "
               f"(symmetric={symmetric}, submodular={submodular})", file=sys.stderr)
         return 2
-    return _solve_and_report(args, ConnectivityOracle(table),
-                             {"kind": "table", "n": table.n}, table)
+    return _solve_and_report(args, MinimizeConfig(algorithm=args.algorithm),
+                             ConnectivityOracle(table), {"kind": "table", "n": table.n},
+                             table)
 
 
-def _solve_and_report(args, oracle, instance, table=None):
-    """Solve with the flags' configuration, print the report, return the exit code.
+def _solve_and_report(args, config, oracle, instance, table=None):
+    """Solve with `config`, print the report, return the exit code.
 
     With a `table` the report adds f(S) and --check enumerates f; otherwise
     --check enumerates the oracle's bipartitions (n <= brute.MAX_ENUM).
     """
     n = instance["n"]
-    config = MinimizeConfig(algorithm=args.algorithm, order_builder=args.builder,
-                            queue_kind=args.queue)
     start = time.perf_counter_ns()
     best, value, stats = optimal_set(oracle, n, config)
     wall = time.perf_counter_ns() - start
@@ -200,8 +202,7 @@ def cmd_verify(args):
             report = verify_table(instance)
         else:
             oracle_cls = GraphCutOracle if kind == "graph" else HypergraphCutOracle
-            report = verify_oracle(oracle_cls(instance), instance.n,
-                                   strict_oracle=oracle_cls(instance, early_exit=False))
+            report = verify_oracle(oracle_cls(instance), instance.n)
         for entry in report.entries:
             mark = "ok  " if entry.ok else "FAIL"
             detail = f"  ({entry.detail})" if entry.detail and not entry.ok else ""

@@ -136,9 +136,11 @@ def optimal_set(oracle, n, config=None, observer=None):
         # d(best, V \ best) == tau
 
     order = None
+    # the partition changes only by a round's joins, so one snapshot per
+    # round serves as its members_after and the next round's members_before
+    members = partition.blocks() if observer is not None else None
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
-        members_before = partition.blocks() if observer is not None else None
         if cfg.order_builder == "scan":
             order, ops = lax_back_order_scan(oracle, partition, build_tau)
             stats.oracle_calls += ops
@@ -162,13 +164,14 @@ def optimal_set(oracle, n, config=None, observer=None):
         stats.joins_per_round.append(joins)
         stats.calls_per_order.append((len(order.order), ops))
         if observer is not None:
+            members_before, members = members, partition.blocks()
             observer(RoundRecord(
                 index=stats.rounds - 1,
                 order=order,
                 members_before=members_before,
                 tau_after=tau,
                 joins=joins,
-                members_after=partition.blocks(),
+                members_after=members,
             ))
 
     value = oracle.eval(best, universe - best, INF)

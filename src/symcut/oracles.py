@@ -45,6 +45,13 @@ class LaxOracle:
     Evaluation must be pure and must not keep references to its arguments:
     callers mutate and reuse the sets they pass (the scan builder's growing
     prefix, the driver's one complement set for all singleton probes).
+
+    The id rule: every id a caller passes lies in 0..n-1. The solver passes
+    only unions of partition classes, so it keeps the rule by construction;
+    an oracle need not check it. The cut oracles refuse a bad id on the
+    side they walk and only test the other side for membership, so a bad
+    id there is not reported.
+
     Capability flags:
 
     ``keyed``
@@ -181,11 +188,16 @@ class GraphCutOracle(LaxOracle):
     """Lax cut oracle for a weighted graph.
 
     Iterates the adjacency of the smaller side and tests membership in the
-    other. An id of the smaller side outside 0..n-1 is refused with a
-    ValueError when the walk reaches it. With ``early_exit`` (the default)
-    the walk stops as soon as the running sum reaches tau, possibly before
-    it reaches every id; verification code disables it to cross-check
-    exact values.
+    other. Ids follow the :class:`LaxOracle` rule: one of the smaller side
+    outside 0..n-1 is refused with a ValueError when the walk reaches it;
+    the other side's ids are only tested for membership.
+
+    With ``early_exit`` (the default) the walk stops as soon as the running
+    sum reaches tau and returns tau. Weights are nonnegative, so the full
+    sum would reach tau too and ``min(tau, total)`` would be tau: the flag
+    changes the cost of a call, never its value. Outside the tests, only
+    the benchmark's answer check (``perfbench/check.py``) still turns it
+    off.
     """
 
     keyed = True
@@ -387,7 +399,12 @@ class HypergraphCutOracle(LaxOracle):
     shared pin). The ids are visited in ascending order, the order of a
     walk over all hyperedges, so the cut weights are added in the same
     order and float sums and early exits come out bit for bit the same.
-    An id of the smaller side outside 0..n-1 is refused with a ValueError.
+    Ids follow the :class:`LaxOracle` rule: one of the smaller side outside
+    0..n-1 is refused with a ValueError; the other side's ids are only
+    tested for membership.
+
+    ``early_exit`` is that of :class:`GraphCutOracle`: it changes the cost
+    of a call, never its value.
     """
 
     keyed = True
@@ -681,6 +698,6 @@ def graph_cut_table(graph):
     """
     n = graph.n
     full = (1 << n) - 1
-    oracle = GraphCutOracle(graph, early_exit=False)
+    oracle = GraphCutOracle(graph)  # at tau = INF the walk never stops early
     values = [oracle.eval(set_of(mask), set_of(full ^ mask)) for mask in range(1 << n)]
     return SetFunctionTable(n, values)

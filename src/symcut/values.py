@@ -4,7 +4,9 @@ Cut values are plain ints or floats; ``INF`` (= ``math.inf``) is the
 "no threshold" sentinel and compares greater than every finite value.
 Integer instances admit exact comparison; float instances are compared
 with a relative plus an absolute tolerance, so that rounding in the sums
-of large weights does not read as a different value.
+of large weights does not read as a different value. ``values_equal`` is
+that equality and ``value_below`` the matching strict order: every
+exhaustive check calls an inequality violated only through it.
 
 Subsets of V = {0..n-1} are bitmasks: bit v set means element v is in
 the subset. ``mask_of``, ``set_of`` and ``submasks`` are the package's
@@ -26,6 +28,15 @@ def values_equal(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return a == b
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def value_below(a, b):
+    """Whether a < b beyond the tolerance of `values_equal`: exact for ints.
+
+    ``not value_below(a, b)`` is the matching ">=": it holds when a >= b or
+    a equals b within the tolerance.
+    """
+    return a < b and not values_equal(a, b)
 
 
 def format_value(value):

@@ -5,7 +5,11 @@ orders really dominate their suffixes, the last pair of an order is a
 pendant pair up to the threshold, stored keys bound pairwise separation,
 contraction preserves the capped optimum, and separation values satisfy
 the threshold triangle rule. `verify_oracle` bundles them with a
-configuration sweep whose results must all match the enumerated optimum.
+configuration sweep whose results must all match the enumerated optimum,
+and `verify_table` runs that same sweep on an explicit set function.
+Every check evaluates through the oracle that solves, uncapped or through
+a capped view, so the capped checks test its own lax answers (a cut
+oracle's early exit included), not those of a second copy.
 """
 
 from contextlib import suppress
@@ -17,7 +21,7 @@ from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
 from .driver import MinimizeConfig, optimal_set
 from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
 from .queues import BucketQueue
-from .values import INF, mask_of, set_of, values_equal
+from .values import INF, set_of, value_below, values_equal
 
 
 @dataclass
@@ -53,12 +57,6 @@ def named_configs(oracle):
     return configs + [("maxback", MinimizeConfig(algorithm="maxback"))]
 
 
-def run_with_records(oracle, n, config):
-    records = []
-    best, value, stats = optimal_set(oracle, n, config, observer=records.append)
-    return best, value, stats, records
-
-
 def check_order_record(oracle, record):
     """Per-order checks against enumeration; returns [(name, CheckResult)]."""
     order = record.order
@@ -92,7 +90,7 @@ def check_order_record(oracle, record):
         bound = CheckResult(True)
         for i in range(1, k):
             sep = min(tau, brute_lambda(induced, k, i - 1, i))
-            if sep < order.keys[i] and not values_equal(sep, order.keys[i]):
+            if value_below(sep, order.keys[i]):
                 bound = CheckResult(False, (i, order.keys[i], sep))
                 break
         results.append(("keys-bound-separation", bound))
@@ -113,30 +111,36 @@ def check_contraction_record(oracle, record):
         witness = None if ok else (optimum_before, optimum_after, tau)
     else:
         # everything contracted: legal only if nothing below tau was lost
-        ok = optimum_before >= tau or values_equal(optimum_before, tau)
+        ok = not value_below(optimum_before, tau)
         witness = None if ok else (optimum_before, tau)
     return "contraction-preserves-capped-min", CheckResult(ok, witness)
 
 
 def check_separation_triangle(oracle, n):
-    """If two overlapping pairs separate at >= tau, so does the outer pair."""
+    """If two overlapping pairs separate at >= tau, so does the outer pair.
+
+    The taus are 0 and the lowest and highest separation values; a finite
+    separation never reaches tau = INF, so that tau would test nothing.
+    """
     lam = {}
     for s in range(n):
         for t in range(s + 1, n):
             lam[(s, t)] = lam[(t, s)] = brute_lambda(oracle, n, s, t)
     vals = sorted(set(lam.values()))
-    for tau in [0, INF] + vals[:3] + vals[-2:]:
+    for tau in [0] + vals[:3] + vals[-2:]:
         for u in range(n):
             for v in range(n):
                 for w in range(n):
                     if len({u, v, w}) != 3:
                         continue
-                    if lam[(u, v)] >= tau and lam[(v, w)] >= tau and lam[(u, w)] < tau:
+                    if (not value_below(lam[(u, v)], tau)
+                            and not value_below(lam[(v, w)], tau)
+                            and value_below(lam[(u, w)], tau)):
                         return CheckResult(False, (u, v, w, tau))
     return CheckResult(True)
 
 
-def verify_oracle(oracle, n, *, strict_oracle=None):
+def verify_oracle(oracle, n):
     """Full verification sweep for a pairwise oracle on {0..n-1}.
 
     Runs every supported configuration and compares each result to the
@@ -145,19 +149,18 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
     with the error as the detail. For n <= 8 the per-round order and
     contraction checks run too, and for n <= 6 the monotonicity/consistency
     axioms are checked exhaustively, including on capped views of the
-    oracle.
-    `strict_oracle` (no early exit) is used for re-evaluation when given.
+    oracle. Every check evaluates through `oracle` itself.
     """
     deep = n <= 8
-    ref = strict_oracle if strict_oracle is not None else oracle
-    expected = brute_min_bipartition(ref, n)
+    expected = brute_min_bipartition(oracle, n)
     entries = [VerifyEntry("bruteforce-optimum", True, f"value {expected.value}")]
 
     deep_failures = {}
     deep_counts = {}
     for name, cfg in named_configs(oracle):
+        records = []
         try:
-            best, value, stats, records = run_with_records(oracle, n, cfg)
+            best, value, stats = optimal_set(oracle, n, cfg, observer=records.append)
         except ValueError as exc:
             entries.append(VerifyEntry(f"agrees-with-bruteforce[{name}]", False, str(exc)))
             continue
@@ -165,7 +168,7 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
         entries.append(VerifyEntry(
             f"agrees-with-bruteforce[{name}]", agree,
             f"value {value} vs {expected.value}"))
-        attained = ref.eval(frozenset(best), frozenset(range(n)) - best, INF)
+        attained = oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)
         entries.append(VerifyEntry(
             f"result-set-attains-value[{name}]", values_equal(attained, value),
             f"d(S, rest) = {attained}"))
@@ -178,8 +181,8 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
                 "maxback-one-join-per-round", ok, f"rounds {stats.rounds}"))
         if deep:
             for record in records:
-                for check_name, result in (check_order_record(ref, record)
-                                           + [check_contraction_record(ref, record)]):
+                for check_name, result in (check_order_record(oracle, record)
+                                           + [check_contraction_record(oracle, record)]):
                     deep_counts[check_name] = deep_counts.get(check_name, 0) + 1
                     if not result and check_name not in deep_failures:
                         deep_failures[check_name] = (name, record.index, result.witness)
@@ -190,13 +193,13 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
             f"{deep_counts[check_name]} rounds" if failure is None else repr(failure)))
 
     if deep:
-        entries.append(_entry("separation-triangle", check_separation_triangle(ref, n)))
+        entries.append(_entry("separation-triangle", check_separation_triangle(oracle, n)))
 
     if n <= 6:
-        entries.append(_entry("oracle-monotone", check_monotone(ref, n)))
-        entries.append(_entry("oracle-consistent", check_consistent(ref, n)))
-        for cap in _sample_caps(ref, n):
-            capped = ThresholdedOracle(ref, cap)
+        entries.append(_entry("oracle-monotone", check_monotone(oracle, n)))
+        entries.append(_entry("oracle-consistent", check_consistent(oracle, n)))
+        for cap in _sample_caps(oracle, n):
+            capped = ThresholdedOracle(oracle, cap)
             mono = check_monotone(capped, n)
             cons = check_consistent(capped, n)
             entries.append(VerifyEntry(
@@ -205,24 +208,17 @@ def verify_oracle(oracle, n, *, strict_oracle=None):
 
 
 def verify_table(table):
-    """Sweep for minimizing an explicit symmetric submodular f; axioms for n <= 6."""
-    n = table.n
+    """The table's own axioms, then :func:`verify_oracle` on its connectivity.
+
+    For a symmetric f, d(S, V\\S) = 2 f(S) - f(V), so the sweep's
+    agreement with enumeration, with each result set attaining its value,
+    says that every configuration returns a minimizer of f.
+    """
     symmetric, submodular = check_symmetric_submodular(table)
     entries = [VerifyEntry("table-symmetric", symmetric),
                VerifyEntry("table-submodular", submodular)]
-    oracle = ConnectivityOracle(table)
-    if n <= 6:
-        entries.append(_entry("connectivity-monotone", check_monotone(oracle, n)))
-        entries.append(_entry("connectivity-consistent", check_consistent(oracle, n)))
-    if symmetric and submodular:
-        f = table.table_values
-        best_f = min(f[1:-1])
-        found, _, _ = optimal_set(oracle, n)
-        mask = mask_of(found)
-        ok = f[mask] == best_f
-        entries.append(VerifyEntry(
-            "minimizes-set-function", ok, f"f(S) = {f[mask]}, best {best_f}"))
-    return VerifyReport(entries)
+    report = verify_oracle(ConnectivityOracle(table), table.n)
+    return VerifyReport(entries + report.entries)
 
 
 def _sample_caps(oracle, n):

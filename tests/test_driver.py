@@ -359,8 +359,7 @@ class TestOptimalSet:
 
     def test_round_records_pass_verify_on_valid_oracle(self):
         graph = gen_random_graph(6, 0.6, 8, seed=3, connected=True)
-        report = verify_oracle(GraphCutOracle(graph), 6,
-                               strict_oracle=GraphCutOracle(graph, early_exit=False))
+        report = verify_oracle(GraphCutOracle(graph), 6)
         assert report.ok, [e for e in report.entries if not e.ok]
 
     def test_observer_sees_every_round(self, triangle_oracle):
