@@ -187,6 +187,9 @@ def cmd_verify(args):
             jobs.append((f"random[{i}] n={n}", "graph", graph))
     elif args.path:
         kind, instance = load_instance(_read(args.path), args.kind)
+        if instance.n < 2:
+            print("error: need at least two elements", file=sys.stderr)
+            return 2
         jobs.append((args.path, kind, instance))
     else:
         print("error: give an instance path or --random COUNT", file=sys.stderr)

@@ -14,10 +14,12 @@ keep values as ints when every one is an int, else as floats; graphs and
 hypergraphs report which in ``integer_weights``, for the bucket queue.
 
 Graphs and tables in exactly the writers' layout (single spaces, one item
-per "\n"-ended line, no comment, table masks 0..2^n-1 in order) are read
-in bulk: one shape check, one split and one int() or float() pass per
-column. Any other text, and any text the bulk read declines, goes through
-the line walk, the one general parser and the only source of ParseError.
+per "\n"-ended line, no comment, table masks 0..2^n-1 in order and in
+plain decimal) are read in bulk: one shape check, one split and one int()
+or float() pass per column, except a table's mask column, which is
+compared as text with the one the writer prints. Any other text, and any
+text the bulk read declines, goes through the line walk, the one general
+parser and the only source of ParseError.
 Both give the same instance. They call the same int() and float(); where
 the walk mixes ints with floats, float(token) equals float(int(token))
 for every int token that fits a float, as both round correctly. The bulk
@@ -26,6 +28,7 @@ range (float() gives inf, which the constructors refuse) and a negative
 zero in a float column ("-0" is the int 0, which the walk stores as 0.0).
 """
 
+import functools
 import math
 import random
 import re
@@ -102,11 +105,18 @@ def _bulk_graph(tokens):
         map(int, tokens[2::3]), map(int, tokens[3::3]), weights)])
 
 
+@functools.cache
+def _mask_column(n):
+    """The writers' mask column of an n-element table, "0 1 ... 2^n-1" (88 KB at n = 14)."""
+    return " ".join(map(str, range(1 << n)))
+
+
 def _bulk_table(tokens):
     n = int(tokens[0])
     SetFunctionTable.require_size(n)  # before building range(2^n)
-    size = 1 << n
-    if len(tokens) != 1 + 2 * size or list(map(int, tokens[1::2])) != list(range(size)):
+    # tokens hold no whitespace, so the texts are equal exactly when every
+    # mask token is the decimal of its index as the writer prints it
+    if len(tokens) != 1 + 2 * (1 << n) or " ".join(tokens[1::2]) != _mask_column(n):
         return None
     return SetFunctionTable(n, _bulk_values(tokens[2::2]))
 

@@ -24,9 +24,13 @@ joined it walks a quotient of the partition: the graph or hypergraph with
 each class as one vertex and the edges inside a class dropped. Each oracle
 keeps one quotient per live partition and brings it up to date with the
 joins made since its last tracker, so an order costs in the class-level
-edges or pins, not in the instance. Keys of integer instances are exact;
-float keys after the first round may differ from a walk of the instance
-in the last place, since the quotient sums them in another order.
+edges or pins, not in the instance. A quotient is built from the members
+of the classes other than the largest: every edge or hyperedge between
+two classes touches one of them, so the build costs their incidences,
+not the instance's. Keys of integer instances are exact; float keys
+after the first round may differ from a walk of the instance in the last
+place, since the quotient sums them in another order (a graph quotient
+copies each small class's sum into the largest class's row).
 
 Graphs and hypergraphs have at most ``MAX_VERTICES`` vertices, checked
 before their per-vertex lists are built.
@@ -255,6 +259,18 @@ def _synced_quotient(cache, quotient_type, instance, partition):
     return quotient
 
 
+def _small_classes(partition):
+    """The live labels but one largest class's, ascending, and that label.
+
+    Every edge or hyperedge that spans two classes touches one of the
+    classes other than the largest, so a quotient built from their members
+    finds all of them. Ties go to the lowest label.
+    """
+    classes = partition.classes()
+    largest = max(classes, key=partition.size)
+    return [c for c in classes if c != largest], largest
+
+
 class _KeyTracker:
     """Exact prefix keys for one order construction.
 
@@ -289,18 +305,30 @@ class _GraphQuotient:
     walk over the element-level edges would). It holds labels, never the
     partition itself, so caching it weakly keyed by the partition frees it
     with the partition.
+
+    The rows are built from the members of the classes other than a
+    largest one, L (see :func:`_small_classes`): each such class's row
+    sums its members' edges in ascending member order, and ``rows[L][c]``
+    mirrors ``rows[c][L]``. So a build costs the small classes' edges, not
+    the graph's; a float entry of L's row may differ in the last place
+    from one summed over L's own members.
     """
 
     def __init__(self, graph, partition):
         class_of = partition.class_of
+        adjacency = graph.adjacency
+        small, largest = _small_classes(partition)
         self.rows = rows = {c: {} for c in partition.classes()}
-        for x, neighbours in enumerate(graph.adjacency):
-            cx = class_of(x)
+        big_row = rows[largest]
+        for cx in small:
             row = rows[cx]
-            for y, w in neighbours.items():
-                cy = class_of(y)
-                if cy != cx:
-                    row[cy] = row.get(cy, 0) + w
+            for x in sorted(partition.member_set(cx)):
+                for y, w in adjacency[x].items():
+                    cy = class_of(y)
+                    if cy != cx:
+                        row[cy] = row.get(cy, 0) + w
+            if largest in row:
+                big_row[cx] = row[largest]
 
     def sync(self, partition):
         """Fold in the joins the partition made since the rows were current.
@@ -472,13 +500,23 @@ class _HypergraphQuotient:
     hyperedges that pin class c. Ascending ids make a synced quotient equal
     to one built from scratch on the same partition. Like the graph
     quotient it holds labels, never the partition.
+
+    The build visits, in ascending order, the ids of the hyperedges at the
+    members of the classes other than a largest one (see
+    :func:`_small_classes`), so it costs their incidences, not m.
     """
 
     def __init__(self, hypergraph, partition):
         class_of = partition.class_of
+        member_set = partition.member_set
+        instance_incident = hypergraph.incident
+        instance_hyperedges = hypergraph.hyperedges
+        small, _ = _small_classes(partition)
+        ids = sorted({e for c in small for x in member_set(c) for e in instance_incident[x]})
         self.hyperedges = hyperedges = {}
         self.incident = incident = {c: [] for c in partition.classes()}
-        for e, (w, pins) in enumerate(hypergraph.hyperedges):
+        for e in ids:
+            w, pins = instance_hyperedges[e]
             classes = frozenset(map(class_of, pins))
             if len(classes) > 1:
                 hyperedges[e] = (w, classes)

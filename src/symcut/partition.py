@@ -33,6 +33,9 @@ class Partition:
     def class_of(self, element):
         return self._class_of[element]
 
+    def size(self, label):
+        return len(self._members[label])
+
     def member_set(self, label):
         return frozenset(self._members[label])
 

@@ -222,10 +222,10 @@ def verify_table(table):
 
 
 def _sample_caps(oracle, n):
+    """The distinct caps among 0 and the median and top bipartition values, ascending."""
     values = set()
     full = (1 << n) - 1
     for mask in range(1, full):
         values.add(oracle.eval(set_of(mask), set_of(full ^ mask), INF))
-    top = max(values)
-    mid = sorted(values)[len(values) // 2]
-    return [0, mid, top]
+    values = sorted(values)
+    return sorted({0, values[len(values) // 2], values[-1]})

@@ -211,6 +211,9 @@ def test_table_bulk_read_matches_the_line_walk(data):
     (parse_table, "1\n1 2\n0 3\n"),
     (parse_table, "1\n0 2\n0 3\n"),
     (parse_table, "1\n00 2\n1_0 3\n"),
+    (parse_table, "1\n0 2\n+1 3\n"),
+    (parse_table, "2\n0 0\n01 1\n2 1\n3 0\n"),
+    (parse_table, "1\n0 2\n\u0661 3\n"),
     (parse_table, "1\n0 2\n1 3\n"),
     (parse_table, "21\n0 1\n"),
     (parse_table, "1\n0 inf\n1 3\n"),
@@ -220,7 +223,8 @@ def test_table_bulk_read_matches_the_line_walk(data):
         "graph-short-count", "graph-no-vertex", "graph-huge-vertex-count",
         "table-minus-0-among-floats",
         "table-minus-0.0", "table-int-past-floats", "table-masks-out-of-order",
-        "table-duplicate-mask", "table-padded-masks", "table-ints", "table-n-21",
+        "table-duplicate-mask", "table-padded-masks", "table-plus-mask",
+        "table-leading-zero-mask", "table-arabic-indic-mask", "table-ints", "table-n-21",
         "table-inf"])
 def test_bulk_read_matches_the_line_walk_on_edge_cases(parse, text):
     assert read(parse, text) == walked(parse, text)

@@ -14,12 +14,19 @@ previous tracker, including chains (A into B, then B into C) folded in by
 one sync. A synced quotient must also equal one built from scratch on the
 same partition: exactly for hypergraphs, whose weights are never summed,
 and within ``values_equal`` for a graph's summed rows.
+
+A quotient is built from the classes other than the largest. After every
+round a fresh build must equal a walk over every edge or hyperedge of the
+instance, kept here as the reference: exactly for hypergraphs and integer
+graphs, within ``values_equal`` for float graphs. Fixed partitions add the
+cases where several classes tie for largest and where the largest class
+does or does not hold element 0.
 """
 
 import pytest
 
 from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle, Partition,
-                    WeightedGraph, values_equal)
+                    WeightedGraph, gen_random_graph, gen_random_hypergraph, values_equal)
 from symcut.oracles import _GraphQuotient, _HypergraphQuotient
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,19 +72,64 @@ def check_tracker(data, oracle, strict, partition, pins):
         prefix |= block
 
 
-def check_synced_quotient(oracle, partition):
-    """The oracle's synced quotient against one built from scratch."""
-    synced = oracle._quotients[partition]
+def walked_graph_rows(graph, partition):
+    """A graph quotient's rows, by a walk over every vertex's edges."""
+    class_of = partition.class_of
+    rows = {c: {} for c in partition.classes()}
+    for x, neighbours in enumerate(graph.adjacency):
+        cx = class_of(x)
+        row = rows[cx]
+        for y, w in neighbours.items():
+            cy = class_of(y)
+            if cy != cx:
+                row[cy] = row.get(cy, 0) + w
+    return rows
+
+
+def walked_hypergraph_quotient(hypergraph, partition):
+    """A hypergraph quotient's attributes, by a walk over every hyperedge."""
+    hyperedges = {}
+    incident = {c: [] for c in partition.classes()}
+    for e, (w, pins) in enumerate(hypergraph.hyperedges):
+        classes = frozenset(map(partition.class_of, pins))
+        if len(classes) > 1:
+            hyperedges[e] = (w, classes)
+            for c in classes:
+                incident[c].append(e)
+    return {"hyperedges": hyperedges, "incident": incident}
+
+
+def assert_rows_close(rows, expected):
+    assert {c: row.keys() for c, row in rows.items()} == {
+        c: row.keys() for c, row in expected.items()}
+    for c, row in rows.items():
+        for d, w in row.items():
+            assert values_equal(w, expected[c][d]), (c, d, w, expected[c][d])
+
+
+def check_fresh_quotient(oracle, partition):
+    """A quotient built on `partition` against the walk over the whole instance."""
     if isinstance(oracle, HypergraphCutOracle):
         fresh = _HypergraphQuotient(oracle.hypergraph, partition)
-        assert vars(synced) == vars(fresh)
-        return
+        assert vars(fresh) == walked_hypergraph_quotient(oracle.hypergraph, partition)
+        return fresh
     fresh = _GraphQuotient(oracle.graph, partition)
-    assert {c: row.keys() for c, row in synced.rows.items()} == {
-        c: row.keys() for c, row in fresh.rows.items()}
-    for c, row in synced.rows.items():
-        for d, w in row.items():
-            assert values_equal(w, fresh.rows[c][d]), (c, d, w, fresh.rows[c][d])
+    walked = walked_graph_rows(oracle.graph, partition)
+    if oracle.graph.integer_weights:
+        assert fresh.rows == walked
+    else:
+        assert_rows_close(fresh.rows, walked)
+    return fresh
+
+
+def check_synced_quotient(oracle, partition):
+    """The oracle's synced quotient against the reference and a fresh build."""
+    synced = oracle._quotients[partition]
+    fresh = check_fresh_quotient(oracle, partition)
+    if isinstance(oracle, HypergraphCutOracle):
+        assert vars(synced) == vars(fresh)
+    else:
+        assert_rows_close(synced.rows, fresh.rows)
 
 
 def graphs(data, n, weight):
@@ -128,3 +180,38 @@ def test_fresh_trackers_match_strict_eval_after_every_round(data):
 @given(st.data())
 def test_fresh_hypergraph_trackers_match_strict_eval_after_every_round(data):
     run_rounds(data, hypergraphs)
+
+
+# classes as member lists, each joined into its first member; the rest stay single
+FIXED_PARTITIONS = {
+    "largest holds 0": [[0, 3, 5, 7, 9, 11, 13], [2, 4], [1, 6]],
+    "largest without 0": [[1, 2, 4, 8, 12, 14], [0, 3], [5, 6, 7]],
+    "largest without 0, joined into a higher label": [[9, 1, 2, 4, 8, 12], [0, 3]],
+    "tie with 0's class": [[0, 5, 10], [1, 6, 11], [2, 7, 12], [3, 4, 8]],
+    "tie without 0": [[1, 5, 10, 14], [2, 6, 11, 13], [3, 7]],
+    "two classes tie": [[0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]],
+    "one pair": [[6, 7]],
+    "one class": [list(range(16))],
+}
+
+
+def fixed_partition(n, classes):
+    partition = Partition(n)
+    for members in classes:
+        for x in members[1:]:
+            partition.join(members[0], x)
+    return partition
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["int", "float"])
+@pytest.mark.parametrize("name", sorted(FIXED_PARTITIONS))
+def test_fresh_quotients_match_the_walk_on_fixed_partitions(name, integer):
+    n = 16
+    graph = gen_random_graph(n, 0.4, 9, seed=3)
+    hypergraph = gen_random_hypergraph(n, 40, 9, seed=3)
+    if not integer:
+        graph = WeightedGraph(n, [(u, v, w / 3) for u, v, w in graph.edges])
+        hypergraph = Hypergraph(n, [(w / 3, pins) for w, pins in hypergraph.hyperedges])
+    partition = fixed_partition(n, FIXED_PARTITIONS[name])
+    check_fresh_quotient(GraphCutOracle(graph), partition)
+    check_fresh_quotient(HypergraphCutOracle(hypergraph), partition)

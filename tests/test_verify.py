@@ -151,6 +151,28 @@ def test_verify_refuses_a_table_past_the_check_limit(tmp_path, capsys):
     assert "n <= 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, caps", [
+    ("f.table", "2\n0 0\n1 3\n2 3\n3 0\n", [0, 6]),
+    ("f.graph", "2 1\n1 2 0\n", [0]),
+])
+def test_verify_checks_each_cap_once(tmp_path, capsys, name, text, caps):
+    path = write_file(tmp_path, name, text)
+    assert main(["verify", path]) == 0
+    printed = [line.split(": ")[-1] for line in capsys.readouterr().out.splitlines()
+               if "capped-oracle-axioms" in line]
+    assert printed == [f"capped-oracle-axioms[cap={cap}]" for cap in caps]
+
+
+@pytest.mark.parametrize("name, text", [("one.table", "1\n0 0\n1 0\n"),
+                                        ("one.graph", "1 0\n")])
+def test_verify_refuses_a_one_element_instance(tmp_path, capsys, name, text):
+    path = write_file(tmp_path, name, text)
+    assert main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least two elements\n"
+    assert captured.out == ""
+
+
 def test_verify_refuses_an_empty_size_range(capsys):
     assert main(["verify", "--random", "2", "--nmin", "5", "--nmax", "3"]) == 2
     captured = capsys.readouterr()
