@@ -10,11 +10,13 @@ when one class remains, tau is the optimum and the recorded set attains it.
 The queue builder is handed each round's order in the next round and
 replays the part of it that the joins left alone.
 
-Before the first round the scan path (laxback with the scan builder) seeds
-tau with the best singleton, at the cost of n probes: a scan pass appends
-every class that reaches tau, so with tau = INF its first round would be the
-classic max-back order at k(k-1)/2 evals. The queue builder's cost does not
-depend on tau, and maxback builds ignore it, so those paths start at INF.
+Before the first round every laxback path seeds tau with the best
+singleton, at the cost of n probes. With tau = INF the first round would be
+the classic max-back order: k(k-1)/2 evals for the scan builder, and for
+the queue builder a queue update on every key change, since no key reaches
+INF. Under a finite tau the scan appends a class that reaches it mid-pass,
+and the queue builder settles it: appends it next and updates it no
+further. maxback builds ignore tau, so that path starts at INF.
 """
 
 from dataclasses import dataclass, field
@@ -31,9 +33,9 @@ class MinimizeConfig:
     algorithm       "laxback" contracts every threshold-reaching pair per
                     round; "maxback" builds uncapped orders and contracts
                     only the final pair (the classic pendant-pair loop)
-    order_builder   "scan" | "queue"; laxback with the scan builder first
+    order_builder   "scan" | "queue"; with either builder laxback first
                     seeds tau with the best singleton (n extra oracle
-                    calls), the other combinations start at tau = INF
+                    calls), while maxback starts at tau = INF
     queue_kind      "heap" | "bucket", for the queue builder only (bucket
                     needs the keyed oracle's declared value bound, read
                     and refused only by the bucket queue); the scan
@@ -53,12 +55,13 @@ class MinimizeConfig:
 @dataclass
 class RunStats:
     rounds: int = 0
-    # eval calls: the n singleton probes (laxback with the scan builder),
-    # scan builds and the final value
+    # eval calls: the n singleton probes (every laxback path), scan builds
+    # and the final value
     oracle_calls: int = 0
     joins_per_round: list = field(default_factory=list)
     # (class count, builder ops): eval calls for a scan-built order, queue
-    # update_key calls for a queue-built one (its replayed appends make none)
+    # update_key calls for a queue-built one, made only for classes below
+    # tau (replayed appends and settled classes make none)
     calls_per_order: list = field(default_factory=list)
 
 
@@ -121,7 +124,7 @@ def optimal_set(oracle, n, config=None, observer=None):
     tau = INF
     best = None
 
-    if cfg.order_builder == "scan" and cfg.algorithm == "laxback":
+    if cfg.algorithm == "laxback":
         # one complement set serves every probe: O(deg v) each, not O(n)
         rest = set(universe)
         for v in range(n):

@@ -275,17 +275,20 @@ class _KeyTracker:
     """Exact prefix keys for one order construction.
 
     ``keys[c]`` is d(class c, classes appended so far) for every class not
-    yet appended. ``advance`` folds one more class into the prefix and
-    returns {class: new key} for the keys it changed; ``pop`` drops a
-    class once it is appended. The partition must not change while a
-    tracker is live; between trackers it may, and the graph and hypergraph
-    quotients follow the joins made in between.
+    yet appended or settled. ``advance`` folds one more class into the
+    prefix and returns {class: new key} for the keys it changed; ``pop``
+    drops a class once it is appended, or once its key has reached the
+    builder's threshold (it settles), so no later ``advance`` reports it.
+    The partition must not change while a tracker is live; between
+    trackers it may, and the graph and hypergraph quotients follow the
+    joins made in between.
 
     The queue builder's replay of the previous round's order reads the
     keys without a queue, so it relies on both halves of that contract:
     ``advance`` reports exactly the keys it changed (the replay tests each
     one, and watches the heads' keys through them), and ``keys`` holds
-    every one of them (the replay reads the next class's key there).
+    every one of them (the replay reads the next class's key there, and
+    stops at a class that is no longer in it).
     """
 
     def __init__(self, partition, first):

@@ -12,7 +12,7 @@ incrementally, which can replay the unchanged prefix of its previous
 round's order. Both start every order at the class holding element 0,
 and both refuse a NaN or infinite key with ``values.finite_key``'s error:
 the scan checks each oracle value, the queue builder each tracker key
-before its replay or its queue reads it.
+before it tests whether the key reached tau.
 """
 
 from dataclasses import dataclass
@@ -84,10 +84,18 @@ def lax_back_order_scan(oracle, partition, tau=INF):
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
     """Build an order with a thresholded queue and incremental keys.
 
-    Needs a keyed oracle. The remaining classes sit in the queue keyed by
-    their exact value against the prefix; extraction follows the relaxed
-    rule (anything at or above tau is as good as the maximum), and each
-    append bumps the keys the oracle reports as changed.
+    Needs a keyed oracle. A class whose tracker key reaches tau settles:
+    the tracker pops it, so no later ``advance`` reports it, and it goes
+    onto a ready list. The builder appends every ready class, with key
+    tau, before it asks the queue for anything. The queue is not told; a
+    class it returns after the class settled is skipped. The other classes
+    sit in the queue keyed by their exact value against the prefix, and
+    each append bumps the keys the oracle reports as changed. So below tau
+    the heap returns the true maximum and the bucket queue the highest
+    level (lowest label on ties in both), and every run of keys at or
+    above tau closes over the same classes as under the relaxed rule that
+    anything at or above tau is as good as the maximum; only the order
+    inside such a run is the builder's own.
 
     `previous` is the order this builder made in the round before, on the
     same partition before that round's joins. When it starts at the same
@@ -96,8 +104,9 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     a class of `previous` in the joins (the first class excepted). The
     replay walks ``previous.order[1:]`` and appends each class whose tracker
     key k is below tau and whose ``(k, -label)`` beats every head's; it
-    stops at the first head, the first class no longer live or the first
-    class that fails the test. The queue is then built from the keys left.
+    stops at the first head, the first class no longer live or settled,
+    the first class that fails the test, and after the first append that
+    settles a class. The queue is then built from the keys left.
 
     The result is the order a build without `previous` returns. A class
     that is neither a head nor joined away is the same set of elements as
@@ -105,61 +114,91 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     one it had at this step of the previous build, where it beat every
     other class by ``(key, -label)``: below the previous threshold the heap
     (true maximum, lowest label) and the bucket queue (highest level,
-    lowest label) both rank that way. Only the heads' keys differ, and the
-    test checks those. The tracker makes the same ``pop`` and ``advance``
-    calls in the same order, and every reported key gets the same
-    non-finite test. The bucket queue never sees a replayed key, but the
-    same key of the same class was in its queue the round before, under a
+    lowest label) both rank that way. So the replayed prefix and its keys
+    are slices of ``previous``. Only the heads' keys differ, and the test
+    checks those. The tracker makes the same ``pop`` and ``advance`` calls
+    in the same order, and every reported key gets the same non-finite and
+    settle tests. The bucket queue never sees a replayed key, but the same
+    key of the same class was in its queue the round before, under a
     threshold at least as high.
 
     Returns (order, update_count) where update_count is the number of
-    update_key operations performed; replayed appends make none.
+    update_key operations performed: replayed appends and settled classes
+    make none.
     """
     if not getattr(oracle, "keyed", False):
         raise TypeError("queue builder needs an oracle with incremental key support")
     first = partition.class_of(0)
     tracker = oracle.key_tracker(partition, first)
     remaining = tracker.keys
+    pop, advance = tracker.pop, tracker.advance
+    ready = []
     for c, key in remaining.items():
         if not -INF < key < INF:
             finite_key(key, c)
-    pop, advance = tracker.pop, tracker.advance
+        if key >= tau:
+            ready.append(c)
+    for c in ready:
+        pop(c)
     order = [first]
     keys = [INF]
-    if previous is not None and previous.order[0] == first and previous.threshold >= tau:
-        # nothing is popped yet: `remaining` holds every live class but the first
+    if (not ready and previous is not None and previous.order[0] == first
+            and previous.threshold >= tau):
+        # nothing is appended or settled yet: `remaining` holds every live
+        # class but the first, and from here on only keys below tau
         class_of = partition.class_of
+        get = remaining.get
         heads = {class_of(x) for x in previous.order[1:] if x not in remaining}
         heads.discard(first)
-        best = max(((remaining[h], -h) for h in heads), default=(-INF, 0))
+        # the best head by (key, -label); every key is finite, so any beats -INF
+        best_key, best_head = -INF, 0
+        for h in heads:
+            k = remaining[h]
+            if k > best_key or (k == best_key and h < best_head):
+                best_key, best_head = k, h
+        end = 1
         for v in previous.order[1:]:
-            if v in heads or v not in remaining:
+            k = get(v)
+            if k is None or v in heads or k < best_key or (k == best_key and v > best_head):
                 break
-            k = remaining[v]
-            if not (k < tau and (k, -v) > best):
-                break
-            order.append(v)
-            keys.append(k)
+            end += 1
             pop(v)
             for c, key in advance(v).items():
                 if not -INF < key < INF:
                     finite_key(key, c)
-                if c in heads and (key, -c) > best:
-                    best = (key, -c)
+                if key >= tau:
+                    pop(c)
+                    ready.append(c)
+                elif c in heads and (key > best_key or (key == best_key and c < best_head)):
+                    best_key, best_head = key, c
+            if ready:
+                break
+        order += previous.order[1:end]
+        keys += previous.keys[1:end]
     queue = _make_queue(queue_kind, tau, oracle, remaining)
     del_max, update_key = queue.del_max, queue.update_key
     updates = 0
-    for _ in range(len(remaining)):
-        v, k = del_max()
-        order.append(v)
-        keys.append(k if k < tau else tau)
-        pop(v)
-        changed = advance(v)
-        for c, key in changed.items():
+    while ready or remaining:
+        if ready:
+            v = ready.pop()
+            order.append(v)
+            keys.append(tau)
+        else:
+            v, k = del_max()
+            if v not in remaining:
+                continue  # settled after it was queued
+            order.append(v)
+            keys.append(k)
+            pop(v)
+        for c, key in advance(v).items():
             if not -INF < key < INF:
                 finite_key(key, c)
-            update_key(c, key)
-        updates += len(changed)
+            if key >= tau:
+                pop(c)
+                ready.append(c)
+            else:
+                update_key(c, key)
+                updates += 1
     return LaxBackOrder(tuple(order), tuple(keys), tau), updates
 
 

@@ -266,7 +266,7 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket]"
-                "  (key 7 exceeds declared key bound 3)") in captured.out
+                "  (key 4 exceeds declared key bound 3)") in captured.out
         assert "verify: 1 checks failed" in captured.out
         assert captured.err == ""
 

@@ -131,14 +131,16 @@ def split_hypergraph(n, seed, kind):
 
 
 def hypergraph_ring(n, seed, kind):
-    """Heavy hyperedges on consecutive triples plus n/10 light random ones.
+    """Heavy hyperedges on consecutive triples plus n/20 light random ones.
 
     The queue path takes tens of rounds of few joins here, so the hypergraph
-    quotient is synced many times over.
+    quotient is synced many times over. More light hyperedges join more of
+    the ring per round: with n/10 of them the int ring at n = 400 takes 8
+    rounds.
     """
     r = random.Random(seed)
     hyperedges = [(_weight(r, kind) + 4, {v, (v + 1) % n, (v + 2) % n}) for v in range(n)]
-    hyperedges += [(1, set(r.sample(range(n), 3))) for _ in range(n // 10)]
+    hyperedges += [(1, set(r.sample(range(n), 3))) for _ in range(n // 20)]
     return Hypergraph(n, hyperedges)
 
 

@@ -47,19 +47,23 @@ optimal_set(MidOrderNan(ring), 4)
 """
 
 # NaN or infinite keys from a key tracker, at its start or from an advance,
-# under both queues; the queue builder's test of each key is no assert either.
-# On the 4-ring class 2's key goes bad in round 1. On the uniform 6-ring it
-# goes bad from round 2 on, whose order replays classes 1..3 of round 1
-# before its queue is built: the run checks that a clean round 2 makes no
-# queue update, so the bad key reaches the replay, not the queue loop.
+# under both queues; the queue builder's test of each key is no assert either,
+# and it comes before the test that settles a key at tau. On the 4-ring tau
+# starts at 2, vertex 3's degree, and a clean round 1 settles every class:
+# class 1 reaches tau at the tracker's start, class 2 on the advance of 1, so
+# a bad key there replaces one that would settle (class 2's starting key, 0,
+# would not). On the uniform 6-ring class 2's key goes bad from round 2 on,
+# whose order replays classes 1..3 of round 1 before its queue is built: the
+# run checks that a clean round 2 makes no queue update, so the bad key
+# reaches the replay, not the queue loop.
 QUEUE_KEY_RUNS = """
 import math
 from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
 
 class BadKeys(GraphCutOracle):
-    def __init__(self, graph, bad, on_advance, from_round):
+    def __init__(self, graph, bad, label, on_advance, from_round):
         super().__init__(graph)
-        self.bad, self.on_advance = bad, on_advance
+        self.bad, self.label, self.on_advance = bad, label, on_advance
         self.clean_rounds = from_round - 1
 
     def key_tracker(self, partition, first):
@@ -68,14 +72,14 @@ class BadKeys(GraphCutOracle):
             self.clean_rounds -= 1
             return tracker
         if not self.on_advance:
-            tracker.keys[2] = self.bad
+            tracker.keys[self.label] = self.bad
             return tracker
         advance = tracker.advance
 
         def bad_advance(appended):
             changed = advance(appended)
-            if 2 in changed:
-                changed[2] = self.bad
+            if self.label in changed:
+                changed[self.label] = self.bad
             return changed
 
         tracker.advance = bad_advance
@@ -85,36 +89,50 @@ ring4 = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
 ring6 = WeightedGraph(6, [(i, (i + 1) % 6, 3) for i in range(6)])
 for queue_kind in ("heap", "bucket"):
     cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+    _, _, stats = optimal_set(GraphCutOracle(ring4), 4, cfg)
+    if stats.calls_per_order != [(4, 0)]:
+        raise SystemExit(f"{queue_kind}: ring4 {stats.calls_per_order} does not settle all")
     _, _, stats = optimal_set(GraphCutOracle(ring6), 6, cfg)
     if stats.calls_per_order[1] != (5, 0):
         raise SystemExit(f"{queue_kind}: round 2 {stats.calls_per_order[1]} is no replay")
-for ring, from_round in ((ring4, 1), (ring6, 2)):
+cases = ((ring4, 1, 2, False), (ring4, 1, 2, True), (ring4, 1, 1, False),
+         (ring6, 2, 2, False), (ring6, 2, 2, True))
+for ring, from_round, label, on_advance in cases:
     for bad in (math.nan, math.inf, -math.inf):
         for queue_kind in ("heap", "bucket"):
-            for on_advance in (False, True):
-                cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
-                try:
-                    optimal_set(BadKeys(ring, bad, on_advance, from_round), ring.n, cfg)
-                except ValueError as fault:
-                    if f"class 2 the non-finite key {bad!r}" not in str(fault):
-                        raise
-                else:
-                    raise SystemExit(f"{ring} {bad} {queue_kind} {on_advance}: no error")
+            cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+            try:
+                optimal_set(BadKeys(ring, bad, label, on_advance, from_round), ring.n, cfg)
+            except ValueError as fault:
+                if f"class {label} the non-finite key {bad!r}" not in str(fault):
+                    raise
+            else:
+                raise SystemExit(f"{ring} {bad} {queue_kind} {label} {on_advance}: no error")
 print("all refused")
 """
 
-# a float hypergraph whose key tracker reads a non-finite key only from its
-# quotient: in round 1 every key is finite (1e308 for 1, then 1e308 + 1e307
-# for 2, which joins 1), and in round 2 the class {1, 2} meets 0 through two
-# hyperedges of 1e308 each, which sum to inf; the run must stop in round 2
+# float hypergraphs whose key tracker reads a non-finite key only from its
+# quotient, in round 2; every singleton's degree is finite, so laxback's
+# probes pass. maxback, on `h`: in round 1 every key is finite (1e308 for
+# 1, then 1e308 + 1e307 for 2, which joins 1), and in round 2 the class
+# {1, 2} meets 0 through two hyperedges of 1e308 each, which sum to inf.
+# laxback, on `g` (weights in units of 1e307): the probes set tau to 12,
+# vertex 1's degree; in round 1, 2 settles at 14 against 0, then 1 and 3
+# reach 11, and 3 settles at 12 against 0, 2 and 1, so 2 joins 0 and 3
+# joins 1; in round 2 the class {1, 3} meets {0, 2} through four
+# hyperedges that sum to 18, above the largest float
 QUOTIENT_KEY_RUN = """
 from symcut import Hypergraph, HypergraphCutOracle, MinimizeConfig, optimal_set
 
 h = Hypergraph(3, [(1e308, [0, 1]), (1e308, [0, 2]), (1e307, [1, 2])])
-for algorithm in ("laxback", "maxback"):
+g = Hypergraph(4, [(7e307, [0, 2, 3]), (7e307, [0, 1, 2]), (3e307, [0, 1, 3]),
+                   (1e307, [1, 2, 3]), (1e307, [1, 3])])
+runs = (("maxback", h, [{0: {0}, 1: {1, 2}}]),
+        ("laxback", g, [{0: {0, 2}, 1: {1, 3}}]))
+for algorithm, hypergraph, members in runs:
     rounds = []
     try:
-        optimal_set(HypergraphCutOracle(h), 3,
+        optimal_set(HypergraphCutOracle(hypergraph), hypergraph.n,
                     MinimizeConfig(algorithm=algorithm, order_builder="queue"),
                     observer=rounds.append)
     except ValueError as fault:
@@ -122,7 +140,7 @@ for algorithm in ("laxback", "maxback"):
             raise
     else:
         raise SystemExit(f"{algorithm}: no error")
-    if [r.members_after for r in rounds] != [{0: {0}, 1: {1, 2}}]:
+    if [r.members_after for r in rounds] != members:
         raise SystemExit(f"{algorithm}: rounds before the error {rounds}")
 print("refused in round 2")
 """
@@ -233,15 +251,20 @@ class TestOptimalSet:
         MinimizeConfig(algorithm="maxback"),
         MinimizeConfig(order_builder="queue"),
         MinimizeConfig(order_builder="queue", queue_kind="bucket"),
+        MinimizeConfig(algorithm="maxback", order_builder="queue"),
     ])
-    def test_only_the_scan_path_probes_singletons(self, triangle_oracle, cfg):
+    def test_every_laxback_path_probes_singletons(self, triangle_oracle, cfg):
         records = []
         _, value, stats = optimal_set(triangle_oracle, 3, cfg, observer=records.append)
         assert value == 3
-        assert records[0].order.threshold == INF
-        # no probes: the builds' eval calls (a queue build makes none) and the final value
+        laxback = cfg.algorithm == "laxback"
+        # laxback builds its first order at the best singleton's value, 3
+        assert records[0].order.threshold == (3 if laxback else INF)
+        # 3 probes on laxback only, the builds' eval calls (a queue build
+        # makes none) and the final value
         scan_evals = sum(ops for _, ops in stats.calls_per_order)
-        assert stats.oracle_calls == (scan_evals if cfg.order_builder == "scan" else 0) + 1
+        assert stats.oracle_calls == ((3 if laxback else 0)
+                                      + (scan_evals if cfg.order_builder == "scan" else 0) + 1)
 
     def test_invalid_configs(self, triangle_oracle):
         with pytest.raises(ValueError):

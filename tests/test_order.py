@@ -1,8 +1,10 @@
 import pytest
 
-from symcut import (INF, GraphCutOracle, Partition, TableOracle,
-                    WeightedGraph, complete_table, gen_random_graph,
-                    lax_back_order_queue, lax_back_order_scan,
+from symcut import (INF, BucketQueue, GraphCutOracle, HeapQueue,
+                    HypergraphCutOracle, MinimizeConfig, Partition,
+                    TableOracle, WeightedGraph, complete_table,
+                    gen_random_graph, gen_random_hypergraph,
+                    lax_back_order_queue, lax_back_order_scan, optimal_set,
                     verify_lax_back_order)
 
 
@@ -153,3 +155,96 @@ def test_stored_keys_match_reevaluation():
                                                 prefix, INF))
                     assert order.keys[i] == want
                     prefix = prefix | {order.order[i]}
+
+
+
+def counting_queues(monkeypatch):
+    """Make the queue builder's queues record their ``update_key`` calls.
+
+    Returns a list that gets one list of (class, key) per queue built.
+    """
+    updates = []
+
+    def counting(base):
+        class Counting(base):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.calls = []
+                updates.append(self.calls)
+
+            def update_key(self, v, key):
+                self.calls.append((v, key))
+                super().update_key(v, key)
+        return Counting
+
+    monkeypatch.setattr("symcut.order.HeapQueue", counting(HeapQueue))
+    monkeypatch.setattr("symcut.order.BucketQueue", counting(BucketQueue))
+    return updates
+
+
+def reporting(oracle_type):
+    """`oracle_type` whose trackers record their starting keys and reports.
+
+    ``reports`` gets one list per tracker: a copy of its keys once it has
+    started at the first class, then a copy of each ``advance``'s changes.
+    """
+    class Reporting(oracle_type):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.reports = []
+
+        def key_tracker(self, partition, first):
+            tracker = super().key_tracker(partition, first)
+            report = [dict(tracker.keys)]
+            self.reports.append(report)
+            advance = tracker.advance
+
+            def reported(appended):
+                changed = advance(appended)
+                report.append(dict(changed))
+                return changed
+
+            tracker.advance = reported
+            return tracker
+    return Reporting
+
+
+@pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
+def test_a_settled_class_gets_no_further_update_or_report(queue_kind, monkeypatch):
+    # 1, 2 and 3 reach tau = 3 against 0 at the tracker's start and settle;
+    # each is adjacent to the other two, and 3 to 4, so only 4's key changes
+    updates = counting_queues(monkeypatch)
+    oracle = reporting(GraphCutOracle)(WeightedGraph(5, [
+        (0, 1, 3), (0, 2, 3), (0, 3, 3), (1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1)]))
+    order, count = lax_back_order_queue(oracle, Partition(5), 3, queue_kind)
+    assert order.order == (0, 3, 2, 1, 4)
+    assert order.keys == (INF, 3, 3, 3, 1)
+    assert updates == [[(4, 1)]] and count == 1
+    # the starting keys, then the advances of 3, 2, 1 and 4
+    assert oracle.reports == [[{1: 3, 2: 3, 3: 3, 4: 0}, {4: 1}, {}, {}, {}]]
+
+
+@pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
+def test_settled_classes_get_no_update_in_a_run(queue_kind, monkeypatch):
+    updates = counting_queues(monkeypatch)
+    config = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
+    settled_rounds = 0
+    for seed in range(6):
+        for oracle_type, instance in (
+                (GraphCutOracle, gen_random_graph(12, 0.4, 9, seed=seed)),
+                (HypergraphCutOracle, gen_random_hypergraph(12, 24, 9, seed=seed))):
+            oracle = reporting(oracle_type)(instance)
+            updates.clear()
+            records = []
+            _, _, stats = optimal_set(oracle, 12, config, observer=records.append)
+            # calls_per_order counts exactly the queue's update_key calls
+            assert [len(calls) for calls in updates] == [ops for _, ops in stats.calls_per_order]
+            for record, calls, report in zip(records, updates, oracle.reports, strict=True):
+                tau = record.order.threshold
+                assert all(key < tau for _, key in calls)
+                settled = set()
+                for changed in report:
+                    assert not settled & changed.keys()
+                    settled |= {c for c, key in changed.items() if key >= tau}
+                settled_rounds += bool(settled)
+    assert settled_rounds

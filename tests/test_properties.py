@@ -177,7 +177,7 @@ def test_verify_oracle_reports_an_understated_bound_and_skips_a_non_numeric_one(
     report = verify_oracle(understated, 5)
     failed = {e.name: e.detail for e in report.entries if not e.ok}
     assert failed == {
-        "agrees-with-bruteforce[queue-bucket]": "key 7 exceeds declared key bound 3",
+        "agrees-with-bruteforce[queue-bucket]": "key 4 exceeds declared key bound 3",
     }
     not_a_number = GraphCutOracle(g)
     not_a_number.value_bound = "7"

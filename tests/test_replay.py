@@ -166,3 +166,27 @@ def test_replay_falls_back_to_a_full_build(queue_kind):
     uncapped, _ = built(INF)
     assert uncapped.keys == (INF, 3, 3, 3, 6)
     assert built(3, uncapped) == built(3)
+
+
+@pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
+def test_two_heads_settling_on_one_advance_end_the_replay(queue_kind):
+    # a light path 0-1-2, then edges from 2 to each of 3..7
+    oracle = GraphCutOracle(WeightedGraph(8, [
+        (0, 1, 2), (1, 2, 2), (2, 3, 2), (2, 4, 3), (2, 5, 2), (2, 6, 3), (2, 7, 4)]))
+    partition = Partition(8)
+    previous, _ = lax_back_order_queue(oracle, partition, INF, queue_kind)
+    assert previous.order[:4] == (0, 1, 2, 7)
+    partition.join(3, 4)
+    partition.join(5, 6)
+    # the advance of 2 takes both heads, {3, 4} and {5, 6}, to tau = 5, and
+    # 7 to 4: the replay appends 1 and 2 and ends there, so the two settled
+    # heads come before 7, which a replay that went on would append next
+    order, updates = lax_back_order_queue(oracle, partition, 5, queue_kind,
+                                          previous=previous)
+    scratch, scratch_updates = lax_back_order_queue(oracle, partition, 5, queue_kind)
+    assert order == scratch
+    assert order.keys == (INF, 2, 2, 5, 5, 4)
+    assert sorted(order.order[3:5]) == [3, 5] and order.order[5] == 7
+    # from scratch the queue updates 2 after 1 and 7 after 2; the replay
+    # reads both keys from the tracker
+    assert (updates, scratch_updates) == (0, 2)
