@@ -125,11 +125,13 @@ def optimal_set(oracle, n, config=None, observer=None):
     best = None
 
     if cfg.algorithm == "laxback":
-        # one complement set serves every probe: O(deg v) each, not O(n)
+        # one complement set serves every probe: O(deg v) each, not O(n);
+        # each probe is capped at the best so far, since a singleton that
+        # reaches it cannot replace it
         rest = set(universe)
         for v in range(n):
             rest.discard(v)
-            val = finite_key(oracle.eval(frozenset((v,)), rest, INF), v)
+            val = finite_key(oracle.eval(frozenset((v,)), rest, tau), v)
             rest.add(v)
             if val < tau:
                 tau = val

@@ -301,7 +301,7 @@ def gen_random_graph(n, p, max_weight, seed, connected=False):
         graph = WeightedGraph(n, edges)
         if not connected or _is_connected(graph):
             return graph
-    raise RuntimeError("could not draw a connected graph; raise p")
+    raise ValueError("could not draw a connected graph; raise p")
 
 
 def gen_random_hypergraph(n, m, max_weight, seed):

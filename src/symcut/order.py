@@ -82,20 +82,21 @@ def lax_back_order_scan(oracle, partition, tau=INF):
 
 
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
-    """Build an order with a thresholded queue and incremental keys.
+    """Build an order with a max-queue and incremental keys.
 
-    Needs a keyed oracle. A class whose tracker key reaches tau settles:
-    the tracker pops it, so no later ``advance`` reports it, and it goes
-    onto a ready list. The builder appends every ready class, with key
-    tau, before it asks the queue for anything. The queue is not told; a
-    class it returns after the class settled is skipped. The other classes
-    sit in the queue keyed by their exact value against the prefix, and
-    each append bumps the keys the oracle reports as changed. So below tau
-    the heap returns the true maximum and the bucket queue the highest
-    level (lowest label on ties in both), and every run of keys at or
-    above tau closes over the same classes as under the relaxed rule that
-    anything at or above tau is as good as the maximum; only the order
-    inside such a run is the builder's own.
+    Needs a keyed oracle. This builder is the only place that decides
+    "reached tau" (Rizzi's lax rule: such a class is as good as the
+    maximum). A class whose tracker key reaches tau settles: the tracker
+    pops it, so no later ``advance`` reports it, and it goes onto a ready
+    list. The builder appends every ready class, with key tau, before it
+    asks the queue for anything. The queue is not told; a class it returns
+    after the class settled is skipped. The other classes sit in the queue
+    keyed by their exact value against the prefix, always below tau, and
+    each append bumps the keys the oracle reports as changed. Both queues
+    are exact max-queues (lowest label on ties), so every run of keys at
+    or above tau closes over the same classes as an order that appends a
+    class of maximum key at each step; only the order inside such a run
+    is the builder's own.
 
     `previous` is the order this builder made in the round before, on the
     same partition before that round's joins. When it starts at the same
@@ -112,14 +113,12 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     that is neither a head nor joined away is the same set of elements as
     before, and the replayed prefix is the same set too, so its key is the
     one it had at this step of the previous build, where it beat every
-    other class by ``(key, -label)``: below the previous threshold the heap
-    (true maximum, lowest label) and the bucket queue (highest level,
-    lowest label) both rank that way. So the replayed prefix and its keys
-    are slices of ``previous``. Only the heads' keys differ, and the test
-    checks those. The tracker makes the same ``pop`` and ``advance`` calls
+    other class by ``(key, -label)``: both queues rank that way. So the
+    replayed prefix and its keys are slices of ``previous``. Only the
+    heads' keys differ, and the test checks those. The tracker makes the same ``pop`` and ``advance`` calls
     in the same order, and every reported key gets the same non-finite and
     settle tests. The bucket queue never sees a replayed key, but the same
-    key of the same class was in its queue the round before, under a
+    key of the same class was in its queue the round before, below a
     threshold at least as high.
 
     Returns (order, update_count) where update_count is the number of

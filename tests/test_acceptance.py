@@ -11,14 +11,15 @@ import re
 
 import pytest
 
-from symcut import (INF, ConnectivityOracle, GraphCutOracle,
-                    HypergraphCutOracle, MinimizeConfig, ThresholdedOracle,
-                    brute_min_bipartition, check_consistent, check_monotone,
-                    check_separation_triangle, check_symmetric_submodular,
-                    gen_random_graph, gen_random_hypergraph, graph_cut_table,
-                    optimal_set)
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
+                    MinimizeConfig, brute_min_bipartition, check_consistent,
+                    check_monotone, gen_random_graph, gen_random_hypergraph,
+                    graph_cut_table, optimal_set)
+from symcut.brute import check_symmetric_submodular
 from symcut.cli import main
-from symcut.verify import check_contraction_record, check_order_record
+from symcut.oracles import ThresholdedOracle
+from symcut.verify import (check_contraction_record, check_order_record,
+                           check_separation_triangle)
 
 CORPUS_SIZE = 200
 
@@ -200,49 +201,37 @@ def test_criterion_07_hypergraph_path():
 
 
 def test_criterion_08_queue_differential():
-    from symcut import BucketQueue, HeapQueue
+    from symcut.queues import BucketQueue, HeapQueue
     rng = random.Random(777)
     tau = 8
     steps = 10000
-    heap, bucket = HeapQueue(), BucketQueue(tau, bound=2 * tau)
-    exact_h, exact_b = {}, {}
-    next_v = 0
+    exact = {}
+    builds = 0
     violations = 0
     deletions = 0
     for _ in range(steps):
-        op = rng.random()
-        shared = sorted(set(exact_h) & set(exact_b))
-        if op < 0.45 or not shared:
-            k = rng.randint(0, 2 * tau)
-            heap.insert(next_v, k)
-            bucket.insert(next_v, k)
-            exact_h[next_v] = k
-            exact_b[next_v] = k
-            next_v += 1
-        elif op < 0.7:
-            v = rng.choice(shared)
-            k = min(2 * tau, exact_h[v] + rng.randint(0, 4))
+        if not exact:
+            # every key stays below tau, as the order builder guarantees
+            exact = {v: rng.randrange(tau) for v in range(rng.randint(1, 40))}
+            heap, bucket = HeapQueue(exact), BucketQueue(tau, 2 * tau, exact)
+            builds += 1
+        elif rng.random() < 0.45:
+            v = rng.choice(sorted(exact))
+            k = min(tau - 1, exact[v] + rng.randint(0, 4))
             heap.update_key(v, k)
             bucket.update_key(v, k)
-            exact_h[v] = k
-            exact_b[v] = k
+            exact[v] = k
         else:
-            hv, hk = heap.del_max()
-            bv, bk = bucket.del_max()
+            want = min(exact.items(), key=lambda e: (-e[1], e[0]))
+            got = heap.del_max(), bucket.del_max()
             deletions += 1
-            if hk < min(tau, max(exact_h.values())):
+            if got != (want, want):
                 violations += 1
-            if bk < min(tau, max(exact_b.values())):
-                violations += 1
-            if min(tau, hk) != min(tau, bk):
-                violations += 1
-            if (hk < tau or bk < tau) and hv != bv:
-                violations += 1
-            del exact_h[hv]
-            del exact_b[bv]
+                break  # the queues and the shadow no longer hold the same entries
+            del exact[want[0]]
     report(8, violations == 0,
-           f"{steps} randomized steps, {deletions} extractions checked "
-           f"against the relaxed contract ({violations} violations)")
+           f"{steps} randomized steps over {builds} queue pairs, {deletions} "
+           f"extractions checked against the exact contract ({violations} violations)")
 
 
 def test_criterion_09_cli_determinism(tmp_path, capsys):

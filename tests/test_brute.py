@@ -1,9 +1,10 @@
 import pytest
 
-from symcut import (GraphCutOracle, TableOracle, SetFunctionTable,
-                    ThresholdedOracle, WeightedGraph, brute_lambda,
-                    brute_min_bipartition, check_consistent, check_monotone,
-                    check_symmetric_submodular, complete_table)
+from symcut import (GraphCutOracle, SetFunctionTable, WeightedGraph,
+                    brute_min_bipartition, check_consistent, check_monotone)
+from symcut.brute import brute_lambda, check_symmetric_submodular
+from symcut.oracles import ThresholdedOracle
+from table_oracle import TableOracle, complete_table
 
 # elements {0,1,2}: d({0},{2})=5 >= d({1},{2})=3, yet
 # d({0},{1,2})=1 < d({0,2},{1})=9 -- found by random search, kept frozen

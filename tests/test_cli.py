@@ -312,6 +312,11 @@ class TestVerify:
     def test_no_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
 
+    def test_random_graph_that_cannot_connect_exits_2(self, capsys):
+        assert main(["verify", "--random", "1", "--nmin", "8", "--nmax", "8",
+                     "--p", "0.001"]) == 2
+        assert capsys.readouterr().err == "error: could not draw a connected graph; raise p\n"
+
     def test_file_past_enumeration_limit_exits_2(self, big_graph_file, capsys):
         assert main(["verify", big_graph_file]) == 2
         assert f"n <= {MAX_ENUM}" in capsys.readouterr().err
@@ -329,6 +334,13 @@ class TestGen:
 
     def test_too_small_exits_2(self, capsys):
         assert main(["gen", "--n", "1"]) == 2
+
+    def test_graph_that_cannot_connect_exits_2(self, capsys):
+        # an input error, not a verification failure (exit 1) or a traceback
+        assert main(["gen", "--n", "30", "--p", "0.001", "--connected"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: could not draw a connected graph; raise p\n"
+        assert captured.out == ""
 
     def test_gen_then_mincut(self, tmp_path, capsys):
         assert main(["gen", "--n", "6", "--p", "0.7", "--seed", "3",

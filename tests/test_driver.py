@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from symcut import (INF, ConnectivityOracle, GraphCutOracle,
-                    HypergraphCutOracle, LaxBackOrder, LaxOracle,
-                    MinimizeConfig, Partition, TableOracle, WeightedGraph,
-                    complete_table, contract_round, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table, named_configs,
-                    optimal_set, verify_oracle)
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
+                    LaxOracle, MinimizeConfig, WeightedGraph, gen_random_graph,
+                    gen_random_hypergraph, graph_cut_table, optimal_set, verify_oracle)
+from symcut.driver import contract_round
+from symcut.order import LaxBackOrder
+from symcut.partition import Partition
+from symcut.verify import named_configs
+from table_oracle import TableOracle, complete_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -148,7 +150,10 @@ print("refused in round 2")
 # an order with one key too few: were it accepted, contract_round would zip
 # past class 2 and join only 1 into 0
 SHORT_KEYS_RUN = """
-from symcut import INF, LaxBackOrder, Partition, contract_round
+from symcut import INF
+from symcut.driver import contract_round
+from symcut.order import LaxBackOrder
+from symcut.partition import Partition
 
 order = LaxBackOrder((0, 1, 2), (INF, 5), 3)
 print(contract_round(Partition(3), order, 3))
@@ -248,16 +253,28 @@ class TestOptimalSet:
         assert best == {0}
 
     @pytest.mark.parametrize("cfg", [
+        MinimizeConfig(),
         MinimizeConfig(algorithm="maxback"),
         MinimizeConfig(order_builder="queue"),
         MinimizeConfig(order_builder="queue", queue_kind="bucket"),
         MinimizeConfig(algorithm="maxback", order_builder="queue"),
     ])
-    def test_every_laxback_path_probes_singletons(self, triangle_oracle, cfg):
+    def test_every_laxback_path_probes_singletons(self, triangle, cfg):
+        class Recording(GraphCutOracle):
+            def eval(self, left, right, tau=INF):
+                self.taus.append(tau)
+                return super().eval(left, right, tau)
+
+        oracle = Recording(triangle)
+        oracle.taus = []
         records = []
-        _, value, stats = optimal_set(triangle_oracle, 3, cfg, observer=records.append)
+        _, value, stats = optimal_set(oracle, 3, cfg, observer=records.append)
         assert value == 3
         laxback = cfg.algorithm == "laxback"
+        if laxback:
+            # each probe is capped at the best singleton before it: the
+            # first runs at INF, d({0}) = 4 caps the other two
+            assert oracle.taus[:3] == [INF, 4, 4]
         # laxback builds its first order at the best singleton's value, 3
         assert records[0].order.threshold == (3 if laxback else INF)
         # 3 probes on laxback only, the builds' eval calls (a queue build

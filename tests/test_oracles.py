@@ -6,11 +6,12 @@ import weakref
 import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
-                    HypergraphCutOracle, InducedOracle, InstanceError, Partition,
-                    SetFunctionTable, TableOracle, ThresholdedOracle,
-                    WeightedGraph, complete_table, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table)
-from symcut.oracles import MAX_VERTICES
+                    HypergraphCutOracle, InstanceError, SetFunctionTable,
+                    WeightedGraph, gen_random_graph, gen_random_hypergraph,
+                    graph_cut_table)
+from symcut.oracles import MAX_VERTICES, InducedOracle, ThresholdedOracle
+from symcut.partition import Partition
+from table_oracle import TableOracle, complete_table
 
 
 HUGE = 10**400  # 401 digits: past float range, exact as a Python int

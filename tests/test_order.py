@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
-from symcut import (INF, BucketQueue, GraphCutOracle, HeapQueue,
-                    HypergraphCutOracle, MinimizeConfig, Partition,
-                    TableOracle, WeightedGraph, complete_table,
-                    gen_random_graph, gen_random_hypergraph,
-                    lax_back_order_queue, lax_back_order_scan, optimal_set,
-                    verify_lax_back_order)
+from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
+                    MinimizeConfig, WeightedGraph, gen_random_graph,
+                    gen_random_hypergraph, optimal_set)
+from symcut.brute import verify_lax_back_order
+from symcut.order import lax_back_order_queue, lax_back_order_scan
+from symcut.partition import Partition
+from symcut.queues import BucketQueue, HeapQueue
+from table_oracle import TableOracle, complete_table
 
 
 def test_scan_triangle_uncapped(triangle_oracle):
@@ -126,7 +130,7 @@ def test_reversed_order_fails_verification():
     p = Partition(3)
     good, _ = lax_back_order_scan(oracle, p)
     assert verify_lax_back_order(oracle, p.blocks(), good)
-    from symcut import LaxBackOrder
+    from symcut.order import LaxBackOrder
     bad = LaxBackOrder(tuple(reversed(good.order)), good.keys, good.threshold)
     res = verify_lax_back_order(oracle, p.blocks(), bad)
     assert not res
@@ -159,16 +163,18 @@ def test_stored_keys_match_reevaluation():
 
 
 def counting_queues(monkeypatch):
-    """Make the queue builder's queues record their ``update_key`` calls.
+    """Make the queue builder's queues record the keys they receive.
 
-    Returns a list that gets one list of (class, key) per queue built.
+    Returns (starts, updates): per queue built, a copy of its starting keys
+    and the list of its ``update_key`` calls as (class, key).
     """
-    updates = []
+    starts, updates = [], []
 
     def counting(base):
         class Counting(base):
             def __init__(self, *args):
                 super().__init__(*args)
+                starts.append(dict(args[-1]))  # both queues take the keys last
                 self.calls = []
                 updates.append(self.calls)
 
@@ -179,7 +185,7 @@ def counting_queues(monkeypatch):
 
     monkeypatch.setattr("symcut.order.HeapQueue", counting(HeapQueue))
     monkeypatch.setattr("symcut.order.BucketQueue", counting(BucketQueue))
-    return updates
+    return starts, updates
 
 
 def reporting(oracle_type):
@@ -213,7 +219,7 @@ def reporting(oracle_type):
 def test_a_settled_class_gets_no_further_update_or_report(queue_kind, monkeypatch):
     # 1, 2 and 3 reach tau = 3 against 0 at the tracker's start and settle;
     # each is adjacent to the other two, and 3 to 4, so only 4's key changes
-    updates = counting_queues(monkeypatch)
+    _, updates = counting_queues(monkeypatch)
     oracle = reporting(GraphCutOracle)(WeightedGraph(5, [
         (0, 1, 3), (0, 2, 3), (0, 3, 3), (1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1)]))
     order, count = lax_back_order_queue(oracle, Partition(5), 3, queue_kind)
@@ -226,7 +232,7 @@ def test_a_settled_class_gets_no_further_update_or_report(queue_kind, monkeypatc
 
 @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
 def test_settled_classes_get_no_update_in_a_run(queue_kind, monkeypatch):
-    updates = counting_queues(monkeypatch)
+    _, updates = counting_queues(monkeypatch)
     config = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
     settled_rounds = 0
     for seed in range(6):
@@ -248,3 +254,48 @@ def test_settled_classes_get_no_update_in_a_run(queue_kind, monkeypatch):
                     settled |= {c for c, key in changed.items() if key >= tau}
                 settled_rounds += bool(settled)
     assert settled_rounds
+
+
+def ring(n, seed):
+    """Ring with weights 5..10 and n/20 light chords: rounds of few joins."""
+    r = random.Random(seed)
+    edges = [(v, (v + 1) % n, r.randint(5, 10)) for v in range(n)]
+    edges += [(*r.sample(range(n), 2), r.randint(1, 2)) for _ in range(n // 20)]
+    return WeightedGraph(n, edges)
+
+
+def hypergraph_ring(n, seed):
+    """Heavy triples of consecutive vertices plus n/10 light random triples."""
+    r = random.Random(seed)
+    edges = [(r.randint(5, 10), [v, (v + 1) % n, (v + 2) % n]) for v in range(n)]
+    edges += [(r.randint(1, 2), r.sample(range(n), 3)) for _ in range(n // 10)]
+    return Hypergraph(n, edges)
+
+
+@pytest.mark.parametrize("algorithm", ["laxback", "maxback"])
+@pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
+def test_every_queued_key_is_below_the_builds_tau(algorithm, queue_kind, monkeypatch):
+    # the builder settles every class that reaches tau, so no queue is
+    # handed a key at or above it, at its build or through update_key
+    starts, updates = counting_queues(monkeypatch)
+    config = MinimizeConfig(algorithm=algorithm, order_builder="queue",
+                            queue_kind=queue_kind)
+    replayed = 0
+    for seed in range(3):
+        for oracle_type, instance in (
+                (GraphCutOracle, ring(60, seed)),
+                (HypergraphCutOracle, hypergraph_ring(60, seed)),
+                (GraphCutOracle, gen_random_graph(12, 0.4, 9, seed=seed)),
+                (HypergraphCutOracle, gen_random_hypergraph(12, 24, 9, seed=seed))):
+            starts.clear()
+            updates.clear()
+            records = []
+            optimal_set(oracle_type(instance), instance.n, config, observer=records.append)
+            for record, start, calls in zip(records, starts, updates, strict=True):
+                order, tau = record.order, record.order.threshold
+                assert all(key < tau for key in start.values())
+                assert all(key < tau for _, key in calls)
+                # a class neither queued nor settled (key tau) was replayed
+                replayed += sum(c not in start and key < tau
+                                for c, key in zip(order.order[1:], order.keys[1:]))
+    assert replayed

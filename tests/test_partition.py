@@ -1,6 +1,6 @@
 import pytest
 
-from symcut import Partition
+from symcut.partition import Partition
 
 
 def test_starts_discrete():

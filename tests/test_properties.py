@@ -7,15 +7,16 @@ failures quickly.
 
 import pytest
 
-from symcut import (INF, ConnectivityOracle, GraphCutOracle,
-                    HypergraphCutOracle, MinimizeConfig, Partition,
-                    ThresholdedOracle, brute_lambda, brute_min_bipartition,
-                    check_consistent, check_monotone,
-                    check_separation_triangle, check_symmetric_submodular,
-                    gen_random_graph, gen_random_hypergraph, graph_cut_table,
-                    lax_back_order_queue, lax_back_order_scan, optimal_set,
-                    verify_lax_back_order, verify_oracle)
-from symcut.verify import check_contraction_record, check_order_record
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
+                    MinimizeConfig, brute_min_bipartition, check_consistent,
+                    check_monotone, gen_random_graph, gen_random_hypergraph,
+                    graph_cut_table, optimal_set, verify_oracle)
+from symcut.brute import brute_lambda, check_symmetric_submodular, verify_lax_back_order
+from symcut.oracles import ThresholdedOracle
+from symcut.order import lax_back_order_queue, lax_back_order_scan
+from symcut.partition import Partition
+from symcut.verify import (check_contraction_record, check_order_record,
+                           check_separation_triangle)
 
 
 def graphs(count, nmin=3, nmax=6, seed0=0, p=0.6, wmax=9):
@@ -143,7 +144,7 @@ def test_min_bipartition_agrees_between_pair_lambdas_and_enumeration():
 
 
 def test_verify_oracle_flags_a_broken_function():
-    from symcut import TableOracle, complete_table
+    from table_oracle import TableOracle, complete_table
     broken = TableOracle(3, complete_table(3, {(1, 6): 1, (1, 2): 2}))
     report = verify_oracle(broken, 3)
     assert not report.ok

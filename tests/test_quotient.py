@@ -25,9 +25,10 @@ does or does not hold element 0.
 
 import pytest
 
-from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle, Partition,
-                    WeightedGraph, gen_random_graph, gen_random_hypergraph, values_equal)
+from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle, WeightedGraph,
+                    gen_random_graph, gen_random_hypergraph, values_equal)
 from symcut.oracles import _GraphQuotient, _HypergraphQuotient
+from symcut.partition import Partition
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

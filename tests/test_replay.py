@@ -14,9 +14,10 @@ from contextlib import contextmanager
 import pytest
 
 from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
-                    LaxBackOrder, MinimizeConfig, Partition, WeightedGraph,
-                    driver, gen_random_hypergraph, lax_back_order_queue,
+                    MinimizeConfig, WeightedGraph, driver, gen_random_hypergraph,
                     optimal_set)
+from symcut.order import LaxBackOrder, lax_back_order_queue
+from symcut.partition import Partition
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

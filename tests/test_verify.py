@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from symcut import (ConnectivityOracle, GraphCutOracle, SetFunctionTable, TableOracle,
-                    WeightedGraph, check_consistent, complete_table, gen_random_graph,
-                    graph_cut_table, optimal_set, verify_oracle, verify_table,
-                    write_table)
+from symcut import (ConnectivityOracle, GraphCutOracle, SetFunctionTable,
+                    WeightedGraph, check_consistent, gen_random_graph, graph_cut_table,
+                    optimal_set, verify_oracle, verify_table, write_table)
 from symcut.brute import table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.values import value_below
+from table_oracle import TableOracle, complete_table
 
 
 def float_graph(n, seed):
