@@ -25,6 +25,10 @@ from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
 
+# the random graphs `verify --random` draws by default
+RANDOM_DEFAULTS = {"nmin": 3, "nmax": 8, "p": 0.6, "wmax": 10, "seed": 0}
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared: do not change it."""
@@ -37,9 +41,9 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
     _add_algorithm_flag(p)
-    p.add_argument("--builder", choices=["scan", "queue"], default="scan")
     p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
-                   help="priority queue of --builder queue; the scan builder uses none")
+                   help="priority queue of the queue order builder, which every "
+                        "graph and hypergraph oracle takes")
     p.add_argument("--check", action="store_true",
                    help=f"re-verify the result against enumeration (n <= {MAX_ENUM})")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -55,13 +59,13 @@ def build_parser():
     p = sub.add_parser("verify", help="verify against brute force and the property suite")
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--kind", choices=["graph", "hypergraph", "table"], default=None)
-    p.add_argument("--random", type=int, default=0, metavar="COUNT",
+    p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="verify COUNT seeded random graphs instead of a file")
-    p.add_argument("--nmin", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.6)
-    p.add_argument("--wmax", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    # each sets its attribute only when given, so cmd_verify can refuse one
+    # given without --random
+    for name, default in RANDOM_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=type(default), default=argparse.SUPPRESS,
+                       help=f"with --random only (default {default})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a seeded random graph instance")
@@ -111,15 +115,14 @@ def cmd_mincut(args):
         return 2
     oracle = (GraphCutOracle(instance) if kind == "graph"
               else HypergraphCutOracle(instance))
-    config = MinimizeConfig(algorithm=args.algorithm, order_builder=args.builder,
-                            queue_kind=args.queue)
+    config = MinimizeConfig(algorithm=args.algorithm, queue_kind=args.queue)
     return _solve_and_report(args, config, oracle, {
         "kind": kind, "n": instance.n, "m": instance.m,
         "integer_weights": instance.integer_weights})
 
 
 def cmd_minimize(args):
-    """Minimize a table's f on the scan builder: ConnectivityOracle is not keyed."""
+    """Minimize a table's f; its ConnectivityOracle has no keys, so it scans."""
     table = parse_table(_read(args.table))
     symmetric = table_symmetric(table)
     submodular = table_submodular(table) if table.n <= MAX_TABLE_CHECK else "unchecked"
@@ -172,18 +175,32 @@ def _solve_and_report(args, config, oracle, instance, table=None):
 
 
 def cmd_verify(args):
+    if args.random is None:
+        mode = "without"
+        ignored = [f"--{name}" for name in RANDOM_DEFAULTS if hasattr(args, name)]
+    else:
+        mode = "with"
+        ignored = ([f"the file {args.path}"] if args.path else []) + (
+            ["--kind"] if args.kind else [])
+    if ignored:
+        print(f"error: {mode} --random COUNT verify would ignore {', '.join(ignored)}",
+              file=sys.stderr)
+        return 2
     jobs = []
-    if args.random < 0:
+    if args.random is not None and args.random < 0:
         print("error: --random COUNT must be nonnegative", file=sys.stderr)
         return 2
     if args.random:
-        if not 2 <= args.nmin <= args.nmax:
+        draw = {name: getattr(args, name, default)
+                for name, default in RANDOM_DEFAULTS.items()}
+        nmin, nmax = draw["nmin"], draw["nmax"]
+        if not 2 <= nmin <= nmax:
             print("error: need 2 <= nmin <= nmax", file=sys.stderr)
             return 2
         for i in range(args.random):
-            n = args.nmin + i % (args.nmax - args.nmin + 1)
-            graph = gen_random_graph(n, args.p, args.wmax, seed=args.seed + i,
-                                     connected=True)
+            n = nmin + i % (nmax - nmin + 1)
+            graph = gen_random_graph(n, draw["p"], draw["wmax"],
+                                     seed=draw["seed"] + i, connected=True)
             jobs.append((f"random[{i}] n={n}", "graph", graph))
     elif args.path:
         kind, instance = load_instance(_read(args.path), args.kind)

@@ -7,6 +7,8 @@ far (the key of each order's last class is a candidate); pairs at or above
 it can never be separated by a strictly better bipartition, so contracting
 them is safe. The partition shrinks by at least one class per round, and
 when one class remains, tau is the optimum and the recorded set attains it.
+A keyed oracle's orders come from the queue builder and every other
+oracle's from the scan builder, unless the configuration forces one.
 The queue builder is handed each round's order in the next round and
 replays the part of it that the joins left alone.
 
@@ -28,14 +30,16 @@ from .values import INF, finite_key
 
 @dataclass
 class MinimizeConfig:
-    """Algorithm knobs; the defaults follow the plain scan-based variant.
+    """Algorithm knobs.
 
     algorithm       "laxback" contracts every threshold-reaching pair per
                     round; "maxback" builds uncapped orders and contracts
                     only the final pair (the classic pendant-pair loop)
-    order_builder   "scan" | "queue"; with either builder laxback first
-                    seeds tau with the best singleton (n extra oracle
-                    calls), while maxback starts at tau = INF
+    order_builder   None follows the oracle: the queue builder for a keyed
+                    oracle, the scan builder for any other; "scan" or
+                    "queue" forces that builder. With either builder
+                    laxback first seeds tau with the best singleton (n
+                    extra oracle calls), while maxback starts at tau = INF
     queue_kind      "heap" | "bucket", for the queue builder only (bucket
                     needs the keyed oracle's declared value bound, read
                     and refused only by the bucket queue); the scan
@@ -48,7 +52,7 @@ class MinimizeConfig:
     """
 
     algorithm: str = "laxback"
-    order_builder: str = "scan"
+    order_builder: str | None = None
     queue_kind: str = "heap"
 
 
@@ -94,15 +98,25 @@ def contract_round(partition, order, tau):
     return joins
 
 
-def _validate(config):
+def _order_builder(config, oracle):
+    """Validate `config` and return the order builder it runs on `oracle`.
+
+    Without a forced builder a keyed oracle gets the queue builder and
+    every other oracle the scan builder, so a bucket queue asked for on an
+    oracle without keys is refused here.
+    """
     if config.algorithm not in ("laxback", "maxback"):
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
-    if config.order_builder not in ("scan", "queue"):
-        raise ValueError(f"unknown order builder {config.order_builder!r}")
-    if config.order_builder == "scan" and config.queue_kind != "heap":
+    builder = config.order_builder
+    if builder is None:
+        builder = "queue" if getattr(oracle, "keyed", False) else "scan"
+    elif builder not in ("scan", "queue"):
+        raise ValueError(f"unknown order builder {builder!r}")
+    if builder == "scan" and config.queue_kind != "heap":
         # the queue builder's own factory rejects unknown kinds
         raise ValueError(f"queue kind {config.queue_kind!r} needs the queue "
                          "order builder; the scan builder uses no queue")
+    return builder
 
 
 def optimal_set(oracle, n, config=None, observer=None):
@@ -117,7 +131,7 @@ def optimal_set(oracle, n, config=None, observer=None):
     if n < 2:
         raise ValueError("need at least two elements")
     cfg = config or MinimizeConfig()
-    _validate(cfg)
+    builder = _order_builder(cfg, oracle)
     partition = Partition(n)
     stats = RunStats()
     universe = frozenset(range(n))
@@ -146,7 +160,7 @@ def optimal_set(oracle, n, config=None, observer=None):
     members = partition.blocks() if observer is not None else None
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
-        if cfg.order_builder == "scan":
+        if builder == "scan":
             order, ops = lax_back_order_scan(oracle, partition, build_tau)
             stats.oracle_calls += ops
         else:

@@ -65,12 +65,13 @@ class BucketQueue:
     library workloads it loses to :class:`HeapQueue`: the builder settles
     every key that reaches tau, so few keys change more than once before
     extraction (figures in the README). `tau` only caps the top level, at
-    ``min(tau, bound)``. `bound` is a keyed oracle's ``value_bound``, read
-    nowhere else: the constructor is the one place that refuses a missing,
-    non-numeric, non-integer, negative or non-finite bound, or a top level
-    above ``MAX_TOP``, before allocating anything: with tau = INF the top
-    level is the instance's total weight, which can be far larger than
-    memory.
+    ``min(tau, bound)``; a key above it is refused with an error that names
+    which of the two it exceeds. `bound` is a keyed oracle's
+    ``value_bound``, read nowhere else: the constructor is the one place
+    that refuses a missing, non-numeric, non-integer, negative or
+    non-finite bound, or a top level above ``MAX_TOP``, before allocating
+    anything: with tau = INF the top level is the instance's total weight,
+    which can be far larger than memory.
     """
 
     MAX_TOP = 1 << 20
@@ -81,7 +82,10 @@ class BucketQueue:
                              "a keyed, integer-valued oracle declares it as value_bound")
         if tau != INF and (tau != int(tau) or tau < 0):
             raise ValueError("bucket queue needs a nonnegative integer threshold")
-        self._top = int(bound) if tau == INF else min(int(tau), int(bound))
+        if tau != INF and tau < bound:
+            self._top, self._limit = int(tau), "the build's threshold tau"
+        else:
+            self._top, self._limit = int(bound), "the oracle's value_bound"
         if self._top > self.MAX_TOP:
             raise ValueError(f"bucket queue key bound {self._top} is above its limit "
                              f"{self.MAX_TOP}; use the heap queue")
@@ -100,7 +104,7 @@ class BucketQueue:
             raise ValueError(f"bucket queue keys must be nonnegative, got {key}")
         level = int(key)
         if level > self._top:
-            raise ValueError(f"key {key} exceeds declared key bound {self._top}")
+            raise ValueError(f"key {key} exceeds {self._limit} {self._top}")
         return level
 
     def update_key(self, v, key):

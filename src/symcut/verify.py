@@ -46,15 +46,19 @@ def _entry(name, result):
 
 
 def named_configs(oracle):
-    """Configuration sweep supported by the oracle's capabilities."""
-    configs = [("scan", MinimizeConfig())]
+    """Configuration sweep supported by the oracle's capabilities.
+
+    The scan builder is forced on the `scan` and `maxback` entries, so it
+    is verified on keyed oracles too, whose default is the queue builder.
+    """
+    configs = [("scan", MinimizeConfig(order_builder="scan"))]
     if getattr(oracle, "keyed", False):
         configs.append(("queue-heap", MinimizeConfig(order_builder="queue")))
         with suppress(ValueError):  # a bound taken at tau = INF is taken at every tau
             BucketQueue(INF, getattr(oracle, "value_bound", None))
             configs.append(("queue-bucket",
                             MinimizeConfig(order_builder="queue", queue_kind="bucket")))
-    return configs + [("maxback", MinimizeConfig(algorithm="maxback"))]
+    return configs + [("maxback", MinimizeConfig(algorithm="maxback", order_builder="scan"))]
 
 
 def check_order_record(oracle, record):

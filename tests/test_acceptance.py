@@ -25,7 +25,7 @@ CORPUS_SIZE = 200
 
 # every distinct laxback builder/queue configuration (the scan builder has no queue)
 CONFIGS = {
-    "scan": MinimizeConfig(),
+    "scan": MinimizeConfig(order_builder="scan"),
     "queue-heap": MinimizeConfig(order_builder="queue"),
     "queue-bucket": MinimizeConfig(order_builder="queue", queue_kind="bucket"),
 }
@@ -60,7 +60,8 @@ def corpus_runs(corpus):
                                              observer=records.append)
             per_config[name] = (best, value, stats, records)
         mb_records = []
-        mb = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"),
+        mb = optimal_set(oracle, n,
+                         MinimizeConfig(algorithm="maxback", order_builder="scan"),
                          observer=mb_records.append)
         runs.append((n, graph, expected, per_config, (*mb, mb_records)))
     return runs
@@ -186,7 +187,8 @@ def test_criterion_07_hypergraph_path():
         h = gen_random_hypergraph(n, n + 3, 6, seed=4000 + i)
         oracle = HypergraphCutOracle(h)
         expected = brute_min_bipartition(oracle, n).value
-        for cfg in (MinimizeConfig(), MinimizeConfig(order_builder="queue"),
+        for cfg in (MinimizeConfig(order_builder="scan"),
+                    MinimizeConfig(order_builder="queue"),
                     MinimizeConfig(order_builder="queue", queue_kind="bucket")):
             _, value, _ = optimal_set(oracle, n, cfg)
             if value != expected:
@@ -239,8 +241,7 @@ def test_criterion_09_cli_determinism(tmp_path, capsys):
     assert main(["gen", "--n", "7", "--p", "0.6", "--wmax", "9", "--seed", "11",
                  "--connected"]) == 0
     path.write_text(capsys.readouterr().out)
-    args = ["mincut", str(path), "--json", "--check",
-            "--builder", "queue", "--queue", "bucket"]
+    args = ["mincut", str(path), "--json", "--check", "--queue", "bucket"]
     outputs = []
     for _ in range(2):
         assert main(args) == 0

@@ -57,17 +57,35 @@ class TestMincut:
         assert report["stats"]["rounds"] == 2
 
     def test_all_flag_combinations(self, triangle_file, capsys):
-        for builder in ("scan", "queue"):
+        for algorithm in ("laxback", "maxback"):
             for queue in ("heap", "bucket"):
-                code = main(["mincut", triangle_file, "--builder", builder,
-                             "--queue", queue, "--json"])
-                if builder == "scan" and queue == "bucket":
-                    # the scan builder uses no queue
-                    assert code == 2
-                    assert "bucket" in capsys.readouterr().err
-                    continue
-                assert code == 0
+                assert main(["mincut", triangle_file, "--algorithm", algorithm,
+                             "--queue", queue, "--json"]) == 0
                 assert json.loads(capsys.readouterr().out)["lambda"] == 3
+
+    def test_builder_flag_is_refused(self, triangle_file, capsys):
+        # graph and hypergraph oracles are keyed, so they always take the
+        # queue builder; there is no setting for it
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mincut", triangle_file, "--builder", "scan"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --builder scan" in capsys.readouterr().err
+
+    def test_integer_ring_takes_the_queue_builder(self, tmp_path, capsys):
+        # a pure ring's minimum cut is its two lightest edges; the queue
+        # builder makes no eval, so the calls are the n singleton probes
+        # and the final value
+        n = 300
+        r = random.Random(300)
+        weights = [r.randint(5, 10**6) for _ in range(n)]
+        path = tmp_path / "ring.graph"
+        path.write_text(write_graph(WeightedGraph(
+            n, [(v, (v + 1) % n, w) for v, w in enumerate(weights)])))
+        assert main(["mincut", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lambda"] == sum(sorted(weights)[:2])
+        assert report["stats"]["oracle_calls"] == n + 1
+        assert report["config"]["order_builder"] is None
 
     def test_check_flag(self, triangle_file, capsys):
         assert main(["mincut", triangle_file, "--check", "--json"]) == 0
@@ -92,8 +110,7 @@ class TestMincut:
         graph = WeightedGraph(n, edges)
         path = tmp_path / "mixed.graph"
         path.write_text(write_graph(graph))
-        assert main(["mincut", str(path), "--builder", "queue", "--check",
-                     "--json"]) == 0
+        assert main(["mincut", str(path), "--check", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["check"]["ok"] is True
         side = frozenset(v - 1 for v in report["set"])
@@ -115,41 +132,37 @@ class TestMincut:
     def test_bucket_on_float_weights_exits_2(self, tmp_path, capsys):
         path = tmp_path / "float.graph"
         path.write_text("2 1\n1 2 2.5\n")
-        assert main(["mincut", str(path), "--builder", "queue",
-                     "--queue", "bucket"]) == 2
+        assert main(["mincut", str(path), "--queue", "bucket"]) == 2
         assert "bucket" in capsys.readouterr().err
 
     def test_bucket_over_its_limit_exits_2(self, tmp_path, capsys):
         path = tmp_path / "heavy.graph"
         path.write_text("2 1\n1 2 1000000000\n")
-        assert main(["mincut", str(path), "--builder", "queue",
-                     "--queue", "bucket"]) == 2
+        assert main(["mincut", str(path), "--queue", "bucket"]) == 2
         assert "use the heap queue" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    @pytest.mark.parametrize("algorithm", ["laxback", "maxback"])
     @pytest.mark.parametrize("kind,text,expected,side", [
         ("graph", f"3 3\n1 2 {HUGE}\n2 3 {HUGE + 2}\n1 3 {HUGE + 1}\n", 2 * HUGE + 1, [1]),
         ("hypergraph", f"3 3\n{HUGE} 2 1 2\n{HUGE + 1} 2 2 3\n1 2 1 3\n", HUGE + 1, [1]),
     ], ids=["graph", "hypergraph"])
-    def test_huge_integer_weights_stay_exact(self, tmp_path, capsys, builder, kind,
+    def test_huge_integer_weights_stay_exact(self, tmp_path, capsys, algorithm, kind,
                                              text, expected, side):
         path = tmp_path / "huge.txt"
         path.write_text(text)
-        assert main(["mincut", str(path), "--kind", kind, "--builder", builder,
+        assert main(["mincut", str(path), "--kind", kind, "--algorithm", algorithm,
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["lambda"] == expected and report["set"] == side
 
-    @pytest.mark.parametrize("builder", ["scan", "queue"])
     @pytest.mark.parametrize("kind,text", [
         ("graph", f"3 3\n1 2 2.5\n2 3 {HUGE}\n1 3 1\n"),
         ("hypergraph", f"3 2\n2.5 2 1 2\n{HUGE} 3 1 2 3\n"),
     ], ids=["graph", "hypergraph"])
-    def test_huge_integer_among_float_weights_exits_2(self, tmp_path, capsys, builder,
-                                                      kind, text):
+    def test_huge_integer_among_float_weights_exits_2(self, tmp_path, capsys, kind, text):
         path = tmp_path / "huge.txt"
         path.write_text(text)
-        assert main(["mincut", str(path), "--kind", kind, "--builder", builder]) == 2
+        assert main(["mincut", str(path), "--kind", kind]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "too large for a float" in err
 
@@ -193,7 +206,8 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
         argv = ["minimize", "--table", str(path)]
     assert main(argv + ["--algorithm", "maxback", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["config"] == {"algorithm": "maxback", "order_builder": "scan",
+    # the oracle chose the builder: a queue for the graph, a scan for the table
+    assert report["config"] == {"algorithm": "maxback", "order_builder": None,
                                 "queue_kind": "heap"}
     assert set(report["stats"]) == {"rounds", "oracle_calls", "joins_per_round",
                                     "calls_per_order"}
@@ -203,12 +217,12 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
 def test_calls_in_one_process_share_the_parser_but_not_their_flags(triangle_file, capsys):
     assert build_parser() is build_parser()
     configs = []
-    for flags in (["--builder", "queue", "--queue", "bucket", "--algorithm", "maxback"], []):
+    for flags in (["--queue", "bucket", "--algorithm", "maxback"], []):
         assert main(["mincut", triangle_file, "--json"] + flags) == 0
         configs.append(json.loads(capsys.readouterr().out)["config"])
     assert configs == [
-        {"algorithm": "maxback", "order_builder": "queue", "queue_kind": "bucket"},
-        {"algorithm": "laxback", "order_builder": "scan", "queue_kind": "heap"}]
+        {"algorithm": "maxback", "order_builder": None, "queue_kind": "bucket"},
+        {"algorithm": "laxback", "order_builder": None, "queue_kind": "heap"}]
 
 
 class TestMinimize:
@@ -224,6 +238,18 @@ class TestMinimize:
         best = min(f[m] for m in range(1, (1 << 5) - 1))
         assert report["f_value"] == best
         assert report["check"]["ok"] is True
+
+    def test_table_takes_the_scan_builder(self, tmp_path, capsys):
+        # a table's oracle has no keys, so the rule scans its orders: evals
+        # beyond the n singleton probes and the final value
+        n = 9
+        table = graph_cut_table(gen_random_graph(n, 0.5, 9, seed=6, connected=True))
+        path = tmp_path / "f.table"
+        path.write_text(write_table(table))
+        assert main(["minimize", "--table", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["order_builder"] is None
+        assert report["stats"]["oracle_calls"] > n + 1
 
     def test_rejects_non_submodular(self, tmp_path, capsys):
         lines = ["3"] + [f"{m} {bin(m).count('1') ** 2}" for m in range(8)]
@@ -266,7 +292,7 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
         assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket]"
-                "  (key 4 exceeds declared key bound 3)") in captured.out
+                "  (key 4 exceeds the oracle's value_bound 3)") in captured.out
         assert "verify: 1 checks failed" in captured.out
         assert captured.err == ""
 
@@ -311,6 +337,29 @@ class TestVerify:
 
     def test_no_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
+
+    def test_file_with_random_exits_2(self, triangle_file, capsys):
+        assert main(["verify", triangle_file, "--random", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"with --random COUNT verify would ignore the file {triangle_file}" \
+            in captured.err
+        assert captured.out == ""
+
+    def test_kind_with_random_exits_2(self, capsys):
+        assert main(["verify", "--random", "1", "--kind", "graph"]) == 2
+        captured = capsys.readouterr()
+        assert "with --random COUNT verify would ignore --kind" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--nmin", "3"), ("--nmax", "8"), ("--p", "0.6"), ("--wmax", "10"), ("--seed", "0")])
+    def test_random_graph_flag_without_random_exits_2(self, triangle_file, capsys,
+                                                      flag, value):
+        # the default value too: the flag is refused for being given at all
+        assert main(["verify", triangle_file, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"without --random COUNT verify would ignore {flag}" in captured.err
+        assert captured.out == ""
 
     def test_random_graph_that_cannot_connect_exits_2(self, capsys):
         assert main(["verify", "--random", "1", "--nmin", "8", "--nmax", "8",

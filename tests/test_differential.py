@@ -25,7 +25,7 @@ from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle,
 
 nx = pytest.importorskip("networkx")
 
-SCAN = MinimizeConfig()
+SCAN = MinimizeConfig(order_builder="scan")
 HEAP = MinimizeConfig(order_builder="queue")
 BUCKET = MinimizeConfig(order_builder="queue", queue_kind="bucket")
 MAXBACK = MinimizeConfig(algorithm="maxback", order_builder="queue")

@@ -30,13 +30,14 @@ class NanOracle(LaxOracle):
 optimal_set(NanOracle(), 4)
 """
 
-# NaN for one class in the middle of a scan-built order: class 2 against any
+# NaN for one class in the middle of a scan-built order (forced: the graph
+# oracle's keys would take the queue builder): class 2 against any
 # prefix of the ring, not in its singleton probe (whose other side is the
 # three other vertices); unchecked, the scan passes over it and the run
 # returns ({3}, 2) without an error
 MID_ORDER_NAN_RUN = """
 import math
-from symcut import GraphCutOracle, WeightedGraph, optimal_set
+from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
 
 class MidOrderNan(GraphCutOracle):
     def eval(self, left, right, tau=math.inf):
@@ -45,7 +46,7 @@ class MidOrderNan(GraphCutOracle):
         return super().eval(left, right, tau)
 
 ring = WeightedGraph(4, [(0, 1, 3), (1, 2, 3), (2, 3, 1), (3, 0, 1)])
-optimal_set(MidOrderNan(ring), 4)
+optimal_set(MidOrderNan(ring), 4, MinimizeConfig(order_builder="scan"))
 """
 
 # NaN or infinite keys from a key tracker, at its start or from an advance,
@@ -224,7 +225,8 @@ class TestOptimalSet:
             n = 3 + seed
             oracle = GraphCutOracle(gen_random_graph(n, 0.6, 9, seed=seed,
                                                      connected=True))
-            for cfg in (MinimizeConfig(), MinimizeConfig(algorithm="maxback"),
+            for cfg in (MinimizeConfig(order_builder="scan"),
+                        MinimizeConfig(algorithm="maxback", order_builder="scan"),
                         MinimizeConfig(order_builder="queue")):
                 _, _, stats = optimal_set(oracle, n, cfg)
                 assert sum(stats.joins_per_round) == n - 1
@@ -239,7 +241,8 @@ class TestOptimalSet:
             assert stats.joins_per_round == [1] * (n - 1)
 
     def test_scan_path_seeds_tau_with_the_best_singleton(self, triangle_oracle):
-        best, value, stats = optimal_set(triangle_oracle, 3)
+        best, value, stats = optimal_set(triangle_oracle, 3,
+                                         MinimizeConfig(order_builder="scan"))
         assert value == 3 and best == {2}
         # 3 singleton probes, 2 scan evals (both reach tau = 3), the final value
         assert stats.oracle_calls == 3 + 2 + 1
@@ -253,8 +256,8 @@ class TestOptimalSet:
         assert best == {0}
 
     @pytest.mark.parametrize("cfg", [
-        MinimizeConfig(),
-        MinimizeConfig(algorithm="maxback"),
+        MinimizeConfig(order_builder="scan"),
+        MinimizeConfig(algorithm="maxback", order_builder="scan"),
         MinimizeConfig(order_builder="queue"),
         MinimizeConfig(order_builder="queue", queue_kind="bucket"),
         MinimizeConfig(algorithm="maxback", order_builder="queue"),
@@ -289,10 +292,34 @@ class TestOptimalSet:
         with pytest.raises(ValueError):
             optimal_set(triangle_oracle, 3, MinimizeConfig(order_builder="spiral"))
         with pytest.raises(ValueError, match="bucket"):
-            optimal_set(triangle_oracle, 3, MinimizeConfig(queue_kind="bucket"))
+            optimal_set(triangle_oracle, 3,
+                        MinimizeConfig(order_builder="scan", queue_kind="bucket"))
+        # the rule gives an oracle without keys the scan builder, which uses
+        # no queue
+        table = graph_cut_table(gen_random_graph(4, 0.8, 5, seed=7, connected=True))
+        with pytest.raises(ValueError, match="queue kind 'bucket' needs the queue"):
+            optimal_set(ConnectivityOracle(table), 4, MinimizeConfig(queue_kind="bucket"))
         with pytest.raises(ValueError, match="fibonacci"):
             optimal_set(triangle_oracle, 3,
                         MinimizeConfig(order_builder="queue", queue_kind="fibonacci"))
+
+    def test_builder_follows_the_oracle(self):
+        graph = gen_random_graph(12, 0.4, 9, seed=4, connected=True)
+        table = graph_cut_table(graph)
+        # keyed: the queue builder makes no eval beyond the n probes and
+        # the final value
+        _, cut_value, stats = optimal_set(GraphCutOracle(graph), 12)
+        assert stats.oracle_calls == 12 + 1
+        # not keyed: every order is scanned, with one eval per builder op
+        _, table_value, stats = optimal_set(ConnectivityOracle(table), 12)
+        scan_evals = sum(ops for _, ops in stats.calls_per_order)
+        assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
+        # a forced scan on the keyed oracle
+        _, forced_value, stats = optimal_set(GraphCutOracle(graph), 12,
+                                             MinimizeConfig(order_builder="scan"))
+        scan_evals = sum(ops for _, ops in stats.calls_per_order)
+        assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
+        assert forced_value == cut_value and 2 * cut_value == table_value
 
     def test_oracle_calls_count_every_eval(self, triangle):
         class Counting(GraphCutOracle):
@@ -302,7 +329,8 @@ class TestOptimalSet:
                 self.calls += 1
                 return super().eval(left, right, tau)
 
-        for cfg in (MinimizeConfig(), MinimizeConfig(algorithm="maxback"),
+        for cfg in (MinimizeConfig(order_builder="scan"),
+                    MinimizeConfig(algorithm="maxback", order_builder="scan"),
                     MinimizeConfig(order_builder="queue")):
             oracle = Counting(triangle)
             _, _, stats = optimal_set(oracle, 3, cfg)
@@ -407,7 +435,7 @@ class TestOptimalSet:
         _, _, stats = optimal_set(triangle_oracle, 3, observer=records.append)
         assert len(records) == stats.rounds
         rec = records[0]
-        # the best singleton, {2} at 3, seeds the scan path's first round
+        # the best singleton, {2} at 3, seeds the first round
         assert rec.order.threshold == 3
         assert rec.members_before == {0: frozenset({0}), 1: frozenset({1}),
                                       2: frozenset({2})}
@@ -421,7 +449,7 @@ class TestOptimalSet:
             oracle = GraphCutOracle(gen_random_graph(n, 0.5, 10, seed=seed,
                                                      connected=True))
             values = set()
-            for cfg in (MinimizeConfig(),
+            for cfg in (MinimizeConfig(order_builder="scan"),
                         MinimizeConfig(order_builder="queue"),
                         MinimizeConfig(order_builder="queue", queue_kind="bucket")):
                 _, value, _ = optimal_set(oracle, n, cfg)
@@ -440,12 +468,12 @@ SCAN_PATH_INSTANCES = {
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_PATH_INSTANCES))
-def test_default_scan_path_beats_a_max_back_first_round(name):
+def test_scan_path_beats_a_max_back_first_round(name):
     # unseeded (tau = INF), round 1 alone is a max-back scan of exactly
     # n(n-1)/2 evals; the best-singleton seed lets it append many classes
     # per pass
     n, oracle = SCAN_PATH_INSTANCES[name]()
-    best, value, stats = optimal_set(oracle, n)
+    best, value, stats = optimal_set(oracle, n, MinimizeConfig(order_builder="scan"))
     assert stats.oracle_calls < n * (n - 1) // 2
     _, pendant_pair_value, _ = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"))
     assert value == pendant_pair_value

@@ -96,7 +96,8 @@ def test_prefix_value_never_decreases_as_prefix_grows():
 def test_round_records_pass_all_order_and_contraction_checks():
     for n, g in graphs(10, seed0=120):
         oracle = GraphCutOracle(g, early_exit=False)
-        for cfg in (MinimizeConfig(), MinimizeConfig(order_builder="queue"),
+        for cfg in (MinimizeConfig(order_builder="scan"),
+                    MinimizeConfig(order_builder="queue"),
                     MinimizeConfig(order_builder="queue", queue_kind="bucket")):
             records = []
             optimal_set(GraphCutOracle(g), n, cfg, observer=records.append)
@@ -116,10 +117,10 @@ def test_builder_and_queue_variants_agree_on_value():
     for n, g in graphs(10, nmax=8, seed0=170):
         oracle = GraphCutOracle(g)
         expected = brute_min_bipartition(oracle, n).value
-        for cfg in (MinimizeConfig(),
+        for cfg in (MinimizeConfig(order_builder="scan"),
                     MinimizeConfig(order_builder="queue"),
                     MinimizeConfig(order_builder="queue", queue_kind="bucket"),
-                    MinimizeConfig(algorithm="maxback")):
+                    MinimizeConfig(algorithm="maxback", order_builder="scan")):
             _, value, _ = optimal_set(oracle, n, cfg)
             assert value == expected
 
@@ -178,7 +179,7 @@ def test_verify_oracle_reports_an_understated_bound_and_skips_a_non_numeric_one(
     report = verify_oracle(understated, 5)
     failed = {e.name: e.detail for e in report.entries if not e.ok}
     assert failed == {
-        "agrees-with-bruteforce[queue-bucket]": "key 4 exceeds declared key bound 3",
+        "agrees-with-bruteforce[queue-bucket]": "key 4 exceeds the oracle's value_bound 3",
     }
     not_a_number = GraphCutOracle(g)
     not_a_number.value_bound = "7"

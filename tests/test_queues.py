@@ -73,7 +73,7 @@ def test_bucket_refuses_a_top_level_over_its_limit_before_allocating():
     assert peak < 1 << 20
     # the limit is on the top level: a small threshold keeps a huge bound usable
     q = BucketQueue(5, 10**12, {"a": 4})
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="exceeds the build's threshold tau 5"):
         q.update_key("a", 10**9)
     assert q.del_max() == ("a", 4)
 
@@ -99,12 +99,13 @@ def test_bucket_allocates_only_the_levels_its_keys_reach():
 
 
 def test_bucket_rejects_keys_over_declared_bound():
-    with pytest.raises(ValueError):
+    # the error names the bound, the lower of the two limits here
+    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
         BucketQueue(INF, 4, {"a": 5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
         BucketQueue(8, 4, {"a": 5})  # below tau but above the exact range
     q = BucketQueue(8, 4, {"a": 3})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
         q.update_key("a", 5)
 
 
@@ -119,7 +120,7 @@ def test_bucket_with_infinite_threshold_is_exact():
 def test_bucket_threshold_caps_the_top_level():
     # tau = 1 holds only keys of 0 and 1; lowest label on ties
     q = BucketQueue(1, 10, {4: 1, 1: 0, 2: 1})
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="exceeds the build's threshold tau 1"):
         q.update_key(1, 2)
     assert q.del_max() == (2, 1)
     assert q.del_max() == (4, 1)
