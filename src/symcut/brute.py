@@ -160,16 +160,15 @@ def check_symmetric_submodular(table):
     return table_symmetric(table), table_submodular(table)
 
 
-def verify_lax_back_order(oracle, blocks, order, tau=None):
+def verify_lax_back_order(oracle, blocks, order):
     """Re-check the defining back-order inequality from scratch.
 
     `blocks` maps class labels to member sets. For every prefix position i
     and every later class j, min(tau, d(class_i, prefix before i)) must be
-    at least min(tau, d(class_j, same prefix)). Evaluations are uncapped.
+    at least min(tau, d(class_j, same prefix)), with tau the order's
+    threshold. Evaluations are uncapped.
     """
-    seq = order.order
-    if tau is None:
-        tau = order.threshold
+    seq, tau = order.order, order.threshold
     k = len(seq)
     prefix = frozenset(blocks[seq[0]])
     for i in range(1, k):

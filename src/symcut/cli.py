@@ -21,6 +21,7 @@ from .brute import (MAX_ENUM, MAX_TABLE_CHECK, brute_min_bipartition,
 from .driver import MinimizeConfig, optimal_set
 from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
+from .order import QUEUE_KINDS
 from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
@@ -41,7 +42,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
     _add_algorithm_flag(p)
-    p.add_argument("--queue", choices=["heap", "bucket"], default="heap",
+    p.add_argument("--queue", choices=QUEUE_KINDS, default="heap",
                    help="priority queue of the queue order builder, which every "
                         "graph and hypergraph oracle takes")
     p.add_argument("--check", action="store_true",
@@ -187,8 +188,9 @@ def cmd_verify(args):
               file=sys.stderr)
         return 2
     jobs = []
-    if args.random is not None and args.random < 0:
-        print("error: --random COUNT must be nonnegative", file=sys.stderr)
+    if args.random is not None and args.random < 1:
+        problem = "must be nonnegative" if args.random < 0 else "is 0: nothing to verify"
+        print(f"error: --random COUNT {problem}", file=sys.stderr)
         return 2
     if args.random:
         draw = {name: getattr(args, name, default)

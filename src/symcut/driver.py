@@ -23,7 +23,7 @@ further. maxback builds ignore tau, so that path starts at INF.
 
 from dataclasses import dataclass, field
 
-from .order import lax_back_order_queue, lax_back_order_scan
+from .order import lax_back_order_queue, lax_back_order_scan, require_queue_kind
 from .partition import Partition
 from .values import INF, finite_key
 
@@ -102,8 +102,8 @@ def _order_builder(config, oracle):
     """Validate `config` and return the order builder it runs on `oracle`.
 
     Without a forced builder a keyed oracle gets the queue builder and
-    every other oracle the scan builder, so a bucket queue asked for on an
-    oracle without keys is refused here.
+    every other oracle the scan builder. An unknown queue kind is refused
+    before a bucket queue on the scan builder.
     """
     if config.algorithm not in ("laxback", "maxback"):
         raise ValueError(f"unknown algorithm {config.algorithm!r}")
@@ -112,8 +112,8 @@ def _order_builder(config, oracle):
         builder = "queue" if getattr(oracle, "keyed", False) else "scan"
     elif builder not in ("scan", "queue"):
         raise ValueError(f"unknown order builder {builder!r}")
+    require_queue_kind(config.queue_kind)
     if builder == "scan" and config.queue_kind != "heap":
-        # the queue builder's own factory rejects unknown kinds
         raise ValueError(f"queue kind {config.queue_kind!r} needs the queue "
                          "order builder; the scan builder uses no queue")
     return builder

@@ -273,13 +273,13 @@ class _KeyTracker:
     """Exact prefix keys for one order construction.
 
     ``keys[c]`` is d(class c, classes appended so far) for every class not
-    yet appended or settled. ``advance`` folds one more class into the
-    prefix and returns {class: new key} for the keys it changed; ``pop``
-    drops a class once it is appended, or once its key has reached the
-    builder's threshold (it settles), so no later ``advance`` reports it.
-    The partition must not change while a tracker is live; between
-    trackers it may, and the graph and hypergraph quotients follow the
-    joins made in between.
+    yet appended or settled. Append = ``advance(v)``: it drops v from
+    ``keys`` if there (a settled v is not), folds v into the prefix and
+    returns {class: new key} for the keys it changed. Settle = ``pop(c)``,
+    the ``keys`` dict's own, so no later ``advance`` reports c. The
+    partition must not change while a tracker is live; between trackers it
+    may, and the graph and hypergraph quotients follow the joins made in
+    between.
 
     The queue builder's replay of the previous round's order reads the
     keys without a queue, so it relies on both halves of that contract:
@@ -290,11 +290,9 @@ class _KeyTracker:
     """
 
     def __init__(self, partition, first):
-        self.keys = {c: 0 for c in partition.classes() if c != first}
+        self.keys = dict.fromkeys(partition.classes(), 0)
+        self.pop = self.keys.pop
         self.advance(first)
-
-    def pop(self, label):
-        return self.keys.pop(label)
 
 
 class _GraphQuotient:
@@ -367,6 +365,7 @@ class _GraphKeyTracker(_KeyTracker):
     def advance(self, appended):
         changed = {}
         keys = self.keys
+        keys.pop(appended, None)
         for c, w in self._rows[appended].items():
             if c in keys:
                 keys[c] += w
@@ -586,6 +585,7 @@ class _HypergraphKeyTracker(_KeyTracker):
     def advance(self, appended):
         changed = {}
         keys = self.keys
+        keys.pop(appended, None)
         hyperedges = self._hyperedges
         hit = self._hit
         for e in self._incident[appended]:

@@ -20,6 +20,13 @@ from dataclasses import dataclass
 from .queues import BucketQueue, HeapQueue
 from .values import INF, finite_key
 
+QUEUE_KINDS = ("heap", "bucket")  # the queue builder's priority queues
+
+
+def require_queue_kind(kind):
+    if kind not in QUEUE_KINDS:
+        raise ValueError(f"unknown queue kind {kind!r}")
+
 
 @dataclass(frozen=True)
 class LaxBackOrder:
@@ -86,17 +93,17 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
 
     Needs a keyed oracle. This builder is the only place that decides
     "reached tau" (Rizzi's lax rule: such a class is as good as the
-    maximum). A class whose tracker key reaches tau settles: the tracker
-    pops it, so no later ``advance`` reports it, and it goes onto a ready
-    list. The builder appends every ready class, with key tau, before it
-    asks the queue for anything. The queue is not told; a class it returns
-    after the class settled is skipped. The other classes sit in the queue
+    maximum). It appends a class with the tracker's ``advance`` and settles
+    one with its ``pop``. A class settles when its key reaches tau and goes
+    onto a ready list; every ready class is appended, with key tau, before
+    the queue is asked for anything. The queue is not told; a class it
+    returns after it settled is skipped. The other classes sit in the queue
     keyed by their exact value against the prefix, always below tau, and
-    each append bumps the keys the oracle reports as changed. Both queues
-    are exact max-queues (lowest label on ties), so every run of keys at
-    or above tau closes over the same classes as an order that appends a
-    class of maximum key at each step; only the order inside such a run
-    is the builder's own.
+    each append bumps the keys the tracker reports as changed. Both queues
+    are exact max-queues (lowest label on ties), so every run of keys at or
+    above tau closes over the same classes as an order that appends a class
+    of maximum key at each step; only the order inside such a run is the
+    builder's own.
 
     `previous` is the order this builder made in the round before, on the
     same partition before that round's joins. When it starts at the same
@@ -115,11 +122,11 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     one it had at this step of the previous build, where it beat every
     other class by ``(key, -label)``: both queues rank that way. So the
     replayed prefix and its keys are slices of ``previous``. Only the
-    heads' keys differ, and the test checks those. The tracker makes the same ``pop`` and ``advance`` calls
-    in the same order, and every reported key gets the same non-finite and
-    settle tests. The bucket queue never sees a replayed key, but the same
-    key of the same class was in its queue the round before, below a
-    threshold at least as high.
+    heads' keys differ, and the test checks those. The tracker makes the
+    same ``pop`` and ``advance`` calls in the same order, and every
+    reported key gets the same non-finite and settle tests. The bucket
+    queue never sees a replayed key, but the same key of the same class was
+    in its queue the round before, below a threshold at least as high.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes
@@ -127,6 +134,7 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     """
     if not getattr(oracle, "keyed", False):
         raise TypeError("queue builder needs an oracle with incremental key support")
+    require_queue_kind(queue_kind)
     first = partition.class_of(0)
     tracker = oracle.key_tracker(partition, first)
     remaining = tracker.keys
@@ -161,7 +169,6 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
             if k is None or v in heads or k < best_key or (k == best_key and v > best_head):
                 break
             end += 1
-            pop(v)
             for c, key in advance(v).items():
                 if not -INF < key < INF:
                     finite_key(key, c)
@@ -174,21 +181,24 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
                 break
         order += previous.order[1:end]
         keys += previous.keys[1:end]
-    queue = _make_queue(queue_kind, tau, oracle, remaining)
+    # the keys, all tested finite, go in positionally, so a queue subclass
+    # whose constructor takes *args only still gets them; the bucket queue
+    # refuses an unusable value_bound (None if undeclared) itself
+    if queue_kind == "heap":
+        queue = HeapQueue(remaining)
+    else:
+        queue = BucketQueue(tau, getattr(oracle, "value_bound", None), remaining)
     del_max, update_key = queue.del_max, queue.update_key
     updates = 0
     while ready or remaining:
         if ready:
-            v = ready.pop()
-            order.append(v)
-            keys.append(tau)
+            v, k = ready.pop(), tau
         else:
             v, k = del_max()
             if v not in remaining:
                 continue  # settled after it was queued
-            order.append(v)
-            keys.append(k)
-            pop(v)
+        order.append(v)
+        keys.append(k)
         for c, key in advance(v).items():
             if not -INF < key < INF:
                 finite_key(key, c)
@@ -199,17 +209,3 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
                 update_key(c, key)
                 updates += 1
     return LaxBackOrder(tuple(order), tuple(keys), tau), updates
-
-
-def _make_queue(kind, tau, oracle, keys):
-    """A queue of `kind` built from the starting `keys`, already tested finite.
-
-    The keys go in positionally, so a queue subclass whose constructor
-    takes ``*args`` only still receives them. The bucket queue gets the
-    oracle's ``value_bound`` unchecked (None if undeclared): it refuses it.
-    """
-    if kind == "heap":
-        return HeapQueue(keys)
-    if kind == "bucket":
-        return BucketQueue(tau, getattr(oracle, "value_bound", None), keys)
-    raise ValueError(f"unknown queue kind {kind!r}")

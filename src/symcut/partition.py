@@ -27,8 +27,8 @@ class Partition:
         return label in self._members
 
     def classes(self):
-        """Live class labels in ascending order."""
-        return sorted(self._members)
+        """Live labels, ascending: they went in in order and ``join`` only deletes."""
+        return list(self._members)
 
     def class_of(self, element):
         return self._class_of[element]

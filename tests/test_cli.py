@@ -335,6 +335,12 @@ class TestVerify:
         assert "nonnegative" in captured.err
         assert "all checks passed" not in captured.out
 
+    def test_zero_random_count_exits_2(self, capsys):
+        assert main(["verify", "--random", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --random COUNT is 0: nothing to verify\n"
+        assert captured.out == ""
+
     def test_no_input_exits_2(self, capsys):
         assert main(["verify"]) == 2
 

@@ -303,6 +303,15 @@ class TestOptimalSet:
             optimal_set(triangle_oracle, 3,
                         MinimizeConfig(order_builder="queue", queue_kind="fibonacci"))
 
+    @pytest.mark.parametrize("builder", [None, "scan", "queue"])
+    @pytest.mark.parametrize("keyed", [True, False])
+    def test_unknown_queue_kind_is_named_on_either_builder(self, builder, keyed):
+        graph = gen_random_graph(4, 0.8, 5, seed=7, connected=True)
+        oracle = GraphCutOracle(graph) if keyed else ConnectivityOracle(graph_cut_table(graph))
+        config = MinimizeConfig(order_builder=builder, queue_kind="fibonacci")
+        with pytest.raises(ValueError, match="^unknown queue kind 'fibonacci'$"):
+            optimal_set(oracle, 4, config)
+
     def test_builder_follows_the_oracle(self):
         graph = gen_random_graph(12, 0.4, 9, seed=4, connected=True)
         table = graph_cut_table(graph)

@@ -314,6 +314,49 @@ class TestHypergraphCut:
                     assert key == oracle.eval(p.member_set(u), prefix, INF)
 
 
+def contract_oracle(kind):
+    """A graph or hypergraph cut oracle on 9 vertices, for the tracker contract."""
+    if kind == "graph":
+        return GraphCutOracle(gen_random_graph(9, 0.5, 9, seed=11, connected=True))
+    return HypergraphCutOracle(gen_random_hypergraph(9, 16, 9, seed=11))
+
+
+def contract_partition(oracle, on_quotient):
+    """The discrete partition, or one whose quotient was built and then synced."""
+    p = Partition(9)
+    if on_quotient:
+        p.join(1, 4)
+        p.join(0, 6)
+        oracle.key_tracker(p, first=0)  # builds the quotient
+        p.join(2, 7)
+        p.join(2, 1)
+    return p
+
+
+@pytest.mark.parametrize("on_quotient", [False, True], ids=["instance", "quotient"])
+@pytest.mark.parametrize("kind", ["graph", "hypergraph"])
+def test_tracker_appends_with_advance_and_settles_with_pop(kind, on_quotient):
+    """``advance`` alone appends a class; one settled by ``pop`` first is accepted too."""
+    oracle = contract_oracle(kind)
+    p = contract_partition(oracle, on_quotient)
+    tracker = oracle.key_tracker(p, first=0)
+    prefix = p.member_set(0)
+    rest = [c for c in p.classes() if c != 0]
+    random.Random(3).shuffle(rest)
+    for i, v in enumerate(rest):
+        for c, key in tracker.keys.items():
+            assert key == oracle.eval(p.member_set(c), prefix, INF), c
+        assert v in tracker.keys
+        if i % 2:
+            key = tracker.keys[v]
+            assert tracker.pop(v) == key and v not in tracker.keys
+        changed = tracker.advance(v)
+        assert v not in tracker.keys and v not in changed
+        assert all(tracker.keys[c] == key for c, key in changed.items())
+        prefix |= p.member_set(v)
+    assert tracker.keys == {}
+
+
 class TestConnectivity:
     def test_crossing_count_function(self):
         n = 4

@@ -99,7 +99,7 @@ def test_queue_requires_keyed_oracle():
 
 
 def test_queue_unknown_kind(triangle_oracle):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown queue kind 'fibonacci'"):
         lax_back_order_queue(triangle_oracle, Partition(3), queue_kind="fibonacci")
 
 

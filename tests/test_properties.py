@@ -5,6 +5,8 @@ the same families at full scale; these stay small enough to pinpoint
 failures quickly.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
@@ -64,7 +66,7 @@ def test_uncapped_orders_stay_valid_for_every_smaller_threshold():
         blocks = Partition(n).blocks()
         order, _ = lax_back_order_scan(oracle, Partition(n), INF)
         for tau in (0, 1, 3, g.total_weight, INF):
-            assert verify_lax_back_order(oracle, blocks, order, tau)
+            assert verify_lax_back_order(oracle, blocks, replace(order, threshold=tau))
 
 
 def test_capped_orders_stay_valid_for_smaller_thresholds():
@@ -74,7 +76,7 @@ def test_capped_orders_stay_valid_for_smaller_thresholds():
         tau = max(2, g.total_weight // 3)
         order, _ = lax_back_order_scan(oracle, Partition(n), tau)
         for smaller in (0, 1, tau - 1, tau):
-            assert verify_lax_back_order(oracle, blocks, order, smaller)
+            assert verify_lax_back_order(oracle, blocks, replace(order, threshold=smaller))
 
 
 def test_prefix_value_never_decreases_as_prefix_grows():
