@@ -36,7 +36,7 @@ before their per-vertex lists are built.
 
 import weakref
 
-from .values import INF, mask_of, set_of
+from .values import INF, mask_of
 
 
 class LaxOracle:
@@ -332,6 +332,10 @@ class _GraphQuotient:
     def sync(self, partition):
         """Fold in the joins the partition made since the rows were current.
 
+        The retired labels are the entries of the partition's log past the
+        first n - len(rows): the rows hold one entry per class that was live
+        when they were last current, and each join retires one label. So a
+        sync costs the joins and the rows they touch, not the live classes.
         A class label is one of its class's elements, so ``class_of`` of a
         label that is no longer live names the class it ended up in, however
         many joins chained it there. Its row merges into that class's row:
@@ -339,7 +343,7 @@ class _GraphQuotient:
         neighbour's entry is renamed.
         """
         rows = self.rows
-        for gone in rows.keys() - partition.classes():
+        for gone in partition.retired[partition.n - len(rows):]:
             into = partition.class_of(gone)
             target = rows[into]
             for c, w in rows.pop(gone).items():
@@ -527,15 +531,16 @@ class _HypergraphQuotient:
         """Fold in the joins the partition made since the quotient was current.
 
         Each retired label is renamed to ``class_of(label)``, the live class
-        it ended up in (see :meth:`_GraphQuotient.sync`). The hyperedges of
-        a retired class are renamed and those left inside one class are
-        dropped; each absorbing class's list becomes the ascending merge of
-        its own and its retired classes' lists, less the dropped ids. A
-        dropped hyperedge's classes all end up in one absorbing class, so
-        no other list holds it.
+        it ended up in; the retired labels are the log's entries past the
+        first n - len(incident) (see :meth:`_GraphQuotient.sync`). The
+        hyperedges of a retired class are renamed and those left inside one
+        class are dropped; each absorbing class's list becomes the ascending
+        merge of its own and its retired classes' lists, less the dropped
+        ids. A dropped hyperedge's classes all end up in one absorbing
+        class, so no other list holds it.
         """
         incident = self.incident
-        gone = [c for c in incident if c not in partition]
+        gone = partition.retired[partition.n - len(incident):]
         if not gone:
             return
         class_of = partition.class_of
@@ -686,9 +691,63 @@ def graph_cut_table(graph):
 
     Cut functions are symmetric and submodular, so this is a convenient
     source of valid inputs for :class:`ConnectivityOracle`.
+
+    The table is built by a doubling walk that calls no oracle, in
+    O(2^n) list arithmetic. For each v < n - 1 the cuts of the masks whose
+    highest element is v follow from those below 2^v, by
+    ``cut(S + v) = cut(S) + deg(v) - 2 w(v, S)``, where the weights
+    ``w(v, S)`` are themselves built by doubling over v's lower
+    neighbours. The half of the table that holds element n - 1 mirrors the
+    other, since ``cut(S) = cut(V - S)``, so the table is exactly symmetric
+    and ``f(V) = 0``.
+
+    Integer weights give exact integers. Float weights are first scaled to
+    exact integers by their largest denominator (every float's is a power
+    of two, so it is a common one); the walk sums them exactly and each
+    value is divided once, so every value is the correctly rounded cut of
+    the edge list. A value past float range becomes inf, which
+    :class:`SetFunctionTable` refuses with an :class:`InstanceError`. The
+    size is checked before any work.
     """
     n = graph.n
-    full = (1 << n) - 1
-    oracle = GraphCutOracle(graph)  # at tau = INF the walk never stops early
-    values = [oracle.eval(set_of(mask), set_of(full ^ mask)) for mask in range(1 << n)]
-    return SetFunctionTable(n, values)
+    SetFunctionTable.require_size(n)
+    if graph.integer_weights:
+        scale = 1
+        weights = [w for _, _, w in graph.edges]
+    else:
+        ratios = [w.as_integer_ratio() for _, _, w in graph.edges]
+        scale = max((d for _, d in ratios), default=1)
+        weights = [p * (scale // d) for p, d in ratios]
+    degree = [0] * n
+    twice_lower = [{} for _ in range(n)]  # [v][u]: twice the weight between u < v and v
+    for (u, v, _), w in zip(graph.edges, weights):
+        degree[u] += w
+        degree[v] += w
+        u, v = min(u, v), max(u, v)
+        twice_lower[v][u] = twice_lower[v].get(u, 0) + 2 * w
+    cuts = [0]  # cuts[S] for every mask S below 2^v
+    for v in range(n - 1):
+        step = [degree[v]]  # step[S] = deg(v) - 2 w(v, S), doubled up to 2^v masks
+        twice = twice_lower[v]
+        for u in range(v):
+            if u in twice:
+                a = twice[u]
+                step += [x - a for x in step]
+            else:
+                step *= 2
+        cuts += [c + x for c, x in zip(cuts, step)]
+    cuts += cuts[::-1]
+    if not graph.integer_weights:
+        try:
+            cuts = [c / scale for c in cuts]  # int / int rounds correctly
+        except OverflowError:
+            cuts = [_quotient(c, scale) for c in cuts]
+    return SetFunctionTable(n, cuts)
+
+
+def _quotient(numerator, denominator):
+    """``numerator / denominator`` correctly rounded, or inf past float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return INF

@@ -7,7 +7,9 @@ Invariant: a label is one of its class's elements. Every class starts as
 the singleton {v} labelled v, and a join keeps the absorbing class's label,
 so ``class_of(label)`` of a label that a join retired names the live class
 that now holds it (the graph and hypergraph quotients rely on this to
-follow joins).
+follow joins). ``retired`` logs the labels joins retired, in join order,
+so a quotient can find the joins made since it was last current without
+scanning the live labels.
 """
 
 
@@ -18,6 +20,7 @@ class Partition:
         self.n = n
         self._members = {v: [v] for v in range(n)}
         self._class_of = list(range(n))
+        self.retired = []  # labels retired by joins, in join order; append-only
 
     @property
     def class_count(self):
@@ -53,3 +56,4 @@ class Partition:
         self._members[dst].extend(block)
         for v in block:
             self._class_of[v] = dst
+        self.retired.append(src)

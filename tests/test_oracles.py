@@ -1,16 +1,19 @@
 import gc
 import math
 import random
+import types
 import weakref
+from fractions import Fraction
 
 import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InstanceError, SetFunctionTable,
                     WeightedGraph, gen_random_graph, gen_random_hypergraph,
-                    graph_cut_table)
+                    graph_cut_table, values_equal)
 from symcut.oracles import MAX_VERTICES, InducedOracle, ThresholdedOracle
 from symcut.partition import Partition
+from symcut.values import set_of
 from table_oracle import TableOracle, complete_table
 
 
@@ -455,3 +458,98 @@ def test_graph_cut_table_values(triangle):
     assert table.table_values[0b100] == 3
     assert table.table_values[0] == 0
     assert table.table_values[0b111] == 0
+
+
+def eval_table(graph):
+    """The cut table by one strict oracle call per mask: the walk's reference."""
+    full = (1 << graph.n) - 1
+    oracle = GraphCutOracle(graph, early_exit=False)
+    return [oracle.eval(set_of(mask), set_of(full ^ mask)) for mask in range(1 << graph.n)]
+
+
+def exact_cut(graph, mask):
+    """The cut of `mask` summed exactly over the edge list."""
+    return sum((Fraction(w) for u, v, w in graph.edges if (mask >> u ^ mask >> v) & 1),
+               Fraction(0))
+
+
+def random_edges(rng, n, weight):
+    """Up to 3n edges, parallel ones likely, each weight drawn by `weight(rng)`."""
+    if n < 2:
+        return []
+    return [(*rng.sample(range(n), 2), weight(rng)) for _ in range(rng.randrange(3 * n + 1))]
+
+
+INTEGER_GRAPHS = {
+    "one vertex": lambda: WeightedGraph(1, []),
+    "one edge": lambda: WeightedGraph(2, [(1, 0, 5)]),
+    "two parallel edges": lambda: WeightedGraph(2, [(0, 1, 2), (1, 0, 3)]),
+    "no edges": lambda: WeightedGraph(5, []),
+    "zero weights": lambda: WeightedGraph(4, [(0, 1, 0), (2, 3, 0), (1, 2, 4), (0, 1, 0)]),
+    "isolated vertices": lambda: WeightedGraph(7, [(1, 4, 2), (4, 5, 3), (5, 1, 1)]),
+    "huge weights": lambda: WeightedGraph(5, [(0, 1, HUGE), (1, 2, 3), (2, 3, HUGE),
+                                              (3, 0, HUGE + 1), (0, 1, HUGE)]),
+    **{f"random n={n}": (lambda n=n: WeightedGraph(n, random_edges(
+        random.Random(n), n, lambda rng: rng.choice([0, 1, 2, 7, 10**6]))))
+       for n in range(1, 13)},
+}
+
+
+class TestGraphCutTable:
+    @pytest.mark.parametrize("build", INTEGER_GRAPHS.values(), ids=INTEGER_GRAPHS.keys())
+    def test_integer_table_equals_the_eval_table(self, build):
+        graph = build()
+        values = graph_cut_table(graph).table_values
+        assert values == eval_table(graph)
+        assert all(isinstance(v, int) for v in values)
+        assert values == values[::-1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float_values_are_the_correctly_rounded_cuts(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        weights = [0.0, 0.1, 1 / 3, 2.5, 1e-300, 1e6, 1e300]
+        edges = random_edges(
+            rng, n, lambda r: r.choice(weights) if r.random() < 0.5 else r.uniform(0, 100))
+        graph = WeightedGraph(n, edges + [(0, 1, 0.5)])
+        values = graph_cut_table(graph).table_values
+        assert values == values[::-1]
+        for mask, (value, walked) in enumerate(zip(values, eval_table(graph))):
+            assert value == float(exact_cut(graph, mask)), mask
+            assert values_equal(value, walked), (mask, value, walked)
+
+    def test_float_rounding_differs_from_a_sum_in_walk_order(self):
+        # 1 + 2**-53 + 2**-53 sums to 1.0 in walk order; the cut is 1 + 2**-52
+        graph = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 2.0**-53), (0, 3, 2.0**-53)])
+        assert graph_cut_table(graph).table_values[0b0001] == 1 + 2.0**-52
+        assert eval_table(graph)[0b0001] == 1.0
+
+    def test_cut_past_float_range_refused(self):
+        graph = WeightedGraph(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 2, 0.5)])
+        with pytest.raises(InstanceError, match="mask 1: value is not finite: inf"):
+            graph_cut_table(graph)
+
+    def test_builds_without_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph_cut_table called the oracle")
+        graph = gen_random_graph(9, 0.5, 7, seed=3)
+        expected = eval_table(graph)
+        monkeypatch.setattr(GraphCutOracle, "eval", refuse)
+        assert graph_cut_table(graph).table_values == expected
+
+    @pytest.mark.parametrize("n", [21, 64])
+    def test_size_refused_before_any_work(self, n):
+        # a stand-in with no edges or weights: reading either would fail otherwise
+        with pytest.raises(ValueError, match="table supports 1 <= n <= 20"):
+            graph_cut_table(types.SimpleNamespace(n=n))
+
+    def test_twenty_vertices(self):
+        graph = WeightedGraph(20, random_edges(random.Random(20), 20,
+                                               lambda rng: rng.randint(0, 9)))
+        values = graph_cut_table(graph).table_values
+        assert len(values) == 1 << 20
+        assert values == values[::-1]
+        full = (1 << 20) - 1
+        oracle = GraphCutOracle(graph)
+        for mask in random.Random(0).sample(range(1 << 20), 200):
+            assert values[mask] == oracle.eval(set_of(mask), set_of(full ^ mask)), mask

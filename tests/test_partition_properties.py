@@ -1,8 +1,10 @@
-"""Property test of the partition's label order under random joins.
+"""Property tests of the partition's labels under random joins.
 
 ``Partition.classes()`` returns its labels without sorting them, so after
 any sequence of joins it must still equal the sorted labels of a model
-that only records which labels are live.
+that only records which labels are live. ``Partition.retired`` must hold
+exactly the labels that are no longer live, in the order joins retired
+them: the graph and hypergraph quotients read the joins from it.
 """
 
 import pytest
@@ -26,3 +28,18 @@ def test_classes_are_the_sorted_live_labels_after_any_joins(data):
         live.discard(src)
         assert p.classes() == sorted(live)
         assert p.class_count == len(live)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retired_logs_the_labels_no_longer_live_in_join_order(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    p = Partition(n)
+    joined = []
+    assert p.retired == []
+    for _ in range(data.draw(st.integers(0, n - 1), label="joins")):
+        dst, src = data.draw(st.permutations(p.classes()), label="pair")[:2]
+        p.join(dst, src)
+        joined.append(src)
+        assert p.retired == joined
+        assert sorted(p.retired) == sorted(set(range(n)) - set(p.classes()))
