@@ -21,7 +21,6 @@ from .brute import (MAX_ENUM, MAX_TABLE_CHECK, brute_min_bipartition,
 from .driver import MinimizeConfig, optimal_set
 from .instances import gen_random_graph, load_instance, parse_table, write_graph
 from .oracles import ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
-from .order import QUEUE_KINDS
 from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
@@ -42,9 +41,6 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
     _add_algorithm_flag(p)
-    p.add_argument("--queue", choices=QUEUE_KINDS, default="heap",
-                   help="priority queue of the queue order builder, which every "
-                        "graph and hypergraph oracle takes")
     p.add_argument("--check", action="store_true",
                    help=f"re-verify the result against enumeration (n <= {MAX_ENUM})")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -116,7 +112,7 @@ def cmd_mincut(args):
         return 2
     oracle = (GraphCutOracle(instance) if kind == "graph"
               else HypergraphCutOracle(instance))
-    config = MinimizeConfig(algorithm=args.algorithm, queue_kind=args.queue)
+    config = MinimizeConfig(algorithm=args.algorithm)
     return _solve_and_report(args, config, oracle, {
         "kind": kind, "n": instance.n, "m": instance.m,
         "integer_weights": instance.integer_weights})

@@ -40,9 +40,9 @@ class MinimizeConfig:
                     "queue" forces that builder. With either builder
                     laxback first seeds tau with the best singleton (n
                     extra oracle calls), while maxback starts at tau = INF
-    queue_kind      "heap" | "bucket", for the queue builder only (bucket
-                    needs the keyed oracle's declared value bound, read
-                    and refused only by the bucket queue); the scan
+    queue_kind      "heap" | "bucket", for the queue builder only (the
+                    bucket queue takes int keys and thresholds up to its
+                    ``MAX_TOP`` and refuses any other itself); the scan
                     builder uses no queue and accepts only the default
 
     Every order starts at the class holding element 0. Any start gives a

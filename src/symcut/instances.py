@@ -11,7 +11,8 @@ The parsers only read tokens. The WeightedGraph, Hypergraph and
 SetFunctionTable constructors hold files and library callers to the same
 instance rules, and a file's rejected item is reported at its line. They
 keep values as ints when every one is an int, else as floats; graphs and
-hypergraphs report which in ``integer_weights``, for the bucket queue.
+hypergraphs report which in ``integer_weights``, which the CLI's report
+shows and :func:`graph_cut_table` reads.
 
 Graphs and tables in exactly the writers' layout (single spaces, one item
 per "\n"-ended line, no comment, table masks 0..2^n-1 in order and in

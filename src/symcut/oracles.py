@@ -54,21 +54,15 @@ class LaxOracle:
     side they walk and only test the other side for membership, so a bad
     id there is not reported.
 
-    Capability flags:
+    Capability flag:
 
     ``keyed``
         provides ``key_tracker(partition, first)`` for incremental prefix
         keys (required by the queue-based order builder, which refuses an
         oracle that is not keyed)
-    ``value_bound``
-        an integer upper bound on d's values, declared only when every
-        value of d is an integer; None otherwise. Read only from keyed
-        oracles, by the bucket queue, which refuses a missing or unusable
-        bound
     """
 
     keyed = False
-    value_bound = None
 
     def eval(self, left, right, tau=INF):
         raise NotImplementedError
@@ -172,7 +166,6 @@ class WeightedGraph:
             self.edges.append((u, v, w))
             self.adjacency[u][v] = self.adjacency[u].get(v, 0) + w
             self.adjacency[v][u] = self.adjacency[v].get(u, 0) + w
-        self.total_weight = sum(weights)
 
     @property
     def m(self):
@@ -207,7 +200,6 @@ class GraphCutOracle(LaxOracle):
     def __init__(self, graph, early_exit=True):
         self.graph = graph
         self.early_exit = early_exit
-        self.value_bound = graph.total_weight if graph.integer_weights else None
         self._quotients = weakref.WeakKeyDictionary()  # partition -> _GraphQuotient
 
     def eval(self, left, right, tau=INF):
@@ -406,7 +398,6 @@ class Hypergraph:
             self.hyperedges.append((w, pin_set))
             for p in pin_set:
                 self.incident[p].append(i)
-        self.total_weight = sum(weights)
 
     @property
     def m(self):
@@ -428,9 +419,9 @@ class HypergraphCutOracle(LaxOracle):
     smaller side can be cut, so a call costs the incidences of that side,
     not all m hyperedges: each one already touches the smaller side and is
     cut when it also touches the other (isdisjoint stops at the first
-    shared pin). The ids are visited in ascending order, the order of a
-    walk over all hyperedges, so the cut weights are added in the same
-    order and float sums and early exits come out bit for bit the same.
+    shared pin). The ids are visited in ascending order, which fixes the
+    order in which the cut weights are summed, so float sums and early
+    exits do not depend on the order of the smaller side's members.
     Ids follow the :class:`LaxOracle` rule: one of the smaller side outside
     0..n-1 is refused with a ValueError; the other side's ids are only
     tested for membership.
@@ -444,7 +435,6 @@ class HypergraphCutOracle(LaxOracle):
     def __init__(self, hypergraph, early_exit=True):
         self.hypergraph = hypergraph
         self.early_exit = early_exit
-        self.value_bound = hypergraph.total_weight if hypergraph.integer_weights else None
         self._quotients = weakref.WeakKeyDictionary()  # partition -> _HypergraphQuotient
 
     def eval(self, left, right, tau=INF):
@@ -452,15 +442,12 @@ class HypergraphCutOracle(LaxOracle):
         small, big = (left, right) if len(left) <= len(right) else (right, left)
         incident = self.hypergraph.incident
         n = len(incident)
-        if len(small) == 1:
-            u = next(iter(small))
+        for u in small:
             if not 0 <= u < n:
                 raise _unknown_element(u, n)
-            ids = incident[u]  # ascending, no duplicates
+        if len(small) == 1:
+            ids = incident[u]  # the loop's one u: ascending ids, no duplicates
         else:
-            for u in small:
-                if not 0 <= u < n:
-                    raise _unknown_element(u, n)
             ids = sorted({e for u in small for e in incident[u]})
         hyperedges = self.hypergraph.hyperedges
         early_exit = self.early_exit
@@ -677,7 +664,6 @@ class InducedOracle(LaxOracle):
     def __init__(self, base, blocks):
         self.base = base
         self.blocks = [frozenset(b) for b in blocks]
-        self.n = len(self.blocks)
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)

@@ -183,11 +183,11 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
         keys += previous.keys[1:end]
     # the keys, all tested finite, go in positionally, so a queue subclass
     # whose constructor takes *args only still gets them; the bucket queue
-    # refuses an unusable value_bound (None if undeclared) itself
+    # refuses a threshold or key it cannot hold itself
     if queue_kind == "heap":
         queue = HeapQueue(remaining)
     else:
-        queue = BucketQueue(tau, getattr(oracle, "value_bound", None), remaining)
+        queue = BucketQueue(tau, remaining)
     del_max, update_key = queue.del_max, queue.update_key
     updates = 0
     while ready or remaining:

@@ -26,9 +26,6 @@ class Partition:
     def class_count(self):
         return len(self._members)
 
-    def __contains__(self, label):
-        return label in self._members
-
     def classes(self):
         """Live labels, ascending: they went in in order and ``join`` only deletes."""
         return list(self._members)

@@ -5,14 +5,14 @@ lowest label. Keys never decrease while a queue is live, which is what
 lets the bucket variant organize its work around a moving level pointer.
 The builder settles every class whose key reaches its threshold tau
 before a queue could see the key, so a queue only ever holds keys below
-tau and needs no rule for the keys above.
+tau: the heap needs no rule for the keys above, and the bucket queue
+refuses them with the rest of what it cannot hold.
 
 Both queues are built from a mapping {label: key} of starting keys in one
 call; after that only ``update_key`` and ``del_max`` change them.
 """
 
 import heapq
-from numbers import Real
 
 from .values import INF
 
@@ -53,59 +53,57 @@ class HeapQueue:
 class BucketQueue:
     """Array-of-buckets queue for nonnegative integer keys.
 
-    Each entry sits in the bucket of its key; only the exact key is
-    stored. A moving pointer tracks the highest occupied bucket: key
-    updates can only push it up (an O(1) jump), ``del_max`` walks it down
-    lazily. ``scan_steps`` counts downward steps and ``raise_steps`` upward
-    pointer movement from level 0, for instrumentation.
+    Each entry sits in the bucket of its key. A moving pointer tracks the
+    highest occupied bucket: key updates can only push it up (an O(1)
+    jump), ``del_max`` walks it down lazily. ``scan_steps`` counts
+    downward steps and ``raise_steps`` upward pointer movement from level
+    0, for instrumentation.
 
     This is the paper's integer-key device. Levels are allocated on demand,
     up to the highest level a key has reached, so an order pays for the
-    keys it holds, not for the instance's total weight. On the benchmark's
-    library workloads it loses to :class:`HeapQueue`: the builder settles
-    every key that reaches tau, so few keys change more than once before
-    extraction (figures in the README). `tau` only caps the top level, at
-    ``min(tau, bound)``; a key above it is refused with an error that names
-    which of the two it exceeds. `bound` is a keyed oracle's
-    ``value_bound``, read nowhere else: the constructor is the one place
-    that refuses a missing, non-numeric, non-integer, negative or
-    non-finite bound, or a top level above ``MAX_TOP``, before allocating
-    anything: with tau = INF the top level is the instance's total weight,
-    which can be far larger than memory.
+    keys it holds. On the benchmark's library workloads it loses to
+    :class:`HeapQueue` (figures in the README).
+
+    The queue judges its own input, so an oracle declares nothing for it.
+    The threshold `tau` must be INF or an int from 0 to ``MAX_TOP``,
+    checked before anything is allocated. Every key, at the start or by
+    ``update_key``, must be an int from 0 to ``min(tau, MAX_TOP)``, checked
+    before its level is allocated: a float instance is refused at its first
+    float key or threshold, and under tau = INF a key past ``MAX_TOP``
+    would otherwise allocate a level per unit of it.
     """
 
     MAX_TOP = 1 << 20
 
-    def __init__(self, tau, bound, keys=()):
-        if not isinstance(bound, Real) or not 0 <= bound < INF or bound != int(bound):
-            raise ValueError("bucket queue needs a finite nonnegative integer key bound: "
-                             "a keyed, integer-valued oracle declares it as value_bound")
-        if tau != INF and (tau != int(tau) or tau < 0):
-            raise ValueError("bucket queue needs a nonnegative integer threshold")
-        if tau != INF and tau < bound:
-            self._top, self._limit = int(tau), "the build's threshold tau"
-        else:
-            self._top, self._limit = int(bound), "the oracle's value_bound"
-        if self._top > self.MAX_TOP:
-            raise ValueError(f"bucket queue key bound {self._top} is above its limit "
+    def __init__(self, tau, keys=()):
+        if tau == INF:
+            self._top = self.MAX_TOP
+            self._limit = f"the bucket queue's limit {self.MAX_TOP}; use the heap queue"
+        elif not isinstance(tau, int) or tau < 0:
+            raise ValueError(f"bucket queue needs a threshold of INF or a nonnegative "
+                             f"int, got {tau!r}; use the heap queue")
+        elif tau > self.MAX_TOP:
+            raise ValueError(f"bucket queue threshold {tau} is above its limit "
                              f"{self.MAX_TOP}; use the heap queue")
-        self._key = dict(keys)   # v -> exact key; its bucket is int(key)
-        levels = [self._bucket_of(key) for key in self._key.values()]
+        else:
+            self._top, self._limit = tau, f"the build's threshold tau {tau}"
+        self._key = dict(keys)   # v -> key, which is also its level
+        levels = [self._level(key) for key in self._key.values()]
         self._cur = self.raise_steps = max(levels, default=0)
         self.scan_steps = 0
         self._buckets = buckets = [set() for _ in range(self._cur + 1)]
         for v, level in zip(self._key, levels):
             buckets[level].add(v)
 
-    def _bucket_of(self, key):
-        if key != int(key):
-            raise ValueError(f"bucket queue keys must be integers, got {key!r}")
+    def _level(self, key):
+        if not isinstance(key, int):
+            raise ValueError(f"bucket queue keys must be ints, got {key!r}; "
+                             "use the heap queue")
         if key < 0:
             raise ValueError(f"bucket queue keys must be nonnegative, got {key}")
-        level = int(key)
-        if level > self._top:
-            raise ValueError(f"key {key} exceeds {self._limit} {self._top}")
-        return level
+        if key > self._top:
+            raise ValueError(f"key {key} exceeds {self._limit}")
+        return key
 
     def update_key(self, v, key):
         try:
@@ -114,11 +112,11 @@ class BucketQueue:
             raise ValueError(f"no entry {v}") from None
         if key < old:
             raise ValueError(f"key of {v} may not decrease ({old} -> {key})")
-        level = self._bucket_of(key)
+        level = self._level(key)
         self._key[v] = key
-        if key != old:  # an integer key that grows always changes level
+        if key != old:
             buckets = self._buckets
-            buckets[int(old)].remove(v)
+            buckets[old].remove(v)
             if level >= len(buckets):
                 buckets.extend([set() for _ in range(level + 1 - len(buckets))])
             buckets[level].add(v)

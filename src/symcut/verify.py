@@ -12,7 +12,6 @@ a capped view, so the capped checks test its own lax answers (a cut
 oracle's early exit included), not those of a second copy.
 """
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
@@ -20,7 +19,6 @@ from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
                     check_symmetric_submodular, verify_lax_back_order)
 from .driver import MinimizeConfig, optimal_set
 from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
-from .queues import BucketQueue
 from .values import INF, set_of, value_below, values_equal
 
 
@@ -50,14 +48,11 @@ def named_configs(oracle):
 
     The scan builder is forced on the `scan` and `maxback` entries, so it
     is verified on keyed oracles too, whose default is the queue builder.
+    The queue builder runs on the heap queue, the solver's default.
     """
     configs = [("scan", MinimizeConfig(order_builder="scan"))]
     if getattr(oracle, "keyed", False):
         configs.append(("queue-heap", MinimizeConfig(order_builder="queue")))
-        with suppress(ValueError):  # a bound taken at tau = INF is taken at every tau
-            BucketQueue(INF, getattr(oracle, "value_bound", None))
-            configs.append(("queue-bucket",
-                            MinimizeConfig(order_builder="queue", queue_kind="bucket")))
     return configs + [("maxback", MinimizeConfig(algorithm="maxback", order_builder="scan"))]
 
 
@@ -148,12 +143,12 @@ def verify_oracle(oracle, n):
     """Full verification sweep for a pairwise oracle on {0..n-1}.
 
     Runs every supported configuration and compares each result to the
-    enumerated optimum; a configuration that raises a ValueError (a key
-    above an understated ``value_bound``, say) fails its agreement entry
-    with the error as the detail. For n <= 8 the per-round order and
-    contraction checks run too, and for n <= 6 the monotonicity/consistency
-    axioms are checked exhaustively, including on capped views of the
-    oracle. Every check evaluates through `oracle` itself.
+    enumerated optimum; a configuration that raises a ValueError (on a
+    non-finite oracle value, say) fails its agreement entry with the error
+    as the detail. For n <= 8 the per-round order and contraction checks
+    run too, and for n <= 6 the monotonicity/consistency axioms are checked
+    exhaustively, including on capped views of the oracle. Every check
+    evaluates through `oracle` itself.
     """
     deep = n <= 8
     expected = brute_min_bipartition(oracle, n)

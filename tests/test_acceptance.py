@@ -215,7 +215,7 @@ def test_criterion_08_queue_differential():
         if not exact:
             # every key stays below tau, as the order builder guarantees
             exact = {v: rng.randrange(tau) for v in range(rng.randint(1, 40))}
-            heap, bucket = HeapQueue(exact), BucketQueue(tau, 2 * tau, exact)
+            heap, bucket = HeapQueue(exact), BucketQueue(tau, exact)
             builds += 1
         elif rng.random() < 0.45:
             v = rng.choice(sorted(exact))
@@ -241,7 +241,7 @@ def test_criterion_09_cli_determinism(tmp_path, capsys):
     assert main(["gen", "--n", "7", "--p", "0.6", "--wmax", "9", "--seed", "11",
                  "--connected"]) == 0
     path.write_text(capsys.readouterr().out)
-    args = ["mincut", str(path), "--json", "--check", "--queue", "bucket"]
+    args = ["mincut", str(path), "--json", "--check"]
     outputs = []
     for _ in range(2):
         assert main(args) == 0

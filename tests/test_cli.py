@@ -58,10 +58,8 @@ class TestMincut:
 
     def test_all_flag_combinations(self, triangle_file, capsys):
         for algorithm in ("laxback", "maxback"):
-            for queue in ("heap", "bucket"):
-                assert main(["mincut", triangle_file, "--algorithm", algorithm,
-                             "--queue", queue, "--json"]) == 0
-                assert json.loads(capsys.readouterr().out)["lambda"] == 3
+            assert main(["mincut", triangle_file, "--algorithm", algorithm, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["lambda"] == 3
 
     def test_builder_flag_is_refused(self, triangle_file, capsys):
         # graph and hypergraph oracles are keyed, so they always take the
@@ -128,18 +126,6 @@ class TestMincut:
         path = tmp_path / "one.graph"
         path.write_text("1 0\n")
         assert main(["mincut", str(path)]) == 2
-
-    def test_bucket_on_float_weights_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "float.graph"
-        path.write_text("2 1\n1 2 2.5\n")
-        assert main(["mincut", str(path), "--queue", "bucket"]) == 2
-        assert "bucket" in capsys.readouterr().err
-
-    def test_bucket_over_its_limit_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "heavy.graph"
-        path.write_text("2 1\n1 2 1000000000\n")
-        assert main(["mincut", str(path), "--queue", "bucket"]) == 2
-        assert "use the heap queue" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", ["laxback", "maxback"])
     @pytest.mark.parametrize("kind,text,expected,side", [
@@ -217,11 +203,11 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
 def test_calls_in_one_process_share_the_parser_but_not_their_flags(triangle_file, capsys):
     assert build_parser() is build_parser()
     configs = []
-    for flags in (["--queue", "bucket", "--algorithm", "maxback"], []):
+    for flags in (["--algorithm", "maxback"], []):
         assert main(["mincut", triangle_file, "--json"] + flags) == 0
         configs.append(json.loads(capsys.readouterr().out)["config"])
     assert configs == [
-        {"algorithm": "maxback", "order_builder": None, "queue_kind": "bucket"},
+        {"algorithm": "maxback", "order_builder": None, "queue_kind": "heap"},
         {"algorithm": "laxback", "order_builder": None, "queue_kind": "heap"}]
 
 
@@ -272,27 +258,29 @@ class TestMinimize:
 
 
 class TestVerify:
-    def test_verify_skips_the_bucket_queue_over_its_limit(self, tmp_path, capsys):
-        path = tmp_path / "heavy.graph"
-        path.write_text("3 3\n1 2 1000000000\n2 3 5\n1 3 4\n")
+    def test_verify_sweeps_the_heap_queue_only(self, tmp_path, capsys):
+        # small integer weights, which the bucket queue would take
+        path = tmp_path / "small.graph"
+        path.write_text("3 3\n1 2 3\n2 3 5\n1 3 4\n")
         assert main(["verify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "queue-heap" in out and "queue-bucket" not in out
 
-    def test_verify_fails_an_understated_bound_without_a_traceback(
+    def test_verify_fails_a_refused_configuration_without_a_traceback(
             self, tmp_path, capsys, monkeypatch):
-        class Understated(GraphCutOracle):
-            def __init__(self, graph, early_exit=True):
-                super().__init__(graph, early_exit)
-                self.value_bound = 3  # the instance has a cut of weight 7
+        class NanKeys(GraphCutOracle):
+            def key_tracker(self, partition, first):
+                tracker = super().key_tracker(partition, first)
+                tracker.keys[2] = float("nan")  # only the queue builder reads it
+                return tracker
 
-        monkeypatch.setattr("symcut.cli.GraphCutOracle", Understated)
-        path = tmp_path / "understated.graph"
+        monkeypatch.setattr("symcut.cli.GraphCutOracle", NanKeys)
+        path = tmp_path / "nan.graph"
         path.write_text(write_graph(gen_random_graph(5, 0.6, 8, seed=251, connected=True)))
         assert main(["verify", str(path)]) == 1
         captured = capsys.readouterr()
-        assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-bucket]"
-                "  (key 4 exceeds the oracle's value_bound 3)") in captured.out
+        assert ("[FAIL] " + str(path) + ": agrees-with-bruteforce[queue-heap]"
+                "  (the oracle gave class 2 the non-finite key nan)") in captured.out
         assert "verify: 1 checks failed" in captured.out
         assert captured.err == ""
 
@@ -438,7 +426,7 @@ def _parser_usage():
 
 
 def test_readme_usage_names_exactly_the_parser_flags():
-    # every subcommand, every flag (those of _add_config_flags included) and
+    # every subcommand, every flag (those of _add_algorithm_flag included) and
     # every listed choice set, so a flag added or dropped in the CLI cannot
     # drift from the README
     assert _readme_usage() == _parser_usage()

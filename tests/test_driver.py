@@ -312,6 +312,16 @@ class TestOptimalSet:
         with pytest.raises(ValueError, match="^unknown queue kind 'fibonacci'$"):
             optimal_set(oracle, 4, config)
 
+    @pytest.mark.parametrize("algorithm", ["laxback", "maxback"])
+    @pytest.mark.parametrize("weight", [2.5, 10**9], ids=["float", "over-limit"])
+    def test_bucket_queue_refuses_a_graph_it_cannot_hold(self, algorithm, weight):
+        # the weight is laxback's first threshold and maxback's first key;
+        # the bucket queue refuses either, the heap queue takes both
+        oracle = GraphCutOracle(WeightedGraph(2, [(0, 1, weight)]))
+        with pytest.raises(ValueError, match="use the heap queue"):
+            optimal_set(oracle, 2, MinimizeConfig(algorithm=algorithm, queue_kind="bucket"))
+        assert optimal_set(oracle, 2, MinimizeConfig(algorithm=algorithm))[1] == weight
+
     def test_builder_follows_the_oracle(self):
         graph = gen_random_graph(12, 0.4, 9, seed=4, connected=True)
         table = graph_cut_table(graph)
@@ -501,7 +511,11 @@ START_CLASS_INSTANCES = {
 def test_every_order_starts_at_element_0(name):
     # maxback's n - 1 rounds take the start class through every join
     oracle, n = START_CLASS_INSTANCES[name]()
-    for config_name, config in named_configs(oracle):
+    configs = named_configs(oracle)
+    if oracle.keyed:  # the sweep runs the heap queue only
+        configs.append(("queue-bucket", MinimizeConfig(order_builder="queue",
+                                                       queue_kind="bucket")))
+    for config_name, config in configs:
         records = []
         optimal_set(oracle, n, config, observer=records.append)
         assert [r.order.order[0] for r in records] == [0] * len(records), config_name

@@ -48,7 +48,6 @@ class TestWeightedGraph:
         assert g.edges == [(0, 1, 2.0), (1, 2, 0.5)]
         assert all(isinstance(w, float) for _, _, w in g.edges)
         assert isinstance(g.adjacency[0][1], float)
-        assert isinstance(g.total_weight, float)
 
     def test_rejection_names_the_edge(self):
         with pytest.raises(InstanceError, match="edge 2: self-loop") as err:
@@ -94,10 +93,9 @@ class TestGraphCut:
                     assert lax.eval(s, t, tau) == min(tau, exact)
 
     def test_capability_flags(self, triangle):
-        o = GraphCutOracle(triangle)
-        assert o.keyed and o.value_bound == 6
-        f = GraphCutOracle(WeightedGraph(2, [(0, 1, 1.5)]))
-        assert f.value_bound is None
+        # keyed is the one flag; float weights do not change it
+        assert GraphCutOracle(triangle).keyed
+        assert GraphCutOracle(WeightedGraph(2, [(0, 1, 1.5)])).keyed
 
 
 class TestGraphKeyTracker:
@@ -237,7 +235,7 @@ class TestHypergraphCut:
             h = Hypergraph(n, [(draw(r), r.sample(range(n), r.randint(2, 4)))
                                for _ in range(3 * n)])
             oracles = [HypergraphCutOracle(h), HypergraphCutOracle(h, early_exit=False)]
-            full = h.total_weight
+            full = sum(w for w, _ in h.hyperedges)
             queries = [(F(), F()), (F(), F(*range(n))), (F(3), F())]
             for _ in range(60):
                 vertices = r.sample(range(n), n)

@@ -27,7 +27,7 @@ def test_join_into_joined_class():
     p.join(4, 1)
     assert p.member_set(4) == {1, 3, 4}
     assert p.class_of(3) == 4
-    assert 1 not in p
+    assert 1 not in p.classes()
 
 
 def test_membership_preserved_under_any_join_sequence():

@@ -25,7 +25,7 @@ def test_exact_contract_holds_for_both_queues(tau, data):
     top = BOUND if tau == INF else tau - 1
     start = data.draw(st.dictionaries(st.integers(0, 30), st.integers(0, top), max_size=25),
                       label="start")
-    queues = HeapQueue(start), BucketQueue(tau, BOUND, start)
+    queues = HeapQueue(start), BucketQueue(tau, start)
     exact = dict(start)
     while exact:
         labels = sorted(exact)

@@ -23,20 +23,20 @@ def test_heap_tie_breaks_to_lowest_index():
 
 
 def test_bucket_exact_below_threshold():
-    q = BucketQueue(tau=7, bound=20, keys={"a": 5})
+    q = BucketQueue(tau=7, keys={"a": 5})
     assert q.del_max() == ("a", 5)
     with pytest.raises(IndexError):
         q.del_max()
 
 
 def test_update_key_moves_entry():
-    for q in (HeapQueue({"a": 1, "b": 2}), BucketQueue(10, 10, {"a": 1, "b": 2})):
+    for q in (HeapQueue({"a": 1, "b": 2}), BucketQueue(10, {"a": 1, "b": 2})):
         q.update_key("a", 4)
         assert q.del_max()[0] == "a"
 
 
 def test_update_errors():
-    for q in (HeapQueue({"a": 3}), BucketQueue(5, 10, {"a": 3})):
+    for q in (HeapQueue({"a": 3}), BucketQueue(5, {"a": 3})):
         with pytest.raises(ValueError):
             q.update_key("missing", 4)
         with pytest.raises(ValueError):
@@ -44,51 +44,52 @@ def test_update_errors():
 
 
 def test_bucket_rejects_negative_and_fractional_keys():
-    with pytest.raises(ValueError):
-        BucketQueue(5, 10, {"a": -1})
-    with pytest.raises(ValueError):
-        BucketQueue(5, 10, {"a": 2.5})
-    q = BucketQueue(5, 10, {"a": 2})
-    with pytest.raises(ValueError):
-        q.update_key("a", 3.5)
-    with pytest.raises(ValueError):
-        BucketQueue(tau=5, bound=None)
-    with pytest.raises(ValueError, match="finite nonnegative integer key bound"):
-        BucketQueue(tau=5, bound="7")  # not a number: no TypeError from comparing it
-    with pytest.raises(ValueError):
-        BucketQueue(tau=-1, bound=10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BucketQueue(5, {"a": -1})
+    for key in (2.5, 2.0):
+        with pytest.raises(ValueError, match="must be ints"):
+            BucketQueue(5, {"a": key})
+    # a float instance's tracker starts every key at the int 0 and reports
+    # floats only once an append reaches them
+    q = BucketQueue(INF, {"a": 0, "b": 0})
+    for key in (3.5, 3.0):
+        with pytest.raises(ValueError, match=f"must be ints, got {key!r}; use the heap queue"):
+            q.update_key("a", key)
+    assert q.del_max() == ("a", 0)  # the refused keys changed nothing
+
+
+@pytest.mark.parametrize("tau", [-1, 2.0, 2.5, -math.inf, math.nan, "7", None])
+def test_bucket_refuses_a_threshold_that_is_not_inf_or_a_nonnegative_int(tau):
+    with pytest.raises(ValueError, match="threshold of INF or a nonnegative int"):
+        BucketQueue(tau, {"a": 0})
 
 
 def test_bucket_refuses_a_top_level_over_its_limit_before_allocating():
-    # with the check missing this would try to build 10**12 + 1 buckets
+    # a threshold past the limit is refused outright; with the key check
+    # missing, each key of 10**12 would build 10**12 + 1 buckets
+    top = BucketQueue.MAX_TOP
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="heap queue"):
-            BucketQueue(tau=INF, bound=10**12)
-        with pytest.raises(ValueError, match=str(BucketQueue.MAX_TOP)):
-            BucketQueue(tau=10**12, bound=10**12)
+        with pytest.raises(ValueError, match=f"threshold {10**12} is above its limit {top}"):
+            BucketQueue(10**12, {"a": 4})
+        with pytest.raises(ValueError, match=f"exceeds the bucket queue's limit {top}; "
+                                             "use the heap queue"):
+            BucketQueue(INF, {"a": 10**12})
+        q = BucketQueue(INF, {"a": 4})
+        with pytest.raises(ValueError, match=f"limit {top}"):
+            q.update_key("a", 10**12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the limit is on the top level: a small threshold keeps a huge bound usable
-    q = BucketQueue(5, 10**12, {"a": 4})
-    with pytest.raises(ValueError, match="exceeds the build's threshold tau 5"):
-        q.update_key("a", 10**9)
     assert q.del_max() == ("a", 4)
 
 
-@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan])
-def test_bucket_rejects_a_non_finite_bound(bound):
-    with pytest.raises(ValueError, match="finite nonnegative integer key bound"):
-        BucketQueue(5, bound)
-
-
 def test_bucket_allocates_only_the_levels_its_keys_reach():
-    # a bucket per level up to the bound would be 100,001 sets (~20 MB)
+    # a bucket per level up to the limit would be 2**20 + 1 sets (~200 MB)
     tracemalloc.start()
     try:
-        q = BucketQueue(INF, 10**5, {**{v: v % 8 for v in range(20)}, 20: 9})
+        q = BucketQueue(INF, {**{v: v % 8 for v in range(20)}, 20: 9})
         q.update_key(3, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -98,19 +99,8 @@ def test_bucket_allocates_only_the_levels_its_keys_reach():
     assert q.del_max() == (20, 9)
 
 
-def test_bucket_rejects_keys_over_declared_bound():
-    # the error names the bound, the lower of the two limits here
-    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
-        BucketQueue(INF, 4, {"a": 5})
-    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
-        BucketQueue(8, 4, {"a": 5})  # below tau but above the exact range
-    q = BucketQueue(8, 4, {"a": 3})
-    with pytest.raises(ValueError, match="exceeds the oracle's value_bound 4"):
-        q.update_key("a", 5)
-
-
 def test_bucket_with_infinite_threshold_is_exact():
-    q = BucketQueue(INF, 10, {0: 3, 1: 7, 2: 7, 3: 0})
+    q = BucketQueue(INF, {0: 3, 1: 7, 2: 7, 3: 0})
     assert q.del_max() == (1, 7)
     assert q.del_max() == (2, 7)
     assert q.del_max() == (0, 3)
@@ -119,9 +109,11 @@ def test_bucket_with_infinite_threshold_is_exact():
 
 def test_bucket_threshold_caps_the_top_level():
     # tau = 1 holds only keys of 0 and 1; lowest label on ties
-    q = BucketQueue(1, 10, {4: 1, 1: 0, 2: 1})
+    q = BucketQueue(1, {4: 1, 1: 0, 2: 1})
     with pytest.raises(ValueError, match="exceeds the build's threshold tau 1"):
         q.update_key(1, 2)
+    with pytest.raises(ValueError, match="exceeds the build's threshold tau 1"):
+        BucketQueue(1, {4: 2})
     assert q.del_max() == (2, 1)
     assert q.del_max() == (4, 1)
     assert q.del_max() == (1, 0)
@@ -152,7 +144,7 @@ def test_differential_contract_small():
     for _ in range(1000):
         if not shadow:
             shadow = {v: rng.randrange(tau) for v in range(rng.randint(1, 30))}
-            heap, bucket = HeapQueue(shadow), BucketQueue(tau, 2 * tau, shadow)
+            heap, bucket = HeapQueue(shadow), BucketQueue(tau, shadow)
         elif rng.random() < 0.45:
             v = rng.choice(sorted(shadow))
             k = min(tau - 1, shadow[v] + rng.randint(0, 4))
@@ -172,7 +164,7 @@ def test_bucket_scan_is_monotone_between_raises():
     rng = random.Random(3)
     tau = 30
     exact = {v: rng.randint(0, 12) for v in range(12)}
-    q = BucketQueue(tau, 30, exact)
+    q = BucketQueue(tau, exact)
     while exact:
         if len(exact) % 3:
             for v in exact:
@@ -185,7 +177,7 @@ def test_bucket_scan_is_monotone_between_raises():
 
 def test_bucket_pure_drain_scans_at_most_span():
     # no updates after the build: strictly downward scanning
-    q = BucketQueue(10, 20, dict(enumerate([9, 7, 5, 4, 4, 2, 0])))
+    q = BucketQueue(10, dict(enumerate([9, 7, 5, 4, 4, 2, 0])))
     out = [q.del_max()[1] for _ in range(7)]
     assert out == sorted(out, reverse=True)
     assert q.scan_steps <= 9

@@ -7,7 +7,8 @@ import pytest
 
 from symcut import (ConnectivityOracle, GraphCutOracle, SetFunctionTable,
                     WeightedGraph, check_consistent, gen_random_graph, graph_cut_table,
-                    optimal_set, verify_oracle, verify_table, write_table)
+                    optimal_set, verify_oracle, verify_table, write_graph,
+                    write_table)
 from symcut.brute import table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.values import value_below
@@ -180,12 +181,19 @@ def test_verify_refuses_an_empty_size_range(capsys):
     assert "all checks passed" not in captured.out
 
 
-@pytest.mark.parametrize("flags", [["--builder", "queue"], ["--queue", "bucket"]])
-def test_minimize_has_no_builder_or_queue_flag(tmp_path, capsys, flags):
-    table = graph_cut_table(gen_random_graph(4, 0.8, 9, seed=0, connected=True))
-    path = write_file(tmp_path, "f.table", write_table(table))
+@pytest.mark.parametrize("flags", [["--builder", "queue"], ["--queue", "bucket"],
+                                   ["--queue", "heap"]])
+@pytest.mark.parametrize("command", ["minimize", "mincut"])
+def test_solvers_have_no_builder_or_queue_flag(tmp_path, capsys, flags, command):
+    # mincut always runs the heap queue, minimize no queue at all
+    graph = gen_random_graph(4, 0.8, 9, seed=0, connected=True)
+    if command == "minimize":
+        argv = ["minimize", "--table",
+                write_file(tmp_path, "f.table", write_table(graph_cut_table(graph)))]
+    else:
+        argv = ["mincut", write_file(tmp_path, "g.graph", write_graph(graph))]
     with pytest.raises(SystemExit) as exit_info:
-        main(["minimize", "--table", path] + flags)
+        main(argv + flags)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
