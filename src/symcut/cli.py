@@ -185,7 +185,7 @@ def cmd_verify(args):
         return 2
     jobs = []
     if args.random is not None and args.random < 1:
-        problem = "must be nonnegative" if args.random < 0 else "is 0: nothing to verify"
+        problem = "must be at least 1" if args.random < 0 else "is 0: nothing to verify"
         print(f"error: --random COUNT {problem}", file=sys.stderr)
         return 2
     if args.random:

@@ -277,8 +277,9 @@ class _KeyTracker:
     keys without a queue, so it relies on both halves of that contract:
     ``advance`` reports exactly the keys it changed (the replay tests each
     one, and watches the heads' keys through them), and ``keys`` holds
-    every one of them (the replay reads the next class's key there, and
-    stops at a class that is no longer in it).
+    every one of them (the replay reads the next class's key there). Where
+    the replay must stop, at a class joined away or a head, it reads from
+    the partition's retired-label log before it starts, not from ``keys``.
     """
 
     def __init__(self, partition, first):

@@ -12,7 +12,8 @@ incrementally, which can replay the unchanged prefix of its previous
 round's order. Both start every order at the class holding element 0,
 and both refuse a NaN or infinite key with ``values.finite_key``'s error:
 the scan checks each oracle value, the queue builder each tracker key
-before it tests whether the key reached tau.
+that its one test, ``-INF < key < tau``, does not pass, before it settles
+the class.
 """
 
 from dataclasses import dataclass
@@ -88,6 +89,38 @@ def lax_back_order_scan(oracle, partition, tau=INF):
     return LaxBackOrder(tuple(order), tuple(keys), tau), calls
 
 
+def replay_bounds(partition, previous, first):
+    """The heads and the replay end for replaying `previous` on `partition`.
+
+    `previous` is an order of this partition before its latest joins,
+    starting at `first`. The labels those joins retired are the tail of
+    ``partition.retired`` past the ``n - len(previous.order)`` retired when
+    `previous` was built; the heads are the live classes now holding them,
+    `first` excepted. Returns (heads, end): ``end`` is the first position
+    in ``previous.order`` of a retired label or a head, or its length if
+    there is none, so every class in ``previous.order[1:end]`` is live and
+    the same set of elements as when `previous` was built. Costs the joins
+    (each position found by ``tuple.index``), not the classes; an order
+    that cannot be this partition's raises a ValueError.
+    """
+    order = previous.order
+    joined = partition.retired[partition.n - len(order):]
+    if partition.class_count + len(joined) != len(order):
+        raise _foreign_previous()
+    class_of = partition.class_of
+    heads = {class_of(x) for x in joined}
+    heads.discard(first)
+    try:
+        end = min(map(order.index, [*joined, *heads]), default=len(order))
+    except ValueError:
+        raise _foreign_previous() from None
+    return heads, end
+
+
+def _foreign_previous():
+    return ValueError("previous is not an order of this partition before its latest joins")
+
+
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
     """Build an order with a max-queue and incremental keys.
 
@@ -103,18 +136,22 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     are exact max-queues (lowest label on ties), so every run of keys at or
     above tau closes over the same classes as an order that appends a class
     of maximum key at each step; only the order inside such a run is the
-    builder's own.
+    builder's own. Every reported key is tested once, ``-INF < key < tau``;
+    only one that fails is tested finite, ``values.finite_key`` raising if
+    it is not, and then settled.
 
     `previous` is the order this builder made in the round before, on the
     same partition before that round's joins. When it starts at the same
     class and was built with a threshold of at least tau, its prefix is
-    replayed without a queue. The heads are the live classes that absorbed
-    a class of `previous` in the joins (the first class excepted). The
-    replay walks ``previous.order[1:]`` and appends each class whose tracker
-    key k is below tau and whose ``(k, -label)`` beats every head's; it
-    stops at the first head, the first class no longer live or settled,
-    the first class that fails the test, and after the first append that
-    settles a class. The queue is then built from the keys left.
+    replayed without a queue. :func:`replay_bounds` reads the heads, the
+    live classes that absorbed a class of `previous` in the joins (the
+    first class excepted), and the replay end, the first position of a head
+    or of a class joined away, from the partition's retired-label log. The
+    replay walks ``previous.order[1:end]`` and appends each class whose
+    tracker key k is below tau and whose ``(k, -label)`` beats every
+    head's; it stops at the end, at the first class that fails the test,
+    and after the first append that settles a class. The queue is then
+    built from the keys left.
 
     The result is the order a build without `previous` returns. A class
     that is neither a head nor joined away is the same set of elements as
@@ -141,9 +178,9 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     pop, advance = tracker.pop, tracker.advance
     ready = []
     for c, key in remaining.items():
-        if not -INF < key < INF:
-            finite_key(key, c)
-        if key >= tau:
+        if not -INF < key < tau:
+            if not -INF < key < INF:
+                finite_key(key, c)
             ready.append(c)
     for c in ready:
         pop(c)
@@ -153,10 +190,7 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
             and previous.threshold >= tau):
         # nothing is appended or settled yet: `remaining` holds every live
         # class but the first, and from here on only keys below tau
-        class_of = partition.class_of
-        get = remaining.get
-        heads = {class_of(x) for x in previous.order[1:] if x not in remaining}
-        heads.discard(first)
+        heads, stop = replay_bounds(partition, previous, first)
         # the best head by (key, -label); every key is finite, so any beats -INF
         best_key, best_head = -INF, 0
         for h in heads:
@@ -164,19 +198,23 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
             if k > best_key or (k == best_key and h < best_head):
                 best_key, best_head = k, h
         end = 1
-        for v in previous.order[1:]:
-            k = get(v)
-            if k is None or v in heads or k < best_key or (k == best_key and v > best_head):
+        for v in previous.order[1:stop]:
+            try:
+                k = remaining[v]
+            except KeyError:
+                raise _foreign_previous() from None
+            if k < best_key or (k == best_key and v > best_head):
                 break
             end += 1
             for c, key in advance(v).items():
-                if not -INF < key < INF:
-                    finite_key(key, c)
-                if key >= tau:
+                if -INF < key < tau:
+                    if c in heads and (key > best_key or (key == best_key and c < best_head)):
+                        best_key, best_head = key, c
+                else:
+                    if not -INF < key < INF:
+                        finite_key(key, c)
                     pop(c)
                     ready.append(c)
-                elif c in heads and (key > best_key or (key == best_key and c < best_head)):
-                    best_key, best_head = key, c
             if ready:
                 break
         order += previous.order[1:end]
@@ -200,12 +238,12 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
         order.append(v)
         keys.append(k)
         for c, key in advance(v).items():
-            if not -INF < key < INF:
-                finite_key(key, c)
-            if key >= tau:
-                pop(c)
-                ready.append(c)
-            else:
+            if -INF < key < tau:
                 update_key(c, key)
                 updates += 1
+            else:
+                if not -INF < key < INF:
+                    finite_key(key, c)
+                pop(c)
+                ready.append(c)
     return LaxBackOrder(tuple(order), tuple(keys), tau), updates

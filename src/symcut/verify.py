@@ -145,10 +145,12 @@ def verify_oracle(oracle, n):
     Runs every supported configuration and compares each result to the
     enumerated optimum; a configuration that raises a ValueError (on a
     non-finite oracle value, say) fails its agreement entry with the error
-    as the detail. For n <= 8 the per-round order and contraction checks
-    run too, and for n <= 6 the monotonicity/consistency axioms are checked
-    exhaustively, including on capped views of the oracle. Every check
-    evaluates through `oracle` itself.
+    as the detail. The scan and maxback runs also give the
+    ``laxback-within-maxback`` entry, the paper's claim on the scan path.
+    For n <= 8 the per-round order and contraction checks run too, and for
+    n <= 6 the monotonicity/consistency axioms are checked exhaustively,
+    including on capped views of the oracle. Every check evaluates through
+    `oracle` itself.
     """
     deep = n <= 8
     expected = brute_min_bipartition(oracle, n)
@@ -156,6 +158,7 @@ def verify_oracle(oracle, n):
 
     deep_failures = {}
     deep_counts = {}
+    run_stats = {}
     for name, cfg in named_configs(oracle):
         records = []
         try:
@@ -163,6 +166,7 @@ def verify_oracle(oracle, n):
         except ValueError as exc:
             entries.append(VerifyEntry(f"agrees-with-bruteforce[{name}]", False, str(exc)))
             continue
+        run_stats[name] = stats
         agree = values_equal(value, expected.value)
         entries.append(VerifyEntry(
             f"agrees-with-bruteforce[{name}]", agree,
@@ -185,6 +189,8 @@ def verify_oracle(oracle, n):
                     deep_counts[check_name] = deep_counts.get(check_name, 0) + 1
                     if not result and check_name not in deep_failures:
                         deep_failures[check_name] = (name, record.index, result.witness)
+    if "scan" in run_stats and "maxback" in run_stats:
+        entries.append(_within_maxback(run_stats["scan"], run_stats["maxback"], n))
     for check_name in sorted(deep_counts):
         failure = deep_failures.get(check_name)
         entries.append(VerifyEntry(
@@ -204,6 +210,23 @@ def verify_oracle(oracle, n):
             entries.append(VerifyEntry(
                 f"capped-oracle-axioms[cap={cap}]", bool(mono) and bool(cons)))
     return VerifyReport(entries)
+
+
+def _within_maxback(lax, maxback, n):
+    """The paper's claim on the scan path: laxback does no more than maxback.
+
+    Beyond its n singleton probes, the laxback run makes at most the oracle
+    calls of the pendant-pair loop, and its orders list at most as many
+    classes: its class counts fall strictly from n, where maxback's take
+    every value from n down to 2.
+    """
+    calls = lax.oracle_calls - n
+    classes = sum(k for k, _ in lax.calls_per_order)
+    max_classes = sum(k for k, _ in maxback.calls_per_order)
+    ok = calls <= maxback.oracle_calls and classes <= max_classes
+    return VerifyEntry("laxback-within-maxback", ok,
+                       f"calls {calls} (+{n} probes) vs {maxback.oracle_calls}, "
+                       f"classes {classes} vs {max_classes}")
 
 
 def verify_table(table):

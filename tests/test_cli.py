@@ -320,13 +320,20 @@ class TestVerify:
     def test_negative_random_count_exits_2(self, capsys):
         assert main(["verify", "--random", "-3"]) == 2
         captured = capsys.readouterr()
-        assert "nonnegative" in captured.err
+        assert "must be at least 1" in captured.err
         assert "all checks passed" not in captured.out
 
     def test_zero_random_count_exits_2(self, capsys):
         assert main(["verify", "--random", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --random COUNT is 0: nothing to verify\n"
+        assert captured.out == ""
+
+    def test_minus_one_random_count_asks_for_at_least_1(self, capsys):
+        # 0 is refused too, so "nonnegative" would be the wrong bound
+        assert main(["verify", "--random", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --random COUNT must be at least 1\n"
         assert captured.out == ""
 
     def test_no_input_exits_2(self, capsys):

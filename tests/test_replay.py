@@ -5,7 +5,10 @@ builder replays the prefix the joins left alone before it builds a queue.
 The replay must change nothing but the work done: every round's order,
 keys and threshold must equal those of a build from scratch on the same
 partition. The differential here rebuilds every round from scratch beside
-the driver's own build and compares the two.
+the driver's own build and compares the two. A replay that stops early
+still builds the same orders, so the total queue updates of two ring runs
+are pinned too, and the heads and replay end read from the partition's
+retired-label log are compared with a pass over every class.
 """
 
 import random
@@ -16,8 +19,9 @@ import pytest
 from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
                     MinimizeConfig, WeightedGraph, driver, gen_random_hypergraph,
                     optimal_set)
-from symcut.order import LaxBackOrder, lax_back_order_queue
+from symcut.order import LaxBackOrder, lax_back_order_queue, replay_bounds
 from symcut.partition import Partition
+from test_driver import run_optimized
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -191,3 +195,81 @@ def test_two_heads_settling_on_one_advance_end_the_replay(queue_kind):
     # from scratch the queue updates 2 after 1 and 7 after 2; the replay
     # reads both keys from the tracker
     assert (updates, scratch_updates) == (0, 2)
+
+
+def scan_rule(partition, previous, first):
+    """The heads and replay end found by a pass over every class of `previous`."""
+    live = set(partition.classes())
+    heads = {partition.class_of(x) for x in previous.order[1:] if x not in live}
+    heads.discard(first)
+    end = 1
+    for v in previous.order[1:]:
+        if v not in live or v in heads:
+            break
+        end += 1
+    return heads, end
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_replay_bounds_match_a_pass_over_every_class(n, data):
+    # random orders of random partitions, joined round by round; every
+    # order made so far is checked against the current partition, since
+    # the log covers the joins of any number of rounds
+    partition = Partition(n)
+    orders = []
+    while True:
+        classes = partition.classes()
+        first = partition.class_of(0)
+        rest = data.draw(st.permutations([c for c in classes if c != first]), label="order")
+        orders.append(LaxBackOrder((first, *rest), (INF,) * len(classes), INF))
+        for previous in orders:
+            assert (replay_bounds(partition, previous, first)
+                    == scan_rule(partition, previous, first)), previous.order
+        if len(classes) == 1:
+            break
+        for _ in range(data.draw(st.integers(1, len(classes) - 1), label="joins")):
+            dst, src = data.draw(st.permutations(partition.classes()), label="pair")[:2]
+            if src == first:
+                dst, src = src, dst  # the class of 0 keeps its label, as in the driver
+            partition.join(dst, src)
+
+
+def test_a_foreign_previous_order_is_refused_under_optimize():
+    # three orders this partition never had: one of another class count,
+    # one without the label the join retired, and one with a label the
+    # partition never had where the replay would read its key
+    script = """
+from symcut import GraphCutOracle, INF, WeightedGraph
+from symcut.order import LaxBackOrder, lax_back_order_queue
+from symcut.partition import Partition
+
+oracle = GraphCutOracle(WeightedGraph(5, [(v, (v + 1) % 5, 3) for v in range(5)]))
+partition = Partition(5)
+partition.join(1, 2)
+for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4)]:
+    try:
+        lax_back_order_queue(oracle, partition, INF,
+                             previous=LaxBackOrder(labels, (INF,) * len(labels), INF))
+    except ValueError as exc:
+        print(exc)
+"""
+    result = run_optimized(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "previous is not an order of this partition before its latest joins\n" * 3)
+
+
+# total queue updates of the laxback and maxback runs with the heap queue
+# on ("ring", 300, "int"), as the replay stood when the retired-label log
+# took over finding its heads and end: a replay that stops early builds
+# the same orders, so only this total shows it
+REPLAY_UPDATES = {"laxback": 1742, "maxback": 1694}
+
+
+@pytest.mark.parametrize("algorithm", sorted(REPLAY_UPDATES))
+def test_the_replay_goes_as_far_as_it_did(algorithm):
+    oracle = build("ring", 300, "int")
+    config = MinimizeConfig(algorithm=algorithm, order_builder="queue")
+    _, _, stats = optimal_set(oracle, 300, config)
+    assert sum(ops for _, ops in stats.calls_per_order) == REPLAY_UPDATES[algorithm]

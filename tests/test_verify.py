@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from symcut import (ConnectivityOracle, GraphCutOracle, SetFunctionTable,
-                    WeightedGraph, check_consistent, gen_random_graph, graph_cut_table,
-                    optimal_set, verify_oracle, verify_table, write_graph,
-                    write_table)
+from symcut import (ConnectivityOracle, GraphCutOracle, MinimizeConfig, RunStats,
+                    SetFunctionTable, WeightedGraph, check_consistent, gen_random_graph,
+                    graph_cut_table, optimal_set, verify_oracle, verify_table,
+                    write_graph, write_table)
 from symcut.brute import table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.values import value_below
+from symcut.verify import _within_maxback
 from table_oracle import TableOracle, complete_table
 
 
@@ -197,3 +198,27 @@ def test_solvers_have_no_builder_or_queue_flag(tmp_path, capsys, flags, command)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
+
+
+def test_laxback_within_maxback_entry_reads_the_sweep_runs():
+    graph = gen_random_graph(10, 0.4, 9, seed=5, connected=True)
+    oracle = GraphCutOracle(graph)
+    entry = next(e for e in verify_oracle(oracle, 10).entries
+                 if e.name == "laxback-within-maxback")
+    _, _, lax = optimal_set(oracle, 10, MinimizeConfig(order_builder="scan"))
+    _, _, maxback = optimal_set(oracle, 10, MinimizeConfig(algorithm="maxback",
+                                                           order_builder="scan"))
+    classes = sum(k for k, _ in lax.calls_per_order)
+    assert entry.ok
+    assert entry.detail == (f"calls {lax.oracle_calls - 10} (+10 probes) vs "
+                            f"{maxback.oracle_calls}, classes {classes} vs 54")
+
+
+def test_laxback_within_maxback_entry_fails_past_either_bound():
+    maxback = RunStats(oracle_calls=5, calls_per_order=[(3, 3), (2, 1)])
+    # one call over maxback's beyond the three probes, then one class over
+    for calls, orders in ((9, [(3, 3)]), (8, [(3, 3), (3, 2)])):
+        lax = RunStats(oracle_calls=calls, calls_per_order=orders)
+        assert not _within_maxback(lax, maxback, 3).ok
+    assert _within_maxback(RunStats(oracle_calls=8, calls_per_order=[(3, 3), (2, 1)]),
+                           maxback, 3).ok
