@@ -152,14 +152,6 @@ def table_submodular(table):
     return True
 
 
-def check_symmetric_submodular(table):
-    """(symmetric, submodular) verdict for an explicit set function.
-
-    Exhaustive, so keep n small: see :func:`table_submodular`.
-    """
-    return table_symmetric(table), table_submodular(table)
-
-
 def verify_lax_back_order(oracle, blocks, order):
     """Re-check the defining back-order inequality from scratch.
 

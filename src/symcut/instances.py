@@ -321,8 +321,6 @@ def gen_random_hypergraph(n, m, max_weight, seed):
 
 
 def _is_connected(graph):
-    if graph.n <= 1:
-        return True
     seen = {0}
     stack = [0]
     while stack:

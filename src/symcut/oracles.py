@@ -15,20 +15,12 @@ Built-in oracles:
 All of them are monotone and consistent, which the brute-force module can
 verify exhaustively on small ground sets.
 
-The two cut oracles are also keyed: their key trackers keep the prefix
-keys of one order incrementally, for the queue builder. While every class
-is a single vertex a tracker walks the instance itself. Once classes have
-joined it walks a quotient of the partition: the graph or hypergraph with
-each class as one vertex and the edges inside a class dropped. Each oracle
-keeps one quotient per live partition and brings it up to date with the
-joins made since its last tracker, so an order costs in the class-level
-edges or pins, not in the instance. A quotient is built from the members
-of the classes other than the largest: every edge or hyperedge between
-two classes touches one of them, so the build costs their incidences,
-not the instance's. Keys of integer instances are exact; float keys
-after the first round may differ from a walk of the instance in the last
-place, since the quotient sums them in another order (a graph quotient
-copies each small class's sum into the largest class's row).
+The two cut oracles are also keyed: their key trackers
+(:class:`_KeyTracker`) keep the prefix keys of one order incrementally,
+for the queue builder, over the instance as the partition sees it
+(:func:`_synced_quotient`): the graph or hypergraph with each class as one
+vertex and the edges inside a class dropped. So an order costs in the
+class-level edges or pins, not in the instance.
 
 Graphs and hypergraphs have at most ``MAX_VERTICES`` vertices, checked
 before their per-vertex lists are built.
@@ -220,27 +212,28 @@ class GraphCutOracle(LaxOracle):
         return min(tau, total)
 
     def key_tracker(self, partition, first):
-        """Prefix keys read from the partition's class-level adjacency.
+        """Prefix keys over the partition's quotient graph (:func:`_synced_quotient`).
 
-        Before any join the graph is its own quotient. Once the partition
-        has joined classes, the tracker reads the partition's quotient
-        graph, built once and then synced (:func:`_synced_quotient`). An
-        order thus costs O(k + m_k) on k classes and the m_k edges between
-        them.
+        An order costs O(k + m_k) on k classes and the m_k edges between them.
         """
-        if partition.class_count == self.graph.n:
-            return _GraphKeyTracker(self.graph.adjacency, partition, first)
         quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
-        return _GraphKeyTracker(quotient.rows, partition, first)
+        return _GraphKeyTracker(quotient.adjacency, partition, first)
 
 
 def _synced_quotient(cache, quotient_type, instance, partition):
-    """The quotient of `partition` kept in `cache`, current with its joins.
+    """The instance as `partition` sees it: its quotient, current with its joins.
 
-    Built on the first call for a partition and kept, weakly keyed by it,
-    until the partition is freed; each later call first folds in the joins
-    made since the previous one.
+    The singleton case: while every class is a single vertex labelled by
+    itself, the instance is its own quotient and is returned as it is. A
+    graph's ``adjacency``, or a hypergraph's ``incident`` and
+    ``hyperedges``, index by vertex exactly as a quotient's index by class,
+    so building one would only copy them. Otherwise the quotient is built
+    on the first call for a partition and kept, weakly keyed by it, until
+    the partition is freed; each later call first folds in the joins made
+    since the previous one (the quotient's ``sync``).
     """
+    if partition.class_count == instance.n:
+        return instance
     quotient = cache.get(partition)
     if quotient is None:
         quotient = cache[partition] = quotient_type(instance, partition)
@@ -252,9 +245,11 @@ def _synced_quotient(cache, quotient_type, instance, partition):
 def _small_classes(partition):
     """The live labels but one largest class's, ascending, and that label.
 
-    Every edge or hyperedge that spans two classes touches one of the
-    classes other than the largest, so a quotient built from their members
-    finds all of them. Ties go to the lowest label.
+    The build rule of both quotients: every edge or hyperedge that spans
+    two classes touches one of the classes other than the largest, so a
+    quotient built from their members finds all of them, and its build
+    costs their incidences, not the instance's. Ties go to the lowest
+    label.
     """
     classes = partition.classes()
     largest = max(classes, key=partition.size)
@@ -264,22 +259,16 @@ def _small_classes(partition):
 class _KeyTracker:
     """Exact prefix keys for one order construction.
 
-    ``keys[c]`` is d(class c, classes appended so far) for every class not
-    yet appended or settled. Append = ``advance(v)``: it drops v from
-    ``keys`` if there (a settled v is not), folds v into the prefix and
-    returns {class: new key} for the keys it changed. Settle = ``pop(c)``,
-    the ``keys`` dict's own, so no later ``advance`` reports c. The
+    The tracker contract. ``keys[c]`` is d(class c, classes appended so
+    far) for every class not yet appended or settled. Append =
+    ``advance(v)``: it drops v from ``keys`` if there (a settled v is not),
+    folds v into the prefix and returns {class: new key} for exactly the
+    keys it changed. Settle = ``pop(c)``, the ``keys`` dict's own, so no
+    later ``advance`` reports c. The queue builder's replay reads keys
+    without a queue, so it relies on both halves: it tests each key
+    ``advance`` reports, and reads the next class's key from ``keys``. The
     partition must not change while a tracker is live; between trackers it
-    may, and the graph and hypergraph quotients follow the joins made in
-    between.
-
-    The queue builder's replay of the previous round's order reads the
-    keys without a queue, so it relies on both halves of that contract:
-    ``advance`` reports exactly the keys it changed (the replay tests each
-    one, and watches the heads' keys through them), and ``keys`` holds
-    every one of them (the replay reads the next class's key there). Where
-    the replay must stop, at a class joined away or a head, it reads from
-    the partition's retired-label log before it starts, not from ``keys``.
+    may, and the quotients follow the joins made in between.
     """
 
     def __init__(self, partition, first):
@@ -291,31 +280,30 @@ class _KeyTracker:
 class _GraphQuotient:
     """Class-level adjacency of one partition of a graph.
 
-    ``rows[c][d]`` is the summed weight of the edges between classes c and
-    d, present for every pair of classes joined by at least one edge (zero
-    weights included, so a tracker reports the same changed classes as a
-    walk over the element-level edges would). It holds labels, never the
-    partition itself, so caching it weakly keyed by the partition frees it
-    with the partition.
+    ``adjacency[c][d]`` is the summed weight of the edges between classes c
+    and d, present for every pair of classes joined by at least one edge
+    (zero weights included, so a tracker reports the same changed classes
+    as a walk over the element-level edges would). It holds labels, never
+    the partition itself, so caching it weakly keyed by the partition frees
+    it with the partition.
 
-    The rows are built from the members of the classes other than a
-    largest one, L (see :func:`_small_classes`): each such class's row
-    sums its members' edges in ascending member order, and ``rows[L][c]``
-    mirrors ``rows[c][L]``. So a build costs the small classes' edges, not
-    the graph's; a float entry of L's row may differ in the last place
-    from one summed over L's own members.
+    Built from the classes other than a largest one, L (:func:`_small_classes`):
+    each such class's row sums its members' edges in ascending member
+    order, and ``adjacency[L][c]`` mirrors ``adjacency[c][L]``. So a float
+    entry of L's row may differ in the last place from one summed over L's
+    own members.
     """
 
     def __init__(self, graph, partition):
         class_of = partition.class_of
-        adjacency = graph.adjacency
+        instance_adjacency = graph.adjacency
         small, largest = _small_classes(partition)
-        self.rows = rows = {c: {} for c in partition.classes()}
-        big_row = rows[largest]
+        self.adjacency = adjacency = {c: {} for c in partition.classes()}
+        big_row = adjacency[largest]
         for cx in small:
-            row = rows[cx]
+            row = adjacency[cx]
             for x in sorted(partition.member_set(cx)):
-                for y, w in adjacency[x].items():
+                for y, w in instance_adjacency[x].items():
                     cy = class_of(y)
                     if cy != cx:
                         row[cy] = row.get(cy, 0) + w
@@ -325,22 +313,18 @@ class _GraphQuotient:
     def sync(self, partition):
         """Fold in the joins the partition made since the rows were current.
 
-        The retired labels are the entries of the partition's log past the
-        first n - len(rows): the rows hold one entry per class that was live
-        when they were last current, and each join retires one label. So a
-        sync costs the joins and the rows they touch, not the live classes.
-        A class label is one of its class's elements, so ``class_of`` of a
-        label that is no longer live names the class it ended up in, however
-        many joins chained it there. Its row merges into that class's row:
-        parallel weights add up, the now-internal entry is dropped, and each
-        neighbour's entry is renamed.
+        The rows hold one entry per class that was live when they were last
+        current, so the joins since are ``partition.retired_since(len(adjacency))``.
+        Each retired label's row merges into the row of ``class_of(label)``,
+        the live class it ended up in: parallel weights add up, the
+        now-internal entry is dropped, and each neighbour's entry is renamed.
         """
-        rows = self.rows
-        for gone in partition.retired[partition.n - len(rows):]:
+        adjacency = self.adjacency
+        for gone in partition.retired_since(len(adjacency)):
             into = partition.class_of(gone)
-            target = rows[into]
-            for c, w in rows.pop(gone).items():
-                row = rows[c]
+            target = adjacency[into]
+            for c, w in adjacency.pop(gone).items():
+                row = adjacency[c]
                 del row[gone]
                 if c != into:
                     target[c] = target.get(c, 0) + w
@@ -350,20 +334,19 @@ class _GraphQuotient:
 class _GraphKeyTracker(_KeyTracker):
     """Prefix keys for graph cuts: summed weight of edges into the prefix.
 
-    ``rows[c]`` maps each class adjacent to class c to the weight between
-    them: a quotient's rows, or the graph's adjacency while every class is
-    a single vertex labelled by itself.
+    ``adjacency[c]`` maps each class adjacent to class c to the weight
+    between them (:func:`_synced_quotient`).
     """
 
-    def __init__(self, rows, partition, first):
-        self._rows = rows
+    def __init__(self, adjacency, partition, first):
+        self._adjacency = adjacency
         super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
         keys = self.keys
         keys.pop(appended, None)
-        for c, w in self._rows[appended].items():
+        for c, w in self._adjacency[appended].items():
             if c in keys:
                 keys[c] += w
                 changed[c] = keys[c]
@@ -462,19 +445,12 @@ class HypergraphCutOracle(LaxOracle):
         return min(tau, total)
 
     def key_tracker(self, partition, first):
-        """Prefix keys read from the partition's class-level hyperedges.
+        """Prefix keys over the partition's quotient hypergraph (:func:`_synced_quotient`).
 
-        Before any join the hypergraph is its own quotient. Once the
-        partition has joined classes, the tracker reads the partition's
-        quotient hypergraph, built once and then synced
-        (:func:`_synced_quotient`). An order thus costs O(k + p_k) on k
-        classes, where p_k counts the pin classes of the hyperedges that
-        span at least two of them.
+        An order costs O(k + p_k) on k classes, where p_k counts the pin
+        classes of the hyperedges that span at least two of them.
         """
         hypergraph = self.hypergraph
-        if partition.class_count == hypergraph.n:
-            return _HypergraphKeyTracker(hypergraph.incident, hypergraph.hyperedges,
-                                         hypergraph.m, partition, first)
         quotient = _synced_quotient(self._quotients, _HypergraphQuotient, hypergraph,
                                     partition)
         return _HypergraphKeyTracker(quotient.incident, quotient.hyperedges,
@@ -493,9 +469,8 @@ class _HypergraphQuotient:
     to one built from scratch on the same partition. Like the graph
     quotient it holds labels, never the partition.
 
-    The build visits, in ascending order, the ids of the hyperedges at the
-    members of the classes other than a largest one (see
-    :func:`_small_classes`), so it costs their incidences, not m.
+    Built from the classes other than a largest one (:func:`_small_classes`),
+    visiting the ids of their members' hyperedges in ascending order.
     """
 
     def __init__(self, hypergraph, partition):
@@ -518,17 +493,16 @@ class _HypergraphQuotient:
     def sync(self, partition):
         """Fold in the joins the partition made since the quotient was current.
 
-        Each retired label is renamed to ``class_of(label)``, the live class
-        it ended up in; the retired labels are the log's entries past the
-        first n - len(incident) (see :meth:`_GraphQuotient.sync`). The
-        hyperedges of a retired class are renamed and those left inside one
-        class are dropped; each absorbing class's list becomes the ascending
-        merge of its own and its retired classes' lists, less the dropped
-        ids. A dropped hyperedge's classes all end up in one absorbing
-        class, so no other list holds it.
+        The joins since are ``partition.retired_since(len(incident))``, as
+        for :meth:`_GraphQuotient.sync`. The hyperedges of a retired class
+        are renamed to ``class_of`` of their pin classes and those left
+        inside one class are dropped; each absorbing class's list becomes
+        the ascending merge of its own and its retired classes' lists, less
+        the dropped ids. A dropped hyperedge's classes all end up in one
+        absorbing class, so no other list holds it.
         """
         incident = self.incident
-        gone = partition.retired[partition.n - len(incident):]
+        gone = partition.retired_since(len(incident))
         if not gone:
             return
         class_of = partition.class_of
@@ -560,8 +534,7 @@ class _HypergraphKeyTracker(_KeyTracker):
     the prefix; each edge is credited to every remaining class it pins,
     exactly once. ``incident[c]`` lists the ascending ids of the
     hyperedges at class c and ``hyperedges[e]`` gives ``(weight, pin
-    classes)``: a quotient's, or the hypergraph's own while every class is
-    a single vertex labelled by itself. A walk over the instance would
+    classes)`` (:func:`_synced_quotient`). A walk over the instance would
     visit a class's hyperedges member by member; a quotient visits them in
     id order. So the changed classes and integer keys are that walk's on
     every round, and float keys in the first round too, but later float

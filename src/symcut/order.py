@@ -7,13 +7,10 @@ order; a finite tau lets a builder settle for "reached tau", which is
 cheaper and can append several classes per scan.
 
 Two builders are provided: a rescanning one driven purely by lax oracle
-calls, and a queue-based one for oracles that can maintain prefix keys
-incrementally, which can replay the unchanged prefix of its previous
-round's order. Both start every order at the class holding element 0,
-and both refuse a NaN or infinite key with ``values.finite_key``'s error:
-the scan checks each oracle value, the queue builder each tracker key
-that its one test, ``-INF < key < tau``, does not pass, before it settles
-the class.
+calls, and a queue-based one for keyed oracles, which also replays the
+unchanged prefix of its previous round's order. Both start every order at
+the class holding element 0, and both refuse a NaN or infinite key with
+``values.finite_key``'s error.
 """
 
 from dataclasses import dataclass
@@ -93,24 +90,22 @@ def replay_bounds(partition, previous, first):
     """The heads and the replay end for replaying `previous` on `partition`.
 
     `previous` is an order of this partition before its latest joins,
-    starting at `first`. The labels those joins retired are the tail of
-    ``partition.retired`` past the ``n - len(previous.order)`` retired when
-    `previous` was built; the heads are the live classes now holding them,
-    `first` excepted. Returns (heads, end): ``end`` is the first position
-    in ``previous.order`` of a retired label or a head, or its length if
-    there is none, so every class in ``previous.order[1:end]`` is live and
-    the same set of elements as when `previous` was built. Costs the joins
-    (each position found by ``tuple.index``), not the classes; an order
-    that cannot be this partition's raises a ValueError.
+    starting at `first`; the labels those joins retired are
+    ``partition.retired_since(len(previous.order))``. The heads are the live
+    classes now holding them, `first` excepted. Returns (heads, end):
+    ``end`` is the first position in ``previous.order`` of a retired label
+    or a head, or its length if there is none, so every class in
+    ``previous.order[1:end]`` is live and the same set of elements as when
+    `previous` was built. Costs the joins (each position found by
+    ``tuple.index``), not the classes; an order that cannot be this
+    partition's raises a ValueError.
     """
     order = previous.order
-    joined = partition.retired[partition.n - len(order):]
-    if partition.class_count + len(joined) != len(order):
-        raise _foreign_previous()
     class_of = partition.class_of
-    heads = {class_of(x) for x in joined}
-    heads.discard(first)
     try:
+        joined = partition.retired_since(len(order))
+        heads = {class_of(x) for x in joined}
+        heads.discard(first)
         end = min(map(order.index, [*joined, *heads]), default=len(order))
     except ValueError:
         raise _foreign_previous() from None
@@ -124,34 +119,30 @@ def _foreign_previous():
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
     """Build an order with a max-queue and incremental keys.
 
-    Needs a keyed oracle. This builder is the only place that decides
-    "reached tau" (Rizzi's lax rule: such a class is as good as the
-    maximum). It appends a class with the tracker's ``advance`` and settles
-    one with its ``pop``. A class settles when its key reaches tau and goes
+    Needs a keyed oracle, whose tracker appends and settles classes as
+    :class:`symcut.oracles._KeyTracker` says. This builder is the only
+    place that decides "reached tau" (Rizzi's lax rule: such a class is as
+    good as the maximum). A class settles when its key reaches tau and goes
     onto a ready list; every ready class is appended, with key tau, before
     the queue is asked for anything. The queue is not told; a class it
     returns after it settled is skipped. The other classes sit in the queue
-    keyed by their exact value against the prefix, always below tau, and
-    each append bumps the keys the tracker reports as changed. Both queues
-    are exact max-queues (lowest label on ties), so every run of keys at or
-    above tau closes over the same classes as an order that appends a class
-    of maximum key at each step; only the order inside such a run is the
-    builder's own. Every reported key is tested once, ``-INF < key < tau``;
-    only one that fails is tested finite, ``values.finite_key`` raising if
-    it is not, and then settled.
+    keyed by their exact value against the prefix, always below tau. Both
+    queues are exact max-queues (lowest label on ties), so every run of
+    keys at or above tau closes over the same classes as an order that
+    appends a class of maximum key at each step; only the order inside
+    such a run is the builder's own. Every reported key is tested once,
+    ``-INF < key < tau``; only one that fails is tested finite,
+    ``values.finite_key`` raising if it is not, and then settled.
 
-    `previous` is the order this builder made in the round before, on the
-    same partition before that round's joins. When it starts at the same
-    class and was built with a threshold of at least tau, its prefix is
-    replayed without a queue. :func:`replay_bounds` reads the heads, the
-    live classes that absorbed a class of `previous` in the joins (the
-    first class excepted), and the replay end, the first position of a head
-    or of a class joined away, from the partition's retired-label log. The
-    replay walks ``previous.order[1:end]`` and appends each class whose
-    tracker key k is below tau and whose ``(k, -label)`` beats every
-    head's; it stops at the end, at the first class that fails the test,
-    and after the first append that settles a class. The queue is then
-    built from the keys left.
+    The replay rule. `previous` is the order this builder made in the round
+    before, on the same partition before that round's joins. When it starts
+    at the same class and was built with a threshold of at least tau, its
+    prefix is replayed without a queue, up to the end that
+    :func:`replay_bounds` finds. The replay walks ``previous.order[1:end]``
+    and appends each class whose tracker key k is below tau and whose
+    ``(k, -label)`` beats every head's; it stops at the end, at the first
+    class that fails the test, and after the first append that settles a
+    class. The queue is then built from the keys left.
 
     The result is the order a build without `previous` returns. A class
     that is neither a head nor joined away is the same set of elements as

@@ -6,10 +6,9 @@ the others survives a join) and are read as frozensets of their members.
 Invariant: a label is one of its class's elements. Every class starts as
 the singleton {v} labelled v, and a join keeps the absorbing class's label,
 so ``class_of(label)`` of a label that a join retired names the live class
-that now holds it (the graph and hypergraph quotients rely on this to
-follow joins). ``retired`` logs the labels joins retired, in join order,
-so a quotient can find the joins made since it was last current without
-scanning the live labels.
+that now holds it, however many joins chained it there. ``retired`` logs
+the labels joins retired, in join order, and :meth:`Partition.retired_since`
+reads the joins made since an earlier class count from it.
 """
 
 
@@ -54,3 +53,19 @@ class Partition:
         for v in block:
             self._class_of[v] = dst
         self.retired.append(src)
+
+    def retired_since(self, count):
+        """The labels retired since the partition had `count` classes, in join order.
+
+        The log window: each join retires one label, so when the partition
+        had `count` classes the log held its first ``n - count`` entries,
+        and the joins made since then retired the rest. A cache that holds
+        one entry per class it last saw (a quotient, an order) thus finds
+        the joins it missed at the cost of those joins, not of the live
+        classes. A count the partition never had, outside
+        ``class_count..n``, raises a ValueError.
+        """
+        if not self.class_count <= count <= self.n:
+            raise ValueError(f"the partition never had {count} classes: it has "
+                             f"{self.class_count} of {self.n}")
+        return self.retired[self.n - count:]

@@ -15,7 +15,7 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set)
-from symcut.brute import check_symmetric_submodular
+from symcut.brute import table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.oracles import ThresholdedOracle
 from symcut.verify import (check_contraction_record, check_order_record,
@@ -167,8 +167,7 @@ def test_criterion_06_symmetric_submodular_minimization():
         n = 3 + i % 4  # 3..6
         table = graph_cut_table(gen_random_graph(n, 0.75, 7, seed=3000 + i,
                                                  connected=(i % 2 == 0)))
-        symmetric, submodular = check_symmetric_submodular(table)
-        assert symmetric and submodular
+        assert table_symmetric(table) and table_submodular(table)
         f = table.table_values
         best_f = min(f[m] for m in range(1, (1 << n) - 1))
         found, _, _ = optimal_set(ConnectivityOracle(table), n)

@@ -2,7 +2,7 @@ import pytest
 
 from symcut import (GraphCutOracle, SetFunctionTable, WeightedGraph,
                     brute_min_bipartition, check_consistent, check_monotone)
-from symcut.brute import brute_lambda, check_symmetric_submodular
+from symcut.brute import brute_lambda, table_submodular, table_symmetric
 from symcut.oracles import ThresholdedOracle
 from table_oracle import TableOracle, complete_table
 
@@ -90,18 +90,21 @@ def test_symmetric_submodular_classification():
     def pop(m):
         return bin(m).count("1")
 
+    def verdict(table):
+        return table_symmetric(table), table_submodular(table)
+
     crossing = SetFunctionTable(n, [pop(m) * (n - pop(m)) for m in range(1 << n)])
-    assert check_symmetric_submodular(crossing) == (True, True)
+    assert verdict(crossing) == (True, True)
 
     cardinality = SetFunctionTable(n, [pop(m) for m in range(1 << n)])
-    assert check_symmetric_submodular(cardinality) == (False, True)
+    assert verdict(cardinality) == (False, True)
 
     # concave in |A|, hence submodular despite being asymmetric
     neg_square = SetFunctionTable(n, [-pop(m) ** 2 for m in range(1 << n)])
-    assert check_symmetric_submodular(neg_square) == (False, True)
+    assert verdict(neg_square) == (False, True)
 
     square = SetFunctionTable(n, [pop(m) ** 2 for m in range(1 << n)])
-    assert check_symmetric_submodular(square) == (False, False)
+    assert verdict(square) == (False, False)
 
 
 def test_min_bipartition_complement_symmetry(triangle_oracle):

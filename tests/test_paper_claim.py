@@ -7,9 +7,12 @@ and its scan makes at most k(k-1)/2 calls per order, one per class left at
 the start of each pass. So each laxback order costs at most the maxback
 order of its class count, and laxback's oracle calls beyond its n
 singleton probes, and the classes its orders list, are at most maxback's
-on every instance. A run that skips the only join of a round fails at
-that round; a scan that calls the oracle again for every class left after
-one reaches tau goes over the bound of some order.
+on every instance. Those totals alone cannot fail a run whose rounds
+each join at least once, so every round is also held to its join rule
+(``verify.check_join_record``): a run that skips any join of a round, or
+joins a pair the rule does not name, fails at that round. A scan that
+calls the oracle again for every class left after one reaches tau goes
+over the bound of some order.
 """
 
 import random
@@ -19,6 +22,7 @@ import pytest
 from symcut import (GraphCutOracle, Hypergraph, HypergraphCutOracle, MinimizeConfig,
                     WeightedGraph, gen_random_graph, gen_random_hypergraph, optimal_set,
                     values_equal)
+from symcut.verify import check_join_record
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -33,9 +37,10 @@ def classes_built(stats):
 
 
 def solve(oracle, n, config):
-    """Run `config` on the scan builder; a round that joins nothing fails at once."""
+    """Run `config` on the scan builder; a round that breaks its join rule fails at once."""
     def joined(record):
-        assert record.joins >= 1, f"round {record.index} joined nothing"
+        result = check_join_record(record, config.algorithm)
+        assert result, f"round {record.index} broke the join rule: {result.witness}"
 
     _, value, stats = optimal_set(oracle, n, config, observer=joined)
     return value, stats

@@ -13,7 +13,8 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set, verify_oracle)
-from symcut.brute import brute_lambda, check_symmetric_submodular, verify_lax_back_order
+from symcut.brute import (brute_lambda, table_submodular, table_symmetric,
+                          verify_lax_back_order)
 from symcut.oracles import ThresholdedOracle
 from symcut.order import lax_back_order_queue, lax_back_order_scan
 from symcut.partition import Partition
@@ -57,8 +58,7 @@ def test_connectivity_of_submodular_is_monotone_consistent():
     for i in range(5):
         n = 3 + i % 3
         table = graph_cut_table(gen_random_graph(n, 0.7, 5, seed=40 + i))
-        _, submodular = check_symmetric_submodular(table)
-        assert submodular
+        assert table_submodular(table)
         o = ConnectivityOracle(table)
         assert check_monotone(o, n)
         assert check_consistent(o, n)
@@ -135,8 +135,7 @@ def test_symmetric_submodular_minimization_matches_exhaustive():
     for i in range(8):
         n = 3 + i % 4
         table = graph_cut_table(gen_random_graph(n, 0.7, 6, seed=200 + i))
-        symmetric, submodular = check_symmetric_submodular(table)
-        assert symmetric and submodular
+        assert table_symmetric(table) and table_submodular(table)
         f = table.table_values
         best_f = min(f[m] for m in range(1, (1 << n) - 1))
         found, _, _ = optimal_set(ConnectivityOracle(table), n)

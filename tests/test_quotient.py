@@ -122,9 +122,9 @@ def check_fresh_quotient(oracle, partition):
     fresh = _GraphQuotient(oracle.graph, partition)
     walked = walked_graph_rows(oracle.graph, partition)
     if oracle.graph.integer_weights:
-        assert fresh.rows == walked
+        assert fresh.adjacency == walked
     else:
-        assert_rows_close(fresh.rows, walked)
+        assert_rows_close(fresh.adjacency, walked)
     return fresh
 
 
@@ -135,7 +135,7 @@ def check_synced_quotient(oracle, partition):
     if isinstance(oracle, HypergraphCutOracle):
         assert vars(synced) == vars(fresh)
     else:
-        assert_rows_close(synced.rows, fresh.rows)
+        assert_rows_close(synced.adjacency, fresh.adjacency)
 
 
 def graphs(data, n, weight):

@@ -2,17 +2,18 @@
 included, with floats compared within the documented tolerance."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from symcut import (ConnectivityOracle, GraphCutOracle, MinimizeConfig, RunStats,
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, RunStats,
                     SetFunctionTable, WeightedGraph, check_consistent, gen_random_graph,
                     graph_cut_table, optimal_set, verify_oracle, verify_table,
                     write_graph, write_table)
 from symcut.brute import table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.values import value_below
-from symcut.verify import _within_maxback
+from symcut.verify import _within_maxback, check_join_record, check_order_record
 from table_oracle import TableOracle, complete_table
 
 
@@ -222,3 +223,91 @@ def test_laxback_within_maxback_entry_fails_past_either_bound():
         assert not _within_maxback(lax, maxback, 3).ok
     assert _within_maxback(RunStats(oracle_calls=8, calls_per_order=[(3, 3), (2, 1)]),
                            maxback, 3).ok
+
+
+LAXBACK_SCAN = MinimizeConfig(order_builder="scan")
+MAXBACK_SCAN = MinimizeConfig(algorithm="maxback", order_builder="scan")
+
+
+def first_record(graph, config):
+    records = []
+    optimal_set(GraphCutOracle(graph), graph.n, config, observer=records.append)
+    return records[0]
+
+
+def test_joins_follow_the_rule_runs_at_any_n_in_place_of_the_maxback_entry():
+    graph = gen_random_graph(10, 0.4, 9, seed=5, connected=True)
+    entries = {e.name: e for e in verify_oracle(GraphCutOracle(graph), 10).entries}
+    rounds = sum(optimal_set(GraphCutOracle(graph), 10, cfg)[2].rounds
+                 for cfg in (LAXBACK_SCAN, MinimizeConfig(), MAXBACK_SCAN))
+    assert entries["joins-follow-the-rule"].ok
+    assert entries["joins-follow-the-rule"].detail == f"{rounds} rounds"
+    assert "maxback-one-join-per-round" not in entries
+    assert "stored-keys-exact" not in entries  # the enumerating checks stop at n = 8
+
+
+def test_joins_follow_the_rule_fails_a_round_that_splits_a_run():
+    # path 0 -5- 1 -5- 2: tau starts at 5 and the whole order is one run
+    graph = WeightedGraph(3, [(0, 1, 5), (1, 2, 5)])
+    record = first_record(graph, LAXBACK_SCAN)
+    assert (record.order.order, record.order.keys) == ((0, 1, 2), (INF, 5, 5))
+    assert record.members_after == {0: frozenset({0, 1, 2})}
+    assert check_join_record(record, "laxback")
+    # after the run's first join, a new run starts at class 2 instead
+    split = replace(record, members_after={0: frozenset({0, 1}), 2: frozenset({2})})
+    result = check_join_record(split, "laxback")
+    assert not result
+    assert result.witness == (0, frozenset({0, 1}), frozenset({0, 1, 2}))
+
+
+def test_joins_follow_the_rule_fails_a_maxback_round_that_joins_another_pair():
+    graph = WeightedGraph(3, [(0, 1, 5), (1, 2, 1)])
+    record = first_record(graph, MAXBACK_SCAN)
+    assert record.order.order == (0, 1, 2)
+    assert record.members_after == {0: frozenset({0}), 1: frozenset({1, 2})}
+    assert check_join_record(record, "maxback")
+    wrong = replace(record, members_after={0: frozenset({0, 1}), 2: frozenset({2})})
+    assert check_join_record(wrong, "maxback").witness == (0, frozenset({0, 1}),
+                                                            frozenset({0}))
+
+
+def test_stored_keys_exact_fails_a_changed_key_with_its_witness():
+    graph = gen_random_graph(6, 0.6, 9, seed=4, connected=True)
+    record = first_record(graph, MAXBACK_SCAN)
+    keys = list(record.order.keys)
+    keys[2] += 1
+    corrupted = replace(record, order=replace(record.order, keys=tuple(keys)))
+    results = dict(check_order_record(GraphCutOracle(graph), corrupted))
+    assert dict(check_order_record(GraphCutOracle(graph), record))["stored-keys-exact"]
+    assert not results["stored-keys-exact"]
+    assert results["stored-keys-exact"].witness == (2, keys[2], keys[2] - 1)
+
+
+def test_last_pair_pendant_fails_a_final_key_above_the_last_pair_separation():
+    # path 0 -5- 1 -1- 2: the max-back order is (0, 1, 2) with keys 5 and 1;
+    # with its last two classes swapped, the final class 1 has d = 6 against
+    # the rest, but the last pair {2} and {1} separate at 1
+    graph = WeightedGraph(3, [(0, 1, 5), (1, 2, 1)])
+    oracle = GraphCutOracle(graph)
+    record = first_record(graph, MAXBACK_SCAN)
+    assert (record.order.order, record.order.keys) == ((0, 1, 2), (INF, 5, 1))
+    assert all(result for _, result in check_order_record(oracle, record))
+    swapped = replace(record, order=replace(record.order, order=(0, 2, 1),
+                                            keys=(INF, 0, 6)))
+    results = dict(check_order_record(oracle, swapped))
+    assert results["stored-keys-exact"]
+    assert not results["last-pair-pendant"]
+    assert results["last-pair-pendant"].witness == (6, 1)
+
+
+def test_separation_triangle_fails_an_oracle_that_is_not_symmetric():
+    # For a symmetric d the rule always holds: a set that separates u from
+    # w separates v from one of them. So break symmetry: d({0, 2}, {1}) is
+    # 1 but d({1}, {0, 2}) is 5, every other value 5. Then lambda(0, 1) is
+    # 1 while lambda(0, 2) and lambda(2, 1) are 5.
+    oracle = TableOracle(3, complete_table(3, default=5))
+    oracle.table[(0b101, 0b010)] = 1
+    entries = {e.name: e for e in verify_oracle(oracle, 3).entries}
+    assert not entries["separation-triangle"].ok
+    assert entries["separation-triangle"].detail == repr((0, 2, 1, 5))
+
