@@ -2,11 +2,12 @@
 
 Everything the fast path relies on can be recomputed here by direct
 enumeration: minimum bipartitions, pairwise separation values, and the
-monotonicity / consistency axioms the minimizer assumes. All evaluations
-go through the oracle uncapped (tau = INF), so thresholding can never mask
-a discrepancy. Failed checks carry a witness. An inequality counts as
-violated only beyond the float tolerance (``values.value_below``), and a
-premise holds within it; integer values compare exactly.
+symmetry / monotonicity / consistency axioms the minimizer assumes. All
+evaluations go through the oracle uncapped (tau = INF), so thresholding
+can never mask a discrepancy. Failed checks carry a witness. An
+inequality counts as violated only beyond the float tolerance
+(``values.value_below``), and a premise or an equality holds within it;
+integer values compare exactly.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ class BruteResult:
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
-    witness: tuple = None
+    witness: object = None
 
     def __bool__(self):
         return self.ok
@@ -79,6 +80,22 @@ def brute_lambda(oracle, n, s, t):
         if best is None or val < best:
             best = val
     return best
+
+
+def check_symmetric(oracle, n):
+    """Check d(S, V\\S) = d(V\\S, S), within `values_equal`, for every bipartition.
+
+    Element 0 is pinned to S, so each bipartition is tested once: 2^n
+    evaluations in all. The witness is the mask of S. The tolerance is
+    needed: a cut oracle's two sides walk in different orders, so float
+    values of equal-sized sides may differ in the last place.
+    """
+    full = (1 << n) - 1
+    for s in range(1, full, 2):
+        if not values_equal(_full_eval(oracle, s, full ^ s),
+                            _full_eval(oracle, full ^ s, s)):
+            return CheckResult(False, s)
+    return CheckResult(True)
 
 
 def check_monotone(oracle, n):

@@ -25,10 +25,6 @@ from .values import format_value, mask_of, values_equal
 from .verify import verify_oracle, verify_table
 
 
-# the random graphs `verify --random` draws by default
-RANDOM_DEFAULTS = {"nmin": 3, "nmax": 8, "p": 0.6, "wmax": 10, "seed": 0}
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and shared: do not change it."""
@@ -57,12 +53,8 @@ def build_parser():
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--kind", choices=["graph", "hypergraph", "table"], default=None)
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
-                   help="verify COUNT seeded random graphs instead of a file")
-    # each sets its attribute only when given, so cmd_verify can refuse one
-    # given without --random
-    for name, default in RANDOM_DEFAULTS.items():
-        p.add_argument(f"--{name}", type=type(default), default=argparse.SUPPRESS,
-                       help=f"with --random only (default {default})")
+                   help="verify the first COUNT graphs of the fixed random corpus "
+                        "instead of a file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a seeded random graph instance")
@@ -110,10 +102,8 @@ def cmd_mincut(args):
         print("error: table instances go through the 'minimize' subcommand",
               file=sys.stderr)
         return 2
-    oracle = (GraphCutOracle(instance) if kind == "graph"
-              else HypergraphCutOracle(instance))
     config = MinimizeConfig(algorithm=args.algorithm)
-    return _solve_and_report(args, config, oracle, {
+    return _solve_and_report(args, config, _cut_oracle(kind, instance), {
         "kind": kind, "n": instance.n, "m": instance.m,
         "integer_weights": instance.integer_weights})
 
@@ -172,40 +162,34 @@ def _solve_and_report(args, config, oracle, instance, table=None):
 
 
 def cmd_verify(args):
-    if args.random is None:
-        mode = "without"
-        ignored = [f"--{name}" for name in RANDOM_DEFAULTS if hasattr(args, name)]
-    else:
-        mode = "with"
+    """Verify a FILE, or the first COUNT graphs of the fixed random corpus.
+
+    Corpus graph i has n = 3 + i mod 6, p = 0.6, weights up to 10 and seed
+    i, drawn connected: ``symcut gen --n N --p 0.6 --seed I --connected``
+    writes it, and ``symcut verify`` of that file checks it alone.
+    """
+    if args.random is not None:
         ignored = ([f"the file {args.path}"] if args.path else []) + (
             ["--kind"] if args.kind else [])
-    if ignored:
-        print(f"error: {mode} --random COUNT verify would ignore {', '.join(ignored)}",
-              file=sys.stderr)
-        return 2
-    jobs = []
-    if args.random is not None and args.random < 1:
-        problem = "must be at least 1" if args.random < 0 else "is 0: nothing to verify"
-        print(f"error: --random COUNT {problem}", file=sys.stderr)
-        return 2
-    if args.random:
-        draw = {name: getattr(args, name, default)
-                for name, default in RANDOM_DEFAULTS.items()}
-        nmin, nmax = draw["nmin"], draw["nmax"]
-        if not 2 <= nmin <= nmax:
-            print("error: need 2 <= nmin <= nmax", file=sys.stderr)
+        if ignored:
+            print(f"error: with --random COUNT verify would ignore {', '.join(ignored)}",
+                  file=sys.stderr)
             return 2
+        if args.random < 1:
+            problem = "must be at least 1" if args.random < 0 else "is 0: nothing to verify"
+            print(f"error: --random COUNT {problem}", file=sys.stderr)
+            return 2
+        jobs = []
         for i in range(args.random):
-            n = nmin + i % (nmax - nmin + 1)
-            graph = gen_random_graph(n, draw["p"], draw["wmax"],
-                                     seed=draw["seed"] + i, connected=True)
-            jobs.append((f"random[{i}] n={n}", "graph", graph))
+            n = 3 + i % 6
+            jobs.append((f"random[{i}] n={n}", "graph",
+                         gen_random_graph(n, 0.6, 10, seed=i, connected=True)))
     elif args.path:
         kind, instance = load_instance(_read(args.path), args.kind)
         if instance.n < 2:
             print("error: need at least two elements", file=sys.stderr)
             return 2
-        jobs.append((args.path, kind, instance))
+        jobs = [(args.path, kind, instance)]
     else:
         print("error: give an instance path or --random COUNT", file=sys.stderr)
         return 2
@@ -219,8 +203,7 @@ def cmd_verify(args):
                 return 2
             report = verify_table(instance)
         else:
-            oracle_cls = GraphCutOracle if kind == "graph" else HypergraphCutOracle
-            report = verify_oracle(oracle_cls(instance), instance.n)
+            report = verify_oracle(_cut_oracle(kind, instance), instance.n)
         for entry in report.entries:
             mark = "ok  " if entry.ok else "FAIL"
             detail = f"  ({entry.detail})" if entry.detail and not entry.ok else ""
@@ -236,6 +219,11 @@ def cmd_gen(args):
                              connected=args.connected)
     sys.stdout.write(write_graph(graph))
     return 0
+
+
+def _cut_oracle(kind, instance):
+    """The cut oracle of a graph or hypergraph instance of this kind."""
+    return GraphCutOracle(instance) if kind == "graph" else HypergraphCutOracle(instance)
 
 
 def _read(path):

@@ -4,8 +4,8 @@ Each check re-derives a fact the minimizer relies on: every round joins
 exactly the pairs its rule names, and, by brute force, orders really
 dominate their suffixes, the last pair of an order is a pendant pair up
 to the threshold, stored keys bound pairwise separation, contraction
-preserves the capped optimum, and separation values satisfy the threshold
-triangle rule. `verify_oracle` bundles them with a
+preserves the capped optimum, and the oracle is symmetric, monotone and
+consistent. `verify_oracle` bundles them with a
 configuration sweep whose results must all match the enumerated optimum,
 and `verify_table` runs that same sweep on an explicit set function.
 Every check evaluates through the oracle that solves, uncapped or through
@@ -16,8 +16,8 @@ oracle's early exit included), not those of a second copy.
 from dataclasses import dataclass
 
 from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
-                    check_consistent, check_monotone, table_submodular,
-                    table_symmetric, verify_lax_back_order)
+                    check_consistent, check_monotone, check_symmetric,
+                    table_submodular, table_symmetric, verify_lax_back_order)
 from .driver import MinimizeConfig, optimal_set
 from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
 from .values import INF, set_of, value_below, values_equal
@@ -76,24 +76,23 @@ def check_order_record(oracle, record):
         prefix = prefix | blocks[seq[i]]
     results.append(("stored-keys-exact", exact))
 
-    if len(seq) >= 2:
-        induced = InducedOracle(oracle, [blocks[c] for c in seq])
-        k = len(seq)
-        last_value = induced.eval(frozenset((k - 1,)),
-                                  frozenset(range(k - 1)), INF)
-        separation = brute_lambda(induced, k, k - 1, k - 2)
-        pendant = values_equal(min(tau, last_value), min(tau, separation))
-        results.append(("last-pair-pendant",
-                        CheckResult(pendant, None if pendant
-                                    else (last_value, separation))))
+    induced = InducedOracle(oracle, [blocks[c] for c in seq])
+    k = len(seq)
+    last_value = induced.eval(frozenset((k - 1,)),
+                              frozenset(range(k - 1)), INF)
+    separation = brute_lambda(induced, k, k - 1, k - 2)
+    pendant = values_equal(min(tau, last_value), min(tau, separation))
+    results.append(("last-pair-pendant",
+                    CheckResult(pendant, None if pendant
+                                else (last_value, separation))))
 
-        bound = CheckResult(True)
-        for i in range(1, k):
-            sep = min(tau, brute_lambda(induced, k, i - 1, i))
-            if value_below(sep, order.keys[i]):
-                bound = CheckResult(False, (i, order.keys[i], sep))
-                break
-        results.append(("keys-bound-separation", bound))
+    bound = CheckResult(True)
+    for i in range(1, k):
+        sep = min(tau, brute_lambda(induced, k, i - 1, i))
+        if value_below(sep, order.keys[i]):
+            bound = CheckResult(False, (i, order.keys[i], sep))
+            break
+    results.append(("keys-bound-separation", bound))
     return results
 
 
@@ -147,30 +146,6 @@ def check_contraction_record(oracle, record):
     return "contraction-preserves-capped-min", CheckResult(ok, witness)
 
 
-def check_separation_triangle(oracle, n):
-    """If two overlapping pairs separate at >= tau, so does the outer pair.
-
-    The taus are 0 and the lowest and highest separation values; a finite
-    separation never reaches tau = INF, so that tau would test nothing.
-    """
-    lam = {}
-    for s in range(n):
-        for t in range(s + 1, n):
-            lam[(s, t)] = lam[(t, s)] = brute_lambda(oracle, n, s, t)
-    vals = sorted(set(lam.values()))
-    for tau in [0] + vals[:3] + vals[-2:]:
-        for u in range(n):
-            for v in range(n):
-                for w in range(n):
-                    if len({u, v, w}) != 3:
-                        continue
-                    if (not value_below(lam[(u, v)], tau)
-                            and not value_below(lam[(v, w)], tau)
-                            and value_below(lam[(u, w)], tau)):
-                        return CheckResult(False, (u, v, w, tau))
-    return CheckResult(True)
-
-
 def verify_oracle(oracle, n):
     """Full verification sweep for a pairwise oracle on {0..n-1}.
 
@@ -181,14 +156,15 @@ def verify_oracle(oracle, n):
     (``joins-follow-the-rule``, :func:`check_join_record`), and the scan
     and maxback runs also give the ``laxback-within-maxback`` entry, the
     paper's claim on the scan path.
-    For n <= 8 the per-round order and contraction checks run too, and for
-    n <= 6 the monotonicity/consistency axioms are checked exhaustively,
-    including on capped views of the oracle. Every check evaluates through
+    For n <= 8 the per-round order and contraction checks and the symmetry
+    of every bipartition value run too, and for n <= 6 the
+    monotonicity/consistency axioms are checked exhaustively, including on
+    capped views of the oracle. Every check evaluates through
     `oracle` itself.
     """
     deep = n <= 8
     expected = brute_min_bipartition(oracle, n)
-    entries = [VerifyEntry("bruteforce-optimum", True, f"value {expected.value}")]
+    entries = []
 
     round_failures = {}
     round_counts = {}
@@ -230,7 +206,7 @@ def verify_oracle(oracle, n):
             f"{round_counts[check_name]} rounds" if failure is None else repr(failure)))
 
     if deep:
-        entries.append(_entry("separation-triangle", check_separation_triangle(oracle, n)))
+        entries.append(_entry("oracle-symmetric", check_symmetric(oracle, n)))
 
     if n <= 6:
         entries.append(_entry("oracle-monotone", check_monotone(oracle, n)))

@@ -15,11 +15,10 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set)
-from symcut.brute import table_submodular, table_symmetric
+from symcut.brute import check_symmetric, table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.oracles import ThresholdedOracle
-from symcut.verify import (check_contraction_record, check_order_record,
-                           check_separation_triangle)
+from symcut.verify import check_contraction_record, check_order_record
 
 CORPUS_SIZE = 200
 
@@ -133,10 +132,10 @@ def test_criterion_04_order_and_contraction_properties(corpus_runs):
             counts[name] = counts.get(name, 0) + 1
             if not result:
                 failures.append((name, graph, rec.index, result.witness))
-        triangle = check_separation_triangle(strict, n)
-        counts["separation-triangle"] = counts.get("separation-triangle", 0) + 1
-        if not triangle:
-            failures.append(("separation-triangle", graph, None, triangle.witness))
+        symmetric = check_symmetric(strict, n)
+        counts["oracle-symmetric"] = counts.get("oracle-symmetric", 0) + 1
+        if not symmetric:
+            failures.append(("oracle-symmetric", graph, None, symmetric.witness))
     total = sum(counts.values())
     report(4, not failures,
            f"{total} property checks over every produced order/round "

@@ -1,8 +1,9 @@
 import pytest
 
-from symcut import (GraphCutOracle, SetFunctionTable, WeightedGraph,
-                    brute_min_bipartition, check_consistent, check_monotone)
-from symcut.brute import brute_lambda, table_submodular, table_symmetric
+from symcut import (ConnectivityOracle, GraphCutOracle, Hypergraph, HypergraphCutOracle,
+                    SetFunctionTable, WeightedGraph, brute_min_bipartition,
+                    check_consistent, check_monotone, graph_cut_table)
+from symcut.brute import brute_lambda, check_symmetric, table_submodular, table_symmetric
 from symcut.oracles import ThresholdedOracle
 from table_oracle import TableOracle, complete_table
 
@@ -51,6 +52,23 @@ def test_lambda_pair_and_disconnected():
 def test_lambda_same_element_rejected(triangle_oracle):
     with pytest.raises(ValueError):
         brute_lambda(triangle_oracle, 3, 1, 1)
+
+
+def test_built_in_oracles_are_symmetric(triangle, triangle_oracle):
+    hypergraph = Hypergraph(4, [(3, (0, 1, 2)), (2, (1, 3)), (1, (0, 2, 3))])
+    assert check_symmetric(triangle_oracle, 3)
+    assert check_symmetric(HypergraphCutOracle(hypergraph), 4)
+    assert check_symmetric(ConnectivityOracle(graph_cut_table(triangle)), 3)
+
+
+def test_symmetry_violation_with_witness():
+    # d({0,1},{2}) = 1 but d({2},{0,1}) = 5; d({0,2},{1}) is off too, later
+    oracle = TableOracle(3, complete_table(3, default=5))
+    oracle.table[(0b011, 0b100)] = 1
+    oracle.table[(0b010, 0b101)] = 2
+    res = check_symmetric(oracle, 3)
+    assert not res
+    assert res.witness == 0b011  # the first S holding element 0
 
 
 def test_monotone_graph_cut(triangle_oracle):

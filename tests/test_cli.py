@@ -299,9 +299,27 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_random_corpus(self, capsys):
-        assert main(["verify", "--random", "4", "--nmin", "3", "--nmax", "5",
-                     "--seed", "9"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+        assert main(["verify", "--random", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "all checks passed" in out
+        assert [line.split(": ")[0] for line in out.splitlines()
+                if line.endswith(": oracle-symmetric")] == [
+            f"[ok  ] random[{i}] n={3 + i}" for i in range(4)]
+
+    def test_gen_writes_the_random_corpus_graph_for_verify_file(self, tmp_path, capsys):
+        # corpus graph 2 has n = 5: p 0.6, wmax 10 (gen's default) and seed 2
+        assert main(["verify", "--random", "3"]) == 0
+        corpus = [line.replace("random[2] n=5", "FILE")
+                  for line in capsys.readouterr().out.splitlines()
+                  if "random[2] n=5" in line]
+        assert main(["gen", "--n", "5", "--p", "0.6", "--seed", "2", "--connected"]) == 0
+        path = tmp_path / "r.txt"
+        path.write_text(capsys.readouterr().out)
+        assert write_graph(gen_random_graph(5, 0.6, 10, seed=2, connected=True)) \
+            == path.read_text()
+        assert main(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.replace(str(path), "FILE").splitlines()
+        assert lines == corpus + ["verify: all checks passed"]
 
     def test_hypergraph_file(self, tmp_path, capsys):
         path = tmp_path / "h.hgr"
@@ -354,18 +372,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag,value", [
         ("--nmin", "3"), ("--nmax", "8"), ("--p", "0.6"), ("--wmax", "10"), ("--seed", "0")])
-    def test_random_graph_flag_without_random_exits_2(self, triangle_file, capsys,
-                                                      flag, value):
-        # the default value too: the flag is refused for being given at all
-        assert main(["verify", triangle_file, flag, value]) == 2
+    def test_random_corpus_takes_no_draw_flags(self, capsys, flag, value):
+        # the corpus is fixed: `gen` draws any other graph for `verify FILE`
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--random", "1", flag, value])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert f"without --random COUNT verify would ignore {flag}" in captured.err
+        # the value is taken for the path, so argparse names the flag alone
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag}\n")
         assert captured.out == ""
-
-    def test_random_graph_that_cannot_connect_exits_2(self, capsys):
-        assert main(["verify", "--random", "1", "--nmin", "8", "--nmax", "8",
-                     "--p", "0.001"]) == 2
-        assert capsys.readouterr().err == "error: could not draw a connected graph; raise p\n"
 
     def test_file_past_enumeration_limit_exits_2(self, big_graph_file, capsys):
         assert main(["verify", big_graph_file]) == 2
@@ -437,6 +452,11 @@ def test_readme_usage_names_exactly_the_parser_flags():
     # every listed choice set, so a flag added or dropped in the CLI cannot
     # drift from the README
     assert _readme_usage() == _parser_usage()
+
+
+def test_verify_takes_a_path_kind_and_random_count_only():
+    assert _parser_usage()["verify"] == {"--kind": ["graph", "hypergraph", "table"],
+                                         "--random": None}
 
 
 def test_readme_library_quick_start_runs():

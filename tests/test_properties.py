@@ -13,13 +13,12 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set, verify_oracle)
-from symcut.brute import (brute_lambda, table_submodular, table_symmetric,
-                          verify_lax_back_order)
+from symcut.brute import (brute_lambda, check_symmetric, table_submodular,
+                          table_symmetric, verify_lax_back_order)
 from symcut.oracles import ThresholdedOracle
 from symcut.order import lax_back_order_queue, lax_back_order_scan
 from symcut.partition import Partition
-from symcut.verify import (check_contraction_record, check_order_record,
-                           check_separation_triangle)
+from symcut.verify import check_contraction_record, check_order_record
 
 
 def graphs(count, nmin=3, nmax=6, seed0=0, p=0.6, wmax=9):
@@ -114,9 +113,9 @@ def test_round_records_pass_all_order_and_contraction_checks():
                 assert result, (name, n, result.witness)
 
 
-def test_separation_triangle_rule():
+def test_graph_cuts_are_symmetric():
     for n, g in graphs(8, seed0=150):
-        assert check_separation_triangle(GraphCutOracle(g), n)
+        assert check_symmetric(GraphCutOracle(g), n)
 
 
 def test_builder_and_queue_variants_agree_on_value():

@@ -10,9 +10,9 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, Run
                     SetFunctionTable, WeightedGraph, check_consistent, gen_random_graph,
                     graph_cut_table, optimal_set, verify_oracle, verify_table,
                     write_graph, write_table)
-from symcut.brute import table_submodular, table_symmetric
+from symcut.brute import check_symmetric, table_submodular, table_symmetric
 from symcut.cli import main
-from symcut.values import value_below
+from symcut.values import set_of, value_below
 from symcut.verify import _within_maxback, check_join_record, check_order_record
 from table_oracle import TableOracle, complete_table
 
@@ -117,7 +117,7 @@ def test_verify_table_runs_the_oracle_sweep():
     assert names == ["table-symmetric", "table-submodular"] + sweep
     for name in ("agrees-with-bruteforce[scan]", "agrees-with-bruteforce[maxback]",
                  "scan-call-bound[scan]", "order-dominates-suffix",
-                 "contraction-preserves-capped-min", "separation-triangle",
+                 "contraction-preserves-capped-min", "oracle-symmetric",
                  "oracle-monotone", "oracle-consistent"):
         assert name in names
 
@@ -140,10 +140,11 @@ def test_verify_on_a_valid_integer_table_prints_the_sweep(tmp_path, capsys):
     path = write_file(tmp_path, "f.table", write_table(table))
     assert main(["verify", path]) == 0
     out = capsys.readouterr().out
-    for name in ("table-symmetric", "table-submodular", "bruteforce-optimum",
+    for name in ("table-symmetric", "table-submodular",
                  "agrees-with-bruteforce[scan]", "result-set-attains-value[maxback]",
-                 "stored-keys-exact", "separation-triangle", "capped-oracle-axioms"):
+                 "stored-keys-exact", "oracle-symmetric", "capped-oracle-axioms"):
         assert f"[ok  ] {path}: {name}" in out
+    assert "bruteforce-optimum" not in out and "separation-triangle" not in out
     assert "verify: all checks passed" in out
 
 
@@ -174,13 +175,6 @@ def test_verify_refuses_a_one_element_instance(tmp_path, capsys, name, text):
     captured = capsys.readouterr()
     assert captured.err == "error: need at least two elements\n"
     assert captured.out == ""
-
-
-def test_verify_refuses_an_empty_size_range(capsys):
-    assert main(["verify", "--random", "2", "--nmin", "5", "--nmax", "3"]) == 2
-    captured = capsys.readouterr()
-    assert "nmin <= nmax" in captured.err
-    assert "all checks passed" not in captured.out
 
 
 @pytest.mark.parametrize("flags", [["--builder", "queue"], ["--queue", "bucket"],
@@ -300,14 +294,22 @@ def test_last_pair_pendant_fails_a_final_key_above_the_last_pair_separation():
     assert results["last-pair-pendant"].witness == (6, 1)
 
 
-def test_separation_triangle_fails_an_oracle_that_is_not_symmetric():
-    # For a symmetric d the rule always holds: a set that separates u from
-    # w separates v from one of them. So break symmetry: d({0, 2}, {1}) is
-    # 1 but d({1}, {0, 2}) is 5, every other value 5. Then lambda(0, 1) is
-    # 1 while lambda(0, 2) and lambda(2, 1) are 5.
+def test_oracle_symmetric_fails_an_oracle_that_is_not_symmetric():
+    # d({0, 2}, {1}) is 1 but d({1}, {0, 2}) is 5, every other value 5
     oracle = TableOracle(3, complete_table(3, default=5))
     oracle.table[(0b101, 0b010)] = 1
     entries = {e.name: e for e in verify_oracle(oracle, 3).entries}
-    assert not entries["separation-triangle"].ok
-    assert entries["separation-triangle"].detail == repr((0, 2, 1, 5))
+    assert not entries["oracle-symmetric"].ok
+    assert entries["oracle-symmetric"].detail == repr(0b101)
 
+
+def test_oracle_symmetric_forgives_a_float_cut_off_in_the_last_place():
+    # the cut oracle walks the smaller side, so d(S, T) and d(T, S) sum the
+    # same edges in different orders when |S| = |T|
+    oracle = GraphCutOracle(float_graph(6, seed=0))
+    off = [s for s in range(1, 63, 2)
+           if oracle.eval(set_of(s), set_of(63 ^ s)) != oracle.eval(set_of(63 ^ s), set_of(s))]
+    assert off == [0b010011]
+    assert check_symmetric(oracle, 6)
+    entries = {e.name: e for e in verify_oracle(oracle, 6).entries}
+    assert entries["oracle-symmetric"].ok
