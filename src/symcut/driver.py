@@ -10,7 +10,7 @@ when one class remains, tau is the optimum and the recorded set attains it.
 A keyed oracle's orders come from the queue builder and every other
 oracle's from the scan builder, unless the configuration forces one.
 The queue builder is handed each round's order in the next round and
-replays the part of it that the joins left alone.
+resumes its key tracker from it, replaying the part the joins left alone.
 
 Before the first round every laxback path seeds tau with the best
 singleton, at the cost of n probes. With tau = INF the first round would be
@@ -176,8 +176,12 @@ def optimal_set(oracle, n, config=None, observer=None):
             partition.join(order.order[-2], order.order[-1])
             joins = 1
         else:
-            # tau <= last_key, so at least the last pair contracts
+            # tau <= last_key, so at least the last pair contracts; a round
+            # that joins nothing would repeat forever, so it can only be a bug
             joins = contract_round(partition, order, tau)
+            if joins == 0:
+                raise RuntimeError(f"round {stats.rounds + 1} joined nothing: tau {tau}, "
+                                   f"last key {last_key}")
 
         stats.rounds += 1
         stats.joins_per_round.append(joins)

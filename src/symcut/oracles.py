@@ -27,7 +27,9 @@ before their per-vertex lists are built.
 """
 
 import weakref
+from functools import partial
 
+from .order import LaxBackOrder, replayed_prefix
 from .values import INF, mask_of
 
 
@@ -51,7 +53,9 @@ class LaxOracle:
     ``keyed``
         provides ``key_tracker(partition, first)`` for incremental prefix
         keys (required by the queue-based order builder, which refuses an
-        oracle that is not keyed)
+        oracle that is not keyed). `first` is the class the order starts
+        at, or the order the builder made in the round before, which the
+        tracker resumes (:class:`_KeyTracker`)
     """
 
     keyed = False
@@ -214,7 +218,9 @@ class GraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient graph (:func:`_synced_quotient`).
 
-        An order costs O(k + m_k) on k classes and the m_k edges between them.
+        `first` is the first class, or the previous round's order to resume
+        (:class:`_KeyTracker`). An order costs O(k + m_k) on k classes and
+        the m_k edges between them.
         """
         quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
         return _GraphKeyTracker(quotient.adjacency, partition, first)
@@ -264,17 +270,71 @@ class _KeyTracker:
     ``advance(v)``: it drops v from ``keys`` if there (a settled v is not),
     folds v into the prefix and returns {class: new key} for exactly the
     keys it changed. Settle = ``pop(c)``, the ``keys`` dict's own, so no
-    later ``advance`` reports c. The queue builder's replay reads keys
-    without a queue, so it relies on both halves: it tests each key
-    ``advance`` reports, and reads the next class's key from ``keys``. The
-    partition must not change while a tracker is live; between trackers it
-    may, and the quotients follow the joins made in between.
+    later ``advance`` reports c. The queue builder tests each key
+    ``advance`` reports, and each key in ``keys`` when the tracker starts.
+    The partition must not change while a tracker is live; between
+    trackers it may, and the quotients follow the joins made in between.
+
+    A tracker starts at `first`, the first class, with that class
+    appended. Or it resumes: `first` is the previous round's order, a
+    :class:`symcut.order.LaxBackOrder` of the partition before its latest
+    joins with the threshold tau of the build at hand. Then the prefix is
+    already the part of it that :func:`symcut.order.replayed_prefix`
+    finds, and ``keys`` holds every other live class with the key a
+    tracker advanced along that prefix would hold, bit for bit, computed
+    from the quotient and the prefix positions without an ``advance``.
+    The classes the prefix's last step settled, their keys no longer below
+    tau, come last in ``keys``, in the order that step's ``advance`` would
+    report them. A resume starts like a fresh tracker, at the first class,
+    and stays there if a class settles against the first class alone
+    (without running the replay rule) or if the replay would end before
+    its first step. A subclass passes the `weights`, `reported` and `hit`
+    of :func:`_resumed_keys`.
     """
 
-    def __init__(self, partition, first):
+    def __init__(self, partition, first, weights, reported, hit=None):
+        previous = None
+        if isinstance(first, LaxBackOrder):
+            previous, first = first, first.order[0]
         self.keys = dict.fromkeys(partition.classes(), 0)
         self.pop = self.keys.pop
-        self.advance(first)
+        report = self.advance(first)
+        if previous is not None and all(key < previous.threshold for key in report.values()):
+            keys = _resumed_keys(weights, reported, hit, partition, previous)
+            if keys is not None:
+                self.keys, self.pop = keys, keys.pop
+
+
+def _resumed_keys(weights, reported, hit, partition, previous):
+    """The keys of a tracker resumed from `previous`, or None to start afresh.
+
+    Each live class outside the replayed prefix (:func:`replayed_prefix`)
+    gets the sum from 0 of the weights ``weights(c, position, end)`` lists
+    for it, in that order. With a hypergraph's `hit` marks, each hyperedge
+    whose weight is summed is marked, as the prefix's advances would mark
+    it; a hyperedge inside the prefix no later advance visits. The classes
+    that ``reported(last, position, end, keys)`` lists, the ones the
+    advance of the prefix's last class would change in report order, are
+    moved last when they settle.
+    """
+    end, position, rest = replayed_prefix(partition, previous, weights)
+    if end == 1:
+        return None
+    keys = {}
+    for c in rest:
+        key = 0
+        for _, e, w in weights(c, position, end):
+            key += w
+            if hit is not None:
+                hit[e] = True
+        keys[c] = key
+    tau = previous.threshold
+    for c in reported(previous.order[end - 1], position, end, keys):
+        key = keys[c]
+        if not -INF < key < tau:
+            del keys[c]
+            keys[c] = key  # settled: last, in report order
+    return keys
 
 
 class _GraphQuotient:
@@ -340,7 +400,8 @@ class _GraphKeyTracker(_KeyTracker):
 
     def __init__(self, adjacency, partition, first):
         self._adjacency = adjacency
-        super().__init__(partition, first)
+        super().__init__(partition, first, partial(_graph_weights, adjacency),
+                         partial(_graph_reported, adjacency))
 
     def advance(self, appended):
         changed = {}
@@ -351,6 +412,27 @@ class _GraphKeyTracker(_KeyTracker):
                 keys[c] += w
                 changed[c] = keys[c]
         return changed
+
+
+def _graph_weights(adjacency, c, position, limit):
+    """Class c's edges into ``previous.order[:limit]``, for :func:`replayed_prefix`.
+
+    One ``(p, d, w)`` per class d at position p: w is d's row entry for c,
+    the one d's ``advance`` adds, which may differ in the last place from
+    c's entry for d.
+    """
+    weights = []
+    for d in adjacency[c]:
+        p = position.get(d, limit)
+        if p < limit:
+            weights.append((p, d, adjacency[d][c]))
+    weights.sort()
+    return weights
+
+
+def _graph_reported(adjacency, last, position, end, keys):
+    """The classes the advance of `last` changes, in its report order: its row's."""
+    return [c for c in adjacency[last] if c in keys]
 
 
 class Hypergraph:
@@ -447,8 +529,10 @@ class HypergraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient hypergraph (:func:`_synced_quotient`).
 
-        An order costs O(k + p_k) on k classes, where p_k counts the pin
-        classes of the hyperedges that span at least two of them.
+        `first` is the first class, or the previous round's order to resume
+        (:class:`_KeyTracker`). An order costs O(k + p_k) on k classes,
+        where p_k counts the pin classes of the hyperedges that span at
+        least two of them.
         """
         hypergraph = self.hypergraph
         quotient = _synced_quotient(self._quotients, _HypergraphQuotient, hypergraph,
@@ -545,8 +629,9 @@ class _HypergraphKeyTracker(_KeyTracker):
     def __init__(self, incident, hyperedges, m, partition, first):
         self._incident = incident
         self._hyperedges = hyperedges
-        self._hit = [False] * m
-        super().__init__(partition, first)
+        self._hit = hit = [False] * m
+        super().__init__(partition, first, partial(_hypergraph_weights, incident, hyperedges),
+                         partial(_hypergraph_reported, incident, hyperedges), hit)
 
     def advance(self, appended):
         changed = {}
@@ -564,6 +649,42 @@ class _HypergraphKeyTracker(_KeyTracker):
                     keys[c] += w
                     changed[c] = keys[c]
         return changed
+
+
+def _first_touch(classes, position, limit):
+    """The first position of a hyperedge's pin classes before `limit`, or limit."""
+    return min([position.get(d, limit) for d in classes])
+
+
+def _hypergraph_weights(incident, hyperedges, c, position, limit):
+    """Class c's hyperedges that touch ``previous.order[:limit]``, for :func:`replayed_prefix`.
+
+    One ``(p, e, w)`` per hyperedge e first touched at position p: the
+    advance of that position's class hits e and credits w, and within one
+    advance the ids go in ascending order.
+    """
+    weights = []
+    for e in incident[c]:
+        w, classes = hyperedges[e]
+        p = _first_touch(classes, position, limit)
+        if p < limit:
+            weights.append((p, e, w))
+    weights.sort()
+    return weights
+
+
+def _hypergraph_reported(incident, hyperedges, last, position, end, keys):
+    """The classes the advance of `last`, at position end - 1, changes, in its report order.
+
+    It visits the hyperedges at `last` that no earlier position touched,
+    in ascending id order, and each one's pin classes in set order.
+    """
+    reported = {}
+    for e in incident[last]:
+        _, classes = hyperedges[e]
+        if _first_touch(classes, position, end) == end - 1:
+            reported.update(dict.fromkeys(c for c in classes if c in keys))
+    return reported
 
 
 class SetFunctionTable:

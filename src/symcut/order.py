@@ -8,7 +8,8 @@ cheaper and can append several classes per scan.
 
 Two builders are provided: a rescanning one driven purely by lax oracle
 calls, and a queue-based one for keyed oracles, which also replays the
-unchanged prefix of its previous round's order. Both start every order at
+unchanged prefix of its previous round's order by resuming its key
+tracker from that order (:func:`replayed_prefix`). Both start every order at
 the class holding element 0, and both refuse a NaN or infinite key with
 ``values.finite_key``'s error.
 """
@@ -96,9 +97,9 @@ def replay_bounds(partition, previous, first):
     ``end`` is the first position in ``previous.order`` of a retired label
     or a head, or its length if there is none, so every class in
     ``previous.order[1:end]`` is live and the same set of elements as when
-    `previous` was built. Costs the joins (each position found by
-    ``tuple.index``), not the classes; an order that cannot be this
-    partition's raises a ValueError.
+    `previous` was built. Costs one ``tuple.index`` scan per joined label
+    and head, each up to that label's position; an order that cannot be
+    this partition's raises a ValueError.
     """
     order = previous.order
     class_of = partition.class_of
@@ -114,6 +115,84 @@ def replay_bounds(partition, previous, first):
 
 def _foreign_previous():
     return ValueError("previous is not an order of this partition before its latest joins")
+
+
+def replayed_prefix(partition, previous, weights):
+    """How much of `previous` a key tracker resumed from it on `partition` replays.
+
+    The replay rule, one home for both key trackers. `previous` is an
+    order the queue builder made on this partition before its latest
+    joins, starting at the class of 0, with the threshold tau of the build
+    at hand. ``weights(c, position, limit)`` lists how class c's key grows
+    along ``previous.order[:limit]``: one ``(p, tie, w)`` triple per weight
+    w that the advance of the class at position p would add to it, sorted,
+    so that summing the w from 0 gives c's key exactly as a tracker
+    advanced along the prefix does.
+
+    The replay ends at the first of these steps, where step j has appended
+    ``previous.order[:j]``:
+
+    * the step where a class the joins left alone settles, its key
+      reaching tau. It settles where it settled in `previous`, so at the
+      first j < stop whose key in ``previous.keys`` is tau;
+    * the step whose next class, ``previous.order[j]``, fails to beat the
+      best head by ``(key, -label)``. Its key is ``previous.keys[j]``, and
+      the best head changes only at a head's steps, so the test runs once
+      per stretch between them, as a ``min`` over a slice of
+      ``previous.keys``. A head that settles holds a key of at least tau,
+      above every replayed key, so the test also ends the replay where a
+      head settles;
+    * ``stop``, the end :func:`replay_bounds` finds.
+
+    Returns (end, position, rest): ``previous.order[:end]`` is the
+    replayed prefix, ``position`` maps the labels of
+    ``previous.order[:stop]`` to their positions, and ``rest`` lists the
+    live classes outside the prefix, ascending. A label in
+    ``previous.order[:stop]`` that is not a live class, or that repeats,
+    raises the ValueError of :func:`replay_bounds`.
+    """
+    order, keys, tau = previous.order, previous.keys, previous.threshold
+    heads, stop = replay_bounds(partition, previous, order[0])
+    if stop == 1:
+        return 1, None, None
+    outside = set(partition.classes())
+    outside.difference_update(order[:stop])
+    if len(outside) != partition.class_count - stop:
+        raise _foreign_previous()  # a label in order[:stop] is not live, or repeats
+    position = dict(zip(order, range(stop)))
+    steps = []  # (position, head, the head's key once that position is appended)
+    for h in heads:
+        key = 0
+        for p, _, w in weights(h, position, stop):
+            key += w
+            steps.append((p, h, key))
+    steps.sort()
+    # before its steps every head's key is 0; with no heads any key beats -INF
+    best_key, best_head = (0, min(heads)) if heads else (-INF, 0)
+
+    def failing(lo, hi):
+        """The first j in lo..hi-1 where a class left alone settles or order[j] loses."""
+        stretch = keys[lo:hi]
+        if stretch and (max(stretch) >= tau or min(stretch) <= best_key):
+            for j in range(lo, hi):
+                k = keys[j]
+                if k >= tau or k < best_key or (k == best_key and order[j] > best_head):
+                    return j
+        return None
+
+    j = 1
+    for p, h, key in steps:
+        end = failing(j, p + 1)
+        if end is not None:
+            break
+        j = p + 1
+        if key > best_key or (key == best_key and h < best_head):
+            best_key, best_head = key, h
+    else:
+        end = failing(j, stop)
+        if end is None:
+            end = stop
+    return end, position, sorted(outside.union(order[end:stop]))
 
 
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
@@ -136,13 +215,16 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
 
     The replay rule. `previous` is the order this builder made in the round
     before, on the same partition before that round's joins. When it starts
-    at the same class and was built with a threshold of at least tau, its
-    prefix is replayed without a queue, up to the end that
-    :func:`replay_bounds` finds. The replay walks ``previous.order[1:end]``
-    and appends each class whose tracker key k is below tau and whose
-    ``(k, -label)`` beats every head's; it stops at the end, at the first
-    class that fails the test, and after the first append that settles a
-    class. The queue is then built from the keys left.
+    at the same class and was built with the same threshold tau, the
+    tracker is resumed from it: ``oracle.key_tracker(partition, previous)``
+    returns a tracker whose prefix is already the part of
+    ``previous.order`` that :func:`replayed_prefix` finds, and whose keys
+    are those of a tracker advanced along it. The builder reads that
+    prefix's length off the tracker, as the classes missing from its keys,
+    and copies the prefix and its keys from `previous`. If the last step
+    settled classes, they are last in the tracker's keys, in the order that
+    step's ``advance`` would report them, so they go onto the ready list in
+    that order. The queue is then built from the keys left.
 
     The result is the order a build without `previous` returns. A class
     that is neither a head nor joined away is the same set of elements as
@@ -150,11 +232,11 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     one it had at this step of the previous build, where it beat every
     other class by ``(key, -label)``: both queues rank that way. So the
     replayed prefix and its keys are slices of ``previous``. Only the
-    heads' keys differ, and the test checks those. The tracker makes the
-    same ``pop`` and ``advance`` calls in the same order, and every
-    reported key gets the same non-finite and settle tests. The bucket
-    queue never sees a replayed key, but the same key of the same class was
-    in its queue the round before, below a threshold at least as high.
+    heads' keys differ, and the rule tests those. The tracker makes the
+    same ``pop`` and ``advance`` calls after the prefix, and every key it
+    holds gets the same non-finite and settle tests. The bucket queue never
+    sees a replayed key, but the same key of the same class was in its
+    queue the round before, below the same threshold.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes
@@ -164,9 +246,18 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
         raise TypeError("queue builder needs an oracle with incremental key support")
     require_queue_kind(queue_kind)
     first = partition.class_of(0)
-    tracker = oracle.key_tracker(partition, first)
+    if previous is not None and previous.order[0] == first and previous.threshold == tau:
+        tracker = oracle.key_tracker(partition, previous)
+    else:
+        tracker = oracle.key_tracker(partition, first)
     remaining = tracker.keys
     pop, advance = tracker.pop, tracker.advance
+    order = [first]
+    keys = [INF]
+    end = partition.class_count - len(remaining)  # the resumed prefix's length
+    if end > 1:
+        order += previous.order[1:end]
+        keys += previous.keys[1:end]
     ready = []
     for c, key in remaining.items():
         if not -INF < key < tau:
@@ -175,41 +266,6 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
             ready.append(c)
     for c in ready:
         pop(c)
-    order = [first]
-    keys = [INF]
-    if (not ready and previous is not None and previous.order[0] == first
-            and previous.threshold >= tau):
-        # nothing is appended or settled yet: `remaining` holds every live
-        # class but the first, and from here on only keys below tau
-        heads, stop = replay_bounds(partition, previous, first)
-        # the best head by (key, -label); every key is finite, so any beats -INF
-        best_key, best_head = -INF, 0
-        for h in heads:
-            k = remaining[h]
-            if k > best_key or (k == best_key and h < best_head):
-                best_key, best_head = k, h
-        end = 1
-        for v in previous.order[1:stop]:
-            try:
-                k = remaining[v]
-            except KeyError:
-                raise _foreign_previous() from None
-            if k < best_key or (k == best_key and v > best_head):
-                break
-            end += 1
-            for c, key in advance(v).items():
-                if -INF < key < tau:
-                    if c in heads and (key > best_key or (key == best_key and c < best_head)):
-                        best_key, best_head = key, c
-                else:
-                    if not -INF < key < INF:
-                        finite_key(key, c)
-                    pop(c)
-                    ready.append(c)
-            if ready:
-                break
-        order += previous.order[1:end]
-        keys += previous.keys[1:end]
     # the keys, all tested finite, go in positionally, so a queue subclass
     # whose constructor takes *args only still gets them; the bucket queue
     # refuses a threshold or key it cannot hold itself

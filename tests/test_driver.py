@@ -9,6 +9,7 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
                     LaxOracle, MinimizeConfig, WeightedGraph, gen_random_graph,
                     gen_random_hypergraph, graph_cut_table, optimal_set, verify_oracle)
+from symcut import driver
 from symcut.driver import contract_round
 from symcut.order import LaxBackOrder
 from symcut.partition import Partition
@@ -55,10 +56,12 @@ optimal_set(MidOrderNan(ring), 4, MinimizeConfig(order_builder="scan"))
 # starts at 2, vertex 3's degree, and a clean round 1 settles every class:
 # class 1 reaches tau at the tracker's start, class 2 on the advance of 1, so
 # a bad key there replaces one that would settle (class 2's starting key, 0,
-# would not). On the uniform 6-ring class 2's key goes bad from round 2 on,
-# whose order replays classes 1..3 of round 1 before its queue is built: the
-# run checks that a clean round 2 makes no queue update, so the bad key
-# reaches the replay, not the queue loop.
+# would not). On the uniform 6-ring round 2's tracker resumes from round 1's
+# order: classes 1..3 are replayed, and class 4, which absorbed 5, gets its
+# key from the resume, not from an advance. A bad key 2 there is one the
+# replayed prefix holds no more, and a bad key 4 is a resumed key. The run
+# checks that a clean round 2 makes no queue update, so the bad key reaches
+# the resume, not the queue loop.
 QUEUE_KEY_RUNS = """
 import math
 from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
@@ -99,7 +102,7 @@ for queue_kind in ("heap", "bucket"):
     if stats.calls_per_order[1] != (5, 0):
         raise SystemExit(f"{queue_kind}: round 2 {stats.calls_per_order[1]} is no replay")
 cases = ((ring4, 1, 2, False), (ring4, 1, 2, True), (ring4, 1, 1, False),
-         (ring6, 2, 2, False), (ring6, 2, 2, True))
+         (ring6, 2, 2, False), (ring6, 2, 4, False))
 for ring, from_round, label, on_advance in cases:
     for bad in (math.nan, math.inf, -math.inf):
         for queue_kind in ("heap", "bucket"):
@@ -158,6 +161,28 @@ from symcut.partition import Partition
 
 order = LaxBackOrder((0, 1, 2), (INF, 5), 3)
 print(contract_round(Partition(3), order, 3))
+"""
+
+# a driver whose rounds from round 2 on join nothing, as a bug in an order
+# or in contract_round would make them; unguarded, round 2 repeats forever
+IDLE_ROUND_RUN = """
+from symcut import GraphCutOracle, MinimizeConfig, WeightedGraph, driver, optimal_set
+
+contract_round = driver.contract_round
+rounds = []
+
+def contract(partition, order, tau):
+    rounds.append(order)
+    return contract_round(partition, order, tau) if len(rounds) == 1 else 0
+
+driver.contract_round = contract
+ring6 = WeightedGraph(6, [(i, (i + 1) % 6, 3) for i in range(6)])
+for builder in ("scan", "queue"):
+    rounds.clear()
+    try:
+        optimal_set(GraphCutOracle(ring6), 6, MinimizeConfig(order_builder=builder))
+    except RuntimeError as fault:
+        print(builder, len(rounds), fault)
 """
 
 
@@ -366,6 +391,29 @@ class TestOptimalSet:
         assert result.returncode == 1
         assert "ValueError" in result.stderr
         assert "class 2 the non-finite key nan" in result.stderr
+
+    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    def test_a_round_that_joins_nothing_raises(self, builder, monkeypatch):
+        # round 1 joins as usual and round 2 joins nothing
+        rounds = []
+
+        def contract(partition, order, tau):
+            rounds.append(order)
+            return contract_round(partition, order, tau) if len(rounds) == 1 else 0
+
+        monkeypatch.setattr(driver, "contract_round", contract)
+        ring6 = WeightedGraph(6, [(i, (i + 1) % 6, 3) for i in range(6)])
+        with pytest.raises(RuntimeError,
+                           match=r"^round 2 joined nothing: tau 6, last key 6$"):
+            optimal_set(GraphCutOracle(ring6), 6, MinimizeConfig(order_builder=builder))
+        assert len(rounds) == 2
+
+    def test_a_round_that_joins_nothing_raises_under_optimize(self):
+        result = run_optimized(IDLE_ROUND_RUN)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "scan 2 round 2 joined nothing: tau 6, last key 6\n"
+            "queue 2 round 2 joined nothing: tau 6, last key 6\n")
 
     def test_order_key_count_mismatch_fails_loudly_under_optimize(self):
         result = run_optimized(SHORT_KEYS_RUN)

@@ -150,6 +150,7 @@ def test_replay_equals_scratch_on_small_instances(n, hyper, integer, algorithm,
 RING5 = GraphCutOracle(WeightedGraph(5, [(v, (v + 1) % 5, 3) for v in range(5)]))
 # not an order this builder made: followed, it would append 4 before 1
 BOGUS = (0, 4, 3, 2, 1)
+BOGUS_KEYS = (INF, 3, 3, 3, 5)  # its keys at tau = 5: 1 settles at 6 on the advance of 2
 
 
 @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
@@ -161,13 +162,15 @@ def test_replay_falls_back_to_a_full_build(queue_kind):
     scratch, scratch_updates = built(5)
     assert scratch.order == (0, 1, 2, 3, 4)
     # on an unchanged partition there are no heads, and the replay follows
-    # `previous` while the keys stay below tau
-    assert built(5, LaxBackOrder(BOGUS, (INF,) * 5, INF))[0].order == BOGUS
-    for previous in (LaxBackOrder((1, 4, 3, 2, 0), (INF,) * 5, INF),  # another first
-                     LaxBackOrder(BOGUS, (INF,) * 5, 4)):  # a threshold below tau
+    # `previous` up to the step where a class settles
+    assert built(5, LaxBackOrder(BOGUS, BOGUS_KEYS, 5)) == (
+        LaxBackOrder(BOGUS, BOGUS_KEYS, 5), 0)
+    for previous in (LaxBackOrder((1, 4, 3, 2, 0), BOGUS_KEYS, 5),  # another first
+                     LaxBackOrder(BOGUS, BOGUS_KEYS, 4),  # a threshold below tau
+                     LaxBackOrder(BOGUS, (INF,) * 5, INF)):  # a threshold above tau
         assert built(5, previous) == (scratch, scratch_updates)
-    # keys of 3 reach tau = 3: the replay stops at once, where following the
-    # uncapped order would record the last key as 6 instead of 3
+    # the keys of an order with a higher threshold are no keys of this one:
+    # following the uncapped order would record the last key as 6, not 3
     uncapped, _ = built(INF)
     assert uncapped.keys == (INF, 3, 3, 3, 6)
     assert built(3, uncapped) == built(3)
@@ -179,7 +182,8 @@ def test_two_heads_settling_on_one_advance_end_the_replay(queue_kind):
     oracle = GraphCutOracle(WeightedGraph(8, [
         (0, 1, 2), (1, 2, 2), (2, 3, 2), (2, 4, 3), (2, 5, 2), (2, 6, 3), (2, 7, 4)]))
     partition = Partition(8)
-    previous, _ = lax_back_order_queue(oracle, partition, INF, queue_kind)
+    # at the threshold of the build below, so that build resumes from it
+    previous, _ = lax_back_order_queue(oracle, partition, 5, queue_kind)
     assert previous.order[:4] == (0, 1, 2, 7)
     partition.join(3, 4)
     partition.join(5, 6)
@@ -192,8 +196,8 @@ def test_two_heads_settling_on_one_advance_end_the_replay(queue_kind):
     assert order == scratch
     assert order.keys == (INF, 2, 2, 5, 5, 4)
     assert sorted(order.order[3:5]) == [3, 5] and order.order[5] == 7
-    # from scratch the queue updates 2 after 1 and 7 after 2; the replay
-    # reads both keys from the tracker
+    # from scratch the queue updates 2 after 1 and 7 after 2; the resumed
+    # tracker computes both keys
     assert (updates, scratch_updates) == (0, 2)
 
 

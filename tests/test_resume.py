@@ -1,0 +1,132 @@
+"""A key tracker resumed from the previous order against one advanced along its prefix.
+
+Random graphs and hypergraphs, with int or float weights, are joined round
+by round along the orders the queue builder makes, each run of joins
+chaining into its head as in ``contract_round``, so the class of 0 only
+absorbs a leading run. From round 2 on, the tracker resumed from the
+order before must hold, under ==, the keys of a fresh tracker advanced
+along the prefix the resume replayed. The classes that prefix's last
+step settled come in the order its ``advance`` reported them; no
+class settled before it, every replayed class had the largest key by
+``(key, -label)`` at its step, and a resume that stops short of the
+replay end by the test fails it. Every later ``advance`` must then report
+the same keys in the same order, which exercises the hypergraph's hit
+marks.
+"""
+
+import pytest
+
+from symcut import INF, GraphCutOracle, Hypergraph, HypergraphCutOracle, WeightedGraph
+from symcut.order import lax_back_order_queue, replay_bounds
+from symcut.partition import Partition
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+FLOATS = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 2.5, 0.7, 1.0, 1e16]),
+                   st.floats(0, 6, allow_nan=False, allow_infinity=False))
+
+
+def settled(report, tau):
+    return [c for c, key in report.items() if not key < tau]
+
+
+def check_resume(data, oracle, partition, previous):
+    tau = previous.threshold
+    resumed = oracle.key_tracker(partition, previous)
+    end = partition.class_count - len(resumed.keys)
+    fresh = oracle.key_tracker(partition, previous.order[0])
+    report = dict(fresh.keys)  # a tracker that starts reports every class
+    for v in previous.order[1:end]:
+        assert not settled(report, tau), "the replay went past a settling step"
+        assert max(fresh.keys, key=lambda c: (fresh.keys[c], -c)) == v
+        report = fresh.advance(v)
+    assert resumed.keys == fresh.keys
+    last = settled(report, tau)
+    assert settled(resumed.keys, tau) == last
+    _, stop = replay_bounds(partition, previous, previous.order[0])
+    if not last and end < stop:
+        assert max(fresh.keys, key=lambda c: (fresh.keys[c], -c)) != previous.order[end]
+    for c in last:
+        resumed.pop(c)
+        fresh.pop(c)
+    rest = data.draw(st.permutations(sorted(fresh.keys)), label="later advances")
+    for v in [*last, *rest]:
+        assert list(resumed.advance(v).items()) == list(fresh.advance(v).items())
+        assert resumed.keys == fresh.keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 16), hyper=st.booleans(), integer=st.booleans(), data=st.data())
+def test_a_resumed_tracker_equals_one_advanced_along_its_prefix(n, hyper, integer, data):
+    weight = st.integers(0, 6) if integer else FLOATS
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    if hyper:
+        pins = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 4), unique=True)
+        items = data.draw(st.lists(st.tuples(weight, pins), max_size=3 * n), label="pins")
+        oracle = HypergraphCutOracle(Hypergraph(n, items))
+    else:
+        items = data.draw(st.lists(st.tuples(pair, weight), max_size=3 * n), label="edges")
+        oracle = GraphCutOracle(WeightedGraph(n, [(u, v, w) for (u, v), w in items]))
+    tau = data.draw(st.one_of(st.just(INF), st.integers(3, 10)), label="tau")
+    partition = Partition(n)
+    previous = None
+    while partition.class_count >= 2:
+        if previous is not None:
+            check_resume(data, oracle, partition, previous)
+        previous, _ = lax_back_order_queue(oracle, partition, tau, previous=previous)
+        # join along the order, each pair with a drawn flag, as contract_round
+        # joins the pairs whose keys reach tau; the last pair always joins,
+        # and few others do, so that much of each order is replayed
+        flags = data.draw(st.lists(st.sampled_from([False, False, False, True]),
+                                   min_size=len(previous.order) - 2,
+                                   max_size=len(previous.order) - 2), label="joins")
+        head = previous.order[0]
+        for c, join in zip(previous.order[1:], [*flags, True]):
+            if join:
+                partition.join(head, c)
+            else:
+                head = c
+
+
+def test_a_resumed_key_adds_the_prefix_class_row_entry():
+    # the quotient's rows of {1} and {3, 4, 5} sum the three edges between
+    # them in different orders: 1's row as 1 + 1 + 1e16 = 1e16 + 2, the
+    # other, built from its members, as 1e16 + 1 + 1, which rounds to 1e16
+    # at each step ({2, 6, 7}, which ties with it for largest, has the
+    # lower label, so its row is the one mirrored)
+    graph = WeightedGraph(8, [(0, 1, 1e17), (1, 4, 1.0), (1, 5, 1.0), (1, 3, 1e16),
+                              (3, 4, 1e15), (3, 5, 1e14), (5, 2, 1e13), (2, 6, 1e12),
+                              (6, 7, 1e11)])
+    oracle = GraphCutOracle(graph)
+    partition = Partition(8)
+    previous, _ = lax_back_order_queue(oracle, partition)
+    assert previous.order == (0, 1, 3, 4, 5, 2, 6, 7)
+    for dst, src in [(3, 4), (3, 5), (2, 6), (2, 7)]:
+        partition.join(dst, src)
+    # the heads 3 and 2 end the replay after 0 and 1; 1's advance adds its
+    # own row's entry to 3's key, as a tracker advanced along 0, 1 does
+    resumed = oracle.key_tracker(partition, previous)
+    adjacency = oracle._quotients[partition].adjacency
+    assert (adjacency[1][3], adjacency[3][1]) == (1e16 + 2, 1e16)
+    assert resumed.keys == {2: 0, 3: 1e16 + 2}
+
+
+def test_tied_heads_go_to_the_lower_label():
+    # after the joins, the heads {5, 7} and {1, 6} both have key 4 at the
+    # step that appended 0 and 2: {5, 7} reaches it against 0, {1, 6} on
+    # the advance of 2. Class 4, next in the order before, has key 4 too,
+    # so it loses to head 1 by label, though it would beat head 5
+    graph = WeightedGraph(8, [(0, 2, 10), (0, 5, 2), (0, 7, 2), (2, 4, 4), (2, 1, 2),
+                              (2, 6, 2), (4, 1, 5), (1, 6, 10), (6, 5, 10), (5, 7, 10),
+                              (7, 3, 1)])
+    oracle = GraphCutOracle(graph)
+    partition = Partition(8)
+    previous, _ = lax_back_order_queue(oracle, partition)
+    assert previous.order == (0, 2, 4, 1, 6, 5, 7, 3)
+    assert previous.keys[2] == 4
+    partition.join(1, 6)
+    partition.join(5, 7)
+    order, _ = lax_back_order_queue(oracle, partition, previous=previous)
+    assert order == lax_back_order_queue(oracle, partition)[0]
+    assert order.order[:3] == (0, 2, 1)
