@@ -27,7 +27,6 @@ before their per-vertex lists are built.
 """
 
 import weakref
-from functools import partial
 
 from .order import LaxBackOrder, replayed_prefix
 from .values import INF, mask_of
@@ -54,8 +53,9 @@ class LaxOracle:
         provides ``key_tracker(partition, first)`` for incremental prefix
         keys (required by the queue-based order builder, which refuses an
         oracle that is not keyed). `first` is the class the order starts
-        at, or the order the builder made in the round before, which the
-        tracker resumes (:class:`_KeyTracker`)
+        at, or the order the builder made in the round before: the
+        tracker resumes from it if the replay goes past its first class,
+        and otherwise starts at that class (:class:`_KeyTracker`)
     """
 
     keyed = False
@@ -218,9 +218,9 @@ class GraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient graph (:func:`_synced_quotient`).
 
-        `first` is the first class, or the previous round's order to resume
-        (:class:`_KeyTracker`). An order costs O(k + m_k) on k classes and
-        the m_k edges between them.
+        `first` is the first class, or the previous round's order to start
+        or resume from (:class:`_KeyTracker`). An order costs O(k + m_k)
+        on k classes and the m_k edges between them.
         """
         quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
         return _GraphKeyTracker(quotient.adjacency, partition, first)
@@ -276,65 +276,55 @@ class _KeyTracker:
     trackers it may, and the quotients follow the joins made in between.
 
     A tracker starts at `first`, the first class, with that class
-    appended. Or it resumes: `first` is the previous round's order, a
+    appended. Or `first` is the previous round's order, a
     :class:`symcut.order.LaxBackOrder` of the partition before its latest
-    joins with the threshold tau of the build at hand. Then the prefix is
-    already the part of it that :func:`symcut.order.replayed_prefix`
-    finds, and ``keys`` holds every other live class with the key a
-    tracker advanced along that prefix would hold, bit for bit, computed
-    from the quotient and the prefix positions without an ``advance``.
-    The classes the prefix's last step settled, their keys no longer below
-    tau, come last in ``keys``, in the order that step's ``advance`` would
-    report them. A resume starts like a fresh tracker, at the first class,
-    and stays there if a class settles against the first class alone
-    (without running the replay rule) or if the replay would end before
-    its first step. A subclass passes the `weights`, `reported` and `hit`
-    of :func:`_resumed_keys`.
+    joins with the threshold tau of the build at hand. Then the tracker
+    resumes (:meth:`_resume`) when :func:`symcut.order.replayed_prefix`
+    replays past its first step, and otherwise starts at that order's
+    first class. A subclass lists how a class's key grows along the
+    prefix in ``_weights(c, position, limit)``, the `weights` of
+    :func:`symcut.order.replayed_prefix`.
     """
 
-    def __init__(self, partition, first, weights, reported, hit=None):
-        previous = None
+    _hit = None  # a hypergraph tracker's marks of the hyperedges its advances visited
+
+    def __init__(self, partition, first):
         if isinstance(first, LaxBackOrder):
-            previous, first = first, first.order[0]
+            end, position, rest = replayed_prefix(partition, first, self._weights)
+            if end > 1:
+                self._resume(first, end, position, rest)
+                return
+            first = first.order[0]
         self.keys = dict.fromkeys(partition.classes(), 0)
         self.pop = self.keys.pop
-        report = self.advance(first)
-        if previous is not None and all(key < previous.threshold for key in report.values()):
-            keys = _resumed_keys(weights, reported, hit, partition, previous)
-            if keys is not None:
-                self.keys, self.pop = keys, keys.pop
+        self.advance(first)
 
+    def _resume(self, previous, end, position, rest):
+        """Resume along ``previous.order[:end]``, the replayed prefix.
 
-def _resumed_keys(weights, reported, hit, partition, previous):
-    """The keys of a tracker resumed from `previous`, or None to start afresh.
-
-    Each live class outside the replayed prefix (:func:`replayed_prefix`)
-    gets the sum from 0 of the weights ``weights(c, position, end)`` lists
-    for it, in that order. With a hypergraph's `hit` marks, each hyperedge
-    whose weight is summed is marked, as the prefix's advances would mark
-    it; a hyperedge inside the prefix no later advance visits. The classes
-    that ``reported(last, position, end, keys)`` lists, the ones the
-    advance of the prefix's last class would change in report order, are
-    moved last when they settle.
-    """
-    end, position, rest = replayed_prefix(partition, previous, weights)
-    if end == 1:
-        return None
-    keys = {}
-    for c in rest:
-        key = 0
-        for _, e, w in weights(c, position, end):
-            key += w
-            if hit is not None:
-                hit[e] = True
-        keys[c] = key
-    tau = previous.threshold
-    for c in reported(previous.order[end - 1], position, end, keys):
-        key = keys[c]
-        if not -INF < key < tau:
-            del keys[c]
-            keys[c] = key  # settled: last, in report order
-    return keys
+        Each class in `rest`, the live classes outside the prefix, gets
+        the sum of its weights before the prefix's last class, in
+        ``_weights`` order; a hypergraph marks each hyperedge summed, as
+        the prefix's advances would mark it (a hyperedge inside the prefix
+        no later advance visits). The last class then goes through
+        ``advance``, which adds its weights and marks its hyperedges; the
+        classes it settles, their keys no longer below tau, are moved last
+        in ``keys``, in its report order.
+        """
+        self.keys = keys = {}
+        self.pop = keys.pop
+        hit = self._hit
+        for c in rest:
+            key = 0
+            for _, e, w in self._weights(c, position, end - 1):
+                key += w
+                if hit is not None:
+                    hit[e] = True
+            keys[c] = key
+        tau = previous.threshold
+        for c, key in self.advance(previous.order[end - 1]).items():
+            if not -INF < key < tau:
+                keys[c] = keys.pop(c)  # settled: last, in report order
 
 
 class _GraphQuotient:
@@ -400,8 +390,7 @@ class _GraphKeyTracker(_KeyTracker):
 
     def __init__(self, adjacency, partition, first):
         self._adjacency = adjacency
-        super().__init__(partition, first, partial(_graph_weights, adjacency),
-                         partial(_graph_reported, adjacency))
+        super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
@@ -413,26 +402,20 @@ class _GraphKeyTracker(_KeyTracker):
                 changed[c] = keys[c]
         return changed
 
+    def _weights(self, c, position, limit):
+        """One ``(p, d, w)`` per class d at position p < limit adjacent to c.
 
-def _graph_weights(adjacency, c, position, limit):
-    """Class c's edges into ``previous.order[:limit]``, for :func:`replayed_prefix`.
-
-    One ``(p, d, w)`` per class d at position p: w is d's row entry for c,
-    the one d's ``advance`` adds, which may differ in the last place from
-    c's entry for d.
-    """
-    weights = []
-    for d in adjacency[c]:
-        p = position.get(d, limit)
-        if p < limit:
-            weights.append((p, d, adjacency[d][c]))
-    weights.sort()
-    return weights
-
-
-def _graph_reported(adjacency, last, position, end, keys):
-    """The classes the advance of `last` changes, in its report order: its row's."""
-    return [c for c in adjacency[last] if c in keys]
+        w is d's row entry for c, the one d's ``advance`` adds, which may
+        differ in the last place from c's entry for d.
+        """
+        adjacency = self._adjacency
+        weights = []
+        for d in adjacency[c]:
+            p = position.get(d, limit)
+            if p < limit:
+                weights.append((p, d, adjacency[d][c]))
+        weights.sort()
+        return weights
 
 
 class Hypergraph:
@@ -529,8 +512,8 @@ class HypergraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient hypergraph (:func:`_synced_quotient`).
 
-        `first` is the first class, or the previous round's order to resume
-        (:class:`_KeyTracker`). An order costs O(k + p_k) on k classes,
+        `first` is the first class, or the previous round's order to start
+        or resume from (:class:`_KeyTracker`). An order costs O(k + p_k) on k classes,
         where p_k counts the pin classes of the hyperedges that span at
         least two of them.
         """
@@ -629,9 +612,8 @@ class _HypergraphKeyTracker(_KeyTracker):
     def __init__(self, incident, hyperedges, m, partition, first):
         self._incident = incident
         self._hyperedges = hyperedges
-        self._hit = hit = [False] * m
-        super().__init__(partition, first, partial(_hypergraph_weights, incident, hyperedges),
-                         partial(_hypergraph_reported, incident, hyperedges), hit)
+        self._hit = [False] * m
+        super().__init__(partition, first)
 
     def advance(self, appended):
         changed = {}
@@ -650,41 +632,21 @@ class _HypergraphKeyTracker(_KeyTracker):
                     changed[c] = keys[c]
         return changed
 
+    def _weights(self, c, position, limit):
+        """One ``(p, e, w)`` per hyperedge e at c first touched at a position p < limit.
 
-def _first_touch(classes, position, limit):
-    """The first position of a hyperedge's pin classes before `limit`, or limit."""
-    return min([position.get(d, limit) for d in classes])
-
-
-def _hypergraph_weights(incident, hyperedges, c, position, limit):
-    """Class c's hyperedges that touch ``previous.order[:limit]``, for :func:`replayed_prefix`.
-
-    One ``(p, e, w)`` per hyperedge e first touched at position p: the
-    advance of that position's class hits e and credits w, and within one
-    advance the ids go in ascending order.
-    """
-    weights = []
-    for e in incident[c]:
-        w, classes = hyperedges[e]
-        p = _first_touch(classes, position, limit)
-        if p < limit:
-            weights.append((p, e, w))
-    weights.sort()
-    return weights
-
-
-def _hypergraph_reported(incident, hyperedges, last, position, end, keys):
-    """The classes the advance of `last`, at position end - 1, changes, in its report order.
-
-    It visits the hyperedges at `last` that no earlier position touched,
-    in ascending id order, and each one's pin classes in set order.
-    """
-    reported = {}
-    for e in incident[last]:
-        _, classes = hyperedges[e]
-        if _first_touch(classes, position, end) == end - 1:
-            reported.update(dict.fromkeys(c for c in classes if c in keys))
-    return reported
+        The advance of that position's class hits e and credits w, and
+        within one advance the ids go in ascending order.
+        """
+        hyperedges = self._hyperedges
+        weights = []
+        for e in self._incident[c]:
+            w, classes = hyperedges[e]
+            p = min([position.get(d, limit) for d in classes])
+            if p < limit:
+                weights.append((p, e, w))
+        weights.sort()
+        return weights
 
 
 class SetFunctionTable:

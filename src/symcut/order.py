@@ -87,30 +87,35 @@ def lax_back_order_scan(oracle, partition, tau=INF):
     return LaxBackOrder(tuple(order), tuple(keys), tau), calls
 
 
-def replay_bounds(partition, previous, first):
-    """The heads and the replay end for replaying `previous` on `partition`.
+def replay_bounds(partition, previous):
+    """The heads, replay end and label positions for replaying `previous` on `partition`.
 
-    `previous` is an order of this partition before its latest joins,
-    starting at `first`; the labels those joins retired are
+    `previous` is an order of this partition before its latest joins; the
+    labels those joins retired are
     ``partition.retired_since(len(previous.order))``. The heads are the live
-    classes now holding them, `first` excepted. Returns (heads, end):
-    ``end`` is the first position in ``previous.order`` of a retired label
-    or a head, or its length if there is none, so every class in
-    ``previous.order[1:end]`` is live and the same set of elements as when
-    `previous` was built. Costs one ``tuple.index`` scan per joined label
-    and head, each up to that label's position; an order that cannot be
-    this partition's raises a ValueError.
+    classes now holding them, ``previous.order[0]`` excepted. Returns
+    (heads, end, position): ``position`` maps each label of
+    ``previous.order`` to its position, and ``end`` is the first position
+    of a retired label or a head, or the order's length if there is none,
+    so every class in ``previous.order[1:end]`` is live and the same set
+    of elements as when `previous` was built. Costs one pass over the
+    order to build the map, then one lookup per joined label and head. An
+    order that cannot be this partition's, one in which a label repeats
+    among them, raises a ValueError.
     """
     order = previous.order
+    position = dict(zip(order, range(len(order))))
+    if len(position) != len(order):
+        raise _foreign_previous()  # a label repeats
     class_of = partition.class_of
     try:
         joined = partition.retired_since(len(order))
         heads = {class_of(x) for x in joined}
-        heads.discard(first)
-        end = min(map(order.index, [*joined, *heads]), default=len(order))
-    except ValueError:
+        heads.discard(order[0])
+        end = min([position[x] for x in (*joined, *heads)], default=len(order))
+    except (KeyError, ValueError):
         raise _foreign_previous() from None
-    return heads, end
+    return heads, end, position
 
 
 def _foreign_previous():
@@ -144,22 +149,28 @@ def replayed_prefix(partition, previous, weights):
       head settles;
     * ``stop``, the end :func:`replay_bounds` finds.
 
+    The replayed prefix and its keys are slices of `previous`, as a build
+    from scratch would make them. A class that is neither a head nor
+    joined away is the same set of elements as before, and the replayed
+    prefix is the same set too, so its key is the one it had at this step
+    of the previous build, where it beat every other class by ``(key,
+    -label)``: both queues rank that way. Only the heads' keys differ, and
+    the rule tests those.
+
     Returns (end, position, rest): ``previous.order[:end]`` is the
-    replayed prefix, ``position`` maps the labels of
-    ``previous.order[:stop]`` to their positions, and ``rest`` lists the
-    live classes outside the prefix, ascending. A label in
-    ``previous.order[:stop]`` that is not a live class, or that repeats,
-    raises the ValueError of :func:`replay_bounds`.
+    replayed prefix, ``position`` is the map of :func:`replay_bounds`, and
+    ``rest`` lists the live classes outside the prefix, ascending. A label
+    in ``previous.order[:stop]`` that is not a live class raises the
+    ValueError of :func:`replay_bounds`.
     """
     order, keys, tau = previous.order, previous.keys, previous.threshold
-    heads, stop = replay_bounds(partition, previous, order[0])
+    heads, stop, position = replay_bounds(partition, previous)
     if stop == 1:
         return 1, None, None
     outside = set(partition.classes())
     outside.difference_update(order[:stop])
     if len(outside) != partition.class_count - stop:
-        raise _foreign_previous()  # a label in order[:stop] is not live, or repeats
-    position = dict(zip(order, range(stop)))
+        raise _foreign_previous()  # a label in order[:stop] is not live
     steps = []  # (position, head, the head's key once that position is appended)
     for h in heads:
         key = 0
@@ -213,30 +224,19 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     ``-INF < key < tau``; only one that fails is tested finite,
     ``values.finite_key`` raising if it is not, and then settled.
 
-    The replay rule. `previous` is the order this builder made in the round
-    before, on the same partition before that round's joins. When it starts
-    at the same class and was built with the same threshold tau, the
-    tracker is resumed from it: ``oracle.key_tracker(partition, previous)``
-    returns a tracker whose prefix is already the part of
-    ``previous.order`` that :func:`replayed_prefix` finds, and whose keys
-    are those of a tracker advanced along it. The builder reads that
-    prefix's length off the tracker, as the classes missing from its keys,
-    and copies the prefix and its keys from `previous`. If the last step
-    settled classes, they are last in the tracker's keys, in the order that
-    step's ``advance`` would report them, so they go onto the ready list in
-    that order. The queue is then built from the keys left.
-
-    The result is the order a build without `previous` returns. A class
-    that is neither a head nor joined away is the same set of elements as
-    before, and the replayed prefix is the same set too, so its key is the
-    one it had at this step of the previous build, where it beat every
-    other class by ``(key, -label)``: both queues rank that way. So the
-    replayed prefix and its keys are slices of ``previous``. Only the
-    heads' keys differ, and the rule tests those. The tracker makes the
-    same ``pop`` and ``advance`` calls after the prefix, and every key it
-    holds gets the same non-finite and settle tests. The bucket queue never
-    sees a replayed key, but the same key of the same class was in its
-    queue the round before, below the same threshold.
+    Replay. `previous` is the order this builder made in the round before,
+    on the same partition before that round's joins. When it starts at the
+    same class and was built with the same threshold tau, the tracker is
+    made from it, ``oracle.key_tracker(partition, previous)``, and may
+    resume with the part of ``previous.order`` that :func:`replayed_prefix`
+    finds already appended; the result is still the order a build without
+    `previous` returns. The builder reads that prefix's length off the
+    tracker, as the classes missing from its keys, and copies the prefix
+    and its keys from `previous`. The classes the prefix's last step
+    settled come last in the tracker's keys, in that step's report order,
+    so they go onto the ready list as that step's report would put them.
+    The bucket queue never sees a replayed key, but the same key of the
+    same class was in its queue the round before, below the same threshold.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes

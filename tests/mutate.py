@@ -1,0 +1,184 @@
+"""Mutation suite: every mutant must fail the tier-1 tests named for it.
+
+Run from anywhere, with the test extra installed:
+
+    python tests/mutate.py            # every mutant
+    python tests/mutate.py NAME ...   # only these
+
+It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and runs pytest there: pytest's ``pythonpath = ["src"]`` puts the
+tree's own ``src/`` ahead of ``PYTHONPATH``, so a mutated package must sit
+in the copy. It first runs every named test on the unmutated copy, which
+must pass. Then each mutant makes one literal replacement in one file of
+the copy, runs its tests in a subprocess with a timeout, and restores the
+file. A replacement whose text does not occur exactly once is an error,
+so a mutant the code has outgrown cannot pass as killed. Each mutant is
+reported as killed, survived or timed out; the exit status is 0 only when
+all are killed. Hypothesis runs with a fixed seed, so a run repeats.
+
+The file is not named ``test_*``, so pytest does not collect it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300  # seconds per pytest run
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+          "--hypothesis-seed=0"]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = [
+    # a tracker's advance leaves the appended class among the keys
+    Mutant("advance-keeps-the-appended-class", "src/symcut/oracles.py",
+           "        keys.pop(appended, None)\n        for c, w in self._adjacency",
+           "        for c, w in self._adjacency",
+           ("tests/test_oracles.py",)),
+    # the retired-label log drops the label of a partition's second join
+    Mutant("log-drops-a-label", "src/symcut/partition.py",
+           "        self.retired.append(src)\n",
+           "        if self.class_count != self.n - 2:\n"
+           "            self.retired.append(src)\n",
+           ("tests/test_quotient.py", "tests/test_partition_properties.py")),
+    # the log window starts one join late
+    Mutant("log-window-off-by-one", "src/symcut/partition.py",
+           "return self.retired[self.n - count:]",
+           "return self.retired[self.n - count + 1:]",
+           ("tests/test_replay.py",)),
+    # a replay that reaches the structural end stops one class before it
+    Mutant("replay-stops-one-class-early", "src/symcut/order.py",
+           "        if end is None:\n            end = stop\n",
+           "        if end is None:\n            end = stop - 1\n",
+           ("tests/test_replay.py", "tests/test_resume.py")),
+    # after a run's first join, the next class reaching tau starts a new run
+    Mutant("run-split-after-its-first-join", "src/symcut/driver.py",
+           "        if key >= tau:\n            partition.join(head, c)\n"
+           "            joins += 1\n",
+           "        if key >= tau and head is not None:\n"
+           "            partition.join(head, c)\n            joins += 1\n"
+           "            head = None\n",
+           ("tests/test_paper_claim.py",)),
+    # the symmetry check compares float values exactly
+    Mutant("symmetry-check-compares-exactly", "src/symcut/brute.py",
+           "        if not values_equal(_full_eval(oracle, s, full ^ s),\n"
+           "                            _full_eval(oracle, full ^ s, s)):\n",
+           "        if _full_eval(oracle, s, full ^ s) != _full_eval(oracle, full ^ s, s):\n",
+           ("tests/test_verify.py",)),
+    # tau is never lowered after the singleton probes
+    Mutant("tau-never-lowered", "src/symcut/driver.py",
+           "        if last_key < tau:\n",
+           "        if last_key < tau and best is None:\n",
+           ("tests/test_driver.py",)),
+    # a resume sums the hyperedges before the last class without marking them
+    Mutant("resume-drops-the-hit-marks", "src/symcut/oracles.py",
+           "                if hit is not None:\n                    hit[e] = True\n",
+           "",
+           ("tests/test_resume.py",)),
+    # a resumed graph key adds the class's own row entry, not the prefix class's
+    Mutant("resume-adds-the-own-row-entry", "src/symcut/oracles.py",
+           "weights.append((p, d, adjacency[d][c]))",
+           "weights.append((p, d, adjacency[c][d]))",
+           ("tests/test_resume.py",)),
+    # the classes the prefix's last step settles stay in label order
+    Mutant("resume-leaves-settled-in-label-order", "src/symcut/oracles.py",
+           "keys[c] = keys.pop(c)  # settled: last, in report order",
+           "pass",
+           ("tests/test_replay.py", "tests/test_resume.py")),
+    # a hypergraph's weights at one position go in descending id order
+    Mutant("hypergraph-ties-by-descending-id", "src/symcut/oracles.py",
+           "                weights.append((p, e, w))\n        weights.sort()\n",
+           "                weights.append((p, e, w))\n"
+           "        weights.sort(key=lambda t: (t[0], -t[1]))\n",
+           ("tests/test_resume.py",)),
+    # tied heads are not broken by label: the first to reach the key stays best
+    Mutant("heads-tie-without-labels", "src/symcut/order.py",
+           "if key > best_key or (key == best_key and h < best_head):",
+           "if key > best_key:",
+           ("tests/test_resume.py",)),
+    # a stretch holding a previous key at tau is not searched for it
+    Mutant("previous-keys-at-tau-ignored", "src/symcut/order.py",
+           "max(stretch) >= tau or ",
+           "",
+           ("tests/test_replay.py", "tests/test_resume.py")),
+    # an order whose labels repeat is not refused
+    Mutant("repeated-label-accepted", "src/symcut/order.py",
+           "    if len(position) != len(order):\n"
+           "        raise _foreign_previous()  # a label repeats\n",
+           "",
+           ("tests/test_replay.py",)),
+]
+
+
+def run_pytest(copy, tests):
+    """Run `tests` in `copy`: 'passed', 'failed' or 'timed out', and the seconds taken."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    try:
+        result = subprocess.run([*PYTEST, *tests], cwd=copy, env=env, timeout=TIMEOUT,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except subprocess.TimeoutExpired:
+        return "timed out", time.perf_counter() - start
+    return ("passed" if result.returncode == 0 else "failed"), time.perf_counter() - start
+
+
+def mutate(copy, mutant):
+    """Apply `mutant` to `copy`; return the file's original text."""
+    path = copy / mutant.path
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"mutant {mutant.name}: its text occurs {count} times "
+                         f"in {mutant.path}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return text
+
+
+def main(names):
+    known = {m.name for m in MUTANTS}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="symcut-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "*.egg-info")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        tests = sorted({t for m in mutants for t in m.tests})
+        status, seconds = run_pytest(copy, tests)
+        if status != "passed":
+            raise SystemExit(f"the unmutated copy {status} its tests ({seconds:.1f} s)")
+        print(f"unmutated copy passed {len(tests)} test files in {seconds:.1f} s")
+        survivors = 0
+        for mutant in mutants:
+            original = mutate(copy, mutant)
+            try:
+                status, seconds = run_pytest(copy, mutant.tests)
+            finally:
+                (copy / mutant.path).write_text(original, encoding="utf-8")
+            verdict = {"failed": "killed", "passed": "survived"}.get(status, status)
+            survivors += verdict != "killed"
+            print(f"{verdict:9} {mutant.name:38} {seconds:6.1f} s  {' '.join(mutant.tests)}",
+                  flush=True)
+    print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -228,8 +228,9 @@ def test_replay_bounds_match_a_pass_over_every_class(n, data):
         rest = data.draw(st.permutations([c for c in classes if c != first]), label="order")
         orders.append(LaxBackOrder((first, *rest), (INF,) * len(classes), INF))
         for previous in orders:
-            assert (replay_bounds(partition, previous, first)
-                    == scan_rule(partition, previous, first)), previous.order
+            heads, end, position = replay_bounds(partition, previous)
+            assert (heads, end) == scan_rule(partition, previous, first), previous.order
+            assert position == {label: i for i, label in enumerate(previous.order)}
         if len(classes) == 1:
             break
         for _ in range(data.draw(st.integers(1, len(classes) - 1), label="joins")):
@@ -240,9 +241,10 @@ def test_replay_bounds_match_a_pass_over_every_class(n, data):
 
 
 def test_a_foreign_previous_order_is_refused_under_optimize():
-    # three orders this partition never had: one of another class count,
-    # one without the label the join retired, and one with a label the
-    # partition never had where the replay would read its key
+    # four orders this partition never had: one of another class count,
+    # one without the label the join retired, one with a label the
+    # partition never had where the replay would read its key, and one
+    # whose label 3 repeats after the replay end
     script = """
 from symcut import GraphCutOracle, INF, WeightedGraph
 from symcut.order import LaxBackOrder, lax_back_order_queue
@@ -251,7 +253,7 @@ from symcut.partition import Partition
 oracle = GraphCutOracle(WeightedGraph(5, [(v, (v + 1) % 5, 3) for v in range(5)]))
 partition = Partition(5)
 partition.join(1, 2)
-for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4)]:
+for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4), (0, 3, 2, 1, 3)]:
     try:
         lax_back_order_queue(oracle, partition, INF,
                              previous=LaxBackOrder(labels, (INF,) * len(labels), INF))
@@ -261,7 +263,7 @@ for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4)]:
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
-        "previous is not an order of this partition before its latest joins\n" * 3)
+        "previous is not an order of this partition before its latest joins\n" * 4)
 
 
 # total queue updates of the laxback and maxback runs with the heap queue

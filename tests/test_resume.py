@@ -44,7 +44,7 @@ def check_resume(data, oracle, partition, previous):
     assert resumed.keys == fresh.keys
     last = settled(report, tau)
     assert settled(resumed.keys, tau) == last
-    _, stop = replay_bounds(partition, previous, previous.order[0])
+    _, stop, _ = replay_bounds(partition, previous)
     if not last and end < stop:
         assert max(fresh.keys, key=lambda c: (fresh.keys[c], -c)) != previous.order[end]
     for c in last:
@@ -130,3 +130,64 @@ def test_tied_heads_go_to_the_lower_label():
     order, _ = lax_back_order_queue(oracle, partition, previous=previous)
     assert order == lax_back_order_queue(oracle, partition)[0]
     assert order.order[:3] == (0, 2, 1)
+
+
+def advanced(oracle, partition, prefix):
+    """The keys of a tracker started at prefix[0] and advanced along the rest."""
+    tracker = oracle.key_tracker(partition, prefix[0])
+    for v in prefix[1:]:
+        tracker.advance(v)
+    return tracker.keys
+
+
+def test_a_resumed_key_adds_the_row_entries_of_earlier_prefix_classes():
+    # the graph of the test above with an 8 after 1, so that 1 is not the
+    # prefix's last class: its row entry for {3, 4, 5} (1e16 + 2) is summed
+    # from the quotient, where {3, 4, 5}'s own entry for it is 1e16
+    graph = WeightedGraph(9, [(0, 1, 1e17), (1, 4, 1.0), (1, 5, 1.0), (1, 3, 1e16),
+                              (3, 4, 1e15), (3, 5, 1e14), (5, 2, 1e13), (2, 6, 1e12),
+                              (6, 7, 1e11), (1, 8, 5e16)])
+    oracle = GraphCutOracle(graph)
+    partition = Partition(9)
+    previous, _ = lax_back_order_queue(oracle, partition)
+    assert previous.order == (0, 1, 8, 3, 4, 5, 2, 6, 7)
+    for dst, src in [(3, 4), (3, 5), (2, 6), (2, 7)]:
+        partition.join(dst, src)
+    resumed = oracle.key_tracker(partition, previous)
+    assert resumed.keys == advanced(oracle, partition, (0, 1, 8)) == {2: 0, 3: 1e16 + 2}
+
+
+def test_a_resumed_hypergraph_key_sums_one_position_in_ascending_id():
+    # hyperedges 1, 2 and 3 join 0 and 5 with weights 1e16, 1, 1: summed in
+    # ascending id each 1 rounds away (1e16), in descending id they do not
+    # (1e16 + 2). 5 absorbs 6, and its key is summed from the quotient
+    # over the prefix 0, 1 before the prefix's last class, 2
+    hypergraph = Hypergraph(7, [(1e17, [0, 1]), (1e16, [0, 5]), (1.0, [0, 5]), (1.0, [5, 0]),
+                                (1e17, [1, 2]), (1.0, [5, 6]), (1.0, [3, 4]), (1.0, [4, 6])])
+    oracle = HypergraphCutOracle(hypergraph)
+    partition = Partition(7)
+    previous, _ = lax_back_order_queue(oracle, partition)
+    assert previous.order[:5] == (0, 1, 2, 5, 6)
+    partition.join(5, 6)
+    resumed = oracle.key_tracker(partition, previous)
+    assert partition.class_count - len(resumed.keys) == 3
+    assert resumed.keys == advanced(oracle, partition, (0, 1, 2))
+    assert resumed.keys[5] == 1e16
+
+
+def test_classes_the_last_step_settles_keep_its_report_order():
+    # the advance of 2 settles 5 and then 4, its row's order, at tau = 5;
+    # the ready list appends the last settled first, so 4 goes before 5,
+    # where classes settled in label order would put 5 first
+    graph = WeightedGraph(8, [(0, 1, 3), (1, 2, 3), (2, 5, 5), (2, 4, 5), (2, 3, 1),
+                              (5, 6, 1), (3, 7, 1), (6, 7, 1)])
+    oracle = GraphCutOracle(graph)
+    partition = Partition(8)
+    previous, _ = lax_back_order_queue(oracle, partition, 5)
+    assert previous.order[:5] == (0, 1, 2, 4, 5)
+    partition.join(6, 7)
+    resumed = oracle.key_tracker(partition, previous)
+    assert list(resumed.keys)[-2:] == [5, 4]
+    order, _ = lax_back_order_queue(oracle, partition, 5, previous=previous)
+    assert order == lax_back_order_queue(oracle, partition, 5)[0]
+    assert order.order[:5] == (0, 1, 2, 4, 5)
