@@ -54,8 +54,11 @@ class LaxOracle:
         keys (required by the queue-based order builder, which refuses an
         oracle that is not keyed). `first` is the class the order starts
         at, or the order the builder made in the round before: the
-        tracker resumes from it if the replay goes past its first class,
-        and otherwise starts at that class (:class:`_KeyTracker`)
+        tracker resumes from it, with the replayed prefix but its last
+        class appended, if that leaves more than the first class, and
+        otherwise starts at that order's first class
+        (:class:`_KeyTracker`). A tracker only sums keys; the builder
+        alone tests them against tau
     """
 
     keyed = False
@@ -218,9 +221,9 @@ class GraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient graph (:func:`_synced_quotient`).
 
-        `first` is the first class, or the previous round's order to start
-        or resume from (:class:`_KeyTracker`). An order costs O(k + m_k)
-        on k classes and the m_k edges between them.
+        `first` is the first class, or the previous round's order, resumed
+        one class short of its replay end (:class:`_KeyTracker`). An order
+        costs O(k + m_k) on k classes and the m_k edges between them.
         """
         quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
         return _GraphKeyTracker(quotient.adjacency, partition, first)
@@ -271,19 +274,21 @@ class _KeyTracker:
     folds v into the prefix and returns {class: new key} for exactly the
     keys it changed. Settle = ``pop(c)``, the ``keys`` dict's own, so no
     later ``advance`` reports c. The queue builder tests each key
-    ``advance`` reports, and each key in ``keys`` when the tracker starts.
-    The partition must not change while a tracker is live; between
-    trackers it may, and the quotients follow the joins made in between.
+    ``advance`` reports, and each key in ``keys`` when the tracker starts;
+    the tracker itself never compares a key with tau. The partition must
+    not change while a tracker is live; between trackers it may, and the
+    quotients follow the joins made in between.
 
     A tracker starts at `first`, the first class, with that class
     appended. Or `first` is the previous round's order, a
     :class:`symcut.order.LaxBackOrder` of the partition before its latest
     joins with the threshold tau of the build at hand. Then the tracker
-    resumes (:meth:`_resume`) when :func:`symcut.order.replayed_prefix`
-    replays past its first step, and otherwise starts at that order's
-    first class. A subclass lists how a class's key grows along the
-    prefix in ``_weights(c, position, limit)``, the `weights` of
-    :func:`symcut.order.replayed_prefix`.
+    resumes (:meth:`_resume`) with the prefix that
+    :func:`symcut.order.replayed_prefix` replays appended, all but its
+    last class, when that leaves more than the first class appended, and
+    otherwise starts at that order's first class. A subclass lists how a
+    class's key grows along the prefix in ``_weights(c, position,
+    limit)``, the `weights` of :func:`symcut.order.replayed_prefix`.
     """
 
     _hit = None  # a hypergraph tracker's marks of the hyperedges its advances visited
@@ -291,40 +296,36 @@ class _KeyTracker:
     def __init__(self, partition, first):
         if isinstance(first, LaxBackOrder):
             end, position, rest = replayed_prefix(partition, first, self._weights)
-            if end > 1:
-                self._resume(first, end, position, rest)
+            if end > 2:
+                self._resume(position, end - 1, [first.order[end - 1], *rest])
                 return
             first = first.order[0]
         self.keys = dict.fromkeys(partition.classes(), 0)
         self.pop = self.keys.pop
         self.advance(first)
 
-    def _resume(self, previous, end, position, rest):
-        """Resume along ``previous.order[:end]``, the replayed prefix.
+    def _resume(self, position, limit, classes):
+        """Resume with ``previous.order[:limit]`` appended, the replayed prefix but its last class.
 
-        Each class in `rest`, the live classes outside the prefix, gets
-        the sum of its weights before the prefix's last class, in
-        ``_weights`` order; a hypergraph marks each hyperedge summed, as
-        the prefix's advances would mark it (a hyperedge inside the prefix
-        no later advance visits). The last class then goes through
-        ``advance``, which adds its weights and marks its hyperedges; the
-        classes it settles, their keys no longer below tau, are moved last
-        in ``keys``, in its report order.
+        Each of `classes`, the live classes outside those `limit`, gets the
+        sum of its weights at positions below `limit`, in ``_weights``
+        order; a hypergraph marks each hyperedge summed, as the prefix's
+        advances would mark it (a hyperedge inside the prefix no later
+        advance visits). The replayed prefix's last class is among them:
+        the replay rule makes its key the largest by ``(key, -label)`` and
+        below tau, so the builder's queue returns it next and its
+        ``advance`` reports and settles as every other step's does.
         """
         self.keys = keys = {}
         self.pop = keys.pop
         hit = self._hit
-        for c in rest:
+        for c in classes:
             key = 0
-            for _, e, w in self._weights(c, position, end - 1):
+            for _, e, w in self._weights(c, position, limit):
                 key += w
                 if hit is not None:
                     hit[e] = True
             keys[c] = key
-        tau = previous.threshold
-        for c, key in self.advance(previous.order[end - 1]).items():
-            if not -INF < key < tau:
-                keys[c] = keys.pop(c)  # settled: last, in report order
 
 
 class _GraphQuotient:
@@ -512,10 +513,10 @@ class HypergraphCutOracle(LaxOracle):
     def key_tracker(self, partition, first):
         """Prefix keys over the partition's quotient hypergraph (:func:`_synced_quotient`).
 
-        `first` is the first class, or the previous round's order to start
-        or resume from (:class:`_KeyTracker`). An order costs O(k + p_k) on k classes,
-        where p_k counts the pin classes of the hyperedges that span at
-        least two of them.
+        `first` is the first class, or the previous round's order, resumed
+        one class short of its replay end (:class:`_KeyTracker`). An order
+        costs O(k + p_k) on k classes, where p_k counts the pin classes of
+        the hyperedges that span at least two of them.
         """
         hypergraph = self.hypergraph
         quotient = _synced_quotient(self._quotients, _HypergraphQuotient, hypergraph,

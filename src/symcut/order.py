@@ -159,9 +159,13 @@ def replayed_prefix(partition, previous, weights):
 
     Returns (end, position, rest): ``previous.order[:end]`` is the
     replayed prefix, ``position`` is the map of :func:`replay_bounds`, and
-    ``rest`` lists the live classes outside the prefix, ascending. A label
-    in ``previous.order[:stop]`` that is not a live class raises the
-    ValueError of :func:`replay_bounds`.
+    ``rest`` lists the live classes outside the prefix, ascending. A
+    tracker resumes with the prefix but its last class appended: the rule
+    makes that class's key the largest by ``(key, -label)`` at step
+    ``end - 1`` and keeps every key there below tau, so the builder's
+    queue returns it next and the builder alone settles what its advance
+    reports. A label in ``previous.order[:stop]`` that is not a live class
+    raises the ValueError of :func:`replay_bounds`.
     """
     order, keys, tau = previous.order, previous.keys, previous.threshold
     heads, stop, position = replay_bounds(partition, previous)
@@ -229,14 +233,15 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     same class and was built with the same threshold tau, the tracker is
     made from it, ``oracle.key_tracker(partition, previous)``, and may
     resume with the part of ``previous.order`` that :func:`replayed_prefix`
-    finds already appended; the result is still the order a build without
-    `previous` returns. The builder reads that prefix's length off the
-    tracker, as the classes missing from its keys, and copies the prefix
-    and its keys from `previous`. The classes the prefix's last step
-    settled come last in the tracker's keys, in that step's report order,
-    so they go onto the ready list as that step's report would put them.
-    The bucket queue never sees a replayed key, but the same key of the
-    same class was in its queue the round before, below the same threshold.
+    replays, all but its last class, already appended; the result is still
+    the order a build without `previous` returns. The builder reads that
+    prefix's length off the tracker, as the classes missing from its keys,
+    and copies the prefix and its keys from `previous`. The replayed
+    prefix's last class is then the queue's maximum, so it is appended
+    next, and its advance reports and settles through the loop below like
+    every other step's. The bucket queue never sees a replayed key, but
+    the same key of the same class was in its queue the round before,
+    below the same threshold.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes

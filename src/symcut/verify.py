@@ -2,12 +2,15 @@
 
 Each check re-derives a fact the minimizer relies on: every round joins
 exactly the pairs its rule names, and, by brute force, orders really
-dominate their suffixes, the last pair of an order is a pendant pair up
-to the threshold, stored keys bound pairwise separation, contraction
-preserves the capped optimum, and the oracle is symmetric, monotone and
-consistent. `verify_oracle` bundles them with a
-configuration sweep whose results must all match the enumerated optimum,
-and `verify_table` runs that same sweep on an explicit set function.
+dominate their suffixes, stored keys are exact and bound pairwise
+separation, contraction preserves the capped optimum, and the oracle is
+symmetric, monotone and consistent. Together the exact keys, the bound
+and the symmetry make an order's last pair pendant up to the threshold:
+the last key is min(tau, d(last, rest)), at least the last pair's capped
+separation, since {last} separates the pair, and at most it by the
+bound. `verify_oracle` bundles them with a configuration sweep whose
+results must all match the enumerated optimum, and `verify_table` runs
+that same sweep on an explicit set function.
 Every check evaluates through the oracle that solves, uncapped or through
 a capped view, so the capped checks test its own lax answers (a cut
 oracle's early exit included), not those of a second copy.
@@ -78,14 +81,6 @@ def check_order_record(oracle, record):
 
     induced = InducedOracle(oracle, [blocks[c] for c in seq])
     k = len(seq)
-    last_value = induced.eval(frozenset((k - 1,)),
-                              frozenset(range(k - 1)), INF)
-    separation = brute_lambda(induced, k, k - 1, k - 2)
-    pendant = values_equal(min(tau, last_value), min(tau, separation))
-    results.append(("last-pair-pendant",
-                    CheckResult(pendant, None if pendant
-                                else (last_value, separation))))
-
     bound = CheckResult(True)
     for i in range(1, k):
         sep = min(tau, brute_lambda(induced, k, i - 1, i))

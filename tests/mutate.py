@@ -94,10 +94,15 @@ MUTANTS = [
            "weights.append((p, d, adjacency[d][c]))",
            "weights.append((p, d, adjacency[c][d]))",
            ("tests/test_resume.py",)),
-    # the classes the prefix's last step settles stay in label order
-    Mutant("resume-leaves-settled-in-label-order", "src/symcut/oracles.py",
-           "keys[c] = keys.pop(c)  # settled: last, in report order",
-           "pass",
+    # a resume sums the weights of the replayed prefix's last class too
+    Mutant("resume-sums-through-the-last-replayed-class", "src/symcut/oracles.py",
+           "self._resume(position, end - 1, ",
+           "self._resume(position, end, ",
+           ("tests/test_replay.py", "tests/test_resume.py")),
+    # a resume leaves the replayed prefix's last class out of its keys
+    Mutant("resume-drops-the-last-replayed-class", "src/symcut/oracles.py",
+           "[first.order[end - 1], *rest]",
+           "rest",
            ("tests/test_replay.py", "tests/test_resume.py")),
     # a hypergraph's weights at one position go in descending id order
     Mutant("hypergraph-ties-by-descending-id", "src/symcut/oracles.py",
@@ -174,7 +179,7 @@ def main(names):
                 (copy / mutant.path).write_text(original, encoding="utf-8")
             verdict = {"failed": "killed", "passed": "survived"}.get(status, status)
             survivors += verdict != "killed"
-            print(f"{verdict:9} {mutant.name:38} {seconds:6.1f} s  {' '.join(mutant.tests)}",
+            print(f"{verdict:9} {mutant.name:44} {seconds:6.1f} s  {' '.join(mutant.tests)}",
                   flush=True)
     print(f"{len(mutants) - survivors} of {len(mutants)} mutants killed")
     return 1 if survivors else 0

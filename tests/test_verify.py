@@ -277,10 +277,11 @@ def test_stored_keys_exact_fails_a_changed_key_with_its_witness():
     assert results["stored-keys-exact"].witness == (2, keys[2], keys[2] - 1)
 
 
-def test_last_pair_pendant_fails_a_final_key_above_the_last_pair_separation():
+def test_keys_bound_separation_fails_a_final_key_above_the_last_pair_separation():
     # path 0 -5- 1 -1- 2: the max-back order is (0, 1, 2) with keys 5 and 1;
     # with its last two classes swapped, the final class 1 has d = 6 against
-    # the rest, but the last pair {2} and {1} separate at 1
+    # the rest, but the last pair {2} and {1} separate at 1, so the last
+    # pair is not pendant
     graph = WeightedGraph(3, [(0, 1, 5), (1, 2, 1)])
     oracle = GraphCutOracle(graph)
     record = first_record(graph, MAXBACK_SCAN)
@@ -290,8 +291,8 @@ def test_last_pair_pendant_fails_a_final_key_above_the_last_pair_separation():
                                             keys=(INF, 0, 6)))
     results = dict(check_order_record(oracle, swapped))
     assert results["stored-keys-exact"]
-    assert not results["last-pair-pendant"]
-    assert results["last-pair-pendant"].witness == (6, 1)
+    assert not results["keys-bound-separation"]
+    assert results["keys-bound-separation"].witness == (2, 6, 1)
 
 
 def test_oracle_symmetric_fails_an_oracle_that_is_not_symmetric():
