@@ -85,17 +85,24 @@ def contract_round(partition, order, tau):
     """Join every adjacent pair of the order whose key reaches tau.
 
     Runs of consecutive threshold-reaching keys chain into the class at
-    the head of the run. Returns the number of joins performed.
+    the head of the run. Returns the number of joins performed. At the
+    order's own threshold the keys that reach tau are ``order.settled``,
+    so only those are visited; after the round's last key lowered tau
+    below it, every key is tested.
     """
-    head = order.order[0]
-    joins = 0
-    for c, key in zip(order.order[1:], order.keys[1:]):
-        if key >= tau:
-            partition.join(head, c)
-            joins += 1
-        else:
-            head = c
-    return joins
+    labels = order.order
+    if tau == order.threshold:
+        reaching = order.settled
+    else:
+        keys = order.keys
+        reaching = [j for j in range(1, len(keys)) if keys[j] >= tau]
+    last = None
+    for j in reaching:
+        if j - 1 != last:
+            head = labels[j - 1]  # a new run
+        partition.join(head, labels[j])
+        last = j
+    return len(reaching)
 
 
 def _order_builder(config, oracle):

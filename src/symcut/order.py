@@ -14,7 +14,9 @@ the class holding element 0, and both refuse a NaN or infinite key with
 ``values.finite_key``'s error.
 """
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 from .queues import BucketQueue, HeapQueue
 from .values import INF, finite_key
@@ -34,15 +36,46 @@ class LaxBackOrder:
     ``keys[i]`` is min(threshold, d(class_i, everything before it)); the
     first key is the INF sentinel, so a leading run of threshold-reaching
     keys always chains back to the first class.
+
+    An order also carries three facts about itself that take no part in
+    == or repr: :attr:`position`, :attr:`settled` and :meth:`built_on`.
+    The queue builder records what it knows of them as it builds; for any
+    other order the first two are computed on first use, and ``built_on``
+    is false.
     """
 
     order: tuple
     keys: tuple
     threshold: object
 
+    _partition = None  # the queue builder's weak reference to the partition it built on
+
     def __post_init__(self):
         if len(self.order) != len(self.keys):
             raise ValueError(f"{len(self.order)} classes but {len(self.keys)} keys")
+
+    @cached_property
+    def position(self):
+        """{label: its index in ``order``}; a repeated label keeps its last index."""
+        return dict(zip(self.order, range(len(self.order))))
+
+    @cached_property
+    def settled(self):
+        """The positions past the first whose key reaches the threshold, ascending.
+
+        For a queue-built order these are its ready appends.
+        """
+        keys, tau = self.keys, self.threshold
+        return tuple(j for j in range(1, len(keys)) if keys[j] >= tau)
+
+    def built_on(self, partition):
+        """Whether the queue builder made this order on `partition`, this very object."""
+        return self._partition is not None and self._partition() is partition
+
+    def __reduce__(self):
+        # a copy or an unpickled order keeps the fields only: the weak
+        # reference cannot be pickled, and the rest is computed again
+        return LaxBackOrder, (self.order, self.keys, self.threshold)
 
 
 def lax_back_order_scan(oracle, partition, tau=INF):
@@ -94,17 +127,16 @@ def replay_bounds(partition, previous):
     labels those joins retired are
     ``partition.retired_since(len(previous.order))``. The heads are the live
     classes now holding them, ``previous.order[0]`` excepted. Returns
-    (heads, end, position): ``position`` maps each label of
-    ``previous.order`` to its position, and ``end`` is the first position
-    of a retired label or a head, or the order's length if there is none,
-    so every class in ``previous.order[1:end]`` is live and the same set
-    of elements as when `previous` was built. Costs one pass over the
-    order to build the map, then one lookup per joined label and head. An
+    (heads, end, position): ``position`` is ``previous.position``, and
+    ``end`` is the first position of a retired label or a head, or the
+    order's length if there is none, so every class in
+    ``previous.order[1:end]`` is live and the same set of elements as when
+    `previous` was built. Costs one lookup per joined label and head. An
     order that cannot be this partition's, one in which a label repeats
     among them, raises a ValueError.
     """
     order = previous.order
-    position = dict(zip(order, range(len(order))))
+    position = previous.position
     if len(position) != len(order):
         raise _foreign_previous()  # a label repeats
     class_of = partition.class_of
@@ -138,15 +170,16 @@ def replayed_prefix(partition, previous, weights):
     ``previous.order[:j]``:
 
     * the step where a class the joins left alone settles, its key
-      reaching tau. It settles where it settled in `previous`, so at the
-      first j < stop whose key in ``previous.keys`` is tau;
+      reaching tau. It settles where it settled in `previous`, so at
+      ``previous.settled[0]`` if that comes before ``stop``;
     * the step whose next class, ``previous.order[j]``, fails to beat the
       best head by ``(key, -label)``. Its key is ``previous.keys[j]``, and
       the best head changes only at a head's steps, so the test runs once
       per stretch between them, as a ``min`` over a slice of
-      ``previous.keys``. A head that settles holds a key of at least tau,
-      above every replayed key, so the test also ends the replay where a
-      head settles;
+      ``previous.keys``; only a stretch whose minimum ties with the best
+      head's key is searched further, by jumping from one tie to the next.
+      A head that settles holds a key of at least tau, above every
+      replayed key, so the test also ends the replay where a head settles;
     * ``stop``, the end :func:`replay_bounds` finds.
 
     The replayed prefix and its keys are slices of `previous`, as a build
@@ -158,23 +191,29 @@ def replayed_prefix(partition, previous, weights):
     the rule tests those.
 
     Returns (end, position, rest): ``previous.order[:end]`` is the
-    replayed prefix, ``position`` is the map of :func:`replay_bounds`, and
-    ``rest`` lists the live classes outside the prefix, ascending. A
-    tracker resumes with the prefix but its last class appended: the rule
-    makes that class's key the largest by ``(key, -label)`` at step
-    ``end - 1`` and keeps every key there below tau, so the builder's
-    queue returns it next and the builder alone settles what its advance
-    reports. A label in ``previous.order[:stop]`` that is not a live class
-    raises the ValueError of :func:`replay_bounds`.
+    replayed prefix, ``position`` is ``previous.position``, and ``rest``
+    lists the live classes outside the prefix, ``previous.order[end:]``
+    less the labels the joins retired. A tracker resumes with the prefix
+    but its last class appended: the rule makes that class's key the
+    largest by ``(key, -label)`` at step ``end - 1`` and keeps every key
+    there below tau, so the builder's queue returns it next and the
+    builder alone settles what its advance reports. Besides the errors of
+    :func:`replay_bounds`, an order with a live class missing raises its
+    ValueError; an order the queue builder made on this very partition
+    object (:meth:`LaxBackOrder.built_on`) holds every live class, so it
+    skips that check. Past the map lookups, a replay costs the ``min`` over
+    the prefix keys and the heads' and ``rest``'s weights, not a pass of
+    Python code over every class.
     """
-    order, keys, tau = previous.order, previous.keys, previous.threshold
+    order, keys = previous.order, previous.keys
     heads, stop, position = replay_bounds(partition, previous)
+    if not previous.built_on(partition) and not position.keys() >= set(partition.classes()):
+        raise _foreign_previous()  # a live class is not in previous
+    settled = previous.settled
+    if settled and settled[0] < stop:
+        stop = settled[0]
     if stop == 1:
         return 1, None, None
-    outside = set(partition.classes())
-    outside.difference_update(order[:stop])
-    if len(outside) != partition.class_count - stop:
-        raise _foreign_previous()  # a label in order[:stop] is not live
     steps = []  # (position, head, the head's key once that position is appended)
     for h in heads:
         key = 0
@@ -186,12 +225,19 @@ def replayed_prefix(partition, previous, weights):
     best_key, best_head = (0, min(heads)) if heads else (-INF, 0)
 
     def failing(lo, hi):
-        """The first j in lo..hi-1 where a class left alone settles or order[j] loses."""
+        """The first j in lo..hi-1 where order[j] loses to the best head, or None."""
         stretch = keys[lo:hi]
-        if stretch and (max(stretch) >= tau or min(stretch) <= best_key):
+        low = min(stretch, default=INF)
+        if low < best_key:  # some j here loses: walk to the first
             for j in range(lo, hi):
                 k = keys[j]
-                if k >= tau or k < best_key or (k == best_key and order[j] > best_head):
+                if k < best_key or (k == best_key and order[j] > best_head):
+                    return j
+        elif low == best_key:  # only a tie can lose
+            j = lo - 1
+            for _ in range(stretch.count(best_key)):
+                j = keys.index(best_key, j + 1, hi)
+                if order[j] > best_head:
                     return j
         return None
 
@@ -207,7 +253,8 @@ def replayed_prefix(partition, previous, weights):
         end = failing(j, stop)
         if end is None:
             end = stop
-    return end, position, sorted(outside.union(order[end:stop]))
+    joined = set(partition.retired_since(len(order)))
+    return end, position, [c for c in order[end:] if c not in joined]
 
 
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):
@@ -242,6 +289,13 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     every other step's. The bucket queue never sees a replayed key, but
     the same key of the same class was in its queue the round before,
     below the same threshold.
+
+    The order records what the build knew (:class:`LaxBackOrder`): its
+    ready appends as ``settled``, the partition it was built on, and, on a
+    resumed build, ``position``: ``previous.position`` less the labels the
+    latest joins retired, with the classes appended after the prefix
+    written in. A build from scratch leaves ``position`` to be computed
+    when a replay first reads it.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes
@@ -280,9 +334,11 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
         queue = BucketQueue(tau, remaining)
     del_max, update_key = queue.del_max, queue.update_key
     updates = 0
+    settled = []  # the positions of the ready appends
     while ready or remaining:
         if ready:
             v, k = ready.pop(), tau
+            settled.append(len(order))
         else:
             v, k = del_max()
             if v not in remaining:
@@ -298,4 +354,14 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
                     finite_key(key, c)
                 pop(c)
                 ready.append(c)
-    return LaxBackOrder(tuple(order), tuple(keys), tau), updates
+    made = LaxBackOrder(tuple(order), tuple(keys), tau)
+    known = vars(made)  # what the build knew, read by the next round's replay
+    known["settled"] = tuple(settled)
+    known["_partition"] = weakref.ref(partition)
+    if end > 1:
+        position = previous.position.copy()
+        for x in partition.retired_since(len(previous.order)):
+            del position[x]
+        position.update(zip(order[end:], range(end, len(order))))
+        known["position"] = position
+    return made, updates

@@ -67,12 +67,17 @@ MUTANTS = [
            ("tests/test_replay.py", "tests/test_resume.py")),
     # after a run's first join, the next class reaching tau starts a new run
     Mutant("run-split-after-its-first-join", "src/symcut/driver.py",
-           "        if key >= tau:\n            partition.join(head, c)\n"
-           "            joins += 1\n",
-           "        if key >= tau and head is not None:\n"
-           "            partition.join(head, c)\n            joins += 1\n"
-           "            head = None\n",
+           "            head = labels[j - 1]  # a new run\n",
+           "            head = labels[j - 1]  # a new run\n"
+           "        elif head == labels[j - 2]:\n"
+           "            head, last = labels[j], j\n"
+           "            continue\n",
            ("tests/test_paper_claim.py",)),
+    # a round whose last key lowered tau joins only the pairs settled at the old one
+    Mutant("settled-walked-under-a-lowered-tau", "src/symcut/driver.py",
+           "    if tau == order.threshold:\n",
+           "    if True:\n",
+           ("tests/test_order_facts.py",)),
     # the symmetry check compares float values exactly
     Mutant("symmetry-check-compares-exactly", "src/symcut/brute.py",
            "        if not values_equal(_full_eval(oracle, s, full ^ s),\n"
@@ -115,17 +120,33 @@ MUTANTS = [
            "if key > best_key or (key == best_key and h < best_head):",
            "if key > best_key:",
            ("tests/test_resume.py",)),
-    # a stretch holding a previous key at tau is not searched for it
-    Mutant("previous-keys-at-tau-ignored", "src/symcut/order.py",
-           "max(stretch) >= tau or ",
+    # the replay is not capped where a class the joins left alone settles
+    Mutant("settled-cap-skipped", "src/symcut/order.py",
+           "    if settled and settled[0] < stop:\n        stop = settled[0]\n",
            "",
            ("tests/test_replay.py", "tests/test_resume.py")),
+    # the builder's settled positions miss the last ready append of each batch
+    Mutant("settled-misses-a-ready-append", "src/symcut/order.py",
+           "            settled.append(len(order))\n",
+           "            if ready:\n                settled.append(len(order))\n",
+           ("tests/test_order_facts.py",)),
+    # a resumed build's position map keeps the labels the joins retired
+    Mutant("position-keeps-a-joined-label", "src/symcut/order.py",
+           "        for x in partition.retired_since(len(previous.order)):\n"
+           "            del position[x]\n",
+           "",
+           ("tests/test_order_facts.py",)),
+    # any order the builder made counts as made on this partition
+    Mutant("built-on-any-partition", "src/symcut/order.py",
+           "self._partition() is partition",
+           "self._partition() is not None",
+           ("tests/test_order_facts.py",)),
     # an order whose labels repeat is not refused
     Mutant("repeated-label-accepted", "src/symcut/order.py",
            "    if len(position) != len(order):\n"
            "        raise _foreign_previous()  # a label repeats\n",
            "",
-           ("tests/test_replay.py",)),
+           ("tests/test_replay.py", "tests/test_order_facts.py")),
 ]
 
 
