@@ -132,8 +132,10 @@ def optimal_set(oracle, n, config=None, observer=None):
     `oracle` provides lax evaluation of a monotone and consistent symmetric
     set function d. Returns (S, value, stats) with value = d(S, V\\S), the
     oracle's uncapped value of S, equal to the minimum over all nontrivial
-    bipartitions. An `observer` callable receives a RoundRecord after every
-    round.
+    bipartitions; a NaN or infinite value raises a ValueError. An
+    `observer` callable receives a RoundRecord after every round. A cut
+    oracle's key tracker refuses an instance of other than n vertices;
+    the scan path evaluates its cut function restricted to 0..n-1.
     """
     if n < 2:
         raise ValueError("need at least two elements")
@@ -204,6 +206,7 @@ def optimal_set(oracle, n, config=None, observer=None):
                 members_after=members,
             ))
 
-    value = oracle.eval(best, universe - best, INF)
+    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),
+                       "the returned set")
     stats.oracle_calls += 1
     return set(best), value, stats

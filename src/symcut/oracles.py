@@ -55,10 +55,10 @@ class LaxOracle:
         oracle that is not keyed). `first` is the class the order starts
         at, or the order the builder made in the round before: the
         tracker resumes from it, with the replayed prefix but its last
-        class appended, if that leaves more than the first class, and
-        otherwise starts at that order's first class
-        (:class:`_KeyTracker`). A tracker only sums keys; the builder
-        alone tests them against tau
+        class appended and the replay's `rest` keyed by sums over it, if
+        that leaves more than the first class, and otherwise starts at
+        that order's first class (:class:`_KeyTracker`). A tracker only
+        sums keys; the builder alone tests them against tau
     """
 
     keyed = False
@@ -239,8 +239,12 @@ def _synced_quotient(cache, quotient_type, instance, partition):
     so building one would only copy them. Otherwise the quotient is built
     on the first call for a partition and kept, weakly keyed by it, until
     the partition is freed; each later call first folds in the joins made
-    since the previous one (the quotient's ``sync``).
+    since the previous one (the quotient's ``sync``). A partition of
+    another ground set than the instance's vertices raises a ValueError.
     """
+    if partition.n != instance.n:
+        raise ValueError(f"the partition has {partition.n} elements but the "
+                         f"instance has {instance.n} vertices")
     if partition.class_count == instance.n:
         return instance
     quotient = cache.get(partition)
@@ -282,50 +286,39 @@ class _KeyTracker:
     A tracker starts at `first`, the first class, with that class
     appended. Or `first` is the previous round's order, a
     :class:`symcut.order.LaxBackOrder` of the partition before its latest
-    joins with the threshold tau of the build at hand. Then the tracker
-    resumes (:meth:`_resume`) with the prefix that
-    :func:`symcut.order.replayed_prefix` replays appended, all but its
-    last class, when that leaves more than the first class appended, and
-    otherwise starts at that order's first class. A subclass lists how a
-    class's key grows along the prefix in ``_weights(c, position,
-    limit)``, the `weights` of :func:`symcut.order.replayed_prefix`.
+    joins with the threshold tau of the build at hand. Then, if the prefix
+    :func:`symcut.order.replayed_prefix` replays is longer than two
+    classes, the tracker resumes with all of it but its last class
+    appended, keying each class of the replay's `rest` by the sum of its
+    weights over the appended positions, ``_weights(c, position, limit)``
+    (the `weights` of ``replayed_prefix``); a hypergraph marks each
+    hyperedge summed, as the prefix's advances would. Otherwise it starts
+    at that order's first class. The prefix's last class heads `rest` with
+    the largest key, so the builder's queue returns it next and settles
+    what its ``advance`` reports, as for every other step.
     """
 
     _hit = None  # a hypergraph tracker's marks of the hyperedges its advances visited
 
     def __init__(self, partition, first):
         if isinstance(first, LaxBackOrder):
-            end, position, rest = replayed_prefix(partition, first, self._weights)
+            end, rest = replayed_prefix(partition, first, self._weights)
             if end > 2:
-                self._resume(position, end - 1, [first.order[end - 1], *rest])
+                self.keys = keys = {}
+                self.pop = keys.pop
+                position, limit, hit = first.position, end - 1, self._hit
+                for c in rest:
+                    key = 0
+                    for _, e, w in self._weights(c, position, limit):
+                        key += w
+                        if hit is not None:
+                            hit[e] = True
+                    keys[c] = key
                 return
             first = first.order[0]
         self.keys = dict.fromkeys(partition.classes(), 0)
         self.pop = self.keys.pop
         self.advance(first)
-
-    def _resume(self, position, limit, classes):
-        """Resume with ``previous.order[:limit]`` appended, the replayed prefix but its last class.
-
-        Each of `classes`, the live classes outside those `limit`, gets the
-        sum of its weights at positions below `limit`, in ``_weights``
-        order; a hypergraph marks each hyperedge summed, as the prefix's
-        advances would mark it (a hyperedge inside the prefix no later
-        advance visits). The replayed prefix's last class is among them:
-        the replay rule makes its key the largest by ``(key, -label)`` and
-        below tau, so the builder's queue returns it next and its
-        ``advance`` reports and settles as every other step's does.
-        """
-        self.keys = keys = {}
-        self.pop = keys.pop
-        hit = self._hit
-        for c in classes:
-            key = 0
-            for _, e, w in self._weights(c, position, limit):
-                key += w
-                if hit is not None:
-                    hit[e] = True
-            keys[c] = key
 
 
 class _GraphQuotient:

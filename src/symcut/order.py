@@ -121,33 +121,31 @@ def lax_back_order_scan(oracle, partition, tau=INF):
 
 
 def replay_bounds(partition, previous):
-    """The heads, replay end and label positions for replaying `previous` on `partition`.
+    """The heads, replay end and joined labels for replaying `previous` on `partition`.
 
     `previous` is an order of this partition before its latest joins; the
     labels those joins retired are
     ``partition.retired_since(len(previous.order))``. The heads are the live
     classes now holding them, ``previous.order[0]`` excepted. Returns
-    (heads, end, position): ``position`` is ``previous.position``, and
+    (heads, end, joined): ``joined`` is the set of retired labels, and
     ``end`` is the first position of a retired label or a head, or the
     order's length if there is none, so every class in
     ``previous.order[1:end]`` is live and the same set of elements as when
     `previous` was built. Costs one lookup per joined label and head. An
-    order that cannot be this partition's, one in which a label repeats
-    among them, raises a ValueError.
+    order that cannot be this partition's, of another class count or
+    without a retired label or head, raises a ValueError.
     """
     order = previous.order
     position = previous.position
-    if len(position) != len(order):
-        raise _foreign_previous()  # a label repeats
     class_of = partition.class_of
     try:
-        joined = partition.retired_since(len(order))
+        joined = set(partition.retired_since(len(order)))
         heads = {class_of(x) for x in joined}
         heads.discard(order[0])
         end = min([position[x] for x in (*joined, *heads)], default=len(order))
     except (KeyError, ValueError):
         raise _foreign_previous() from None
-    return heads, end, position
+    return heads, end, joined
 
 
 def _foreign_previous():
@@ -190,30 +188,31 @@ def replayed_prefix(partition, previous, weights):
     -label)``: both queues rank that way. Only the heads' keys differ, and
     the rule tests those.
 
-    Returns (end, position, rest): ``previous.order[:end]`` is the
-    replayed prefix, ``position`` is ``previous.position``, and ``rest``
-    lists the live classes outside the prefix, ``previous.order[end:]``
-    less the labels the joins retired. A tracker resumes with the prefix
-    but its last class appended: the rule makes that class's key the
-    largest by ``(key, -label)`` at step ``end - 1`` and keeps every key
-    there below tau, so the builder's queue returns it next and the
-    builder alone settles what its advance reports. Besides the errors of
-    :func:`replay_bounds`, an order with a live class missing raises its
+    Returns (end, rest): ``previous.order[:end]`` is the replayed prefix,
+    and ``rest`` lists the live classes outside all but its last class,
+    ``previous.order[end - 1:]`` less the labels the joins retired, as
+    :func:`replay_bounds` found them. A tracker resumes with the prefix
+    but its last class appended and sums the keys of ``rest``: the rule
+    makes that class's key the largest by ``(key, -label)`` at step
+    ``end - 1`` and keeps every key there below tau, so the builder's
+    queue returns it next and the builder alone settles what its advance
+    reports. Besides the errors of :func:`replay_bounds`, an order with a
+    live class missing, a repeated label among them, raises its
     ValueError; an order the queue builder made on this very partition
-    object (:meth:`LaxBackOrder.built_on`) holds every live class, so it
-    skips that check. Past the map lookups, a replay costs the ``min`` over
-    the prefix keys and the heads' and ``rest``'s weights, not a pass of
-    Python code over every class.
+    object (:meth:`LaxBackOrder.built_on`) holds every live class once, so
+    it skips that check. Past the map lookups, a replay costs the ``min``
+    over the prefix keys and the heads' and ``rest``'s weights, not a pass
+    of Python code over every class.
     """
-    order, keys = previous.order, previous.keys
-    heads, stop, position = replay_bounds(partition, previous)
+    order, keys, position = previous.order, previous.keys, previous.position
+    heads, stop, joined = replay_bounds(partition, previous)
     if not previous.built_on(partition) and not position.keys() >= set(partition.classes()):
         raise _foreign_previous()  # a live class is not in previous
     settled = previous.settled
     if settled and settled[0] < stop:
         stop = settled[0]
     if stop == 1:
-        return 1, None, None
+        return 1, None
     steps = []  # (position, head, the head's key once that position is appended)
     for h in heads:
         key = 0
@@ -253,8 +252,7 @@ def replayed_prefix(partition, previous, weights):
         end = failing(j, stop)
         if end is None:
             end = stop
-    joined = set(partition.retired_since(len(order)))
-    return end, position, [c for c in order[end:] if c not in joined]
+    return end, [c for c in order[end - 1:] if c not in joined]
 
 
 def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previous=None):

@@ -91,7 +91,8 @@ MUTANTS = [
            ("tests/test_driver.py",)),
     # a resume sums the hyperedges before the last class without marking them
     Mutant("resume-drops-the-hit-marks", "src/symcut/oracles.py",
-           "                if hit is not None:\n                    hit[e] = True\n",
+           "                        if hit is not None:\n"
+           "                            hit[e] = True\n",
            "",
            ("tests/test_resume.py",)),
     # a resumed graph key adds the class's own row entry, not the prefix class's
@@ -101,13 +102,13 @@ MUTANTS = [
            ("tests/test_resume.py",)),
     # a resume sums the weights of the replayed prefix's last class too
     Mutant("resume-sums-through-the-last-replayed-class", "src/symcut/oracles.py",
-           "self._resume(position, end - 1, ",
-           "self._resume(position, end, ",
+           "first.position, end - 1, self._hit",
+           "first.position, end, self._hit",
            ("tests/test_replay.py", "tests/test_resume.py")),
     # a resume leaves the replayed prefix's last class out of its keys
-    Mutant("resume-drops-the-last-replayed-class", "src/symcut/oracles.py",
-           "[first.order[end - 1], *rest]",
-           "rest",
+    Mutant("resume-drops-the-last-replayed-class", "src/symcut/order.py",
+           "[c for c in order[end - 1:] if c not in joined]",
+           "[c for c in order[end:] if c not in joined]",
            ("tests/test_replay.py", "tests/test_resume.py")),
     # a hypergraph's weights at one position go in descending id order
     Mutant("hypergraph-ties-by-descending-id", "src/symcut/oracles.py",
@@ -141,12 +142,18 @@ MUTANTS = [
            "self._partition() is partition",
            "self._partition() is not None",
            ("tests/test_order_facts.py",)),
-    # an order whose labels repeat is not refused
-    Mutant("repeated-label-accepted", "src/symcut/order.py",
-           "    if len(position) != len(order):\n"
-           "        raise _foreign_previous()  # a label repeats\n",
-           "",
-           ("tests/test_replay.py", "tests/test_order_facts.py")),
+    # the driver returns the final value unchecked, a NaN included
+    Mutant("final-value-unchecked", "src/symcut/driver.py",
+           "    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),\n"
+           "                       \"the returned set\")\n",
+           "    value = oracle.eval(best, universe - best, INF)\n",
+           ("tests/test_driver.py",)),
+    # verify compares the result set's value with the driver's, a second
+    # evaluation of the same set, instead of with the run's final tau
+    Mutant("attains-compares-value-with-itself", "src/symcut/verify.py",
+           "values_equal(attained, tau)",
+           "values_equal(attained, value)",
+           ("tests/test_verify.py",)),
 ]
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
-                    LaxOracle, MinimizeConfig, WeightedGraph, gen_random_graph,
-                    gen_random_hypergraph, graph_cut_table, optimal_set, verify_oracle)
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
+                    HypergraphCutOracle, LaxOracle, MinimizeConfig, WeightedGraph,
+                    gen_random_graph, gen_random_hypergraph, graph_cut_table, optimal_set,
+                    verify_oracle)
 from symcut import driver
 from symcut.driver import contract_round
 from symcut.order import LaxBackOrder
@@ -161,6 +162,28 @@ from symcut.partition import Partition
 
 order = LaxBackOrder((0, 1, 2), (INF, 5), 3)
 print(contract_round(Partition(3), order, 3))
+"""
+
+# finite capped values but NaN for the uncapped value of a bipartition
+# whose sides both hold two or more elements: the probes and every order
+# are capped, so only the final value, that of the returned {2, 3}, reads
+# a NaN; unchecked, both builders return ({2, 3}, nan)
+NAN_FINAL_VALUE_RUN = """
+import math
+from symcut import INF, GraphCutOracle, MinimizeConfig, WeightedGraph, optimal_set
+
+class NanWhole(GraphCutOracle):
+    def eval(self, left, right, tau=INF):
+        if tau == INF and len(left) > 1 and len(right) > 1:
+            return math.nan
+        return super().eval(left, right, tau)
+
+ring = WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)])
+for builder in ("scan", "queue"):
+    try:
+        print(optimal_set(NanWhole(ring), 4, MinimizeConfig(order_builder=builder))[:2])
+    except ValueError as fault:
+        print(builder, fault)
 """
 
 # a driver whose rounds from round 2 on join nothing, as a bug in an order
@@ -472,6 +495,41 @@ class TestOptimalSet:
 
         with pytest.raises(ValueError, match="non-finite key inf"):
             optimal_set(InfOracle(), 3)
+
+    def test_nan_final_value_rejected_under_optimize(self):
+        result = run_optimized(NAN_FINAL_VALUE_RUN)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "".join(
+            f"{builder} the oracle gave the returned set [2, 3] the non-finite key nan\n"
+            for builder in ("scan", "queue"))
+
+    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    def test_nan_final_value_rejected(self, builder):
+        class NanWhole(GraphCutOracle):
+            def eval(self, left, right, tau=INF):
+                if tau == INF and len(left) > 1 and len(right) > 1:
+                    return math.nan
+                return super().eval(left, right, tau)
+
+        ring = WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)])
+        with pytest.raises(ValueError, match=r"returned set \[2, 3\] the non-finite key nan"):
+            optimal_set(NanWhole(ring), 4, MinimizeConfig(order_builder=builder))
+
+    # 3 elements on a 5-vertex instance, and 5 on a 3-vertex one under
+    # maxback, which makes no probes (laxback's would refuse vertex 3)
+    @pytest.mark.parametrize("vertices,n,algorithm",
+                             [(5, 3, "laxback"), (5, 3, "maxback"), (3, 5, "maxback")])
+    @pytest.mark.parametrize("hyper", [False, True])
+    def test_a_key_tracker_refuses_a_partition_of_another_size(self, vertices, n, algorithm,
+                                                               hyper):
+        ring = [(v, (v + 1) % vertices) for v in range(vertices)]
+        if hyper:
+            oracle = HypergraphCutOracle(Hypergraph(vertices, [(2, e) for e in ring]))
+        else:
+            oracle = GraphCutOracle(WeightedGraph(vertices, [(*e, 2) for e in ring]))
+        with pytest.raises(ValueError, match=f"^the partition has {n} elements but "
+                                             f"the instance has {vertices} vertices$"):
+            optimal_set(oracle, n, MinimizeConfig(algorithm=algorithm))
 
     def test_queue_builder_on_unkeyed_oracle(self):
         o = TableOracle(2, complete_table(2, {(1, 2): 4}))

@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from symcut import INF, GraphCutOracle, WeightedGraph, oracles, optimal_set
-from symcut.order import LaxBackOrder, lax_back_order_queue, replay_bounds
+from symcut import GraphCutOracle, WeightedGraph, oracles, optimal_set
+from symcut.order import LaxBackOrder, lax_back_order_queue
 from symcut.partition import Partition
 from test_driver import run_optimized
 from test_replay import INSTANCES, build, configs
@@ -79,16 +79,6 @@ except ValueError as exc:
     assert result.stdout == "previous is not an order of this partition before its latest joins\n"
 
 
-def test_replay_bounds_refuse_a_repeated_label():
-    # a repeat leaves some live class out of the order, so the replay's
-    # check of every live class refuses it too; replay_bounds, which reads
-    # the order's position map, refuses it on its own
-    partition = Partition(5)
-    partition.join(1, 2)
-    with pytest.raises(ValueError, match="previous is not an order of this partition"):
-        replay_bounds(partition, LaxBackOrder((0, 3, 2, 1, 3), (INF,) * 5, INF))
-
-
 def light_ring(n, seed, light):
     """Ring with weights 5..10 but weight 1 on the edges after the `light` vertices."""
     r = random.Random(seed)
@@ -107,9 +97,9 @@ def test_a_round_that_lowers_tau_contracts_every_key_reaching_it(monkeypatch):
     real = oracles.replayed_prefix
 
     def recorded(partition, previous, weights):
-        end, position, rest = real(partition, previous, weights)
+        end, rest = real(partition, previous, weights)
         ends.append((previous, end))
-        return end, position, rest
+        return end, rest
 
     monkeypatch.setattr(oracles, "replayed_prefix", recorded)
     records = []

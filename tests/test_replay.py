@@ -231,9 +231,9 @@ def test_replay_bounds_match_a_pass_over_every_class(n, data):
         rest = data.draw(st.permutations([c for c in classes if c != first]), label="order")
         orders.append(LaxBackOrder((first, *rest), (INF,) * len(classes), INF))
         for previous in orders:
-            heads, end, position = replay_bounds(partition, previous)
+            heads, end, joined = replay_bounds(partition, previous)
             assert (heads, end) == scan_rule(partition, previous, first), previous.order
-            assert position == {label: i for i, label in enumerate(previous.order)}
+            assert joined == set(previous.order) - set(partition.classes())
         if len(classes) == 1:
             break
         for _ in range(data.draw(st.integers(1, len(classes) - 1), label="joins")):

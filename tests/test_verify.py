@@ -10,6 +10,7 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, Run
                     SetFunctionTable, WeightedGraph, check_consistent, gen_random_graph,
                     graph_cut_table, optimal_set, verify_oracle, verify_table,
                     write_graph, write_table)
+from symcut import verify
 from symcut.brute import check_symmetric, table_submodular, table_symmetric
 from symcut.cli import main
 from symcut.values import set_of, value_below
@@ -116,10 +117,28 @@ def test_verify_table_runs_the_oracle_sweep():
     sweep = [e.name for e in verify_oracle(ConnectivityOracle(table), table.n).entries]
     assert names == ["table-symmetric", "table-submodular"] + sweep
     for name in ("agrees-with-bruteforce[scan]", "agrees-with-bruteforce[maxback]",
-                 "scan-call-bound[scan]", "order-dominates-suffix",
-                 "contraction-preserves-capped-min", "oracle-symmetric",
-                 "oracle-monotone", "oracle-consistent"):
+                 "order-dominates-suffix", "contraction-preserves-capped-min",
+                 "oracle-symmetric", "oracle-monotone", "oracle-consistent"):
         assert name in names
+
+
+def test_a_result_set_that_misses_the_final_tau_fails_its_entry(monkeypatch):
+    # each run as the driver makes it, but with a wrong set returned
+    # together with that set's own value: d(S, rest) equals the returned
+    # value, so only the run's final tau can show the set is not the one
+    # that attained it. The 4-ring's minimum, 2, is {2, 3}; {1} has 6
+    oracle = GraphCutOracle(WeightedGraph(4, [(0, 1, 5), (1, 2, 1), (2, 3, 5), (3, 0, 1)]))
+    solve = verify.optimal_set
+
+    def wrong_set(oracle, n, config=None, observer=None):
+        _, _, stats = solve(oracle, n, config, observer)
+        return {1}, oracle.eval(frozenset({1}), frozenset({0, 2, 3}), INF), stats
+
+    monkeypatch.setattr(verify, "optimal_set", wrong_set)
+    entries = {e.name: e for e in verify_oracle(oracle, 4).entries}
+    for name in ("scan", "queue-heap", "maxback"):
+        entry = entries[f"result-set-attains-value[{name}]"]
+        assert not entry.ok and entry.detail == "d(S, rest) = 6, final tau 2", entry
 
 
 def test_round_records_share_one_snapshot_per_round():
