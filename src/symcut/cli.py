@@ -93,6 +93,12 @@ def _emit_report(args, report):
     print(f"joins_per_round: {stats['joins_per_round']}")
     if "f_value" in report:
         print(f"f(S): {format_value(report['f_value'])}")
+    check = report.get("check")
+    if check is not None and check["ran"]:
+        verdict = "ok" if check["ok"] else "failed"
+        print(f"check: {verdict} (enumerated {format_value(check['expected'])})")
+    elif check is not None:
+        print(f"check: not run ({check['reason']})")
     print(f"wall_ns: {report['wall_ns']}")
 
 

@@ -53,12 +53,14 @@ class LaxOracle:
         provides ``key_tracker(partition, first)`` for incremental prefix
         keys (required by the queue-based order builder, which refuses an
         oracle that is not keyed). `first` is the class the order starts
-        at, or the order the builder made in the round before: the
-        tracker resumes from it, with the replayed prefix but its last
-        class appended and the replay's `rest` keyed by sums over it, if
-        that leaves more than the first class, and otherwise starts at
-        that order's first class (:class:`_KeyTracker`). A tracker only
-        sums keys; the builder alone tests them against tau
+        at, or the order the builder made in the round before, for this
+        oracle on this partition (the builder's gate,
+        :meth:`symcut.order.LaxBackOrder.made_for`): the tracker resumes
+        from it, with the replayed prefix but its last class appended and
+        the replay's `rest` keyed by sums over it, if that leaves more
+        than the first class, and otherwise starts at that order's first
+        class (:class:`_KeyTracker`). A tracker only sums keys; the
+        builder alone tests them against tau
     """
 
     keyed = False
@@ -285,8 +287,12 @@ class _KeyTracker:
 
     A tracker starts at `first`, the first class, with that class
     appended. Or `first` is the previous round's order, a
-    :class:`symcut.order.LaxBackOrder` of the partition before its latest
-    joins with the threshold tau of the build at hand. Then, if the prefix
+    :class:`symcut.order.LaxBackOrder` the queue builder made for this
+    oracle on the partition before its latest joins, with the threshold
+    tau of the build at hand. The tracker checks none of that: it trusts
+    the gate of ``lax_back_order_queue``, which hands on no other order.
+    The gate sits there because the builder's oracle may be a wrapper that
+    forwards ``key_tracker`` to this one. Then, if the prefix
     :func:`symcut.order.replayed_prefix` replays is longer than two
     classes, the tracker resumes with all of it but its last class
     appended, keying each class of the replay's `rest` by the sum of its

@@ -38,9 +38,9 @@ class LaxBackOrder:
     keys always chains back to the first class.
 
     An order also carries three facts about itself that take no part in
-    == or repr: :attr:`position`, :attr:`settled` and :meth:`built_on`.
+    == or repr: :attr:`position`, :attr:`settled` and :meth:`made_for`.
     The queue builder records what it knows of them as it builds; for any
-    other order the first two are computed on first use, and ``built_on``
+    other order the first two are computed on first use, and ``made_for``
     is false.
     """
 
@@ -48,7 +48,7 @@ class LaxBackOrder:
     keys: tuple
     threshold: object
 
-    _partition = None  # the queue builder's weak reference to the partition it built on
+    _made_for = None  # the queue builder's oracle and weak reference to its partition
 
     def __post_init__(self):
         if len(self.order) != len(self.keys):
@@ -68,9 +68,10 @@ class LaxBackOrder:
         keys, tau = self.keys, self.threshold
         return tuple(j for j in range(1, len(keys)) if keys[j] >= tau)
 
-    def built_on(self, partition):
-        """Whether the queue builder made this order on `partition`, this very object."""
-        return self._partition is not None and self._partition() is partition
+    def made_for(self, oracle, partition):
+        """Whether the queue builder made this order for this very `oracle` and `partition`."""
+        made = self._made_for
+        return made is not None and made[0] is oracle and made[1]() is partition
 
     def __reduce__(self):
         # a copy or an unpickled order keeps the fields only: the weak
@@ -131,36 +132,29 @@ def replay_bounds(partition, previous):
     ``end`` is the first position of a retired label or a head, or the
     order's length if there is none, so every class in
     ``previous.order[1:end]`` is live and the same set of elements as when
-    `previous` was built. Costs one lookup per joined label and head. An
-    order that cannot be this partition's, of another class count or
-    without a retired label or head, raises a ValueError.
+    `previous` was built. Costs one lookup per joined label and head.
     """
     order = previous.order
     position = previous.position
     class_of = partition.class_of
-    try:
-        joined = set(partition.retired_since(len(order)))
-        heads = {class_of(x) for x in joined}
-        heads.discard(order[0])
-        end = min([position[x] for x in (*joined, *heads)], default=len(order))
-    except (KeyError, ValueError):
-        raise _foreign_previous() from None
+    joined = set(partition.retired_since(len(order)))
+    heads = {class_of(x) for x in joined}
+    heads.discard(order[0])
+    end = min([position[x] for x in (*joined, *heads)], default=len(order))
     return heads, end, joined
-
-
-def _foreign_previous():
-    return ValueError("previous is not an order of this partition before its latest joins")
 
 
 def replayed_prefix(partition, previous, weights):
     """How much of `previous` a key tracker resumed from it on `partition` replays.
 
     The replay rule, one home for both key trackers. `previous` is an
-    order the queue builder made on this partition before its latest
-    joins, starting at the class of 0, with the threshold tau of the build
-    at hand. ``weights(c, position, limit)`` lists how class c's key grows
-    along ``previous.order[:limit]``: one ``(p, tie, w)`` triple per weight
-    w that the advance of the class at position p would add to it, sorted,
+    order the queue builder made for this oracle on this partition before
+    its latest joins, starting at the class of 0, with the threshold tau of
+    the build at hand: :func:`lax_back_order_queue` hands on no other, and
+    the rule trusts it, so every live class is in the order once.
+    ``weights(c, position, limit)`` lists how class c's key grows along
+    ``previous.order[:limit]``: one ``(p, tie, w)`` triple per weight w
+    that the advance of the class at position p would add to it, sorted,
     so that summing the w from 0 gives c's key exactly as a tracker
     advanced along the prefix does.
 
@@ -174,10 +168,10 @@ def replayed_prefix(partition, previous, weights):
       best head by ``(key, -label)``. Its key is ``previous.keys[j]``, and
       the best head changes only at a head's steps, so the test runs once
       per stretch between them, as a ``min`` over a slice of
-      ``previous.keys``; only a stretch whose minimum ties with the best
-      head's key is searched further, by jumping from one tie to the next.
-      A head that settles holds a key of at least tau, above every
-      replayed key, so the test also ends the replay where a head settles;
+      ``previous.keys``; only a stretch whose minimum is at most the best
+      head's key is walked, to its first losing class. A head that
+      settles holds a key of at least tau, above every replayed key, so
+      the test also ends the replay where a head settles;
     * ``stop``, the end :func:`replay_bounds` finds.
 
     The replayed prefix and its keys are slices of `previous`, as a build
@@ -196,18 +190,12 @@ def replayed_prefix(partition, previous, weights):
     makes that class's key the largest by ``(key, -label)`` at step
     ``end - 1`` and keeps every key there below tau, so the builder's
     queue returns it next and the builder alone settles what its advance
-    reports. Besides the errors of :func:`replay_bounds`, an order with a
-    live class missing, a repeated label among them, raises its
-    ValueError; an order the queue builder made on this very partition
-    object (:meth:`LaxBackOrder.built_on`) holds every live class once, so
-    it skips that check. Past the map lookups, a replay costs the ``min``
-    over the prefix keys and the heads' and ``rest``'s weights, not a pass
-    of Python code over every class.
+    reports. Past the map lookups, a replay costs the ``min`` over the
+    prefix keys and the heads' and ``rest``'s weights, not a pass of Python
+    code over every class.
     """
     order, keys, position = previous.order, previous.keys, previous.position
     heads, stop, joined = replay_bounds(partition, previous)
-    if not previous.built_on(partition) and not position.keys() >= set(partition.classes()):
-        raise _foreign_previous()  # a live class is not in previous
     settled = previous.settled
     if settled and settled[0] < stop:
         stop = settled[0]
@@ -225,18 +213,10 @@ def replayed_prefix(partition, previous, weights):
 
     def failing(lo, hi):
         """The first j in lo..hi-1 where order[j] loses to the best head, or None."""
-        stretch = keys[lo:hi]
-        low = min(stretch, default=INF)
-        if low < best_key:  # some j here loses: walk to the first
+        if min(keys[lo:hi], default=INF) <= best_key:  # some j here may lose
             for j in range(lo, hi):
                 k = keys[j]
                 if k < best_key or (k == best_key and order[j] > best_head):
-                    return j
-        elif low == best_key:  # only a tie can lose
-            j = lo - 1
-            for _ in range(stretch.count(best_key)):
-                j = keys.index(best_key, j + 1, hi)
-                if order[j] > best_head:
                     return j
         return None
 
@@ -273,8 +253,9 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     ``-INF < key < tau``; only one that fails is tested finite,
     ``values.finite_key`` raising if it is not, and then settled.
 
-    Replay. `previous` is the order this builder made in the round before,
-    on the same partition before that round's joins. When it starts at the
+    Replay. `previous` is a hint, the order this builder made in the round
+    before, for the same oracle on the same partition before that round's
+    joins. When it is that (:meth:`LaxBackOrder.made_for`), starts at the
     same class and was built with the same threshold tau, the tracker is
     made from it, ``oracle.key_tracker(partition, previous)``, and may
     resume with the part of ``previous.order`` that :func:`replayed_prefix`
@@ -286,14 +267,17 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     next, and its advance reports and settles through the loop below like
     every other step's. The bucket queue never sees a replayed key, but
     the same key of the same class was in its queue the round before,
-    below the same threshold.
+    below the same threshold. Any other `previous`, made by hand, copied,
+    unpickled, or made for another oracle or partition, is ignored and the
+    build runs from scratch, as it does after a change of threshold:
+    nothing ties its keys to this build.
 
     The order records what the build knew (:class:`LaxBackOrder`): its
-    ready appends as ``settled``, the partition it was built on, and, on a
-    resumed build, ``position``: ``previous.position`` less the labels the
-    latest joins retired, with the classes appended after the prefix
-    written in. A build from scratch leaves ``position`` to be computed
-    when a replay first reads it.
+    ready appends as ``settled``, the oracle and partition it was made
+    for, and, on a resumed build, ``position``: ``previous.position`` less
+    the labels the latest joins retired, with the classes appended after
+    the prefix written in. A build from scratch leaves ``position`` to be
+    computed when a replay first reads it.
 
     Returns (order, update_count) where update_count is the number of
     update_key operations performed: replayed appends and settled classes
@@ -303,7 +287,8 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
         raise TypeError("queue builder needs an oracle with incremental key support")
     require_queue_kind(queue_kind)
     first = partition.class_of(0)
-    if previous is not None and previous.order[0] == first and previous.threshold == tau:
+    if (previous is not None and previous.made_for(oracle, partition)
+            and previous.order[0] == first and previous.threshold == tau):
         tracker = oracle.key_tracker(partition, previous)
     else:
         tracker = oracle.key_tracker(partition, first)
@@ -355,7 +340,7 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     made = LaxBackOrder(tuple(order), tuple(keys), tau)
     known = vars(made)  # what the build knew, read by the next round's replay
     known["settled"] = tuple(settled)
-    known["_partition"] = weakref.ref(partition)
+    known["_made_for"] = oracle, weakref.ref(partition)
     if end > 1:
         position = previous.position.copy()
         for x in partition.retired_since(len(previous.order)):

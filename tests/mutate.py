@@ -139,9 +139,20 @@ MUTANTS = [
            ("tests/test_order_facts.py",)),
     # any order the builder made counts as made on this partition
     Mutant("built-on-any-partition", "src/symcut/order.py",
-           "self._partition() is partition",
-           "self._partition() is not None",
+           "made[1]() is partition",
+           "made[1]() is not None",
            ("tests/test_order_facts.py",)),
+    # any order the builder made counts as made for this oracle
+    Mutant("made-for-any-oracle", "src/symcut/order.py",
+           "made[0] is oracle and ",
+           "",
+           ("tests/test_replay.py",)),
+    # the head test lets a class that ties with the best head's key pass,
+    # whatever its label
+    Mutant("head-ties-skipped", "src/symcut/order.py",
+           "min(keys[lo:hi], default=INF) <= best_key",
+           "min(keys[lo:hi], default=INF) < best_key",
+           ("tests/test_replay.py",)),
     # the driver returns the final value unchecked, a NaN included
     Mutant("final-value-unchecked", "src/symcut/driver.py",
            "    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),\n"

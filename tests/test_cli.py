@@ -90,6 +90,20 @@ class TestMincut:
         report = json.loads(capsys.readouterr().out)
         assert report["check"] == {"ran": True, "ok": True, "expected": 3}
 
+    def test_check_flag_without_json_reports_the_check(self, triangle_file, capsys):
+        assert main(["mincut", triangle_file, "--check"]) == 0
+        assert "check: ok (enumerated 3)\n" in capsys.readouterr().out
+
+    def test_check_past_enumeration_limit_without_json_says_not_run(self, tmp_path,
+                                                                     capsys):
+        assert main(["gen", "--n", "24", "--p", "0.3", "--seed", "1", "--connected"]) == 0
+        path = tmp_path / "gen.graph"
+        path.write_text(capsys.readouterr().out)
+        assert main(["mincut", str(path), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "check: not run (instance too large to enumerate)\n" in out
+        assert "check: ok" not in out
+
     def test_check_skipped_past_enumeration_limit(self, big_graph_file, capsys):
         start = time.perf_counter()
         assert main(["mincut", big_graph_file, "--check", "--json"]) == 0
@@ -224,6 +238,14 @@ class TestMinimize:
         best = min(f[m] for m in range(1, (1 << 5) - 1))
         assert report["f_value"] == best
         assert report["check"]["ok"] is True
+
+    def test_check_flag_without_json_reports_the_check(self, tmp_path, capsys):
+        table = graph_cut_table(gen_random_graph(5, 0.8, 6, seed=4, connected=True))
+        path = tmp_path / "f.table"
+        path.write_text(write_table(table))
+        assert main(["minimize", "--table", str(path), "--check"]) == 0
+        best = min(table.table_values[1:-1])
+        assert f"check: ok (enumerated {best})\n" in capsys.readouterr().out
 
     def test_table_takes_the_scan_builder(self, tmp_path, capsys):
         # a table's oracle has no keys, so the rule scans its orders: evals

@@ -6,9 +6,11 @@ The replay must change nothing but the work done: every round's order,
 keys and threshold must equal those of a build from scratch on the same
 partition. The differential here rebuilds every round from scratch beside
 the driver's own build and compares the two. A replay that stops early
-still builds the same orders, so the total queue updates of two ring runs
-are pinned too, and the heads and replay end read from the partition's
-retired-label log are compared with a pass over every class.
+still builds the same orders, so the work counts of five seeded runs are
+pinned too, and the heads and replay end read from the partition's
+retired-label log are compared with a pass over every class. The builder
+replays only an order it made for the same oracle on the same partition;
+any other `previous` gives the build from scratch.
 """
 
 import random
@@ -17,8 +19,8 @@ from contextlib import contextmanager
 import pytest
 
 from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
-                    MinimizeConfig, WeightedGraph, driver, gen_random_hypergraph,
-                    optimal_set)
+                    MinimizeConfig, WeightedGraph, driver, gen_random_graph,
+                    gen_random_hypergraph, optimal_set)
 from symcut.order import LaxBackOrder, lax_back_order_queue, replay_bounds
 from symcut.partition import Partition
 from test_driver import run_optimized
@@ -30,7 +32,10 @@ FLOATS = [0.1, 1 / 3, 2.5, 0.7, 1e-3, 7.25]
 
 
 def _weight(r, kind, low, high):
-    return r.randint(low, high) if kind == "int" else r.uniform(low, high)
+    if kind == "int":
+        return r.randint(low, high)
+    weight = r.uniform(low, high)
+    return round(weight, 2) if kind == "cents" else weight
 
 
 def noisy_ring(n, seed, kind):
@@ -155,27 +160,46 @@ BOGUS_KEYS = (INF, 3, 3, 3, 5)  # its keys at tau = 5: 1 settles at 6 on the adv
 
 @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
 def test_replay_falls_back_to_a_full_build(queue_kind):
-    def built(tau, previous=None):
-        return lax_back_order_queue(RING5, Partition(5), tau, queue_kind,
-                                    previous=previous)
+    partition = Partition(5)
 
-    scratch, scratch_updates = built(5)
-    assert scratch.order == (0, 1, 2, 3, 4)
-    # on an unchanged partition there are no heads, and the replay follows
-    # `previous` up to the step where a class settles, 0, 4, 3, 2; the
-    # resume appends all but its last class, and the queue then picks by
-    # the actual keys, where 1 ties with 2 at 3 and wins by label
-    assert built(5, LaxBackOrder(BOGUS, BOGUS_KEYS, 5)) == (
-        LaxBackOrder((0, 4, 3, 1, 2), BOGUS_KEYS, 5), 0)
-    for previous in (LaxBackOrder((1, 4, 3, 2, 0), BOGUS_KEYS, 5),  # another first
+    def built(tau, previous=None):
+        return lax_back_order_queue(RING5, partition, tau, queue_kind, previous=previous)
+
+    scratch = built(5)
+    assert scratch == (LaxBackOrder((0, 1, 2, 3, 4), (INF, 3, 3, 3, 5), 5), 2)
+    # the first three are made by hand. The last two of them hold every
+    # live class once, start at the class of 0 and have the threshold at
+    # hand, but their keys are not this ring's: a replay of them would
+    # give keys (INF, 1, 1, 1, 5)
+    for previous in (LaxBackOrder(BOGUS, BOGUS_KEYS, 5),
+                     LaxBackOrder((0, 1, 2, 3, 4), (INF, 1, 1, 1, 1), 5),
+                     LaxBackOrder((0, 2, 4, 1, 3), (INF, 1, 1, 1, 1), 5),
+                     LaxBackOrder((1, 4, 3, 2, 0), BOGUS_KEYS, 5),  # another first
                      LaxBackOrder(BOGUS, BOGUS_KEYS, 4),  # a threshold below tau
                      LaxBackOrder(BOGUS, (INF,) * 5, INF)):  # a threshold above tau
-        assert built(5, previous) == (scratch, scratch_updates)
+        assert built(5, previous) == scratch
     # the keys of an order with a higher threshold are no keys of this one:
     # following the uncapped order would record the last key as 6, not 3
     uncapped, _ = built(INF)
     assert uncapped.keys == (INF, 3, 3, 3, 6)
     assert built(3, uncapped) == built(3)
+
+
+def test_an_order_made_for_another_oracle_is_ignored():
+    # built on this very partition at this threshold, but for a ring of
+    # other weights: a replay of it would give its own order with keys
+    # (INF, 3, 3, 3, 5, 5)
+    def ring(weights):
+        return GraphCutOracle(WeightedGraph(6, [(v, (v + 1) % 6, w)
+                                                for v, w in enumerate(weights)]))
+
+    made_for, other = ring([3] * 6), ring([1, 4, 2, 5, 1, 4])
+    partition = Partition(6)
+    previous, _ = lax_back_order_queue(made_for, partition, 6)
+    assert previous.order == (0, 1, 2, 3, 4, 5)
+    scratch = lax_back_order_queue(other, partition, 6)
+    assert scratch == (LaxBackOrder((0, 5, 1, 2, 3, 4), (INF, 4, 1, 4, 2, 6), 6), 3)
+    assert lax_back_order_queue(other, partition, 6, previous=previous) == scratch
 
 
 @pytest.mark.parametrize("queue_kind", ["heap", "bucket"])
@@ -247,7 +271,8 @@ def test_a_foreign_previous_order_is_refused_under_optimize():
     # four orders this partition never had: one of another class count,
     # one without the label the join retired, one with a label the
     # partition never had where the replay would read its key, and one
-    # whose label 3 repeats after the replay end
+    # whose label 3 repeats after the replay end. The builder made none of
+    # them, so each gives the build from scratch
     script = """
 from symcut import GraphCutOracle, INF, WeightedGraph
 from symcut.order import LaxBackOrder, lax_back_order_queue
@@ -256,29 +281,57 @@ from symcut.partition import Partition
 oracle = GraphCutOracle(WeightedGraph(5, [(v, (v + 1) % 5, 3) for v in range(5)]))
 partition = Partition(5)
 partition.join(1, 2)
+scratch = lax_back_order_queue(oracle, partition, INF)
 for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4), (0, 3, 2, 1, 3)]:
-    try:
-        lax_back_order_queue(oracle, partition, INF,
-                             previous=LaxBackOrder(labels, (INF,) * len(labels), INF))
-    except ValueError as exc:
-        print(exc)
+    previous = LaxBackOrder(labels, (INF,) * len(labels), INF)
+    print(lax_back_order_queue(oracle, partition, INF, previous=previous) == scratch)
 """
     result = run_optimized(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (
-        "previous is not an order of this partition before its latest joins\n" * 4)
+    assert result.stdout == "True\n" * 4
 
 
-# total queue updates of the laxback and maxback runs with the heap queue
-# on ("ring", 300, "int"), the updates of each replayed prefix's last
-# class's advance among them: a replay that stops early builds the same
-# orders, so only this total shows it
-REPLAY_UPDATES = {"laxback": 1803, "maxback": 2002}
+# seeded runs whose work counts are pinned, each a () -> (oracle, n)
+WORK_RUNS = {
+    "ring-300": lambda: (build("ring", 300, "int"), 300),
+    "hyper-ring-150": lambda: (build("hyper-ring", 150, "int"), 150),
+    "graph-300": lambda: (GraphCutOracle(gen_random_graph(300, 10 / 299, 10, seed=3,
+                                                          connected=True)), 300),
+    "hypergraph-200": lambda: (HypergraphCutOracle(gen_random_hypergraph(200, 800, 10,
+                                                                         seed=4)), 200),
+    "cents-ring-120": lambda: (GraphCutOracle(noisy_ring(120, 120, "cents")), 120),
+}
+WORK_FIELDS = ("value", "rounds", "joins", "classes built", "update_key calls",
+               "oracle calls")
+# (run, algorithm) -> the WORK_FIELDS of its heap-queue solve. A replay that
+# stops early builds the same orders, so only the update_key calls show it;
+# a change here must say why
+WORK = {
+    ("ring-300", "laxback"): (10, 250, 299, 32764, 1803, 301),
+    ("ring-300", "maxback"): (10, 299, 299, 45149, 2002, 1),
+    ("hyper-ring-150", "laxback"): (15, 18, 149, 624, 686, 151),
+    ("hyper-ring-150", "maxback"): (15, 149, 149, 11324, 2218, 1),
+    ("graph-300", "laxback"): (1, 1, 299, 300, 0, 301),
+    ("graph-300", "maxback"): (1, 299, 299, 45149, 171245, 1),
+    ("hypergraph-200", "laxback"): (16, 2, 199, 202, 440, 201),
+    ("hypergraph-200", "maxback"): (16, 199, 199, 20099, 116864, 1),
+    ("cents-ring-120", "laxback"): (10.33, 119, 119, 7259, 338, 121),
+    ("cents-ring-120", "maxback"): (10.33, 119, 119, 7259, 356, 1),
+}
 
 
-@pytest.mark.parametrize("algorithm", sorted(REPLAY_UPDATES))
-def test_the_replay_goes_as_far_as_it_did(algorithm):
-    oracle = build("ring", 300, "int")
+def work_counts(name, algorithm):
+    oracle, n = WORK_RUNS[name]()
     config = MinimizeConfig(algorithm=algorithm, order_builder="queue")
-    _, _, stats = optimal_set(oracle, 300, config)
-    assert sum(ops for _, ops in stats.calls_per_order) == REPLAY_UPDATES[algorithm]
+    _, value, stats = optimal_set(oracle, n, config)
+    return (value, stats.rounds, sum(stats.joins_per_round),
+            sum(k for k, _ in stats.calls_per_order),
+            sum(ops for _, ops in stats.calls_per_order), stats.oracle_calls)
+
+
+@pytest.mark.parametrize("name,algorithm", sorted(WORK))
+def test_work_counts_are_pinned(name, algorithm):
+    pinned, counts = WORK[name, algorithm], work_counts(name, algorithm)
+    changed = [f"{field}: {old} -> {new}"
+               for field, old, new in zip(WORK_FIELDS, pinned, counts) if old != new]
+    assert not changed, "; ".join(changed)
