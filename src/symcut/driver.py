@@ -46,9 +46,7 @@ class MinimizeConfig:
                     builder uses no queue and accepts only the default
 
     Every order starts at the class holding element 0. Any start gives a
-    valid order and the same minimum; the driver never joins that class
-    away (it heads its run, and maxback joins the last class into the one
-    before it), so its label stays 0.
+    valid order and the same minimum.
     """
 
     algorithm: str = "laxback"

@@ -42,10 +42,12 @@ class LaxOracle:
     prefix, the driver's one complement set for all singleton probes).
 
     The id rule: every id a caller passes lies in 0..n-1. The solver passes
-    only unions of partition classes, so it keeps the rule by construction;
-    an oracle need not check it. The cut oracles refuse a bad id on the
-    side they walk and only test the other side for membership, so a bad
-    id there is not reported.
+    only unions of the classes of its own n elements, so it keeps the rule
+    when that n is the oracle's; an oracle need not check it. The cut
+    oracles refuse a bad id on the side they walk and only test the other
+    side for membership, so a bad id there is not reported. The table
+    oracle refuses an id past its table's n on either side with a
+    ValueError, not the bare IndexError of a read past the table.
 
     Capability flag:
 
@@ -58,8 +60,8 @@ class LaxOracle:
         :meth:`symcut.order.LaxBackOrder.made_for`): the tracker resumes
         from it, with the replayed prefix but its last class appended and
         the replay's `rest` keyed by sums over it, if that leaves more
-        than the first class, and otherwise starts at that order's first
-        class (:class:`_KeyTracker`). A tracker only sums keys; the
+        than the first class, and otherwise starts at the class of 0
+        (:class:`_KeyTracker`). A tracker only sums keys; the
         builder alone tests them against tau
     """
 
@@ -299,7 +301,9 @@ class _KeyTracker:
     weights over the appended positions, ``_weights(c, position, limit)``
     (the `weights` of ``replayed_prefix``); a hypergraph marks each
     hyperedge summed, as the prefix's advances would. Otherwise it starts
-    at that order's first class. The prefix's last class heads `rest` with
+    at the live class holding the order's first label: a label never
+    leaves the class of element 0, so that is the class of 0, whatever
+    joins renamed or grew it. The prefix's last class heads `rest` with
     the largest key, so the builder's queue returns it next and settles
     what its ``advance`` reports, as for every other step.
     """
@@ -321,7 +325,7 @@ class _KeyTracker:
                             hit[e] = True
                     keys[c] = key
                 return
-            first = first.order[0]
+            first = partition.class_of(first.order[0])
         self.keys = dict.fromkeys(partition.classes(), 0)
         self.pop = self.keys.pop
         self.advance(first)
@@ -691,7 +695,11 @@ class ConnectivityOracle(LaxOracle):
         f = self.table.table_values
         s = mask_of(left)
         t = mask_of(right)
-        return min(tau, f[s] + f[t] - f[s | t])
+        union = s | t
+        if union >= len(f):
+            raise ValueError(f"element {union.bit_length() - 1} is not one of the "
+                             f"table's {self.table.n} elements")
+        return min(tau, f[s] + f[t] - f[union])
 
 
 class ThresholdedOracle(LaxOracle):

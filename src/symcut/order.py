@@ -127,11 +127,11 @@ def replay_bounds(partition, previous):
     `previous` is an order of this partition before its latest joins; the
     labels those joins retired are
     ``partition.retired_since(len(previous.order))``. The heads are the live
-    classes now holding them, ``previous.order[0]`` excepted. Returns
+    classes now holding them, the class of 0 included. Returns
     (heads, end, joined): ``joined`` is the set of retired labels, and
     ``end`` is the first position of a retired label or a head, or the
     order's length if there is none, so every class in
-    ``previous.order[1:end]`` is live and the same set of elements as when
+    ``previous.order[:end]`` is live and the same set of elements as when
     `previous` was built. Costs one lookup per joined label and head.
     """
     order = previous.order
@@ -139,7 +139,6 @@ def replay_bounds(partition, previous):
     class_of = partition.class_of
     joined = set(partition.retired_since(len(order)))
     heads = {class_of(x) for x in joined}
-    heads.discard(order[0])
     end = min([position[x] for x in (*joined, *heads)], default=len(order))
     return heads, end, joined
 
@@ -149,7 +148,7 @@ def replayed_prefix(partition, previous, weights):
 
     The replay rule, one home for both key trackers. `previous` is an
     order the queue builder made for this oracle on this partition before
-    its latest joins, starting at the class of 0, with the threshold tau of
+    its latest joins, whatever they were, with the threshold tau of
     the build at hand: :func:`lax_back_order_queue` hands on no other, and
     the rule trusts it, so every live class is in the order once.
     ``weights(c, position, limit)`` lists how class c's key grows along
@@ -172,7 +171,7 @@ def replayed_prefix(partition, previous, weights):
       head's key is walked, to its first losing class. A head that
       settles holds a key of at least tau, above every replayed key, so
       the test also ends the replay where a head settles;
-    * ``stop``, the end :func:`replay_bounds` finds.
+    * ``stop``, the end :func:`replay_bounds` finds, 0 after a join on the class of 0.
 
     The replayed prefix and its keys are slices of `previous`, as a build
     from scratch would make them. A class that is neither a head nor
@@ -199,7 +198,7 @@ def replayed_prefix(partition, previous, weights):
     settled = previous.settled
     if settled and settled[0] < stop:
         stop = settled[0]
-    if stop == 1:
+    if stop <= 1:
         return 1, None
     steps = []  # (position, head, the head's key once that position is appended)
     for h in heads:
@@ -255,8 +254,8 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
 
     Replay. `previous` is a hint, the order this builder made in the round
     before, for the same oracle on the same partition before that round's
-    joins. When it is that (:meth:`LaxBackOrder.made_for`), starts at the
-    same class and was built with the same threshold tau, the tracker is
+    joins. When it is that (:meth:`LaxBackOrder.made_for`), whatever the
+    joins, and was built with the same threshold tau, the tracker is
     made from it, ``oracle.key_tracker(partition, previous)``, and may
     resume with the part of ``previous.order`` that :func:`replayed_prefix`
     replays, all but its last class, already appended; the result is still
@@ -288,7 +287,7 @@ def lax_back_order_queue(oracle, partition, tau=INF, queue_kind="heap", *, previ
     require_queue_kind(queue_kind)
     first = partition.class_of(0)
     if (previous is not None and previous.made_for(oracle, partition)
-            and previous.order[0] == first and previous.threshold == tau):
+            and previous.threshold == tau):
         tracker = oracle.key_tracker(partition, previous)
     else:
         tracker = oracle.key_tracker(partition, first)

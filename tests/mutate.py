@@ -153,6 +153,22 @@ MUTANTS = [
            "min(keys[lo:hi], default=INF) <= best_key",
            "min(keys[lo:hi], default=INF) < best_key",
            ("tests/test_replay.py",)),
+    # the class of 0 is no head, so a replay after it grew reads stale keys
+    Mutant("first-class-excepted-from-heads", "src/symcut/order.py",
+           "    heads = {class_of(x) for x in joined}\n",
+           "    heads = {class_of(x) for x in joined}\n    heads.discard(order[0])\n",
+           ("tests/test_replay.py",)),
+    # a tracker that replays nothing starts at the order's first label,
+    # which a join may have retired
+    Mutant("tracker-starts-at-a-retired-first-class", "src/symcut/oracles.py",
+           "first = partition.class_of(first.order[0])",
+           "first = first.order[0]",
+           ("tests/test_replay.py",)),
+    # an order built at another threshold is replayed too
+    Mutant("gate-ignores-threshold", "src/symcut/order.py",
+           "previous.made_for(oracle, partition)\n            and previous.threshold == tau)",
+           "previous.made_for(oracle, partition))",
+           ("tests/test_replay.py",)),
     # the driver returns the final value unchecked, a NaN included
     Mutant("final-value-unchecked", "src/symcut/driver.py",
            "    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),\n"

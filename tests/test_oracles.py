@@ -10,7 +10,7 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InstanceError, SetFunctionTable,
                     WeightedGraph, gen_random_graph, gen_random_hypergraph,
-                    graph_cut_table, values_equal)
+                    graph_cut_table, optimal_set, values_equal)
 from symcut.oracles import MAX_VERTICES, InducedOracle, ThresholdedOracle
 from symcut.partition import Partition
 from symcut.values import set_of
@@ -375,6 +375,21 @@ class TestConnectivity:
             s = frozenset(v for v in range(3) if mask >> v & 1)
             t = full - s
             assert o.eval(s, t) == 2 * triangle_oracle.eval(s, t)
+
+    FIVE = ConnectivityOracle(graph_cut_table(gen_random_graph(5, 0.8, 5, seed=1,
+                                                               connected=True)))
+
+    @pytest.mark.parametrize("left, right, bad", [
+        (F(5), F(0), 5), (F(0), F(1, 6), 6), (F(7, 2), F(), 7)])
+    def test_element_past_the_table_refused(self, left, right, bad):
+        # unchecked, a read past the table is a bare IndexError; either side is tested
+        with pytest.raises(ValueError, match=f"element {bad} is not one of the "
+                                             "table's 5 elements"):
+            self.FIVE.eval(left, right)
+
+    def test_solver_with_more_elements_than_the_table_refused(self):
+        with pytest.raises(ValueError, match="is not one of the table's 5 elements"):
+            optimal_set(self.FIVE, 7)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_table_value_rejected(self, bad):

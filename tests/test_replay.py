@@ -10,7 +10,10 @@ still builds the same orders, so the work counts of five seeded runs are
 pinned too, and the heads and replay end read from the partition's
 retired-label log are compared with a pass over every class. The builder
 replays only an order it made for the same oracle on the same partition;
-any other `previous` gives the build from scratch.
+any other `previous` gives the build from scratch. Such an order replays
+after any joins on the partition, those that grow or rename the class of
+0 included, and a seeded differential replays every earlier order of
+random builds against the build from scratch.
 """
 
 import random
@@ -228,13 +231,82 @@ def test_two_heads_settling_on_one_advance_end_the_replay(queue_kind):
     assert (updates, scratch_updates) == (1, 2)
 
 
-def scan_rule(partition, previous, first):
+def test_a_grown_class_of_0_ends_the_replay():
+    # the class of 0 absorbs 2, which comes after 3 and 1 in the order: the
+    # class of 0 is a head at position 0, so nothing is replayed. Followed,
+    # the order would keep 3 second, keys (INF, 3, 7)
+    oracle = GraphCutOracle(WeightedGraph(4, [(0, 1, 2), (1, 2, 5), (2, 3, 1), (3, 0, 3)]))
+    partition = Partition(4)
+    previous, _ = lax_back_order_queue(oracle, partition, INF)
+    assert previous.order == (0, 3, 1, 2)
+    partition.join(0, 2)
+    scratch = lax_back_order_queue(oracle, partition, INF)
+    assert scratch == (LaxBackOrder((0, 1, 3), (INF, 7, 4), INF), 0)
+    assert lax_back_order_queue(oracle, partition, INF, previous=previous) == scratch
+
+
+def random_instance(r):
+    """A keyed oracle on 3..11 elements with int, 2-decimal or float weights, zeros included."""
+    n = r.randint(3, 11)
+    kind = r.choice(["int", "cents", "float"])
+
+    def weight():
+        return 0 if r.random() < 0.15 else _weight(r, kind, 1, 6)
+
+    if r.random() < 0.5:
+        pairs = [tuple(r.sample(range(n), 2)) for _ in range(r.randint(n - 1, 3 * n))]
+        oracle = GraphCutOracle(WeightedGraph(n, [(u, v, weight()) for u, v in pairs]))
+    else:
+        oracle = HypergraphCutOracle(Hypergraph(n, [
+            (weight(), r.sample(range(n), r.randint(2, min(n, 4))))
+            for _ in range(r.randint(n - 1, 2 * n))]))
+    return oracle, n, kind
+
+
+def test_replay_after_any_joins_equals_a_build_from_scratch():
+    # seeded instances, each built at random thresholds on one partition
+    # with a few arbitrary joins between builds, the class of 0 grown or
+    # renamed as any other. Before each build every order made so far is
+    # replayed at its own threshold: the log covers the joins of any
+    # number of rounds, and the result must be the build from scratch
+    replays, wrong = 0, []
+    for seed in range(200):
+        r = random.Random(seed)
+        oracle, n, kind = random_instance(r)
+        queue_kind = r.choice(["heap", "bucket"]) if kind == "int" else "heap"
+        partition = Partition(n)
+        made = []
+        while True:
+            for previous in made:
+                tau = previous.threshold
+                scratch, _ = lax_back_order_queue(oracle, partition, tau, queue_kind)
+                order, _ = lax_back_order_queue(oracle, partition, tau, queue_kind,
+                                                previous=previous)
+                replays += 1
+                if order != scratch:
+                    wrong.append((seed, previous, order, scratch))
+            if r.random() < 0.3:
+                tau = INF
+            else:
+                tau = r.randint(1, 12) if kind == "int" else round(r.uniform(0.5, 12), 2)
+            made.append(lax_back_order_queue(oracle, partition, tau, queue_kind,
+                                             previous=made[-1] if made else None)[0])
+            k = partition.class_count
+            if k == 1:
+                break
+            for _ in range(r.randint(1, max(1, k // 3))):
+                dst, src = r.sample(partition.classes(), 2)
+                partition.join(dst, src)
+    assert not wrong, f"{len(wrong)} of {replays} replays differ, first {wrong[0]}"
+    assert replays > 2000
+
+
+def scan_rule(partition, previous):
     """The heads and replay end found by a pass over every class of `previous`."""
     live = set(partition.classes())
-    heads = {partition.class_of(x) for x in previous.order[1:] if x not in live}
-    heads.discard(first)
-    end = 1
-    for v in previous.order[1:]:
+    heads = {partition.class_of(x) for x in previous.order if x not in live}
+    end = 0
+    for v in previous.order:
         if v not in live or v in heads:
             break
         end += 1
@@ -244,9 +316,10 @@ def scan_rule(partition, previous, first):
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 14), data=st.data())
 def test_replay_bounds_match_a_pass_over_every_class(n, data):
-    # random orders of random partitions, joined round by round; every
-    # order made so far is checked against the current partition, since
-    # the log covers the joins of any number of rounds
+    # random orders of random partitions, joined round by round, the class
+    # of 0 grown or renamed as any other; every order made so far is
+    # checked against the current partition, since the log covers the
+    # joins of any number of rounds
     partition = Partition(n)
     orders = []
     while True:
@@ -256,14 +329,12 @@ def test_replay_bounds_match_a_pass_over_every_class(n, data):
         orders.append(LaxBackOrder((first, *rest), (INF,) * len(classes), INF))
         for previous in orders:
             heads, end, joined = replay_bounds(partition, previous)
-            assert (heads, end) == scan_rule(partition, previous, first), previous.order
+            assert (heads, end) == scan_rule(partition, previous), previous.order
             assert joined == set(previous.order) - set(partition.classes())
         if len(classes) == 1:
             break
         for _ in range(data.draw(st.integers(1, len(classes) - 1), label="joins")):
             dst, src = data.draw(st.permutations(partition.classes()), label="pair")[:2]
-            if src == first:
-                dst, src = src, dst  # the class of 0 keeps its label, as in the driver
             partition.join(dst, src)
 
 
