@@ -13,7 +13,7 @@ per-round checks) lives in its submodules.
 """
 
 from .brute import brute_min_bipartition, check_consistent, check_monotone
-from .driver import MinimizeConfig, RunStats, optimal_set
+from .driver import MinimizeConfig, RoundStats, RunStats, optimal_set
 from .instances import (ParseError, gen_random_graph, gen_random_hypergraph,
                         load_instance, parse_graph, parse_hypergraph,
                         parse_table, write_graph, write_hypergraph,
@@ -31,7 +31,7 @@ __all__ = [
     "LaxOracle", "InstanceError", "WeightedGraph", "GraphCutOracle", "Hypergraph",
     "HypergraphCutOracle", "SetFunctionTable", "ConnectivityOracle",
     "graph_cut_table",
-    "MinimizeConfig", "RunStats", "optimal_set",
+    "MinimizeConfig", "RunStats", "RoundStats", "optimal_set",
     "brute_min_bipartition", "check_monotone", "check_consistent",
     "ParseError", "parse_graph", "write_graph", "parse_hypergraph",
     "write_hypergraph", "parse_table", "write_table", "load_instance",

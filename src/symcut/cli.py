@@ -90,7 +90,7 @@ def _emit_report(args, report):
     stats = report["stats"]
     print(f"rounds: {stats['rounds']}")
     print(f"oracle_calls: {stats['oracle_calls']}")
-    print(f"joins_per_round: {stats['joins_per_round']}")
+    print(f"joins: {[r['joins'] for r in stats['per_round']]}")
     if "f_value" in report:
         print(f"f(S): {format_value(report['f_value'])}")
     check = report.get("check")

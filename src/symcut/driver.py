@@ -54,28 +54,36 @@ class MinimizeConfig:
     queue_kind: str = "heap"
 
 
+@dataclass(frozen=True, slots=True)
+class RoundStats:
+    """What one round did, one meaning per field."""
+
+    classes: int  # k, the classes in the round's order
+    joins: int  # the pairs the round contracted
+    evals: int  # the scan build's oracle calls; 0 on the queue path
+    # the queue build's update_key calls, made only for classes below tau
+    # (replayed appends and settled classes make none); 0 on the scan path
+    key_updates: int
+    tau: object  # the running best after the round
+
+
 @dataclass
 class RunStats:
     rounds: int = 0
-    # eval calls: the n singleton probes (every laxback path), scan builds
-    # and the final value
+    # every eval of the solve: the n singleton probes (every laxback path),
+    # the scan builds' and the final value's
     oracle_calls: int = 0
-    joins_per_round: list = field(default_factory=list)
-    # (class count, builder ops): eval calls for a scan-built order, queue
-    # update_key calls for a queue-built one, made only for classes below
-    # tau (replayed appends and settled classes make none)
-    calls_per_order: list = field(default_factory=list)
+    per_round: list = field(default_factory=list)  # one RoundStats per round
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did (its order built with tau ``order.threshold``), with snapshots."""
+    """One round's stats, its order (built with tau ``order.threshold``) and snapshots."""
 
     index: int
     order: object
     members_before: dict
-    tau_after: object
-    joins: int
+    stats: RoundStats
     members_after: dict
 
 
@@ -167,11 +175,12 @@ def optimal_set(oracle, n, config=None, observer=None):
     members = partition.blocks() if observer is not None else None
     while partition.class_count >= 2:
         build_tau = INF if cfg.algorithm == "maxback" else tau
+        evals = updates = 0
         if builder == "scan":
-            order, ops = lax_back_order_scan(oracle, partition, build_tau)
-            stats.oracle_calls += ops
+            order, evals = lax_back_order_scan(oracle, partition, build_tau)
+            stats.oracle_calls += evals
         else:
-            order, ops = lax_back_order_queue(
+            order, updates = lax_back_order_queue(
                 oracle, partition, build_tau, cfg.queue_kind, previous=order)
 
         last_key = order.keys[-1]
@@ -191,16 +200,15 @@ def optimal_set(oracle, n, config=None, observer=None):
                                    f"last key {last_key}")
 
         stats.rounds += 1
-        stats.joins_per_round.append(joins)
-        stats.calls_per_order.append((len(order.order), ops))
+        round_stats = RoundStats(len(order.order), joins, evals, updates, tau)
+        stats.per_round.append(round_stats)
         if observer is not None:
             members_before, members = members, partition.blocks()
             observer(RoundRecord(
                 index=stats.rounds - 1,
                 order=order,
                 members_before=members_before,
-                tau_after=tau,
-                joins=joins,
+                stats=round_stats,
                 members_after=members,
             ))
 

@@ -723,7 +723,8 @@ class InducedOracle(LaxOracle):
 
     Element i stands for a fixed block of base elements; evaluation expands
     index sets to the union of their blocks. This realizes the function a
-    contraction partition induces on its classes.
+    contraction partition induces on its classes. An index outside
+    0..len(blocks)-1, on either side, is refused with a ValueError.
     """
 
     def __init__(self, base, blocks):
@@ -732,9 +733,13 @@ class InducedOracle(LaxOracle):
 
     def eval(self, left, right, tau=INF):
         _require_disjoint(left, right)
-        lm = frozenset().union(*(self.blocks[i] for i in left)) if left else frozenset()
-        rm = frozenset().union(*(self.blocks[i] for i in right)) if right else frozenset()
-        return self.base.eval(lm, rm, tau)
+        return self.base.eval(self._members(left), self._members(right), tau)
+
+    def _members(self, ids):
+        for i in ids:
+            if not 0 <= i < len(self.blocks):
+                raise ValueError(f"block {i} is not one of the {len(self.blocks)} blocks")
+        return frozenset().union(*(self.blocks[i] for i in ids))
 
 
 def graph_cut_table(graph):

@@ -94,12 +94,12 @@ def check_order_record(oracle, record):
 def check_join_record(record, algorithm):
     """The round's joins are the rule's: its classes after, from those before.
 
-    ``laxback`` joins each run of keys at or above ``tau_after`` into the
-    class at its head; ``maxback`` joins the order's last class into the
-    one before it. Reads only the record's snapshots, so it runs at any n.
-    The witness is the first label, ascending, whose class differs:
-    (label, its class after the round, the class the rule gives), a
-    missing class as None.
+    ``laxback`` joins each run of keys at or above the round's tau,
+    ``record.stats.tau``, into the class at its head; ``maxback`` joins the
+    order's last class into the one before it. Reads only the record's
+    snapshots, so it runs at any n. The witness is the first label,
+    ascending, whose class differs: (label, its class after the round, the
+    class the rule gives), a missing class as None.
     """
     before = record.members_before
     seq = record.order.order
@@ -110,7 +110,7 @@ def check_join_record(record, algorithm):
         head = seq[0]
         want = {head: before[head]}
         for c, key in zip(seq[1:], record.order.keys[1:]):
-            if key >= record.tau_after:
+            if key >= record.stats.tau:
                 want[head] = want[head] | before[c]
             else:
                 head = c
@@ -124,7 +124,7 @@ def check_join_record(record, algorithm):
 
 def check_contraction_record(oracle, record):
     """Contracting threshold-reaching runs must preserve the capped optimum."""
-    tau = record.tau_after
+    tau = record.stats.tau
     before = [record.members_before[c] for c in sorted(record.members_before)]
     after = [record.members_after[c] for c in sorted(record.members_after)]
     optimum_before = brute_min_bipartition(
@@ -177,7 +177,7 @@ def verify_oracle(oracle, n):
             f"agrees-with-bruteforce[{name}]", agree,
             f"value {value} vs {expected.value}"))
         attained = oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)
-        tau = records[-1].tau_after
+        tau = records[-1].stats.tau
         entries.append(VerifyEntry(
             f"result-set-attains-value[{name}]", values_equal(attained, tau),
             f"d(S, rest) = {attained}, final tau {tau}"))
@@ -222,8 +222,8 @@ def _within_maxback(lax, maxback, n):
     every value from n down to 2.
     """
     calls = lax.oracle_calls - n
-    classes = sum(k for k, _ in lax.calls_per_order)
-    max_classes = sum(k for k, _ in maxback.calls_per_order)
+    classes = sum(r.classes for r in lax.per_round)
+    max_classes = sum(r.classes for r in maxback.per_round)
     ok = calls <= maxback.oracle_calls and classes <= max_classes
     return VerifyEntry("laxback-within-maxback", ok,
                        f"calls {calls} (+{n} probes) vs {maxback.oracle_calls}, "

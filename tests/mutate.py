@@ -169,6 +169,16 @@ MUTANTS = [
            "previous.made_for(oracle, partition)\n            and previous.threshold == tau)",
            "previous.made_for(oracle, partition))",
            ("tests/test_replay.py",)),
+    # a queue build counts one update_key call it never made
+    Mutant("queue-build-counts-one-update-too-many", "src/symcut/order.py",
+           "    updates = 0\n",
+           "    updates = 1\n",
+           ("tests/test_work_counts.py",)),
+    # a scan build counts one eval it never made
+    Mutant("scan-build-counts-one-eval-too-many", "src/symcut/order.py",
+           "    calls = 0\n",
+           "    calls = 1\n",
+           ("tests/test_work_counts.py",)),
     # the driver returns the final value unchecked, a NaN included
     Mutant("final-value-unchecked", "src/symcut/driver.py",
            "    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),\n"

@@ -82,7 +82,7 @@ def test_criterion_02_pendant_pair_baseline(corpus_runs):
     for n, graph, expected, _, maxback in corpus_runs:
         best, value, stats, _ = maxback
         if value != expected or stats.rounds != n - 1 \
-                or stats.joins_per_round != [1] * (n - 1):
+                or [r.joins for r in stats.per_round] != [1] * (n - 1):
             bad += 1
     report(2, bad == 0,
            f"pendant-pair baseline matches on all {len(corpus_runs)} graphs "
@@ -150,9 +150,9 @@ def test_criterion_05_scan_call_bound(corpus_runs):
         for name, (_, _, stats, _) in per_config.items():
             if not name.startswith("scan"):
                 continue
-            for k, calls in stats.calls_per_order:
+            for r in stats.per_round:
                 checked += 1
-                if calls > k * (k - 1) // 2:
+                if r.evals > r.classes * (r.classes - 1) // 2:
                     bad += 1
     report(5, bad == 0 and checked > 0,
            f"{checked} scan-built orders within the k(k-1)/2 call bound "

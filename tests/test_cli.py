@@ -209,9 +209,15 @@ def test_json_report_config_and_stats_keys(tmp_path, capsys, command):
     # the oracle chose the builder: a queue for the graph, a scan for the table
     assert report["config"] == {"algorithm": "maxback", "order_builder": None,
                                 "queue_kind": "heap"}
-    assert set(report["stats"]) == {"rounds", "oracle_calls", "joins_per_round",
-                                    "calls_per_order"}
-    assert all(isinstance(x, list) for x in report["stats"]["calls_per_order"])
+    stats = report["stats"]
+    assert set(stats) == {"rounds", "oracle_calls", "per_round"}
+    assert len(stats["per_round"]) == stats["rounds"]
+    assert all(set(r) == {"classes", "joins", "evals", "key_updates", "tau"}
+               for r in stats["per_round"])
+    # each build counts only its own operations: the graph's queue builds
+    # make no evals, the table's scans no key updates
+    idle = "evals" if command == "mincut" else "key_updates"
+    assert all(r[idle] == 0 for r in stats["per_round"])
 
 
 def test_calls_in_one_process_share_the_parser_but_not_their_flags(triangle_file, capsys):

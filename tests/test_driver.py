@@ -11,7 +11,7 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     gen_random_graph, gen_random_hypergraph, graph_cut_table, optimal_set,
                     verify_oracle)
 from symcut import driver
-from symcut.driver import contract_round
+from symcut.driver import RoundStats, contract_round
 from symcut.order import LaxBackOrder
 from symcut.partition import Partition
 from symcut.verify import named_configs
@@ -97,11 +97,11 @@ ring6 = WeightedGraph(6, [(i, (i + 1) % 6, 3) for i in range(6)])
 for queue_kind in ("heap", "bucket"):
     cfg = MinimizeConfig(order_builder="queue", queue_kind=queue_kind)
     _, _, stats = optimal_set(GraphCutOracle(ring4), 4, cfg)
-    if stats.calls_per_order != [(4, 0)]:
-        raise SystemExit(f"{queue_kind}: ring4 {stats.calls_per_order} does not settle all")
+    if [(r.classes, r.key_updates) for r in stats.per_round] != [(4, 0)]:
+        raise SystemExit(f"{queue_kind}: ring4 {stats.per_round} does not settle all")
     _, _, stats = optimal_set(GraphCutOracle(ring6), 6, cfg)
-    if stats.calls_per_order[1] != (5, 0):
-        raise SystemExit(f"{queue_kind}: round 2 {stats.calls_per_order[1]} is no replay")
+    if (stats.per_round[1].classes, stats.per_round[1].key_updates) != (5, 0):
+        raise SystemExit(f"{queue_kind}: round 2 {stats.per_round[1]} is no replay")
 cases = ((ring4, 1, 2, False), (ring4, 1, 2, True), (ring4, 1, 1, False),
          (ring6, 2, 2, False), (ring6, 2, 4, False))
 for ring, from_round, label, on_advance in cases:
@@ -249,7 +249,7 @@ class TestOptimalSet:
         assert value == 3
         assert best == {2}
         assert stats.rounds == 1
-        assert stats.joins_per_round == [2]
+        assert [r.joins for r in stats.per_round] == [2]
 
     def test_two_elements(self):
         o = GraphCutOracle(WeightedGraph(2, [(0, 1, 5)]))
@@ -277,7 +277,7 @@ class TestOptimalSet:
                         MinimizeConfig(algorithm="maxback", order_builder="scan"),
                         MinimizeConfig(order_builder="queue")):
                 _, _, stats = optimal_set(oracle, n, cfg)
-                assert sum(stats.joins_per_round) == n - 1
+                assert sum(r.joins for r in stats.per_round) == n - 1
 
     def test_maxback_contracts_one_pair_per_round(self):
         for seed in range(6):
@@ -286,7 +286,7 @@ class TestOptimalSet:
                                                      connected=True))
             _, _, stats = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"))
             assert stats.rounds == n - 1
-            assert stats.joins_per_round == [1] * (n - 1)
+            assert [r.joins for r in stats.per_round] == [1] * (n - 1)
 
     def test_scan_path_seeds_tau_with_the_best_singleton(self, triangle_oracle):
         best, value, stats = optimal_set(triangle_oracle, 3,
@@ -294,7 +294,8 @@ class TestOptimalSet:
         assert value == 3 and best == {2}
         # 3 singleton probes, 2 scan evals (both reach tau = 3), the final value
         assert stats.oracle_calls == 3 + 2 + 1
-        assert stats.calls_per_order == [(3, 2)]
+        assert stats.per_round == [RoundStats(classes=3, joins=2, evals=2, key_updates=0,
+                                              tau=3)]
 
     def test_best_singleton_keeps_witness_when_threshold_never_drops(self):
         # the min-degree singleton is already optimal here; ties go to label 0
@@ -330,9 +331,9 @@ class TestOptimalSet:
         assert records[0].order.threshold == (3 if laxback else INF)
         # 3 probes on laxback only, the builds' eval calls (a queue build
         # makes none) and the final value
-        scan_evals = sum(ops for _, ops in stats.calls_per_order)
-        assert stats.oracle_calls == ((3 if laxback else 0)
-                                      + (scan_evals if cfg.order_builder == "scan" else 0) + 1)
+        scan_evals = sum(r.evals for r in stats.per_round)
+        assert (scan_evals > 0) == (cfg.order_builder == "scan")
+        assert stats.oracle_calls == (3 if laxback else 0) + scan_evals + 1
 
     def test_invalid_configs(self, triangle_oracle):
         with pytest.raises(ValueError):
@@ -379,12 +380,12 @@ class TestOptimalSet:
         assert stats.oracle_calls == 12 + 1
         # not keyed: every order is scanned, with one eval per builder op
         _, table_value, stats = optimal_set(ConnectivityOracle(table), 12)
-        scan_evals = sum(ops for _, ops in stats.calls_per_order)
+        scan_evals = sum(r.evals for r in stats.per_round)
         assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
         # a forced scan on the keyed oracle
         _, forced_value, stats = optimal_set(GraphCutOracle(graph), 12,
                                              MinimizeConfig(order_builder="scan"))
-        scan_evals = sum(ops for _, ops in stats.calls_per_order)
+        scan_evals = sum(r.evals for r in stats.per_round)
         assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
         assert forced_value == cut_value and 2 * cut_value == table_value
 
@@ -564,8 +565,8 @@ class TestOptimalSet:
         assert rec.order.threshold == 3
         assert rec.members_before == {0: frozenset({0}), 1: frozenset({1}),
                                       2: frozenset({2})}
-        assert rec.tau_after == 3
-        assert rec.joins == 2
+        assert rec.stats is stats.per_round[0]
+        assert (rec.stats.tau, rec.stats.joins) == (3, 2)
         assert len(rec.members_after) == 1
 
     def test_scan_and_queue_agree(self):

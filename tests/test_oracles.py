@@ -464,6 +464,16 @@ class TestInduced:
         induced = InducedOracle(triangle_oracle, [F(0), F(1), F(2)])
         assert induced.eval(F(0), frozenset()) == 0
 
+    THREE = InducedOracle(ConnectivityOracle(graph_cut_table(
+        gen_random_graph(4, 0.8, 5, seed=1, connected=True))), [F(0), F(1), F(2, 3)])
+
+    @pytest.mark.parametrize("left, right, bad", [
+        (F(-1), F(0), -1), (F(3), F(0), 3), (F(0), F(1, -1), -1), (F(1), F(0, 3), 3)])
+    def test_block_outside_the_blocks_refused(self, left, right, bad):
+        # unchecked, -1 reads the last block and 3 is a bare IndexError
+        with pytest.raises(ValueError, match=f"^block {bad} is not one of the 3 blocks$"):
+            self.THREE.eval(left, right)
+
 
 def test_graph_cut_table_values(triangle):
     table = graph_cut_table(triangle)

@@ -243,8 +243,8 @@ def test_settled_classes_get_no_update_in_a_run(queue_kind, monkeypatch):
             updates.clear()
             records = []
             _, _, stats = optimal_set(oracle, 12, config, observer=records.append)
-            # calls_per_order counts exactly the queue's update_key calls
-            assert [len(calls) for calls in updates] == [ops for _, ops in stats.calls_per_order]
+            # key_updates counts exactly the queue's update_key calls
+            assert [len(calls) for calls in updates] == [r.key_updates for r in stats.per_round]
             for record, calls, report in zip(records, updates, oracle.reports, strict=True):
                 tau = record.order.threshold
                 assert all(key < tau for _, key in calls)

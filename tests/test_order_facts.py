@@ -109,8 +109,8 @@ def test_a_round_that_lowers_tau_contracts_every_key_reaching_it(monkeypatch):
     _, value, _ = optimal_set(GraphCutOracle(light_ring(30, 1, (1, 16))), 30,
                              observer=records.append)
     assert value == 2
-    (record,) = [r for r in records if r.tau_after < r.order.threshold]
-    order, tau = record.order, record.tau_after
+    (record,) = [r for r in records if r.stats.tau < r.order.threshold]
+    order, tau = record.order, record.stats.tau
     assert (order.threshold, tau) == (6, 2)
     # the replay of this round's build, from the order of the round before
     (end,) = [end for previous, end in ends if previous is records[record.index - 1].order]
@@ -118,7 +118,7 @@ def test_a_round_that_lowers_tau_contracts_every_key_reaching_it(monkeypatch):
     assert replayed
     # the round joins every key at or above the lowered tau, as a walk over
     # all keys does, the replayed ones among them
-    assert record.joins == sum(key >= tau for key in order.keys[1:])
+    assert record.stats.joins == sum(key >= tau for key in order.keys[1:])
     after = {label: members for members in record.members_after.values()
              for label in members if label in order.position}
     for j in replayed:

@@ -33,7 +33,7 @@ FLOATS = [0.1, 1 / 3, 2.5, 0.7, 1e-3, 7.25]
 
 
 def classes_built(stats):
-    return sum(k for k, _ in stats.calls_per_order)
+    return sum(r.classes for r in stats.per_round)
 
 
 def solve(oracle, n, config):
@@ -50,12 +50,12 @@ def check_within_maxback(oracle, n):
     lax_value, lax = solve(oracle, n, LAXBACK)
     max_value, maxback = solve(oracle, n, MAXBACK)
     assert values_equal(lax_value, max_value)
-    for k, calls in lax.calls_per_order:
-        assert calls <= k * (k - 1) // 2, (k, calls)
+    for r in lax.per_round:
+        assert r.evals <= r.classes * (r.classes - 1) // 2, r
     assert lax.oracle_calls - n <= maxback.oracle_calls, (lax.oracle_calls, n,
                                                           maxback.oracle_calls)
-    assert classes_built(lax) <= classes_built(maxback), (lax.calls_per_order,
-                                                          maxback.calls_per_order)
+    assert classes_built(lax) <= classes_built(maxback), (lax.per_round,
+                                                          maxback.per_round)
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,9 +6,9 @@ The replay must change nothing but the work done: every round's order,
 keys and threshold must equal those of a build from scratch on the same
 partition. The differential here rebuilds every round from scratch beside
 the driver's own build and compares the two. A replay that stops early
-still builds the same orders, so the work counts of five seeded runs are
-pinned too, and the heads and replay end read from the partition's
-retired-label log are compared with a pass over every class. The builder
+still builds the same orders, so ``test_work_counts.py`` pins the work
+counts of seeded runs too. The heads and replay end read from the
+partition's retired-label log are compared with a pass over every class. The builder
 replays only an order it made for the same oracle on the same partition;
 any other `previous` gives the build from scratch. Such an order replays
 after any joins on the partition, those that grow or rename the class of
@@ -22,8 +22,8 @@ from contextlib import contextmanager
 import pytest
 
 from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
-                    MinimizeConfig, WeightedGraph, driver, gen_random_graph,
-                    gen_random_hypergraph, optimal_set)
+                    MinimizeConfig, WeightedGraph, driver, gen_random_hypergraph,
+                    optimal_set)
 from symcut.order import LaxBackOrder, lax_back_order_queue, replay_bounds
 from symcut.partition import Partition
 from test_driver import run_optimized
@@ -127,7 +127,7 @@ def test_every_round_equals_a_build_from_scratch(family, n, kind):
         with checked_rounds() as updates:
             _, _, stats = optimal_set(oracle, n, config)
         assert len(updates) == stats.rounds
-        assert [ops for ops, _ in updates] == [ops for _, ops in stats.calls_per_order]
+        assert [ops for ops, _ in updates] == [r.key_updates for r in stats.per_round]
         # the replay took part: some round made fewer queue updates (a
         # laxback run of a few many-join rounds may replay nothing)
         if config.algorithm == "maxback" or family.endswith("ring"):
@@ -361,48 +361,3 @@ for labels in [(0, 1, 3), (0, 1, 3, 4, 9), (0, 9, 1, 2, 4), (0, 3, 2, 1, 3)]:
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True\n" * 4
 
-
-# seeded runs whose work counts are pinned, each a () -> (oracle, n)
-WORK_RUNS = {
-    "ring-300": lambda: (build("ring", 300, "int"), 300),
-    "hyper-ring-150": lambda: (build("hyper-ring", 150, "int"), 150),
-    "graph-300": lambda: (GraphCutOracle(gen_random_graph(300, 10 / 299, 10, seed=3,
-                                                          connected=True)), 300),
-    "hypergraph-200": lambda: (HypergraphCutOracle(gen_random_hypergraph(200, 800, 10,
-                                                                         seed=4)), 200),
-    "cents-ring-120": lambda: (GraphCutOracle(noisy_ring(120, 120, "cents")), 120),
-}
-WORK_FIELDS = ("value", "rounds", "joins", "classes built", "update_key calls",
-               "oracle calls")
-# (run, algorithm) -> the WORK_FIELDS of its heap-queue solve. A replay that
-# stops early builds the same orders, so only the update_key calls show it;
-# a change here must say why
-WORK = {
-    ("ring-300", "laxback"): (10, 250, 299, 32764, 1803, 301),
-    ("ring-300", "maxback"): (10, 299, 299, 45149, 2002, 1),
-    ("hyper-ring-150", "laxback"): (15, 18, 149, 624, 686, 151),
-    ("hyper-ring-150", "maxback"): (15, 149, 149, 11324, 2218, 1),
-    ("graph-300", "laxback"): (1, 1, 299, 300, 0, 301),
-    ("graph-300", "maxback"): (1, 299, 299, 45149, 171245, 1),
-    ("hypergraph-200", "laxback"): (16, 2, 199, 202, 440, 201),
-    ("hypergraph-200", "maxback"): (16, 199, 199, 20099, 116864, 1),
-    ("cents-ring-120", "laxback"): (10.33, 119, 119, 7259, 338, 121),
-    ("cents-ring-120", "maxback"): (10.33, 119, 119, 7259, 356, 1),
-}
-
-
-def work_counts(name, algorithm):
-    oracle, n = WORK_RUNS[name]()
-    config = MinimizeConfig(algorithm=algorithm, order_builder="queue")
-    _, value, stats = optimal_set(oracle, n, config)
-    return (value, stats.rounds, sum(stats.joins_per_round),
-            sum(k for k, _ in stats.calls_per_order),
-            sum(ops for _, ops in stats.calls_per_order), stats.oracle_calls)
-
-
-@pytest.mark.parametrize("name,algorithm", sorted(WORK))
-def test_work_counts_are_pinned(name, algorithm):
-    pinned, counts = WORK[name, algorithm], work_counts(name, algorithm)
-    changed = [f"{field}: {old} -> {new}"
-               for field, old, new in zip(WORK_FIELDS, pinned, counts) if old != new]
-    assert not changed, "; ".join(changed)

@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, RunStats,
-                    SetFunctionTable, WeightedGraph, check_consistent, gen_random_graph,
-                    graph_cut_table, optimal_set, verify_oracle, verify_table,
-                    write_graph, write_table)
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, RoundStats,
+                    RunStats, SetFunctionTable, WeightedGraph, check_consistent,
+                    gen_random_graph, graph_cut_table, optimal_set, verify_oracle,
+                    verify_table, write_graph, write_table)
 from symcut import verify
 from symcut.brute import check_symmetric, table_submodular, table_symmetric
 from symcut.cli import main
@@ -222,19 +222,23 @@ def test_laxback_within_maxback_entry_reads_the_sweep_runs():
     _, _, lax = optimal_set(oracle, 10, MinimizeConfig(order_builder="scan"))
     _, _, maxback = optimal_set(oracle, 10, MinimizeConfig(algorithm="maxback",
                                                            order_builder="scan"))
-    classes = sum(k for k, _ in lax.calls_per_order)
+    classes = sum(r.classes for r in lax.per_round)
     assert entry.ok
     assert entry.detail == (f"calls {lax.oracle_calls - 10} (+10 probes) vs "
                             f"{maxback.oracle_calls}, classes {classes} vs 54")
 
 
 def test_laxback_within_maxback_entry_fails_past_either_bound():
-    maxback = RunStats(oracle_calls=5, calls_per_order=[(3, 3), (2, 1)])
+    def scanned(*counts):
+        """The per_round of scan builds of these class counts, k(k-1)/2 evals each."""
+        return [RoundStats(k, 1, k * (k - 1) // 2, 0, 1) for k in counts]
+
+    maxback = RunStats(rounds=2, oracle_calls=5, per_round=scanned(3, 2))
     # one call over maxback's beyond the three probes, then one class over
-    for calls, orders in ((9, [(3, 3)]), (8, [(3, 3), (3, 2)])):
-        lax = RunStats(oracle_calls=calls, calls_per_order=orders)
+    for calls, counts in ((9, [3]), (8, [3, 3])):
+        lax = RunStats(rounds=len(counts), oracle_calls=calls, per_round=scanned(*counts))
         assert not _within_maxback(lax, maxback, 3).ok
-    assert _within_maxback(RunStats(oracle_calls=8, calls_per_order=[(3, 3), (2, 1)]),
+    assert _within_maxback(RunStats(rounds=2, oracle_calls=8, per_round=scanned(3, 2)),
                            maxback, 3).ok
 
 
