@@ -14,13 +14,13 @@ keep values as ints when every one is an int, else as floats; graphs and
 hypergraphs report which in ``integer_weights``, which the CLI's report
 shows and :func:`graph_cut_table` reads.
 
-Graphs and tables in exactly the writers' layout (single spaces, one item
-per "\n"-ended line, no comment, table masks 0..2^n-1 in order and in
-plain decimal) are read in bulk: one shape check, one split and one int()
-or float() pass per column, except a table's mask column, which is
-compared as text with the one the writer prints. Any other text, and any
-text the bulk read declines, goes through the line walk, the one general
-parser and the only source of ParseError.
+Graphs and tables are read in bulk first: one split, and the text is taken
+exactly when re-joining its tokens in the writer's layout (single spaces,
+one item per newline-ended line, masks 0..2^n-1 in order, plain decimal)
+gives it back; int() or float() then reads each column but the masks. '#'
+fails int(), float() and the mask comparison, so a comment is declined.
+Other texts, and hypergraph files (lines of varying length), go through
+the line walk, the one general parser and the only source of ParseError.
 Both give the same instance. They call the same int() and float(); where
 the walk mixes ints with floats, float(token) equals float(int(token))
 for every int token that fits a float, as both round correctly. The bulk
@@ -32,7 +32,6 @@ zero in a float column ("-0" is the int 0, which the walk stores as 0.0).
 import functools
 import math
 import random
-import re
 from numbers import Integral
 
 from .oracles import Hypergraph, InstanceError, SetFunctionTable, WeightedGraph
@@ -62,21 +61,14 @@ def _data_lines(text, limit=None):
     return rows
 
 
-# the writers' layouts: whole text, single spaces, every line "\n"-ended
-_GRAPH_SHAPE = re.compile(r"\S+ \S+\n(?:\S+ \S+ \S+\n)*")
-_TABLE_SHAPE = re.compile(r"\S+\n(?:\S+ \S+\n)*")
-
-
-def _in_bulk(read, shape, text):
-    """`read(text.split())` on a comment-free text of `shape`, else None.
+def _in_bulk(read, text):
+    """`read(text.split(), text)`, or None if it declines.
 
     None declines: the caller then walks the lines, which reports any
     fault. A ValueError from `read` (InstanceError included) declines too.
     """
-    if "#" in text or shape.fullmatch(text) is None:
-        return None
     try:
-        return read(text.split())
+        return read(text.split(), text)
     except ValueError:
         return None
 
@@ -97,29 +89,37 @@ def _bulk_values(tokens):
     return values
 
 
-def _bulk_graph(tokens):
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 3 * m:
+def _bulk_graph(tokens, text):
+    m = len(tokens) // 3
+    if len(tokens) != 2 + 3 * m or int(tokens[1]) != m:
         return None
-    weights = _bulk_values(tokens[4::3])
-    return WeightedGraph(n, [(u - 1, v - 1, w) for u, v, w in zip(
-        map(int, tokens[2::3]), map(int, tokens[3::3]), weights)])
+    joined = [" "] * (2 * len(tokens))  # the line "n m", then a line "u v w" per edge
+    joined[::2] = tokens
+    joined[3::6] = ["\n"] * (m + 1)  # after m and after each w
+    if "".join(joined) != text:
+        return None
+    return WeightedGraph(int(tokens[0]), [(u - 1, v - 1, w) for u, v, w in zip(
+        map(int, tokens[2::3]), map(int, tokens[3::3]), _bulk_values(tokens[4::3]))])
 
 
 @functools.cache
-def _mask_column(n):
-    """The writers' mask column of an n-element table, "0 1 ... 2^n-1" (88 KB at n = 14)."""
-    return " ".join(map(str, range(1 << n)))
+def _table_template(n):
+    """Lines "m %s" for m = 0 .. 2^n - 1: a table's text after its header (136 KB at n = 14)."""
+    return "".join(f"{m} %s\n" for m in range(1 << n))
 
 
-def _bulk_table(tokens):
-    n = int(tokens[0])
-    SetFunctionTable.require_size(n)  # before building range(2^n)
-    # tokens hold no whitespace, so the texts are equal exactly when every
-    # mask token is the decimal of its index as the writer prints it
-    if len(tokens) != 1 + 2 * (1 << n) or " ".join(tokens[1::2]) != _mask_column(n):
+def _bulk_table(tokens, text):
+    if not tokens:
         return None
-    return SetFunctionTable(n, _bulk_values(tokens[2::2]))
+    n = int(tokens[0])
+    SetFunctionTable.require_size(n)  # before building the 2^n-line template
+    if len(tokens) != 1 + (2 << n):
+        return None
+    values = tokens[2::2]
+    # %s inserts each value token unchanged, so equal texts mean the writer's masks and layout
+    if tokens[0] + "\n" + _table_template(n) % tuple(values) != text:
+        return None
+    return SetFunctionTable(n, _bulk_values(values))
 
 
 def _parse_int(token, lineno, what):
@@ -167,7 +167,7 @@ def _build(model, n, items, header_line, line_of):
 
 
 def parse_graph(text):
-    graph = _in_bulk(_bulk_graph, _GRAPH_SHAPE, text)
+    graph = _in_bulk(_bulk_graph, text)
     if graph is not None:
         return graph
     header_line, n, rows = _counted_rows(text, "graph", "edge")
@@ -212,7 +212,7 @@ def write_hypergraph(hypergraph):
 
 
 def parse_table(text):
-    table = _in_bulk(_bulk_table, _TABLE_SHAPE, text)
+    table = _in_bulk(_bulk_table, text)
     if table is not None:
         return table
     rows = _data_lines(text)

@@ -185,6 +185,16 @@ MUTANTS = [
            "                       \"the returned set\")\n",
            "    value = oracle.eval(best, universe - best, INF)\n",
            ("tests/test_driver.py",)),
+    # a graph's bulk read takes any text whose tokens fit the count, whatever its lines
+    Mutant("graph-rejoin-unchecked", "src/symcut/instances.py",
+           '    if "".join(joined) != text:\n        return None\n',
+           "",
+           ("tests/test_format_properties.py::test_graph_bulk_read_matches_the_line_walk",)),
+    # the table template ends each line with a space, so no text matches it
+    Mutant("table-template-without-line-breaks", "src/symcut/instances.py",
+           'f"{m} %s\\n"',
+           'f"{m} %s "',
+           ("tests/test_format_properties.py::test_table_writer_output_is_read_in_bulk",)),
     # verify compares the result set's value with the driver's, a second
     # evaluation of the same set, instead of with the run's final tau
     Mutant("attains-compares-value-with-itself", "src/symcut/verify.py",

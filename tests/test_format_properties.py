@@ -217,6 +217,21 @@ def test_table_bulk_read_matches_the_line_walk(data):
     (parse_table, "1\n0 2\n1 3\n"),
     (parse_table, "21\n0 1\n"),
     (parse_table, "1\n0 inf\n1 3\n"),
+    # tokens in the writers' order whose lines are not the writers'
+    (parse_graph, "3 2\n1 2\n5 2 3 1\n"),
+    (parse_graph, "3\n2 1 2 5\n2 3 1\n"),
+    (parse_graph, "3 2\n1 2 5\n2 3 1"),
+    (parse_table, "1\n0\n5 1 6\n"),
+    (parse_table, "1\n0 2\n1 3"),
+    # too few tokens for a header, or for the lines it counts
+    (parse_graph, ""),
+    (parse_graph, "5\n"),
+    (parse_graph, " 0\n"),
+    (parse_table, ""),
+    (parse_table, "5\n"),
+    (parse_table, " 0\n"),
+    # the template inserts a value token, never formats it
+    (parse_table, "1\n0 5%\n1 3\n"),
 ], ids=["graph-minus-0-among-floats", "graph-minus-0-and-minus-0.0", "graph-underscore-plus",
         "graph-underscore-among-floats", "graph-int-past-floats", "graph-5000-digit-7",
         "graph-5000-digit-weight", "graph-5000-digit-id", "graph-nan", "graph-self-loop",
@@ -225,7 +240,10 @@ def test_table_bulk_read_matches_the_line_walk(data):
         "table-minus-0.0", "table-int-past-floats", "table-masks-out-of-order",
         "table-duplicate-mask", "table-padded-masks", "table-plus-mask",
         "table-leading-zero-mask", "table-arabic-indic-mask", "table-ints", "table-n-21",
-        "table-inf"])
+        "table-inf", "graph-edges-across-lines", "graph-header-split", "graph-unterminated",
+        "table-lines-regrouped", "table-unterminated", "graph-empty", "graph-one-token",
+        "graph-indented-one-token", "table-empty", "table-header-only", "table-indented-n-0",
+        "table-percent-value"])
 def test_bulk_read_matches_the_line_walk_on_edge_cases(parse, text):
     assert read(parse, text) == walked(parse, text)
 
