@@ -13,12 +13,14 @@ The queue builder is handed each round's order in the next round and
 resumes its key tracker from it, replaying the part the joins left alone.
 
 Before the first round every laxback path seeds tau with the best
-singleton, at the cost of n probes. With tau = INF the first round would be
-the classic max-back order: k(k-1)/2 evals for the scan builder, and for
-the queue builder a queue update on every key change, since no key reaches
-INF. Under a finite tau the scan appends a class that reaches it mid-pass,
-and the queue builder settles it: appends it next and updates it no
-further. maxback builds ignore tau, so that path starts at INF.
+singleton: from the oracle's ``singleton_values`` in one pass where it has
+them (the cut oracles), and otherwise at the cost of n probes. With
+tau = INF the first round would be the classic max-back order: k(k-1)/2
+evals for the scan builder, and for the queue builder a queue update on
+every key change, since no key reaches INF. Under a finite tau the scan
+appends a class that reaches it mid-pass, and the queue builder settles
+it: appends it next and updates it no further. maxback builds ignore tau,
+so that path starts at INF.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +41,8 @@ class MinimizeConfig:
                     oracle, the scan builder for any other; "scan" or
                     "queue" forces that builder. With either builder
                     laxback first seeds tau with the best singleton (n
-                    extra oracle calls), while maxback starts at tau = INF
+                    extra oracle calls unless the oracle has
+                    ``singleton_values``), while maxback starts at tau = INF
     queue_kind      "heap" | "bucket", for the queue builder only (the
                     bucket queue takes int keys and thresholds up to its
                     ``MAX_TOP`` and refuses any other itself); the scan
@@ -54,7 +57,7 @@ class MinimizeConfig:
     queue_kind: str = "heap"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundStats:
     """What one round did, one meaning per field."""
 
@@ -70,8 +73,8 @@ class RoundStats:
 @dataclass
 class RunStats:
     rounds: int = 0
-    # every eval of the solve: the n singleton probes (every laxback path),
-    # the scan builds' and the final value's
+    # every eval of the solve: the n singleton probes (laxback on an oracle
+    # without singleton_values), the scan builds' and the final value's
     oracle_calls: int = 0
     per_round: list = field(default_factory=list)  # one RoundStats per round
 
@@ -140,8 +143,9 @@ def optimal_set(oracle, n, config=None, observer=None):
     oracle's uncapped value of S, equal to the minimum over all nontrivial
     bipartitions; a NaN or infinite value raises a ValueError. An
     `observer` callable receives a RoundRecord after every round. A cut
-    oracle's key tracker refuses an instance of other than n vertices;
-    the scan path evaluates its cut function restricted to 0..n-1.
+    oracle's ``singleton_values`` and key tracker refuse an instance of
+    other than n vertices, so only a maxback scan, which calls neither,
+    evaluates its cut function restricted to 0..n-1.
     """
     if n < 2:
         raise ValueError("need at least two elements")
@@ -154,20 +158,29 @@ def optimal_set(oracle, n, config=None, observer=None):
     best = None
 
     if cfg.algorithm == "laxback":
-        # one complement set serves every probe: O(deg v) each, not O(n);
-        # each probe is capped at the best so far, since a singleton that
-        # reaches it cannot replace it
-        rest = set(universe)
-        for v in range(n):
-            rest.discard(v)
-            val = finite_key(oracle.eval(frozenset((v,)), rest, tau), v)
-            rest.add(v)
-            if val < tau:
-                tau = val
-                best = frozenset((v,))
-        stats.oracle_calls += n
-        # the argmin singleton (lowest label on ties) witnesses tau, keeping
-        # d(best, V \ best) == tau
+        singleton_values = getattr(oracle, "singleton_values", None)
+        if singleton_values is not None:
+            values = singleton_values(n)
+            for v, value in enumerate(values):
+                if not -INF < value < INF:
+                    finite_key(value, v)
+            tau = min(values)
+            best = frozenset((values.index(tau),))
+        else:
+            # one complement set serves every probe: O(deg v) each, not
+            # O(n); each probe is capped at the best so far, since a
+            # singleton that reaches it cannot replace it
+            rest = set(universe)
+            for v in range(n):
+                rest.discard(v)
+                val = finite_key(oracle.eval(frozenset((v,)), rest, tau), v)
+                rest.add(v)
+                if val < tau:
+                    tau = val
+                    best = frozenset((v,))
+            stats.oracle_calls += n
+        # either way the argmin singleton (lowest label on ties) witnesses
+        # tau, keeping d(best, V \ best) == tau
 
     order = None
     # the partition changes only by a round's joins, so one snapshot per

@@ -20,7 +20,9 @@ The two cut oracles are also keyed: their key trackers
 for the queue builder, over the instance as the partition sees it
 (:func:`_synced_quotient`): the graph or hypergraph with each class as one
 vertex and the edges inside a class dropped. So an order costs in the
-class-level edges or pins, not in the instance.
+class-level edges or pins, not in the instance. Both also give every
+singleton's value in one pass (``singleton_values``), which seeds the
+driver's threshold without n ``eval`` probes.
 
 Graphs and hypergraphs have at most ``MAX_VERTICES`` vertices, checked
 before their per-vertex lists are built.
@@ -63,6 +65,15 @@ class LaxOracle:
         than the first class, and otherwise starts at the class of 0
         (:class:`_KeyTracker`). A tracker only sums keys; the
         builder alone tests them against tau
+
+    Optional capability:
+
+    ``singleton_values(n)``
+        returns the list of d({v}, V\\{v}) for v = 0..n-1, each equal to
+        ``eval(frozenset({v}), V - {v}, INF)`` in value and type, in one
+        pass; the driver then seeds tau from it and makes no singleton
+        probes. It gives the same d as ``eval``, so a subclass that
+        overrides ``eval`` with another function must override it too
     """
 
     keyed = False
@@ -232,6 +243,35 @@ class GraphCutOracle(LaxOracle):
         quotient = _synced_quotient(self._quotients, _GraphQuotient, self.graph, partition)
         return _GraphKeyTracker(quotient.adjacency, partition, first)
 
+    def singleton_values(self, n):
+        """d({v}, V\\{v}) for v = 0..n-1: each vertex's row summed, in one pass.
+
+        Every neighbour of a singleton lies on the other side, so ``eval``
+        adds the whole row, in row order from int 0; so does this, bit for
+        bit (not ``sum``, which compensates float sums from Python 3.12 on).
+        An n other than the graph's is refused (:func:`_require_instance_size`).
+        """
+        _require_instance_size(self.graph, n)
+        values = []
+        for row in self.graph.adjacency:
+            total = 0
+            for w in row.values():
+                total += w
+            values.append(total)
+        return values
+
+
+def _require_instance_size(instance, n):
+    """Refuse a ground set of n elements on an instance of another vertex count.
+
+    The key trackers and ``singleton_values`` read the instance's
+    per-vertex lists as the solver's n elements, so a smaller n would get
+    the degrees of the whole instance and a larger one would read past it.
+    """
+    if n != instance.n:
+        raise ValueError(f"the partition has {n} elements but the "
+                         f"instance has {instance.n} vertices")
+
 
 def _synced_quotient(cache, quotient_type, instance, partition):
     """The instance as `partition` sees it: its quotient, current with its joins.
@@ -244,11 +284,10 @@ def _synced_quotient(cache, quotient_type, instance, partition):
     on the first call for a partition and kept, weakly keyed by it, until
     the partition is freed; each later call first folds in the joins made
     since the previous one (the quotient's ``sync``). A partition of
-    another ground set than the instance's vertices raises a ValueError.
+    another ground set than the instance's vertices is refused
+    (:func:`_require_instance_size`).
     """
-    if partition.n != instance.n:
-        raise ValueError(f"the partition has {partition.n} elements but the "
-                         f"instance has {instance.n} vertices")
+    _require_instance_size(instance, partition.n)
     if partition.class_count == instance.n:
         return instance
     quotient = cache.get(partition)
@@ -526,6 +565,26 @@ class HypergraphCutOracle(LaxOracle):
                                     partition)
         return _HypergraphKeyTracker(quotient.incident, quotient.hyperedges,
                                      hypergraph.m, partition, first)
+
+    def singleton_values(self, n):
+        """d({v}, V\\{v}) for v = 0..n-1: each vertex's hyperedges summed, in one pass.
+
+        Every hyperedge at a singleton has a pin on the other side, so
+        ``eval`` adds all of them, in ascending id order from int 0; so does
+        this, bit for bit (not ``sum``, which compensates float sums from
+        Python 3.12 on). An n other than the hypergraph's is refused
+        (:func:`_require_instance_size`).
+        """
+        hypergraph = self.hypergraph
+        _require_instance_size(hypergraph, n)
+        weights = [w for w, _ in hypergraph.hyperedges]
+        values = []
+        for ids in hypergraph.incident:
+            total = 0
+            for e in ids:
+                total += weights[e]
+            values.append(total)
+        return values
 
 
 class _HypergraphQuotient:

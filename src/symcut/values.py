@@ -51,8 +51,9 @@ def finite_key(value, label, of="class"):
     with everything, so it would otherwise read as "below tau" in a scan,
     vanish inside a heap, or be recorded as tau by min(tau, nan). The scan
     builder, the singleton probe and the driver's final value pass each
-    value through here; the queue builder tests each tracker key inline,
-    before the queue sees it, and calls this only to raise.
+    value through here. The queue builder tests each tracker key inline,
+    before the queue sees it, and the driver each of an oracle's
+    ``singleton_values``; both call this only to raise.
     """
     if not -INF < value < INF:
         raise ValueError(f"the oracle gave {of} {label} the non-finite key {value!r}")

@@ -179,6 +179,16 @@ MUTANTS = [
            "    calls = 0\n",
            "    calls = 1\n",
            ("tests/test_work_counts.py",)),
+    # a graph's singleton value leaves out the last weight of its row
+    Mutant("singleton-sum-drops-last-weight", "src/symcut/oracles.py",
+           "            for w in row.values():\n                total += w\n",
+           "            for w in list(row.values())[:-1]:\n                total += w\n",
+           ("tests/test_oracles.py::test_singleton_values_are_the_singleton_evals",)),
+    # the seed's witness is the highest label among the least singleton values
+    Mutant("seed-ties-to-highest-label", "src/symcut/driver.py",
+           "best = frozenset((values.index(tau),))",
+           "best = frozenset((len(values) - 1 - values[::-1].index(tau),))",
+           ("tests/test_driver.py",)),
     # the driver returns the final value unchecked, a NaN included
     Mutant("final-value-unchecked", "src/symcut/driver.py",
            "    value = finite_key(oracle.eval(best, universe - best, INF), sorted(best),\n"

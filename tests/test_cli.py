@@ -71,8 +71,8 @@ class TestMincut:
 
     def test_integer_ring_takes_the_queue_builder(self, tmp_path, capsys):
         # a pure ring's minimum cut is its two lightest edges; the queue
-        # builder makes no eval, so the calls are the n singleton probes
-        # and the final value
+        # builder makes no eval and the graph oracle hands over every
+        # singleton value at once, so the one call is the final value
         n = 300
         r = random.Random(300)
         weights = [r.randint(5, 10**6) for _ in range(n)]
@@ -82,7 +82,7 @@ class TestMincut:
         assert main(["mincut", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["lambda"] == sum(sorted(weights)[:2])
-        assert report["stats"]["oracle_calls"] == n + 1
+        assert report["stats"]["oracle_calls"] == 1
         assert report["config"]["order_builder"] is None
 
     def test_check_flag(self, triangle_file, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,25 @@ for builder in ("scan", "queue"):
 """
 
 
+class WithoutSingletonValues(LaxOracle):
+    """A cut oracle behind a wrapper that forwards ``eval`` and ``key_tracker`` only.
+
+    The driver finds no ``singleton_values`` on it, so a laxback solve
+    probes every singleton, as it does on a table, a user oracle or a
+    wrapper such as ``ThresholdedOracle``.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.keyed = base.keyed
+
+    def eval(self, left, right, tau=INF):
+        return self.base.eval(left, right, tau)
+
+    def key_tracker(self, partition, first):
+        return self.base.key_tracker(partition, first)
+
+
 def run_optimized(script):
     """Run `script` under python -O, so that no check can be an assert."""
     return subprocess.run(
@@ -292,8 +312,9 @@ class TestOptimalSet:
         best, value, stats = optimal_set(triangle_oracle, 3,
                                          MinimizeConfig(order_builder="scan"))
         assert value == 3 and best == {2}
-        # 3 singleton probes, 2 scan evals (both reach tau = 3), the final value
-        assert stats.oracle_calls == 3 + 2 + 1
+        # the graph oracle's singleton values take no eval: 2 scan evals
+        # (both reach tau = 3) and the final value
+        assert stats.oracle_calls == 2 + 1
         assert stats.per_round == [RoundStats(classes=3, joins=2, evals=2, key_updates=0,
                                               tau=3)]
 
@@ -304,6 +325,7 @@ class TestOptimalSet:
         assert value == 5
         assert best == {0}
 
+    @pytest.mark.parametrize("hidden", [False, True], ids=["cut-oracle", "hidden"])
     @pytest.mark.parametrize("cfg", [
         MinimizeConfig(order_builder="scan"),
         MinimizeConfig(algorithm="maxback", order_builder="scan"),
@@ -311,29 +333,34 @@ class TestOptimalSet:
         MinimizeConfig(order_builder="queue", queue_kind="bucket"),
         MinimizeConfig(algorithm="maxback", order_builder="queue"),
     ])
-    def test_every_laxback_path_probes_singletons(self, triangle, cfg):
+    def test_every_laxback_path_seeds_tau_with_the_best_singleton(self, triangle, cfg,
+                                                                  hidden):
         class Recording(GraphCutOracle):
             def eval(self, left, right, tau=INF):
                 self.taus.append(tau)
                 return super().eval(left, right, tau)
 
-        oracle = Recording(triangle)
-        oracle.taus = []
+        recording = Recording(triangle)
+        recording.taus = []
+        oracle = WithoutSingletonValues(recording) if hidden else recording
         records = []
         _, value, stats = optimal_set(oracle, 3, cfg, observer=records.append)
         assert value == 3
         laxback = cfg.algorithm == "laxback"
-        if laxback:
+        probes = 3 if laxback and hidden else 0
+        if probes:
             # each probe is capped at the best singleton before it: the
             # first runs at INF, d({0}) = 4 caps the other two
-            assert oracle.taus[:3] == [INF, 4, 4]
-        # laxback builds its first order at the best singleton's value, 3
+            assert recording.taus[:3] == [INF, 4, 4]
+        # laxback builds its first order at the best singleton's value, 3,
+        # whether it probed for it or read it from singleton_values
         assert records[0].order.threshold == (3 if laxback else INF)
-        # 3 probes on laxback only, the builds' eval calls (a queue build
-        # makes none) and the final value
+        # the probes, the builds' eval calls (a queue build makes none) and
+        # the final value
         scan_evals = sum(r.evals for r in stats.per_round)
         assert (scan_evals > 0) == (cfg.order_builder == "scan")
-        assert stats.oracle_calls == (3 if laxback else 0) + scan_evals + 1
+        assert stats.oracle_calls == probes + scan_evals + 1
+        assert len(recording.taus) == stats.oracle_calls
 
     def test_invalid_configs(self, triangle_oracle):
         with pytest.raises(ValueError):
@@ -374,19 +401,20 @@ class TestOptimalSet:
     def test_builder_follows_the_oracle(self):
         graph = gen_random_graph(12, 0.4, 9, seed=4, connected=True)
         table = graph_cut_table(graph)
-        # keyed: the queue builder makes no eval beyond the n probes and
-        # the final value
+        # keyed: the queue builder makes no eval, and the singleton values
+        # take none, so the one call is the final value
         _, cut_value, stats = optimal_set(GraphCutOracle(graph), 12)
-        assert stats.oracle_calls == 12 + 1
-        # not keyed: every order is scanned, with one eval per builder op
+        assert stats.oracle_calls == 1
+        # not keyed: every order is scanned, with one eval per builder op,
+        # after the n singleton probes
         _, table_value, stats = optimal_set(ConnectivityOracle(table), 12)
         scan_evals = sum(r.evals for r in stats.per_round)
         assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
-        # a forced scan on the keyed oracle
+        # a forced scan on the keyed oracle, which still makes no probes
         _, forced_value, stats = optimal_set(GraphCutOracle(graph), 12,
                                              MinimizeConfig(order_builder="scan"))
         scan_evals = sum(r.evals for r in stats.per_round)
-        assert scan_evals > 0 and stats.oracle_calls == 12 + scan_evals + 1
+        assert scan_evals > 0 and stats.oracle_calls == scan_evals + 1
         assert forced_value == cut_value and 2 * cut_value == table_value
 
     def test_oracle_calls_count_every_eval(self, triangle):
@@ -482,12 +510,31 @@ class TestOptimalSet:
             optimal_set(NanKeys(ring), 4, cfg)
 
     def test_nan_singleton_probe_rejected(self):
-        class NanSingleton(GraphCutOracle):
+        # no singleton_values and no keys: the probe path and the scan builder
+        class NanSingleton(LaxOracle):
+            def __init__(self, graph):
+                self.base = GraphCutOracle(graph)
+
             def eval(self, left, right, tau=INF):
-                return math.nan if set(left) == {1} else super().eval(left, right, tau)
+                return math.nan if set(left) == {1} else self.base.eval(left, right, tau)
 
         with pytest.raises(ValueError, match="class 1 the non-finite key nan"):
             optimal_set(NanSingleton(WeightedGraph(3, [(0, 1, 2), (1, 2, 2)])), 3)
+
+    @pytest.mark.parametrize("builder", ["scan", "queue"])
+    @pytest.mark.parametrize("bad", [math.nan, INF, -INF])
+    def test_non_finite_singleton_value_rejected(self, bad, builder):
+        # vertex 2's value is the least finite one, so a NaN or inf at
+        # vertex 1 is passed over by min(), and -inf would become tau
+        class BadSingletonValues(GraphCutOracle):
+            def singleton_values(self, n):
+                values = super().singleton_values(n)
+                values[1] = bad
+                return values
+
+        path = WeightedGraph(3, [(0, 1, 3), (1, 2, 2)])
+        with pytest.raises(ValueError, match=f"class 1 the non-finite key {bad!r}$"):
+            optimal_set(BadSingletonValues(path), 3, MinimizeConfig(order_builder=builder))
 
     def test_infinite_oracle_value_rejected(self):
         class InfOracle(LaxOracle):
@@ -516,21 +563,27 @@ class TestOptimalSet:
         with pytest.raises(ValueError, match=r"returned set \[2, 3\] the non-finite key nan"):
             optimal_set(NanWhole(ring), 4, MinimizeConfig(order_builder=builder))
 
-    # 3 elements on a 5-vertex instance, and 5 on a 3-vertex one under
-    # maxback, which makes no probes (laxback's would refuse vertex 3)
-    @pytest.mark.parametrize("vertices,n,algorithm",
-                             [(5, 3, "laxback"), (5, 3, "maxback"), (3, 5, "maxback")])
+    # 3 elements on a 5-vertex instance and 5 on a 3-vertex one, refused
+    # with one message: by laxback's singleton_values before any order, on
+    # either builder, and by maxback's first key tracker. A forced scan
+    # evaluates its cuts restricted to 0..n-1, so unrefused, its laxback
+    # run would seed tau with degrees of the whole instance
+    @pytest.mark.parametrize("vertices,n,algorithm,builder",
+                             [(5, 3, "laxback", None), (3, 5, "laxback", None),
+                              (5, 3, "laxback", "scan"), (3, 5, "laxback", "scan"),
+                              (5, 3, "maxback", None), (3, 5, "maxback", None)])
     @pytest.mark.parametrize("hyper", [False, True])
     def test_a_key_tracker_refuses_a_partition_of_another_size(self, vertices, n, algorithm,
-                                                               hyper):
+                                                               builder, hyper):
         ring = [(v, (v + 1) % vertices) for v in range(vertices)]
         if hyper:
             oracle = HypergraphCutOracle(Hypergraph(vertices, [(2, e) for e in ring]))
         else:
             oracle = GraphCutOracle(WeightedGraph(vertices, [(*e, 2) for e in ring]))
+        config = MinimizeConfig(algorithm=algorithm, order_builder=builder)
         with pytest.raises(ValueError, match=f"^the partition has {n} elements but "
                                              f"the instance has {vertices} vertices$"):
-            optimal_set(oracle, n, MinimizeConfig(algorithm=algorithm))
+            optimal_set(oracle, n, config)
 
     def test_queue_builder_on_unkeyed_oracle(self):
         o = TableOracle(2, complete_table(2, {(1, 2): 4}))
@@ -604,6 +657,55 @@ def test_scan_path_beats_a_max_back_first_round(name):
     _, pendant_pair_value, _ = optimal_set(oracle, n, MinimizeConfig(algorithm="maxback"))
     assert value == pendant_pair_value
     assert value == oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)
+
+
+SEED_PATH_WEIGHTS = {
+    "int": lambda r: r.randint(1, 9),
+    "cents": lambda r: round(r.uniform(1, 10), 2),
+    "thirds": lambda r: r.randint(1, 30) / 3,
+}
+
+
+def seed_path_instance(family, kind):
+    """(oracle, n) of one seeded cut instance on 40 vertices."""
+    r = random.Random(f"{family}-{kind}")
+    n = 40
+    weight = SEED_PATH_WEIGHTS[kind]
+    if family == "uniform-ring":
+        # every singleton ties at 2 * 3, the minimum: the lowest label wins
+        return GraphCutOracle(WeightedGraph(n, [(v, (v + 1) % n, 3) for v in range(n)])), n
+    if family == "graph":
+        edges = [(r.randrange(v), v, weight(r)) for v in range(1, n)]
+        edges += [(*r.sample(range(n), 2), weight(r)) for _ in range(2 * n)]
+        return GraphCutOracle(WeightedGraph(n, edges)), n
+    return HypergraphCutOracle(Hypergraph(n, [(weight(r), r.sample(range(n), r.randint(2, 4)))
+                                              for _ in range(3 * n)])), n
+
+
+SEED_PATH_CONFIGS = {
+    "heap": MinimizeConfig(),
+    "bucket": MinimizeConfig(queue_kind="bucket"),
+    "scan": MinimizeConfig(order_builder="scan"),
+}
+
+
+@pytest.mark.parametrize("family,kind,config", [
+    (family, kind, config)
+    for family, kinds in (("uniform-ring", ["int"]), ("graph", SEED_PATH_WEIGHTS),
+                          ("hypergraph", SEED_PATH_WEIGHTS))
+    for kind in kinds for config in SEED_PATH_CONFIGS
+    if kind == "int" or config != "bucket"])  # the bucket queue takes int keys only
+def test_singleton_values_solve_as_the_probes_do(family, kind, config):
+    # the same cut oracle with singleton_values hidden takes the probe
+    # path. Both seeds give the same tau and witness, so the solves agree
+    # in every round, floats to the last bit; only the n probes differ
+    oracle, n = seed_path_instance(family, kind)
+    cfg = SEED_PATH_CONFIGS[config]
+    best, value, stats = optimal_set(oracle, n, cfg)
+    probed_best, probed_value, probed = optimal_set(WithoutSingletonValues(oracle), n, cfg)
+    assert (probed_best, repr(probed_value)) == (best, repr(value))
+    assert repr(probed.per_round) == repr(stats.per_round)
+    assert probed.oracle_calls == stats.oracle_calls + n
 
 
 START_CLASS_INSTANCES = {

@@ -315,6 +315,49 @@ class TestHypergraphCut:
                     assert key == oracle.eval(p.member_set(u), prefix, INF)
 
 
+SINGLETON_WEIGHTS = {
+    "int": lambda r: r.randint(0, 9),
+    "huge": lambda r: r.choice([0, 1, HUGE]),
+    # two decimals, ten or so per row: a compensated sum() of them differs
+    # from the += of eval on many rows
+    "cents": lambda r: round(r.uniform(0, 10), 2),
+    "float": lambda r: r.choice([0.1, 1 / 3, 2.5, 0.7, 1e-3, 7.25, 1e16]),
+}
+
+
+def singleton_evals(oracle, n):
+    universe = frozenset(range(n))
+    return [oracle.eval(F(v), universe - {v}, INF) for v in range(n)]
+
+
+def typed(values):
+    return [(type(x), x) for x in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", sorted(SINGLETON_WEIGHTS))
+@pytest.mark.parametrize("hyper", [False, True], ids=["graph", "hypergraph"])
+def test_singleton_values_are_the_singleton_evals(hyper, kind, seed):
+    # vertex n - 1 is isolated (its value is int 0 on a float instance
+    # too), and the graph repeats some of its edges with new weights
+    r = random.Random(seed)
+    n = 40
+    weight = SINGLETON_WEIGHTS[kind]
+    inner = range(n - 1)
+    if hyper:
+        instance = Hypergraph(n, [(weight(r), r.sample(inner, r.randint(2, 4)))
+                                  for _ in range(4 * n)])
+        oracle = HypergraphCutOracle(instance)
+    else:
+        edges = [(*r.sample(inner, 2), weight(r)) for _ in range(5 * n)]
+        edges += [(u, v, weight(r)) for u, v, _ in r.sample(edges, n)]
+        instance = WeightedGraph(n, edges)
+        oracle = GraphCutOracle(instance)
+    values = oracle.singleton_values(n)
+    assert typed(values) == typed(singleton_evals(oracle, n))
+    assert typed(values[-1:]) == [(int, 0)]
+
+
 def contract_oracle(kind):
     """A graph or hypergraph cut oracle on 9 vertices, for the tracker contract."""
     if kind == "graph":

@@ -222,24 +222,27 @@ def test_laxback_within_maxback_entry_reads_the_sweep_runs():
     _, _, lax = optimal_set(oracle, 10, MinimizeConfig(order_builder="scan"))
     _, _, maxback = optimal_set(oracle, 10, MinimizeConfig(algorithm="maxback",
                                                            order_builder="scan"))
+    evals = sum(r.evals for r in lax.per_round)
     classes = sum(r.classes for r in lax.per_round)
     assert entry.ok
-    assert entry.detail == (f"calls {lax.oracle_calls - 10} (+10 probes) vs "
-                            f"{maxback.oracle_calls}, classes {classes} vs 54")
+    # the pendant-pair loop's 9 scans of 10 down to 2 classes
+    assert entry.detail == f"evals {evals} vs 165, classes {classes} vs 54"
+    assert sum(r.evals for r in maxback.per_round) == 165
 
 
 def test_laxback_within_maxback_entry_fails_past_either_bound():
-    def scanned(*counts):
-        """The per_round of scan builds of these class counts, k(k-1)/2 evals each."""
-        return [RoundStats(k, 1, k * (k - 1) // 2, 0, 1) for k in counts]
+    def built(*rounds):
+        """The per_round of builds of these (classes, evals)."""
+        return [RoundStats(k, 1, evals, 0, 1) for k, evals in rounds]
 
-    maxback = RunStats(rounds=2, oracle_calls=5, per_round=scanned(3, 2))
-    # one call over maxback's beyond the three probes, then one class over
-    for calls, counts in ((9, [3]), (8, [3, 3])):
-        lax = RunStats(rounds=len(counts), oracle_calls=calls, per_round=scanned(*counts))
-        assert not _within_maxback(lax, maxback, 3).ok
-    assert _within_maxback(RunStats(rounds=2, oracle_calls=8, per_round=scanned(3, 2)),
-                           maxback, 3).ok
+    maxback = RunStats(rounds=2, oracle_calls=5, per_round=built((3, 3), (2, 1)))
+    # one eval over maxback's, then one class over; the laxback run's
+    # oracle calls, whatever its probes, do not enter
+    for rounds in (((3, 5),), ((3, 1), (3, 1))):
+        lax = RunStats(rounds=len(rounds), oracle_calls=0, per_round=built(*rounds))
+        assert not _within_maxback(lax, maxback).ok
+    assert _within_maxback(RunStats(rounds=2, oracle_calls=99,
+                                    per_round=built((3, 3), (2, 1))), maxback).ok
 
 
 LAXBACK_SCAN = MinimizeConfig(order_builder="scan")
