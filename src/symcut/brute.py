@@ -1,13 +1,16 @@
 """Exhaustive ground truth for small instances.
 
 Everything the fast path relies on can be recomputed here by direct
-enumeration: minimum bipartitions, pairwise separation values, and the
-symmetry / monotonicity / consistency axioms the minimizer assumes. All
-evaluations go through the oracle uncapped (tau = INF), so thresholding
-can never mask a discrepancy. Failed checks carry a witness. An
-inequality counts as violated only beyond the float tolerance
-(``values.value_below``), and a premise or an equality holds within it;
-integer values compare exactly.
+enumeration. :func:`bipartition_values` walks the bipartitions once
+into a table of every value d(S, V\\S), from which the minimum
+bipartition and any least separation over unions of classes are read.
+:func:`check_lax_back_order` re-checks an order against its prefixes,
+and the symmetry / monotonicity / consistency axioms the minimizer
+assumes are checked exhaustively. All evaluations go through
+the oracle uncapped (tau = INF), so thresholding can never mask a
+discrepancy. Failed checks carry a witness. An inequality counts as
+violated only beyond the float tolerance (``values.value_below``), and a
+premise or an equality holds within it; integer values compare exactly.
 """
 
 from dataclasses import dataclass
@@ -44,42 +47,28 @@ def _full_eval(oracle, s_mask, t_mask):
     return oracle.eval(set_of(s_mask), set_of(t_mask), INF)
 
 
-def brute_min_bipartition(oracle, n):
-    """Minimum of d(S, V\\S) over all nontrivial S by enumeration.
+def bipartition_values(oracle, n):
+    """d(S, V\\S) for every nontrivial S holding element 0, at index ``mask >> 1``.
 
-    Element 0 is pinned to the S side (the complement gives the same value
-    by symmetry), so 2^(n-1) - 1 evaluations suffice. Ties break toward the
-    smallest bitmask.
+    One walk over the 2^(n-1) - 1 masks S with bit 0 set, in ascending
+    order; the complement gives the same value by symmetry. Every minimum
+    over bipartitions, here and in `verify`, reads this table.
     """
     if not 2 <= n <= MAX_ENUM:
         raise ValueError(f"enumeration supports 2 <= n <= {MAX_ENUM}")
     full = (1 << n) - 1
-    best_mask = None
-    best = None
-    for m in range(1, full, 2):
-        val = _full_eval(oracle, m, full ^ m)
-        if best is None or val < best:
-            best = val
-            best_mask = m
-    return BruteResult(best_mask, best)
+    return [_full_eval(oracle, m, full ^ m) for m in range(1, full, 2)]
 
 
-def brute_lambda(oracle, n, s, t):
-    """Minimum of d(S, V\\S) over all S containing s but not t."""
-    if s == t:
-        raise ValueError("need two distinct elements")
-    if not 2 <= n <= MAX_ENUM:
-        raise ValueError(f"enumeration supports 2 <= n <= {MAX_ENUM}")
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError("element out of range")
-    full = (1 << n) - 1
-    best = None
-    for others in submasks(full ^ 1 << s ^ 1 << t):
-        mask = others | 1 << s
-        val = _full_eval(oracle, mask, full ^ mask)
-        if best is None or val < best:
-            best = val
-    return best
+def brute_min_bipartition(oracle, n):
+    """Minimum of d(S, V\\S) over all nontrivial S by enumeration.
+
+    Reads the least entry of :func:`bipartition_values`, so element 0 is
+    on the S side. Ties break toward the smallest bitmask.
+    """
+    values = bipartition_values(oracle, n)
+    best = values.index(min(values))
+    return BruteResult(2 * best + 1, values[best])
 
 
 def check_symmetric(oracle, n):
@@ -169,22 +158,36 @@ def table_submodular(table):
     return True
 
 
-def verify_lax_back_order(oracle, blocks, order):
-    """Re-check the defining back-order inequality from scratch.
+def check_lax_back_order(oracle, blocks, order):
+    """Re-check an order's two defining facts from scratch, in one walk.
 
-    `blocks` maps class labels to member sets. For every prefix position i
-    and every later class j, min(tau, d(class_i, prefix before i)) must be
-    at least min(tau, d(class_j, same prefix)), with tau the order's
-    threshold. Evaluations are uncapped.
+    `blocks` maps class labels to member sets. At each position i >= 1,
+    with P the classes before i and tau the order's threshold, each class
+    from i on is evaluated once against P, uncapped:
+
+    - ``order-dominates-suffix``: min(tau, d(class_i, P)) is at least
+      min(tau, d(class_j, P)) for every later j; the witness is (i, j);
+    - ``stored-keys-exact``: the stored key at i equals
+      min(tau, d(class_i, P)); the witness is (i, stored, exact).
+
+    Each check stops at its own first failure, the walk once both have.
+    Returns ``[(name, CheckResult)]`` in that order.
     """
-    seq, tau = order.order, order.threshold
-    k = len(seq)
+    seq, keys, tau = order.order, order.keys, order.threshold
+    dominated = inexact = None
     prefix = frozenset(blocks[seq[0]])
-    for i in range(1, k):
+    for i in range(1, len(seq)):
         own = min(tau, oracle.eval(frozenset(blocks[seq[i]]), prefix, INF))
-        for j in range(i + 1, k):
-            later = min(tau, oracle.eval(frozenset(blocks[seq[j]]), prefix, INF))
-            if value_below(own, later):
-                return CheckResult(False, (i, j))
+        if inexact is None and not values_equal(keys[i], own):
+            inexact = (i, keys[i], own)
+        if dominated is None:
+            for j in range(i + 1, len(seq)):
+                later = min(tau, oracle.eval(frozenset(blocks[seq[j]]), prefix, INF))
+                if value_below(own, later):
+                    dominated = (i, j)
+                    break
+        if dominated is not None and inexact is not None:
+            break
         prefix = prefix | blocks[seq[i]]
-    return CheckResult(True)
+    return [("order-dominates-suffix", CheckResult(dominated is None, dominated)),
+            ("stored-keys-exact", CheckResult(inexact is None, inexact))]

@@ -35,18 +35,22 @@ def build_parser():
 
     p = sub.add_parser("mincut", help="minimum cut of a graph or hypergraph file")
     p.add_argument("path")
-    p.add_argument("--kind", choices=["graph", "hypergraph"], default=None)
+    p.add_argument("--kind", choices=["graph", "hypergraph"], default=None,
+                   help="the file's kind (default: read from its shape)")
     _add_algorithm_flag(p)
     p.add_argument("--check", action="store_true",
                    help=f"re-verify the result against enumeration (n <= {MAX_ENUM})")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="print the report as one JSON object")
     p.set_defaults(func=cmd_mincut)
 
     p = sub.add_parser("minimize", help="minimize an explicit symmetric submodular f")
     p.add_argument("--table", required=True, help="set-function table file")
     _add_algorithm_flag(p)
-    p.add_argument("--check", action="store_true")
-    p.add_argument("--json", action="store_true", dest="as_json")
+    p.add_argument("--check", action="store_true",
+                   help="compare f(S) with the table's least nontrivial entry (any table size)")
+    p.add_argument("--json", action="store_true", dest="as_json",
+                   help="print the report as one JSON object")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("verify", help="verify against brute force and the property suite")
@@ -68,7 +72,9 @@ def build_parser():
 
 
 def _add_algorithm_flag(p):
-    p.add_argument("--algorithm", choices=["laxback", "maxback"], default="laxback")
+    p.add_argument("--algorithm", choices=["laxback", "maxback"], default="laxback",
+                   help="laxback, the many-joins-per-round solver (default), or the "
+                        "maxback pendant-pair loop, one join per round")
 
 
 def _canonical_side(best, n):

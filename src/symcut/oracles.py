@@ -777,30 +777,6 @@ class ThresholdedOracle(LaxOracle):
         return self.base.eval(left, right, min(tau, self.cap))
 
 
-class InducedOracle(LaxOracle):
-    """Class-level view of an oracle.
-
-    Element i stands for a fixed block of base elements; evaluation expands
-    index sets to the union of their blocks. This realizes the function a
-    contraction partition induces on its classes. An index outside
-    0..len(blocks)-1, on either side, is refused with a ValueError.
-    """
-
-    def __init__(self, base, blocks):
-        self.base = base
-        self.blocks = [frozenset(b) for b in blocks]
-
-    def eval(self, left, right, tau=INF):
-        _require_disjoint(left, right)
-        return self.base.eval(self._members(left), self._members(right), tau)
-
-    def _members(self, ids):
-        for i in ids:
-            if not 0 <= i < len(self.blocks):
-                raise ValueError(f"block {i} is not one of the {len(self.blocks)} blocks")
-        return frozenset().union(*(self.blocks[i] for i in ids))
-
-
 def graph_cut_table(graph):
     """Materialize a graph's cut function as an explicit set-function table.
 

@@ -11,6 +11,15 @@ separation, since {last} separates the pair, and at most it by the
 bound. `verify_oracle` bundles them with a configuration sweep whose
 results must all match the enumerated optimum, and `verify_table` runs
 that same sweep on an explicit set function.
+
+The joins, each result set and laxback within maxback are checked at any
+n. Each order takes one polynomial walk against its prefixes
+(:func:`brute.check_lax_back_order`), run for n <= 8 with the checks
+that need d over every bipartition. Those read one table,
+:func:`brute.bipartition_values`, built once per instance: the optimum,
+the sampled caps, and the separation bound and the contraction check,
+each a least cut over unions of a round's classes. Only the symmetry
+and axiom checks enumerate on their own.
 Every check evaluates through the oracle that solves, uncapped or through
 a capped view, so the capped checks test its own lax answers (a cut
 oracle's early exit included), not those of a second copy.
@@ -18,12 +27,12 @@ oracle's early exit included), not those of a second copy.
 
 from dataclasses import dataclass
 
-from .brute import (CheckResult, brute_lambda, brute_min_bipartition,
-                    check_consistent, check_monotone, check_symmetric,
-                    table_submodular, table_symmetric, verify_lax_back_order)
+from .brute import (CheckResult, bipartition_values, check_consistent,
+                    check_lax_back_order, check_monotone, check_symmetric,
+                    table_submodular, table_symmetric)
 from .driver import MinimizeConfig, optimal_set
-from .oracles import ConnectivityOracle, InducedOracle, ThresholdedOracle
-from .values import INF, set_of, value_below, values_equal
+from .oracles import ConnectivityOracle, ThresholdedOracle
+from .values import INF, mask_of, value_below, values_equal
 
 
 @dataclass
@@ -60,30 +69,37 @@ def named_configs(oracle):
     return configs + [("maxback", MinimizeConfig(algorithm="maxback", order_builder="scan"))]
 
 
-def check_order_record(oracle, record):
-    """Per-order checks against enumeration; returns [(name, CheckResult)]."""
+def least_union(values, inside, classes):
+    """Least d(U, V\\U) over the proper unions U of `inside` and some of `classes`.
+
+    `inside` and `classes` are masks of disjoint classes and `values` is
+    the instance's :func:`brute.bipartition_values`. Each d(U, V\\U) is
+    its entry, read on the side, U or V\\U, that holds element 0.
+    """
+    full = 2 * len(values) + 1
+    unions = [inside]
+    for mask in classes:
+        unions += [u | mask for u in unions]
+    return min(values[(u if u & 1 else full ^ u) >> 1] for u in unions if u != full)
+
+
+def check_order_record(oracle, record, values):
+    """Per-order checks against enumeration; returns [(name, CheckResult)].
+
+    The order is walked against its prefixes by
+    :func:`brute.check_lax_back_order`; each stored key must bound its
+    pair's capped separation, the least cut between classes i - 1 and i,
+    read from `values`, the instance's :func:`brute.bipartition_values`.
+    """
     order = record.order
     seq = order.order
     tau = order.threshold
-    blocks = record.members_before
-    results = [("order-dominates-suffix", verify_lax_back_order(oracle, blocks, order))]
+    results = check_lax_back_order(oracle, record.members_before, order)
 
-    # stored keys must equal the capped value against the prefix they saw
-    exact = CheckResult(True)
-    prefix = frozenset(blocks[seq[0]])
-    for i in range(1, len(seq)):
-        want = min(tau, oracle.eval(frozenset(blocks[seq[i]]), prefix, INF))
-        if not values_equal(order.keys[i], want):
-            exact = CheckResult(False, (i, order.keys[i], want))
-            break
-        prefix = prefix | blocks[seq[i]]
-    results.append(("stored-keys-exact", exact))
-
-    induced = InducedOracle(oracle, [blocks[c] for c in seq])
-    k = len(seq)
+    masks = [mask_of(record.members_before[c]) for c in seq]
     bound = CheckResult(True)
-    for i in range(1, k):
-        sep = min(tau, brute_lambda(induced, k, i - 1, i))
+    for i in range(1, len(seq)):
+        sep = min(tau, least_union(values, masks[i - 1], masks[:i - 1] + masks[i + 1:]))
         if value_below(sep, order.keys[i]):
             bound = CheckResult(False, (i, order.keys[i], sep))
             break
@@ -122,16 +138,18 @@ def check_join_record(record, algorithm):
     return CheckResult(True)
 
 
-def check_contraction_record(oracle, record):
-    """Contracting threshold-reaching runs must preserve the capped optimum."""
+def check_contraction_record(record, values):
+    """Contracting threshold-reaching runs must preserve the capped optimum.
+
+    Both optima are least unions of the round's classes, read from
+    `values`, the instance's :func:`brute.bipartition_values`.
+    """
     tau = record.stats.tau
-    before = [record.members_before[c] for c in sorted(record.members_before)]
-    after = [record.members_after[c] for c in sorted(record.members_after)]
-    optimum_before = brute_min_bipartition(
-        InducedOracle(oracle, before), len(before)).value
+    before = [mask_of(members) for members in record.members_before.values()]
+    after = [mask_of(members) for members in record.members_after.values()]
+    optimum_before = least_union(values, before[0], before[1:])
     if len(after) >= 2:
-        optimum_after = brute_min_bipartition(
-            InducedOracle(oracle, after), len(after)).value
+        optimum_after = least_union(values, after[0], after[1:])
         ok = values_equal(min(tau, optimum_before), min(tau, optimum_after))
         witness = None if ok else (optimum_before, optimum_after, tau)
     else:
@@ -154,11 +172,14 @@ def verify_oracle(oracle, n):
     For n <= 8 the per-round order and contraction checks and the symmetry
     of every bipartition value run too, and for n <= 6 the
     monotonicity/consistency axioms are checked exhaustively, including on
-    capped views of the oracle. Every check evaluates through
-    `oracle` itself.
+    the oracle capped at 0 and at the median and top bipartition values.
+    Every check evaluates through `oracle` itself. The bipartitions are
+    walked once, into the table that the optimum, the caps and the
+    per-round bound and contraction checks read.
     """
     deep = n <= 8
-    expected = brute_min_bipartition(oracle, n)
+    values = bipartition_values(oracle, n)
+    expected = min(values)
     entries = []
 
     round_failures = {}
@@ -172,10 +193,9 @@ def verify_oracle(oracle, n):
             entries.append(VerifyEntry(f"agrees-with-bruteforce[{name}]", False, str(exc)))
             continue
         run_stats[name] = stats
-        agree = values_equal(value, expected.value)
+        agree = values_equal(value, expected)
         entries.append(VerifyEntry(
-            f"agrees-with-bruteforce[{name}]", agree,
-            f"value {value} vs {expected.value}"))
+            f"agrees-with-bruteforce[{name}]", agree, f"value {value} vs {expected}"))
         attained = oracle.eval(frozenset(best), frozenset(range(n)) - best, INF)
         tau = records[-1].stats.tau
         entries.append(VerifyEntry(
@@ -184,8 +204,8 @@ def verify_oracle(oracle, n):
         for record in records:
             checks = [("joins-follow-the-rule", check_join_record(record, cfg.algorithm))]
             if deep:
-                checks += check_order_record(oracle, record)
-                checks.append(check_contraction_record(oracle, record))
+                checks += check_order_record(oracle, record, values)
+                checks.append(check_contraction_record(record, values))
             for check_name, result in checks:
                 round_counts[check_name] = round_counts.get(check_name, 0) + 1
                 if not result and check_name not in round_failures:
@@ -204,7 +224,8 @@ def verify_oracle(oracle, n):
     if n <= 6:
         entries.append(_entry("oracle-monotone", check_monotone(oracle, n)))
         entries.append(_entry("oracle-consistent", check_consistent(oracle, n)))
-        for cap in _sample_caps(oracle, n):
+        distinct = sorted(set(values))
+        for cap in sorted({0, distinct[len(distinct) // 2], distinct[-1]}):
             capped = ThresholdedOracle(oracle, cap)
             mono = check_monotone(capped, n)
             cons = check_consistent(capped, n)
@@ -242,13 +263,3 @@ def verify_table(table):
                VerifyEntry("table-submodular", table_submodular(table))]
     report = verify_oracle(ConnectivityOracle(table), table.n)
     return VerifyReport(entries + report.entries)
-
-
-def _sample_caps(oracle, n):
-    """The distinct caps among 0 and the median and top bipartition values, ascending."""
-    values = set()
-    full = (1 << n) - 1
-    for mask in range(1, full):
-        values.add(oracle.eval(set_of(mask), set_of(full ^ mask), INF))
-    values = sorted(values)
-    return sorted({0, values[len(values) // 2], values[-1]})

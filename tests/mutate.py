@@ -211,6 +211,26 @@ MUTANTS = [
            "values_equal(attained, tau)",
            "values_equal(attained, value)",
            ("tests/test_verify.py",)),
+    # a union of classes without element 0 reads the entry of its own mask,
+    # not that of its complement
+    Mutant("union-read-ignores-the-side-of-0", "src/symcut/verify.py",
+           "values[(u if u & 1 else full ^ u) >> 1]",
+           "values[u >> 1]",
+           ("tests/test_properties.py::"
+            "test_least_unions_read_from_the_table_equal_a_direct_enumeration",)),
+    # the order walk stops at its first domination failure, so a later
+    # wrong key goes unreported
+    Mutant("order-walk-stops-at-first-domination", "src/symcut/brute.py",
+           "        if dominated is not None and inexact is not None:\n",
+           "        if dominated is not None:\n",
+           ("tests/test_brute.py::"
+            "test_lax_back_order_check_reports_each_first_failure_after_the_other",)),
+    # each wrong key replaces the witness of the one before it
+    Mutant("stored-key-witness-is-the-last-wrong-key", "src/symcut/brute.py",
+           "if inexact is None and not values_equal(keys[i], own):",
+           "if not values_equal(keys[i], own):",
+           ("tests/test_brute.py::"
+            "test_lax_back_order_check_reports_each_first_failure_after_the_other",)),
 ]
 
 

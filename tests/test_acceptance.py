@@ -15,7 +15,8 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set)
-from symcut.brute import check_symmetric, table_submodular, table_symmetric
+from symcut.brute import (bipartition_values, check_symmetric, table_submodular,
+                          table_symmetric)
 from symcut.cli import main
 from symcut.oracles import ThresholdedOracle
 from symcut.verify import check_contraction_record, check_order_record
@@ -120,15 +121,16 @@ def test_criterion_04_order_and_contraction_properties(corpus_runs):
     failures = []
     for n, graph, expected, per_config, maxback in corpus_runs:
         strict = GraphCutOracle(graph, early_exit=False)
+        values = bipartition_values(strict, n)
         all_records = [rec for _, _, _, records in per_config.values()
                        for rec in records]
         all_records += maxback[3]
         for rec in all_records:
-            for name, result in check_order_record(strict, rec):
+            for name, result in check_order_record(strict, rec, values):
                 counts[name] = counts.get(name, 0) + 1
                 if not result:
                     failures.append((name, graph, rec.index, result.witness))
-            name, result = check_contraction_record(strict, rec)
+            name, result = check_contraction_record(rec, values)
             counts[name] = counts.get(name, 0) + 1
             if not result:
                 failures.append((name, graph, rec.index, result.witness))

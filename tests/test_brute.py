@@ -1,10 +1,14 @@
 import pytest
 
-from symcut import (ConnectivityOracle, GraphCutOracle, Hypergraph, HypergraphCutOracle,
-                    SetFunctionTable, WeightedGraph, brute_min_bipartition,
-                    check_consistent, check_monotone, graph_cut_table)
-from symcut.brute import brute_lambda, check_symmetric, table_submodular, table_symmetric
+from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
+                    HypergraphCutOracle, SetFunctionTable, WeightedGraph,
+                    brute_min_bipartition, check_consistent, check_monotone,
+                    gen_random_graph, graph_cut_table)
+from symcut.brute import (MAX_ENUM, bipartition_values, check_lax_back_order,
+                          check_symmetric, table_submodular, table_symmetric)
 from symcut.oracles import ThresholdedOracle
+from symcut.order import LaxBackOrder
+from symcut.values import set_of
 from table_oracle import TableOracle, complete_table
 
 # elements {0,1,2}: d({0},{2})=5 >= d({1},{2})=3, yet
@@ -37,21 +41,22 @@ def test_size_bounds(triangle_oracle):
         brute_min_bipartition(triangle_oracle, 25)
 
 
-def test_lambda_triangle(triangle_oracle):
-    # sets holding 0 but not 1: {0} cuts 4, {0,2} cuts 5
-    assert brute_lambda(triangle_oracle, 3, 0, 1) == 4
+def test_bipartition_values_index_each_side_of_0_by_mask_shifted_once(triangle_oracle):
+    # {0} cuts 4, {0, 1} cuts 3, {0, 2} cuts 5
+    assert bipartition_values(triangle_oracle, 3) == [4, 3, 5]
+    for n in range(2, 7):
+        oracle = GraphCutOracle(gen_random_graph(n, 0.6, 9, seed=n))
+        full = (1 << n) - 1
+        values = bipartition_values(oracle, n)
+        assert len(values) == 2 ** (n - 1) - 1
+        for mask in range(1, full, 2):
+            assert values[mask >> 1] == oracle.eval(set_of(mask), set_of(full ^ mask), INF)
 
 
-def test_lambda_pair_and_disconnected():
-    o = GraphCutOracle(WeightedGraph(2, [(0, 1, 9)]))
-    assert brute_lambda(o, 2, 0, 1) == 9
-    o = GraphCutOracle(WeightedGraph(2, []))
-    assert brute_lambda(o, 2, 0, 1) == 0
-
-
-def test_lambda_same_element_rejected(triangle_oracle):
-    with pytest.raises(ValueError):
-        brute_lambda(triangle_oracle, 3, 1, 1)
+@pytest.mark.parametrize("n", [-1, 0, 1, MAX_ENUM + 1, 25])
+def test_bipartition_values_refuse_sizes_past_the_enumeration(triangle_oracle, n):
+    with pytest.raises(ValueError, match=f"^enumeration supports 2 <= n <= {MAX_ENUM}$"):
+        bipartition_values(triangle_oracle, n)
 
 
 def test_built_in_oracles_are_symmetric(triangle, triangle_oracle):
@@ -132,12 +137,59 @@ def test_min_bipartition_complement_symmetry(triangle_oracle):
     assert triangle_oracle.eval(rest, side) == res.value
 
 
-def test_min_bipartition_equals_min_pair_lambda():
-    from symcut import gen_random_graph
+def test_min_bipartition_is_the_least_table_entry_first_by_mask():
+    # on the 4-cycle of unit weights only {0, 2} against {1, 3} cuts 4, every
+    # other bipartition 2, and {0} is the least mask among those
+    o = GraphCutOracle(WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)]))
+    assert bipartition_values(o, 4) == [2, 2, 4, 2, 2, 2, 2]
+    res = brute_min_bipartition(o, 4)
+    assert (res.mask, res.value) == (0b0001, 2)
     for seed in range(10):
         n = 4 + seed % 3
         o = GraphCutOracle(gen_random_graph(n, 0.6, 8, seed=seed))
-        want = brute_min_bipartition(o, n).value
-        got = min(brute_lambda(o, n, s, t)
-                  for s in range(n) for t in range(n) if s != t)
-        assert want == got
+        values = bipartition_values(o, n)
+        res = brute_min_bipartition(o, n)
+        assert res.value == min(values)
+        assert res.mask == 2 * values.index(res.value) + 1
+
+
+def order_of(seq, keys, tau=INF):
+    """An order of singleton classes, each class labelled by its element."""
+    return LaxBackOrder(tuple(seq), tuple(keys), tau)
+
+
+def test_lax_back_order_check_passes_the_builders_max_back_order(triangle_oracle):
+    # from {0}: d({1}, {0}) = 3 beats d({2}, {0}) = 1; then d({2}, {0, 1}) = 3
+    blocks = {v: frozenset({v}) for v in range(3)}
+    results = check_lax_back_order(triangle_oracle, blocks, order_of((0, 1, 2), (INF, 3, 3)))
+    assert [name for name, _ in results] == ["order-dominates-suffix", "stored-keys-exact"]
+    assert all(result for _, result in results)
+
+
+def test_lax_back_order_check_reports_each_first_failure_after_the_other():
+    # the 4-path 0 -1- 1 -5- 2 -2- 3 in the order (0, 1, 3, 2): {3} is not
+    # adjacent to {0, 1}, which {2} is at 5, so position 2 fails domination;
+    # the keys are right up to position 3, where d({2}, {0, 1, 3}) = 7 not 6
+    oracle = GraphCutOracle(WeightedGraph(4, [(0, 1, 1), (1, 2, 5), (2, 3, 2)]))
+    blocks = {v: frozenset({v}) for v in range(4)}
+    results = dict(check_lax_back_order(oracle, blocks, order_of((0, 1, 3, 2), (INF, 1, 0, 6))))
+    assert results["order-dominates-suffix"].witness == (2, 3)
+    assert results["stored-keys-exact"].witness == (3, 6, 7)
+    # a wrong key first, the domination failure after it
+    results = dict(check_lax_back_order(oracle, blocks, order_of((0, 1, 3, 2), (INF, 2, 9, 6))))
+    assert results["stored-keys-exact"].witness == (1, 2, 1)
+    assert results["order-dominates-suffix"].witness == (2, 3)
+
+
+def test_lax_back_order_check_caps_at_the_threshold():
+    # (0, 2, 1, 3) on the same path: {1} is adjacent to {0} and {2} is not,
+    # so the order fails uncapped at position 1, with exact keys; at tau = 0
+    # every value caps to 0 and nothing fails
+    oracle = GraphCutOracle(WeightedGraph(4, [(0, 1, 1), (1, 2, 5), (2, 3, 2)]))
+    blocks = {v: frozenset({v}) for v in range(4)}
+    seq = (0, 2, 1, 3)
+    uncapped = dict(check_lax_back_order(oracle, blocks, order_of(seq, (INF, 0, 6, 2))))
+    assert uncapped["order-dominates-suffix"].witness == (1, 2)
+    assert uncapped["stored-keys-exact"]
+    assert all(result for _, result in check_lax_back_order(
+        oracle, blocks, order_of(seq, (INF, 0, 0, 0), tau=0)))

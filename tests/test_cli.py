@@ -482,6 +482,19 @@ def test_readme_usage_names_exactly_the_parser_flags():
     assert _readme_usage() == _parser_usage()
 
 
+@pytest.mark.parametrize("command", ["mincut", "minimize"])
+def test_every_solver_flag_says_what_it_does(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    helps = {action.option_strings[0]: action.help
+             for action in subparsers.choices[command]._actions if action.option_strings}
+    assert all(helps.values()), helps
+    # a table's --check reads its own entries, a file's enumerates the cuts
+    want = ("least nontrivial entry (any table size)" if command == "minimize"
+            else f"enumeration (n <= {MAX_ENUM})")
+    assert want in helps["--check"]
+
+
 def test_verify_takes_a_path_kind_and_random_count_only():
     assert _parser_usage()["verify"] == {"--kind": ["graph", "hypergraph", "table"],
                                          "--random": None}

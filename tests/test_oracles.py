@@ -11,7 +11,7 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InstanceError, SetFunctionTable,
                     WeightedGraph, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set, values_equal)
-from symcut.oracles import MAX_VERTICES, InducedOracle, ThresholdedOracle
+from symcut.oracles import MAX_VERTICES, ThresholdedOracle
 from symcut.partition import Partition
 from symcut.values import set_of
 from table_oracle import TableOracle, complete_table
@@ -496,26 +496,6 @@ class TestThresholded:
         for mask in range(1, 7):
             s = frozenset(v for v in range(3) if mask >> v & 1)
             assert capped.eval(s, full - s) == triangle_oracle.eval(s, full - s)
-
-
-class TestInduced:
-    def test_expands_blocks(self, triangle_oracle):
-        induced = InducedOracle(triangle_oracle, [F(0, 1), F(2)])
-        assert induced.eval(F(0), F(1)) == 3  # = d({0,1}, {2})
-
-    def test_empty_side(self, triangle_oracle):
-        induced = InducedOracle(triangle_oracle, [F(0), F(1), F(2)])
-        assert induced.eval(F(0), frozenset()) == 0
-
-    THREE = InducedOracle(ConnectivityOracle(graph_cut_table(
-        gen_random_graph(4, 0.8, 5, seed=1, connected=True))), [F(0), F(1), F(2, 3)])
-
-    @pytest.mark.parametrize("left, right, bad", [
-        (F(-1), F(0), -1), (F(3), F(0), 3), (F(0), F(1, -1), -1), (F(1), F(0, 3), 3)])
-    def test_block_outside_the_blocks_refused(self, left, right, bad):
-        # unchecked, -1 reads the last block and 3 is a bare IndexError
-        with pytest.raises(ValueError, match=f"^block {bad} is not one of the 3 blocks$"):
-            self.THREE.eval(left, right)
 
 
 def test_graph_cut_table_values(triangle):

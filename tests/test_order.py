@@ -5,7 +5,7 @@ import pytest
 from symcut import (INF, GraphCutOracle, Hypergraph, HypergraphCutOracle,
                     MinimizeConfig, WeightedGraph, gen_random_graph,
                     gen_random_hypergraph, optimal_set)
-from symcut.brute import verify_lax_back_order
+from symcut.brute import check_lax_back_order
 from symcut.order import lax_back_order_queue, lax_back_order_scan
 from symcut.partition import Partition
 from symcut.queues import BucketQueue, HeapQueue
@@ -119,7 +119,8 @@ def test_builders_produce_valid_orders(tau):
         for build in (lax_back_order_scan, lax_back_order_queue):
             order, _ = build(oracle, Partition(n), tau)
             assert sorted(order.order) == list(range(n))
-            assert verify_lax_back_order(oracle, blocks, order)
+            for name, result in check_lax_back_order(oracle, blocks, order):
+                assert result, (name, result.witness)
 
 
 def test_reversed_order_fails_verification():
@@ -129,10 +130,10 @@ def test_reversed_order_fails_verification():
     oracle = GraphCutOracle(g)
     p = Partition(3)
     good, _ = lax_back_order_scan(oracle, p)
-    assert verify_lax_back_order(oracle, p.blocks(), good)
+    assert all(result for _, result in check_lax_back_order(oracle, p.blocks(), good))
     from symcut.order import LaxBackOrder
     bad = LaxBackOrder(tuple(reversed(good.order)), good.keys, good.threshold)
-    res = verify_lax_back_order(oracle, p.blocks(), bad)
+    res = dict(check_lax_back_order(oracle, p.blocks(), bad))["order-dominates-suffix"]
     assert not res
     assert res.witness is not None
 

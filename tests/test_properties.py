@@ -5,6 +5,7 @@ the same families at full scale; these stay small enough to pinpoint
 failures quickly.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,13 +13,15 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
-                    graph_cut_table, optimal_set, verify_oracle)
-from symcut.brute import (brute_lambda, check_symmetric, table_submodular,
-                          table_symmetric, verify_lax_back_order)
+                    WeightedGraph, graph_cut_table, optimal_set, values_equal,
+                    verify_oracle)
+from symcut.brute import (bipartition_values, check_lax_back_order, check_symmetric,
+                          table_submodular, table_symmetric)
 from symcut.oracles import ThresholdedOracle
 from symcut.order import lax_back_order_queue, lax_back_order_scan
 from symcut.partition import Partition
-from symcut.verify import check_contraction_record, check_order_record
+from symcut.values import mask_of, set_of
+from symcut.verify import check_contraction_record, check_order_record, least_union
 
 
 def graphs(count, nmin=3, nmax=6, seed0=0, p=0.6, wmax=9):
@@ -69,7 +72,9 @@ def test_uncapped_orders_stay_valid_for_every_smaller_threshold():
         blocks = Partition(n).blocks()
         order, _ = lax_back_order_scan(oracle, Partition(n), INF)
         for tau in (0, 1, 3, total_weight(g), INF):
-            assert verify_lax_back_order(oracle, blocks, replace(order, threshold=tau))
+            checks = dict(check_lax_back_order(oracle, blocks,
+                                               replace(order, threshold=tau)))
+            assert checks["order-dominates-suffix"]
 
 
 def test_capped_orders_stay_valid_for_smaller_thresholds():
@@ -79,7 +84,9 @@ def test_capped_orders_stay_valid_for_smaller_thresholds():
         tau = max(2, total_weight(g) // 3)
         order, _ = lax_back_order_scan(oracle, Partition(n), tau)
         for smaller in (0, 1, tau - 1, tau):
-            assert verify_lax_back_order(oracle, blocks, replace(order, threshold=smaller))
+            checks = dict(check_lax_back_order(oracle, blocks,
+                                               replace(order, threshold=smaller)))
+            assert checks["order-dominates-suffix"]
 
 
 def test_prefix_value_never_decreases_as_prefix_grows():
@@ -101,15 +108,16 @@ def test_prefix_value_never_decreases_as_prefix_grows():
 def test_round_records_pass_all_order_and_contraction_checks():
     for n, g in graphs(10, seed0=120):
         oracle = GraphCutOracle(g, early_exit=False)
+        values = bipartition_values(oracle, n)
         for cfg in (MinimizeConfig(order_builder="scan"),
                     MinimizeConfig(order_builder="queue"),
                     MinimizeConfig(order_builder="queue", queue_kind="bucket")):
             records = []
             optimal_set(GraphCutOracle(g), n, cfg, observer=records.append)
             for rec in records:
-                for name, result in check_order_record(oracle, rec):
+                for name, result in check_order_record(oracle, rec, values):
                     assert result, (name, n, result.witness)
-                name, result = check_contraction_record(oracle, rec)
+                name, result = check_contraction_record(rec, values)
                 assert result, (name, n, result.witness)
 
 
@@ -141,11 +149,48 @@ def test_symmetric_submodular_minimization_matches_exhaustive():
         assert f[sum(1 << v for v in found)] == best_f
 
 
-def test_min_bipartition_agrees_between_pair_lambdas_and_enumeration():
-    for n, g in graphs(6, seed0=230):
-        o = GraphCutOracle(g)
-        assert brute_min_bipartition(o, n).value == min(
-            brute_lambda(o, n, 0, t) for t in range(1, n))
+def random_classes(r, n):
+    """A random partition of range(n) into 2 to n classes, in random order."""
+    k = r.randint(2, n)
+    labels = list(range(k)) + [r.randrange(k) for _ in range(n - k)]
+    r.shuffle(labels)
+    return [[v for v in range(n) if labels[v] == c] for c in r.sample(range(k), k)]
+
+
+def test_least_unions_read_from_the_table_equal_a_direct_enumeration():
+    # the separation of each ordered pair of classes and the least cut of
+    # the quotient, read from the table on the side of element 0, against
+    # every union of classes evaluated as it stands; float sums may differ
+    # in the last place between the two sides
+    r = random.Random(41)
+    instances = []
+    for i in range(18):
+        n = 3 + i % 6
+        graph = gen_random_graph(n, 0.6, 9, seed=300 + i, connected=True)
+        instances += [
+            (n, GraphCutOracle(graph)),
+            (n, GraphCutOracle(WeightedGraph(n, [(u, v, w / 10) for u, v, w in graph.edges]))),
+            (n, HypergraphCutOracle(gen_random_hypergraph(n, 2 * n, 9, seed=300 + i)))]
+    for n, oracle in instances:
+        values = bipartition_values(oracle, n)
+        full = (1 << n) - 1
+        for _ in range(3):
+            classes = [mask_of(c) for c in random_classes(r, n)]
+            k = len(classes)
+            cut = {}
+            for chosen in range(1, (1 << k) - 1):
+                side = sum(m for c, m in enumerate(classes) if chosen >> c & 1)
+                cut[chosen] = oracle.eval(set_of(side), set_of(full ^ side), INF)
+            assert values_equal(least_union(values, classes[0], classes[1:]),
+                                min(cut.values()))
+            for a in range(k):
+                for b in range(k):
+                    if a == b:
+                        continue
+                    rest = [m for c, m in enumerate(classes) if c not in (a, b)]
+                    direct = min(d for chosen, d in cut.items()
+                                 if chosen >> a & 1 and not chosen >> b & 1)
+                    assert values_equal(least_union(values, classes[a], rest), direct)
 
 
 def test_verify_oracle_flags_a_broken_function():
@@ -170,5 +215,6 @@ def test_queue_scan_equivalence_keys_both_valid():
         tau = max(1, total_weight(g) // 2)
         scan_order, _ = lax_back_order_scan(oracle, Partition(n), tau)
         queue_order, _ = lax_back_order_queue(oracle, Partition(n), tau)
-        assert verify_lax_back_order(oracle, blocks, scan_order)
-        assert verify_lax_back_order(oracle, blocks, queue_order)
+        for order in (scan_order, queue_order):
+            for name, result in check_lax_back_order(oracle, blocks, order):
+                assert result, (name, result.witness)

@@ -10,11 +10,13 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, Rou
                     RunStats, SetFunctionTable, WeightedGraph, check_consistent,
                     gen_random_graph, graph_cut_table, optimal_set, verify_oracle,
                     verify_table, write_graph, write_table)
-from symcut import verify
-from symcut.brute import check_symmetric, table_submodular, table_symmetric
+from symcut import brute, verify
+from symcut.brute import (CheckResult, bipartition_values, check_symmetric,
+                          table_submodular, table_symmetric)
 from symcut.cli import main
 from symcut.values import set_of, value_below
-from symcut.verify import _within_maxback, check_join_record, check_order_record
+from symcut.verify import (_within_maxback, check_contraction_record, check_join_record,
+                           check_order_record)
 from table_oracle import TableOracle, complete_table
 
 
@@ -186,6 +188,16 @@ def test_verify_checks_each_cap_once(tmp_path, capsys, name, text, caps):
     assert printed == [f"capped-oracle-axioms[cap={cap}]" for cap in caps]
 
 
+def test_capped_axioms_sample_one_value_per_bipartition():
+    # some bipartitions of this float graph sum to values a last place apart
+    # on their two sides; the caps read each bipartition once, on the side
+    # of element 0, so no such pair counts as two values and moves the median
+    oracle = GraphCutOracle(float_graph(6, seed=1))
+    caps = [e.name for e in verify_oracle(oracle, 6).entries
+            if e.name.startswith("capped-oracle-axioms")]
+    assert caps == [f"capped-oracle-axioms[cap={cap}]" for cap in (0, 44.47, 66.57)]
+
+
 @pytest.mark.parametrize("name, text", [("one.table", "1\n0 0\n1 0\n"),
                                         ("one.graph", "1 0\n")])
 def test_verify_refuses_a_one_element_instance(tmp_path, capsys, name, text):
@@ -297,8 +309,10 @@ def test_stored_keys_exact_fails_a_changed_key_with_its_witness():
     keys = list(record.order.keys)
     keys[2] += 1
     corrupted = replace(record, order=replace(record.order, keys=tuple(keys)))
-    results = dict(check_order_record(GraphCutOracle(graph), corrupted))
-    assert dict(check_order_record(GraphCutOracle(graph), record))["stored-keys-exact"]
+    oracle = GraphCutOracle(graph)
+    values = bipartition_values(oracle, graph.n)
+    results = dict(check_order_record(oracle, corrupted, values))
+    assert dict(check_order_record(oracle, record, values))["stored-keys-exact"]
     assert not results["stored-keys-exact"]
     assert results["stored-keys-exact"].witness == (2, keys[2], keys[2] - 1)
 
@@ -312,13 +326,31 @@ def test_keys_bound_separation_fails_a_final_key_above_the_last_pair_separation(
     oracle = GraphCutOracle(graph)
     record = first_record(graph, MAXBACK_SCAN)
     assert (record.order.order, record.order.keys) == ((0, 1, 2), (INF, 5, 1))
-    assert all(result for _, result in check_order_record(oracle, record))
+    values = bipartition_values(oracle, 3)
+    assert all(result for _, result in check_order_record(oracle, record, values))
     swapped = replace(record, order=replace(record.order, order=(0, 2, 1),
                                             keys=(INF, 0, 6)))
-    results = dict(check_order_record(oracle, swapped))
+    results = dict(check_order_record(oracle, swapped, values))
     assert results["stored-keys-exact"]
     assert not results["keys-bound-separation"]
     assert results["keys-bound-separation"].witness == (2, 6, 1)
+
+
+def test_contraction_check_fails_a_round_that_loses_the_capped_min():
+    # path 0 -5- 1 -1- 2: the first round contracts everything at tau 1, the
+    # least cut. At tau 5 that loses the cut of 1, and so does joining {0}
+    # and {2}, whose quotient's least cut is d({1}, {0, 2}) = 6
+    graph = WeightedGraph(3, [(0, 1, 5), (1, 2, 1)])
+    values = bipartition_values(GraphCutOracle(graph), 3)
+    record = first_record(graph, LAXBACK_SCAN)
+    assert record.stats.tau == 1 and record.members_after == {0: frozenset({0, 1, 2})}
+    assert check_contraction_record(record, values) == (
+        "contraction-preserves-capped-min", CheckResult(True))
+    at_5 = replace(record, stats=replace(record.stats, tau=5))
+    assert check_contraction_record(at_5, values)[1].witness == (1, 5)
+    crossed = replace(at_5, members_after={0: frozenset({0, 2}), 1: frozenset({1})})
+    assert check_contraction_record(crossed, values)[1].witness == (1, 6, 5)
+    assert check_contraction_record(replace(crossed, stats=record.stats), values)[1]
 
 
 def test_oracle_symmetric_fails_an_oracle_that_is_not_symmetric():
@@ -340,3 +372,34 @@ def test_oracle_symmetric_forgives_a_float_cut_off_in_the_last_place():
     assert check_symmetric(oracle, 6)
     entries = {e.name: e for e in verify_oracle(oracle, 6).entries}
     assert entries["oracle-symmetric"].ok
+
+
+class CountingOracle(GraphCutOracle):
+    """A graph cut oracle that counts its evals."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.evals = 0
+
+    def eval(self, left, right, tau=INF):
+        self.evals += 1
+        return super().eval(left, right, tau)
+
+
+def test_verify_oracle_enumerates_the_bipartitions_once(monkeypatch):
+    tables = []
+
+    def counted(oracle, n):
+        tables.append(n)
+        return brute.bipartition_values(oracle, n)
+
+    monkeypatch.setattr(verify, "bipartition_values", counted)
+    oracle = CountingOracle(gen_random_graph(8, 0.5, 9, seed=3, connected=True))
+    report = verify_oracle(oracle, 8)
+    assert report.ok, [e for e in report.entries if not e.ok]
+    assert tables == [8]
+    # 127 for the table, 254 for the symmetry check's two sides of each
+    # bipartition, 99 in the three solves, 3 for their result sets and 140
+    # for the order walks of their 9 rounds; no check of the separations
+    # or of the contractions evaluates
+    assert oracle.evals == 127 + 254 + 99 + 3 + 140 == 623
