@@ -3,7 +3,8 @@
 Everything the fast path relies on can be recomputed here by direct
 enumeration. :func:`bipartition_values` walks the bipartitions once
 into a table of every value d(S, V\\S), from which the minimum
-bipartition and any least separation over unions of classes are read.
+bipartition, any least separation over unions of classes and one side of
+each symmetry test are read.
 :func:`check_lax_back_order` re-checks an order against its prefixes,
 and the symmetry / monotonicity / consistency axioms the minimizer
 assumes are checked exhaustively. All evaluations go through
@@ -52,7 +53,8 @@ def bipartition_values(oracle, n):
 
     One walk over the 2^(n-1) - 1 masks S with bit 0 set, in ascending
     order; the complement gives the same value by symmetry. Every minimum
-    over bipartitions, here and in `verify`, reads this table.
+    over bipartitions, here and in `verify`, reads this table, and
+    :func:`check_symmetric` compares it with the other side.
     """
     if not 2 <= n <= MAX_ENUM:
         raise ValueError(f"enumeration supports 2 <= n <= {MAX_ENUM}")
@@ -71,18 +73,19 @@ def brute_min_bipartition(oracle, n):
     return BruteResult(2 * best + 1, values[best])
 
 
-def check_symmetric(oracle, n):
+def check_symmetric(oracle, values):
     """Check d(S, V\\S) = d(V\\S, S), within `values_equal`, for every bipartition.
 
-    Element 0 is pinned to S, so each bipartition is tested once: 2^n
-    evaluations in all. The witness is the mask of S. The tolerance is
-    needed: a cut oracle's two sides walk in different orders, so float
-    values of equal-sized sides may differ in the last place.
+    `values` is the oracle's :func:`bipartition_values`, which holds
+    d(S, V\\S) for every S holding element 0, so each bipartition is
+    tested once, by one evaluation of d(V\\S, S): 2^(n-1) - 1 in all. The
+    witness is the mask of S. The tolerance is needed: a cut oracle's two
+    sides walk in different orders, so float values of equal-sized sides
+    may differ in the last place.
     """
-    full = (1 << n) - 1
-    for s in range(1, full, 2):
-        if not values_equal(_full_eval(oracle, s, full ^ s),
-                            _full_eval(oracle, full ^ s, s)):
+    full = 2 * len(values) + 1
+    for s, value in zip(range(1, full, 2), values):
+        if not values_equal(value, _full_eval(oracle, full ^ s, s)):
             return CheckResult(False, s)
     return CheckResult(True)
 

@@ -17,10 +17,14 @@ shows and :func:`graph_cut_table` reads.
 Graphs and tables are read in bulk first: one split, and the text is taken
 exactly when re-joining its tokens in the writer's layout (single spaces,
 one item per newline-ended line, masks 0..2^n-1 in order, plain decimal)
-gives it back; int() or float() then reads each column but the masks. '#'
-fails int(), float() and the mask comparison, so a comment is declined.
-Other texts, and hypergraph files (lines of varying length), go through
-the line walk, the one general parser and the only source of ParseError.
+gives it back; int() or float() then reads each column but the masks.
+'#' fails int(), float() and the mask comparison, so a comment is
+declined. Each layout is defined once, and the writers emit what the bulk
+readers check: write_graph joins its tokens through _graph_text, and
+write_table fills _table_template, which the first table of each size,
+written or read, builds and caches (about 13 MB at n = 20). Other texts,
+and hypergraph files (lines of varying length), go through the line walk,
+the one general parser and the only source of ParseError.
 Both give the same instance. They call the same int() and float(); where
 the walk mixes ints with floats, float(token) equals float(int(token))
 for every int token that fits a float, as both round correctly. The bulk
@@ -89,14 +93,21 @@ def _bulk_values(tokens):
     return values
 
 
+def _graph_text(tokens):
+    """The line "n m", then a line "u v w" per edge, of the 2 + 3m strings `tokens`.
+
+    :func:`write_graph` emits this text, and :func:`_bulk_graph` takes a
+    file exactly when it equals the text of the file's own tokens.
+    """
+    joined = [" "] * (2 * len(tokens))
+    joined[::2] = tokens
+    joined[3::6] = ["\n"] * (len(tokens) // 3 + 1)  # after m and after each w
+    return "".join(joined)
+
+
 def _bulk_graph(tokens, text):
     m = len(tokens) // 3
-    if len(tokens) != 2 + 3 * m or int(tokens[1]) != m:
-        return None
-    joined = [" "] * (2 * len(tokens))  # the line "n m", then a line "u v w" per edge
-    joined[::2] = tokens
-    joined[3::6] = ["\n"] * (m + 1)  # after m and after each w
-    if "".join(joined) != text:
+    if len(tokens) != 2 + 3 * m or int(tokens[1]) != m or _graph_text(tokens) != text:
         return None
     return WeightedGraph(int(tokens[0]), [(u - 1, v - 1, w) for u, v, w in zip(
         map(int, tokens[2::3]), map(int, tokens[3::3]), _bulk_values(tokens[4::3]))])
@@ -104,7 +115,12 @@ def _bulk_graph(tokens, text):
 
 @functools.cache
 def _table_template(n):
-    """Lines "m %s" for m = 0 .. 2^n - 1: a table's text after its header (136 KB at n = 14)."""
+    """Lines "m %s" for m = 0 .. 2^n - 1: a table's text after its header.
+
+    :func:`write_table` fills it with a table's values and :func:`_bulk_table`
+    with a file's value tokens. It is built at the first table of each size
+    and cached: 136 KB at n = 14, about 13 MB at n = 20.
+    """
     return "".join(f"{m} %s\n" for m in range(1 << n))
 
 
@@ -182,10 +198,10 @@ def parse_graph(text):
 
 
 def write_graph(graph):
-    lines = [f"{graph.n} {graph.m}"]
+    tokens = [str(graph.n), str(graph.m)]
     for u, v, w in graph.edges:
-        lines.append(f"{u + 1} {v + 1} {format_value(w)}")
-    return "\n".join(lines) + "\n"
+        tokens += (str(u + 1), str(v + 1), format_value(w))
+    return _graph_text(tokens)
 
 
 def parse_hypergraph(text):
@@ -245,10 +261,8 @@ def parse_table(text):
 
 
 def write_table(table):
-    lines = [str(table.n)]
-    for mask, value in enumerate(table.table_values):
-        lines.append(f"{mask} {format_value(value)}")
-    return "\n".join(lines) + "\n"
+    # %s gives str(v), which is format_value(v) for the ints and floats a table holds
+    return f"{table.n}\n" + _table_template(table.n) % tuple(table.table_values)
 
 
 def load_instance(text, kind=None):

@@ -29,6 +29,8 @@ before their per-vertex lists are built.
 """
 
 import weakref
+from itertools import repeat
+from operator import add, sub, truediv
 
 from .order import LaxBackOrder, replayed_prefix
 from .values import INF, mask_of
@@ -821,16 +823,15 @@ def graph_cut_table(graph):
         step = [degree[v]]  # step[S] = deg(v) - 2 w(v, S), doubled up to 2^v masks
         twice = twice_lower[v]
         for u in range(v):
-            if u in twice:
-                a = twice[u]
-                step += [x - a for x in step]
+            if u in twice:  # the map stops with its repeat, at the length step had
+                step += map(sub, step, repeat(twice[u], len(step)))
             else:
                 step *= 2
-        cuts += [c + x for c, x in zip(cuts, step)]
+        cuts += map(add, cuts, step)  # step is as long as cuts was
     cuts += cuts[::-1]
     if not graph.integer_weights:
         try:
-            cuts = [c / scale for c in cuts]  # int / int rounds correctly
+            cuts = list(map(truediv, cuts, repeat(scale)))  # int / int rounds correctly
         except OverflowError:
             cuts = [_quotient(c, scale) for c in cuts]
     return SetFunctionTable(n, cuts)

@@ -18,8 +18,9 @@ n. Each order takes one polynomial walk against its prefixes
 that need d over every bipartition. Those read one table,
 :func:`brute.bipartition_values`, built once per instance: the optimum,
 the sampled caps, and the separation bound and the contraction check,
-each a least cut over unions of a round's classes. Only the symmetry
-and axiom checks enumerate on their own.
+each a least cut over unions of a round's classes, and the symmetry
+check, which evaluates only the other side of each bipartition. Only
+the axiom checks enumerate on their own.
 Every check evaluates through the oracle that solves, uncapped or through
 a capped view, so the capped checks test its own lax answers (a cut
 oracle's early exit included), not those of a second copy.
@@ -174,8 +175,8 @@ def verify_oracle(oracle, n):
     monotonicity/consistency axioms are checked exhaustively, including on
     the oracle capped at 0 and at the median and top bipartition values.
     Every check evaluates through `oracle` itself. The bipartitions are
-    walked once, into the table that the optimum, the caps and the
-    per-round bound and contraction checks read.
+    walked once, into the table that the optimum, the caps, the per-round
+    bound and contraction checks and one side of the symmetry check read.
     """
     deep = n <= 8
     values = bipartition_values(oracle, n)
@@ -219,7 +220,7 @@ def verify_oracle(oracle, n):
             f"{round_counts[check_name]} rounds" if failure is None else repr(failure)))
 
     if deep:
-        entries.append(_entry("oracle-symmetric", check_symmetric(oracle, n)))
+        entries.append(_entry("oracle-symmetric", check_symmetric(oracle, values)))
 
     if n <= 6:
         entries.append(_entry("oracle-monotone", check_monotone(oracle, n)))

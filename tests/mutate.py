@@ -80,9 +80,8 @@ MUTANTS = [
            ("tests/test_order_facts.py",)),
     # the symmetry check compares float values exactly
     Mutant("symmetry-check-compares-exactly", "src/symcut/brute.py",
-           "        if not values_equal(_full_eval(oracle, s, full ^ s),\n"
-           "                            _full_eval(oracle, full ^ s, s)):\n",
-           "        if _full_eval(oracle, s, full ^ s) != _full_eval(oracle, full ^ s, s):\n",
+           "        if not values_equal(value, _full_eval(oracle, full ^ s, s)):\n",
+           "        if value != _full_eval(oracle, full ^ s, s):\n",
            ("tests/test_verify.py",)),
     # tau is never lowered after the singleton probes
     Mutant("tau-never-lowered", "src/symcut/driver.py",
@@ -197,14 +196,28 @@ MUTANTS = [
            ("tests/test_driver.py",)),
     # a graph's bulk read takes any text whose tokens fit the count, whatever its lines
     Mutant("graph-rejoin-unchecked", "src/symcut/instances.py",
-           '    if "".join(joined) != text:\n        return None\n',
-           "",
+           " or _graph_text(tokens) != text:",
+           ":",
            ("tests/test_format_properties.py::test_graph_bulk_read_matches_the_line_walk",)),
-    # the table template ends each line with a space, so no text matches it
+    # the table template ends each line with a space; the writer fills the
+    # same template, so the bulk read still takes its output and only the
+    # pinned texts can tell
     Mutant("table-template-without-line-breaks", "src/symcut/instances.py",
            'f"{m} %s\\n"',
            'f"{m} %s "',
-           ("tests/test_format_properties.py::test_table_writer_output_is_read_in_bulk",)),
+           ("tests/test_instances.py::test_writers_emit_their_layouts",)),
+    # the table writer puts a space after n; the line walk still reads it
+    Mutant("table-header-with-a-trailing-space", "src/symcut/instances.py",
+           'f"{table.n}\\n"',
+           'f"{table.n} \\n"',
+           ("tests/test_instances.py::test_writers_emit_their_layouts",)),
+    # the cut table's doubling walk adds a lower neighbour's weight to the
+    # step where it should subtract it
+    Mutant("cut-walk-adds-the-lower-weights", "src/symcut/oracles.py",
+           "step += map(sub, step,",
+           "step += map(add, step,",
+           ("tests/test_oracles.py::TestGraphCutTable",
+            "tests/test_instances.py::test_cut_table_text_is_pinned_at_n_14")),
     # verify compares the result set's value with the driver's, a second
     # evaluation of the same set, instead of with the run's final tau
     Mutant("attains-compares-value-with-itself", "src/symcut/verify.py",

@@ -134,7 +134,7 @@ def test_criterion_04_order_and_contraction_properties(corpus_runs):
             counts[name] = counts.get(name, 0) + 1
             if not result:
                 failures.append((name, graph, rec.index, result.witness))
-        symmetric = check_symmetric(strict, n)
+        symmetric = check_symmetric(strict, values)
         counts["oracle-symmetric"] = counts.get("oracle-symmetric", 0) + 1
         if not symmetric:
             failures.append(("oracle-symmetric", graph, None, symmetric.witness))

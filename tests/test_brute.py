@@ -61,9 +61,9 @@ def test_bipartition_values_refuse_sizes_past_the_enumeration(triangle_oracle, n
 
 def test_built_in_oracles_are_symmetric(triangle, triangle_oracle):
     hypergraph = Hypergraph(4, [(3, (0, 1, 2)), (2, (1, 3)), (1, (0, 2, 3))])
-    assert check_symmetric(triangle_oracle, 3)
-    assert check_symmetric(HypergraphCutOracle(hypergraph), 4)
-    assert check_symmetric(ConnectivityOracle(graph_cut_table(triangle)), 3)
+    for oracle, n in ((triangle_oracle, 3), (HypergraphCutOracle(hypergraph), 4),
+                      (ConnectivityOracle(graph_cut_table(triangle)), 3)):
+        assert check_symmetric(oracle, bipartition_values(oracle, n))
 
 
 def test_symmetry_violation_with_witness():
@@ -71,7 +71,7 @@ def test_symmetry_violation_with_witness():
     oracle = TableOracle(3, complete_table(3, default=5))
     oracle.table[(0b011, 0b100)] = 1
     oracle.table[(0b010, 0b101)] = 2
-    res = check_symmetric(oracle, 3)
+    res = check_symmetric(oracle, bipartition_values(oracle, 3))
     assert not res
     assert res.witness == 0b011  # the first S holding element 0
 

@@ -1,3 +1,4 @@
+import hashlib
 from functools import partial
 
 import pytest
@@ -180,6 +181,45 @@ def test_hypergraph_round_trip(seed):
 def test_table_round_trip(triangle):
     t = graph_cut_table(triangle)
     assert parse_table(write_table(t)) == t
+
+
+# The writers share their layouts with the bulk readers, so a round trip
+# cannot see a layout both get wrong; these texts pin it on their own.
+@pytest.mark.parametrize("write,instance,text", [
+    (write_table, SetFunctionTable(2, [0, 3, -2, 10**20]),
+     "2\n0 0\n1 3\n2 -2\n3 100000000000000000000\n"),
+    (write_table, SetFunctionTable(2, [0.1, 1 / 3, 1e300, 2.0**60]),
+     "2\n0 0.1\n1 0.3333333333333333\n2 1e+300\n3 1.152921504606847e+18\n"),
+    (write_table, SetFunctionTable(1, [-0.0, 2.5]), "1\n0 -0.0\n1 2.5\n"),
+    (write_table, SetFunctionTable(1, [3, 0.5]), "1\n0 3.0\n1 0.5\n"),
+    (write_graph, WeightedGraph(3, [(0, 1, 5), (2, 1, 1)]), "3 2\n1 2 5\n3 2 1\n"),
+    (write_graph, WeightedGraph(3, [(0, 1, 0.1), (1, 2, 2.0**60), (0, 2, 1e300)]),
+     "3 3\n1 2 0.1\n2 3 1.152921504606847e+18\n1 3 1e+300\n"),
+    (write_graph, WeightedGraph(2, [(0, 1, -0.0), (1, 0, 3)]), "2 2\n1 2 -0.0\n2 1 3.0\n"),
+    (write_graph, WeightedGraph(3, []), "3 0\n"),
+], ids=["table-ints", "table-floats", "table-minus-0.0", "table-mixed", "graph-ints",
+        "graph-floats", "graph-minus-0.0-and-mixed", "graph-edgeless"])
+def test_writers_emit_their_layouts(write, instance, text):
+    assert write(instance) == text
+
+
+# circulant graphs on 14 vertices, steps 1, 2 and 5, with int and with
+# two-decimal weights
+CUT_TABLE_DIGESTS = {
+    "int": (lambda u, v: 1 + (3 * u + 5 * v) % 11,
+            "221859524dafd066053a2e7a53fa7ceed78631d23c4cb718b6efad5426b9ff42"),
+    "float": (lambda u, v: round(1 + (5 * u + 3 * v) % 89 / 7, 2),
+              "53aa167b35881afdaae6e13f7947883cc2fb68a7079da86ab7dbaffd17d93c9b"),
+}
+
+
+@pytest.mark.parametrize("weight,digest", CUT_TABLE_DIGESTS.values(),
+                         ids=CUT_TABLE_DIGESTS.keys())
+def test_cut_table_text_is_pinned_at_n_14(weight, digest):
+    graph = WeightedGraph(14, [(u, v, weight(u, v)) for u in range(14)
+                               for v in range(u + 1, 14) if v - u in (1, 2, 5)])
+    text = write_table(graph_cut_table(graph))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGenerators:

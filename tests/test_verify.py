@@ -369,7 +369,7 @@ def test_oracle_symmetric_forgives_a_float_cut_off_in_the_last_place():
     off = [s for s in range(1, 63, 2)
            if oracle.eval(set_of(s), set_of(63 ^ s)) != oracle.eval(set_of(63 ^ s), set_of(s))]
     assert off == [0b010011]
-    assert check_symmetric(oracle, 6)
+    assert check_symmetric(oracle, bipartition_values(oracle, 6))
     entries = {e.name: e for e in verify_oracle(oracle, 6).entries}
     assert entries["oracle-symmetric"].ok
 
@@ -398,8 +398,8 @@ def test_verify_oracle_enumerates_the_bipartitions_once(monkeypatch):
     report = verify_oracle(oracle, 8)
     assert report.ok, [e for e in report.entries if not e.ok]
     assert tables == [8]
-    # 127 for the table, 254 for the symmetry check's two sides of each
+    # 127 for the table, 127 for the symmetry check's other side of each
     # bipartition, 99 in the three solves, 3 for their result sets and 140
     # for the order walks of their 9 rounds; no check of the separations
     # or of the contractions evaluates
-    assert oracle.evals == 127 + 254 + 99 + 3 + 140 == 623
+    assert oracle.evals == 127 + 127 + 99 + 3 + 140 == 496
