@@ -12,7 +12,7 @@ machinery behind the solver (partitions, order builders, queues, the
 per-round checks) lives in its submodules.
 """
 
-from .brute import brute_min_bipartition, check_consistent, check_monotone
+from .brute import brute_min_bipartition, check_consistent, check_monotone, pair_values
 from .driver import MinimizeConfig, RoundStats, RunStats, optimal_set
 from .instances import (ParseError, gen_random_graph, gen_random_hypergraph,
                         load_instance, parse_graph, parse_hypergraph,
@@ -32,7 +32,7 @@ __all__ = [
     "HypergraphCutOracle", "SetFunctionTable", "ConnectivityOracle",
     "graph_cut_table",
     "MinimizeConfig", "RunStats", "RoundStats", "optimal_set",
-    "brute_min_bipartition", "check_monotone", "check_consistent",
+    "brute_min_bipartition", "pair_values", "check_monotone", "check_consistent",
     "ParseError", "parse_graph", "write_graph", "parse_hypergraph",
     "write_hypergraph", "parse_table", "write_table", "load_instance",
     "gen_random_graph", "gen_random_hypergraph",

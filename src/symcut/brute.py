@@ -7,15 +7,16 @@ bipartition, any least separation over unions of classes and one side of
 each symmetry test are read.
 :func:`check_lax_back_order` re-checks an order against its prefixes,
 and the symmetry / monotonicity / consistency axioms the minimizer
-assumes are checked exhaustively. All evaluations go through
-the oracle uncapped (tau = INF), so thresholding can never mask a
-discrepancy. Failed checks carry a witness. An inequality counts as
-violated only beyond the float tolerance (``values.value_below``), and a
-premise or an equality holds within it; integer values compare exactly.
+assumes are checked exhaustively, the last two on a table of every
+disjoint pair's value, :func:`pair_values`, uncapped or at a given cap.
+All other evaluations go through the oracle uncapped (tau = INF), so
+thresholding can never mask a discrepancy. Failed checks carry a
+witness. An inequality counts as violated only beyond the float
+tolerance (``values.value_below``), and a premise or an equality holds
+within it; integer values compare exactly.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 from .values import INF, set_of, submasks, value_below, values_equal
 
@@ -90,36 +91,47 @@ def check_symmetric(oracle, values):
     return CheckResult(True)
 
 
-def check_monotone(oracle, n):
-    """Exhaustively check d(S, T') <= d(S, T) for all disjoint S, T and T' in T.
+def pair_values(oracle, n, tau=INF):
+    """``values[S][T] = oracle.eval(S, T, tau)`` for all disjoint masks S, T.
 
-    Costs about 4^n cached pair evaluations; meant for n <= 6.
+    3^n evaluations (729 at n = 6), meant for n <= 6: S ascending and T
+    over ``submasks(V\\S)``, the walk the axiom checks read it in. A finite
+    `tau` gives the oracle's own capped answers, early exits included.
     """
     full = (1 << n) - 1
-    d = cache(lambda s, t: _full_eval(oracle, s, t))
+    values = []
     for s in range(1 << n):
-        for t in submasks(full ^ s):
-            d_st = d(s, t)
+        left = set_of(s)
+        values.append({t: oracle.eval(left, set_of(t), tau) for t in submasks(full ^ s)})
+    return values
+
+
+def check_monotone(values):
+    """Check d(S, T') <= d(S, T) for all disjoint S, T and T' in T.
+
+    Reads a :func:`pair_values` table; the witness is (S, T, T') as masks.
+    """
+    for s, row in enumerate(values):
+        for t, d_st in row.items():
             for tp in submasks(t):
-                if tp != t and value_below(d_st, d(s, tp)):
+                if tp != t and value_below(d_st, row[tp]):
                     return CheckResult(False, (s, t, tp))
     return CheckResult(True)
 
 
-def check_consistent(oracle, n):
-    """Exhaustively check consistency on all pairwise disjoint triples.
+def check_consistent(values):
+    """Check consistency on all pairwise disjoint triples.
 
     For disjoint R, S, T: d(S,R) >= d(T,R) must imply
-    d(S, R|T) >= d(S|R, T). Costs about 4^n cached comparisons; n <= 6.
+    d(S, R|T) >= d(S|R, T). Reads a :func:`pair_values` table; the
+    witness is (R, S, T) as masks.
     """
-    full = (1 << n) - 1
-    d = cache(lambda s, t: _full_eval(oracle, s, t))
-    for r in range(1 << n):
-        rest = full ^ r
-        for s in submasks(rest):
-            for t in submasks(rest ^ s):
-                if (not value_below(d(s, r), d(t, r))
-                        and value_below(d(s, r | t), d(s | r, t))):
+    full = len(values) - 1
+    for r, row in enumerate(values):
+        for s in row:
+            for t in submasks(full ^ r ^ s):
+                if (not value_below(values[s][r], values[t][r])
+                        and value_below(values[s][r | t], values[s | r][t])):
                     return CheckResult(False, (r, s, t))
     return CheckResult(True)
 

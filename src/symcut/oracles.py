@@ -349,7 +349,7 @@ class _KeyTracker:
     what its ``advance`` reports, as for every other step.
     """
 
-    _hit = None  # a hypergraph tracker's marks of the hyperedges its advances visited
+    _hit = None  # a hypergraph tracker's set of the hyperedge ids its advances credited
 
     def __init__(self, partition, first):
         if isinstance(first, LaxBackOrder):
@@ -363,7 +363,7 @@ class _KeyTracker:
                     for _, e, w in self._weights(c, position, limit):
                         key += w
                         if hit is not None:
-                            hit[e] = True
+                            hit.add(e)
                     keys[c] = key
                 return
             first = partition.class_of(first.order[0])
@@ -565,8 +565,7 @@ class HypergraphCutOracle(LaxOracle):
         hypergraph = self.hypergraph
         quotient = _synced_quotient(self._quotients, _HypergraphQuotient, hypergraph,
                                     partition)
-        return _HypergraphKeyTracker(quotient.incident, quotient.hyperedges,
-                                     hypergraph.m, partition, first)
+        return _HypergraphKeyTracker(quotient.incident, quotient.hyperedges, partition, first)
 
     def singleton_values(self, n):
         """d({v}, V\\{v}) for v = 0..n-1: each vertex's hyperedges summed, in one pass.
@@ -674,10 +673,10 @@ class _HypergraphKeyTracker(_KeyTracker):
     ``values_equal``).
     """
 
-    def __init__(self, incident, hyperedges, m, partition, first):
+    def __init__(self, incident, hyperedges, partition, first):
         self._incident = incident
         self._hyperedges = hyperedges
-        self._hit = [False] * m
+        self._hit = set()
         super().__init__(partition, first)
 
     def advance(self, appended):
@@ -687,9 +686,9 @@ class _HypergraphKeyTracker(_KeyTracker):
         hyperedges = self._hyperedges
         hit = self._hit
         for e in self._incident[appended]:
-            if hit[e]:
+            if e in hit:
                 continue
-            hit[e] = True
+            hit.add(e)
             w, classes = hyperedges[e]
             for c in classes:
                 if c in keys:
@@ -761,22 +760,6 @@ class ConnectivityOracle(LaxOracle):
             raise ValueError(f"element {union.bit_length() - 1} is not one of the "
                              f"table's {self.table.n} elements")
         return min(tau, f[s] + f[t] - f[union])
-
-
-class ThresholdedOracle(LaxOracle):
-    """View of another oracle with values capped at a fixed ceiling.
-
-    eval(S, T, tau) = base.eval(S, T, min(tau, cap)). Capping preserves
-    monotonicity and consistency, which is what makes threshold-driven
-    ordering sound.
-    """
-
-    def __init__(self, base, cap):
-        self.base = base
-        self.cap = cap
-
-    def eval(self, left, right, tau=INF):
-        return self.base.eval(left, right, min(tau, self.cap))
 
 
 def graph_cut_table(graph):

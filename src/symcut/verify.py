@@ -19,10 +19,10 @@ that need d over every bipartition. Those read one table,
 :func:`brute.bipartition_values`, built once per instance: the optimum,
 the sampled caps, and the separation bound and the contraction check,
 each a least cut over unions of a round's classes, and the symmetry
-check, which evaluates only the other side of each bipartition. Only
-the axiom checks enumerate on their own.
-Every check evaluates through the oracle that solves, uncapped or through
-a capped view, so the capped checks test its own lax answers (a cut
+check, which evaluates only the other side of each bipartition. The
+axiom checks read one :func:`brute.pair_values` table per threshold.
+Every check evaluates through the oracle that solves, uncapped or capped
+by its own tau, so the capped checks test its own lax answers (a cut
 oracle's early exit included), not those of a second copy.
 """
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 from .brute import (CheckResult, bipartition_values, check_consistent,
                     check_lax_back_order, check_monotone, check_symmetric,
-                    table_submodular, table_symmetric)
+                    pair_values, table_submodular, table_symmetric)
 from .driver import MinimizeConfig, optimal_set
-from .oracles import ConnectivityOracle, ThresholdedOracle
+from .oracles import ConnectivityOracle
 from .values import INF, mask_of, value_below, values_equal
 
 
@@ -173,7 +173,8 @@ def verify_oracle(oracle, n):
     For n <= 8 the per-round order and contraction checks and the symmetry
     of every bipartition value run too, and for n <= 6 the
     monotonicity/consistency axioms are checked exhaustively, including on
-    the oracle capped at 0 and at the median and top bipartition values.
+    the oracle capped at 0 and at the median and top bipartition values,
+    each threshold's pairs walked once (:func:`brute.pair_values`).
     Every check evaluates through `oracle` itself. The bipartitions are
     walked once, into the table that the optimum, the caps, the per-round
     bound and contraction checks and one side of the symmetry check read.
@@ -223,15 +224,18 @@ def verify_oracle(oracle, n):
         entries.append(_entry("oracle-symmetric", check_symmetric(oracle, values)))
 
     if n <= 6:
-        entries.append(_entry("oracle-monotone", check_monotone(oracle, n)))
-        entries.append(_entry("oracle-consistent", check_consistent(oracle, n)))
+        pairs = pair_values(oracle, n)
+        entries.append(_entry("oracle-monotone", check_monotone(pairs)))
+        entries.append(_entry("oracle-consistent", check_consistent(pairs)))
         distinct = sorted(set(values))
         for cap in sorted({0, distinct[len(distinct) // 2], distinct[-1]}):
-            capped = ThresholdedOracle(oracle, cap)
-            mono = check_monotone(capped, n)
-            cons = check_consistent(capped, n)
+            pairs = pair_values(oracle, n, cap)
+            failed = [f"{axiom} {result.witness!r}"
+                      for axiom, result in (("monotone", check_monotone(pairs)),
+                                            ("consistent", check_consistent(pairs)))
+                      if not result]
             entries.append(VerifyEntry(
-                f"capped-oracle-axioms[cap={cap}]", bool(mono) and bool(cons)))
+                f"capped-oracle-axioms[cap={cap}]", not failed, "; ".join(failed)))
     return VerifyReport(entries)
 
 

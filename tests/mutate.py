@@ -78,6 +78,12 @@ MUTANTS = [
            "    if tau == order.threshold:\n",
            "    if True:\n",
            ("tests/test_order_facts.py",)),
+    # a round at its order's own threshold tests every key, not only the
+    # settled positions: the joins are the same, only the reads are not
+    Mutant("every-key-tested-at-the-orders-threshold", "src/symcut/driver.py",
+           "    if tau == order.threshold:\n",
+           "    if False:\n",
+           ("tests/test_driver.py::TestContractRound",)),
     # the symmetry check compares float values exactly
     Mutant("symmetry-check-compares-exactly", "src/symcut/brute.py",
            "        if not values_equal(value, _full_eval(oracle, full ^ s, s)):\n",
@@ -91,7 +97,7 @@ MUTANTS = [
     # a resume sums the hyperedges before the last class without marking them
     Mutant("resume-drops-the-hit-marks", "src/symcut/oracles.py",
            "                        if hit is not None:\n"
-           "                            hit[e] = True\n",
+           "                            hit.add(e)\n",
            "",
            ("tests/test_resume.py",)),
     # a resumed graph key adds the class's own row entry, not the prefix class's

@@ -14,11 +14,10 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
-                    graph_cut_table, optimal_set)
+                    graph_cut_table, optimal_set, pair_values)
 from symcut.brute import (bipartition_values, check_symmetric, table_submodular,
                           table_symmetric)
 from symcut.cli import main
-from symcut.oracles import ThresholdedOracle
 from symcut.verify import check_contraction_record, check_order_record
 
 CORPUS_SIZE = 200
@@ -107,8 +106,8 @@ def test_criterion_03_capped_oracles_keep_the_axioms(corpus):
         top = max(finite_values)
         caps = [0, top, INF, rng.randint(0, top), rng.randint(0, top)]
         for cap in caps:
-            capped = ThresholdedOracle(oracle, cap)
-            if not (check_monotone(capped, n) and check_consistent(capped, n)):
+            capped = pair_values(oracle, n, cap)
+            if not (check_monotone(capped) and check_consistent(capped)):
                 violations += 1
             checked += 1
     report(3, violations == 0 and checked >= 5 * 5,
@@ -195,7 +194,8 @@ def test_criterion_07_hypergraph_path():
                 bad += 1
         if n <= 5:
             strict = HypergraphCutOracle(h, early_exit=False)
-            if not (check_monotone(strict, n) and check_consistent(strict, n)):
+            pairs = pair_values(strict, n)
+            if not (check_monotone(pairs) and check_consistent(pairs)):
                 axiom_bad += 1
     report(7, bad == 0 and axiom_bad == 0,
            f"{count} hypergraphs match enumeration under all builders "

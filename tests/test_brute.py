@@ -3,12 +3,11 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, SetFunctionTable, WeightedGraph,
                     brute_min_bipartition, check_consistent, check_monotone,
-                    gen_random_graph, graph_cut_table)
+                    gen_random_graph, graph_cut_table, pair_values)
 from symcut.brute import (MAX_ENUM, bipartition_values, check_lax_back_order,
                           check_symmetric, table_submodular, table_symmetric)
-from symcut.oracles import ThresholdedOracle
 from symcut.order import LaxBackOrder
-from symcut.values import set_of
+from symcut.values import mask_of, set_of, submasks
 from table_oracle import TableOracle, complete_table
 
 # elements {0,1,2}: d({0},{2})=5 >= d({1},{2})=3, yet
@@ -76,33 +75,57 @@ def test_symmetry_violation_with_witness():
     assert res.witness == 0b011  # the first S holding element 0
 
 
+def test_pair_values_evaluate_every_disjoint_pair_once_at_the_cap():
+    evals = []
+
+    class Counting(GraphCutOracle):
+        def eval(self, left, right, tau=INF):
+            evals.append((mask_of(left), mask_of(right), tau))
+            return super().eval(left, right, tau)
+
+    for n in range(2, 6):
+        graph = gen_random_graph(n, 0.6, 9, seed=n)
+        full = (1 << n) - 1
+        for cap in (INF, 0, 7):
+            evals.clear()
+            values = pair_values(Counting(graph), n, cap)
+            walk = [(s, t) for s in range(1 << n) for t in submasks(full ^ s)]
+            assert [(s, t) for s, row in enumerate(values) for t in row] == walk
+            assert evals == [(s, t, cap) for s, t in walk]
+            assert len(evals) == 3 ** n
+            oracle = GraphCutOracle(graph)
+            for s, t in walk:
+                assert values[s][t] == oracle.eval(set_of(s), set_of(t), cap)
+
+
 def test_monotone_graph_cut(triangle_oracle):
-    assert check_monotone(triangle_oracle, 3)
+    assert check_monotone(pair_values(triangle_oracle, 3))
 
 
 def test_monotone_violation_with_witness():
     # d({0},{1,2}) = 1 but d({0},{1}) = 2: shrinking T raised the value
     t = complete_table(3, {(1, 6): 1, (1, 2): 2})
-    res = check_monotone(TableOracle(3, t), 3)
+    res = check_monotone(pair_values(TableOracle(3, t), 3))
     assert not res
     assert res.witness == (1, 6, 2)  # (S, T, T') = ({0}, {1,2}, {1})
 
 
 def test_monotone_constant_function():
-    assert check_monotone(TableOracle(3, complete_table(3, default=5)), 3)
+    assert check_monotone(pair_values(TableOracle(3, complete_table(3, default=5)), 3))
 
 
 def test_consistent_graph_cut(triangle_oracle):
-    assert check_consistent(triangle_oracle, 3)
+    assert check_consistent(pair_values(triangle_oracle, 3))
 
 
 def test_consistent_thresholded_graph_cut(triangle_oracle):
     for cap in (0, 1, 2, 3, 4):
-        assert check_consistent(ThresholdedOracle(triangle_oracle, cap), 3)
+        assert check_consistent(pair_values(triangle_oracle, 3, cap))
 
 
 def test_consistency_violation_fixture():
-    res = check_consistent(TableOracle(3, complete_table(3, CONSISTENCY_VIOLATION)), 3)
+    oracle = TableOracle(3, complete_table(3, CONSISTENCY_VIOLATION))
+    res = check_consistent(pair_values(oracle, 3))
     assert not res
     assert res.witness == (1, 4, 2)  # (R, S, T) = ({0}, {2}, {1})
 

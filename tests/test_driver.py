@@ -214,8 +214,8 @@ class WithoutSingletonValues(LaxOracle):
     """A cut oracle behind a wrapper that forwards ``eval`` and ``key_tracker`` only.
 
     The driver finds no ``singleton_values`` on it, so a laxback solve
-    probes every singleton, as it does on a table, a user oracle or a
-    wrapper such as ``ThresholdedOracle``.
+    probes every singleton, as it does on a table, a user oracle or any
+    other wrapper.
     """
 
     def __init__(self, base):
@@ -261,6 +261,27 @@ class TestContractRound:
         order = make_order([0, 1, 2], [INF, 1, 1], tau=1)
         assert contract_round(p, order, 1) == 2
         assert p.member_set(0) == {0, 1, 2}
+
+    def test_at_the_orders_threshold_only_the_settled_positions_are_read(self):
+        # once the order knows its settled positions, a round at its own
+        # threshold joins them without reading a key; under a lowered tau
+        # every key is read
+        class CountedKeys(tuple):
+            reads = 0
+
+            def __getitem__(self, j):
+                CountedKeys.reads += 1
+                return tuple.__getitem__(self, j)
+
+        order = LaxBackOrder((0, 1, 2, 3, 4), CountedKeys((INF, 3, 2, 3, 3)), 3)
+        assert order.settled == (1, 3, 4)
+        CountedKeys.reads = 0
+        p = Partition(5)
+        assert contract_round(p, order, 3) == 3
+        assert CountedKeys.reads == 0
+        assert sorted(map(sorted, map(p.member_set, p.classes()))) == [[0, 1], [2, 3, 4]]
+        assert contract_round(Partition(5), order, 2) == 4
+        assert CountedKeys.reads == 4
 
 
 class TestOptimalSet:

@@ -11,7 +11,7 @@ from symcut import (INF, ConnectivityOracle, GraphCutOracle, Hypergraph,
                     HypergraphCutOracle, InstanceError, SetFunctionTable,
                     WeightedGraph, gen_random_graph, gen_random_hypergraph,
                     graph_cut_table, optimal_set, values_equal)
-from symcut.oracles import MAX_VERTICES, ThresholdedOracle
+from symcut.oracles import MAX_VERTICES
 from symcut.partition import Partition
 from symcut.values import set_of
 from table_oracle import TableOracle, complete_table
@@ -479,23 +479,6 @@ class TestTableOracle:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             TableOracle(2, complete_table(2, {(1, 2): bad}))
-
-
-class TestThresholded:
-    def test_caps_above(self):
-        o = TableOracle(2, complete_table(2, {(1, 2): 7}))
-        assert ThresholdedOracle(o, 5).eval(F(0), F(1)) == 5
-
-    def test_passes_below(self):
-        o = TableOracle(2, complete_table(2, {(1, 2): 3}))
-        assert ThresholdedOracle(o, 5).eval(F(0), F(1)) == 3
-
-    def test_infinite_cap_is_identity(self, triangle_oracle):
-        capped = ThresholdedOracle(triangle_oracle, INF)
-        full = frozenset(range(3))
-        for mask in range(1, 7):
-            s = frozenset(v for v in range(3) if mask >> v & 1)
-            assert capped.eval(s, full - s) == triangle_oracle.eval(s, full - s)
 
 
 def test_graph_cut_table_values(triangle):

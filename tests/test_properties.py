@@ -13,11 +13,10 @@ import pytest
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, HypergraphCutOracle,
                     MinimizeConfig, brute_min_bipartition, check_consistent,
                     check_monotone, gen_random_graph, gen_random_hypergraph,
-                    WeightedGraph, graph_cut_table, optimal_set, values_equal,
-                    verify_oracle)
+                    WeightedGraph, graph_cut_table, optimal_set, pair_values,
+                    values_equal, verify_oracle)
 from symcut.brute import (bipartition_values, check_lax_back_order, check_symmetric,
                           table_submodular, table_symmetric)
-from symcut.oracles import ThresholdedOracle
 from symcut.order import lax_back_order_queue, lax_back_order_scan
 from symcut.partition import Partition
 from symcut.values import mask_of, set_of
@@ -36,14 +35,14 @@ def total_weight(graph):
 
 def test_graph_and_hypergraph_cuts_are_monotone_consistent():
     for n, g in graphs(6, nmax=5):
-        o = GraphCutOracle(g, early_exit=False)
-        assert check_monotone(o, n)
-        assert check_consistent(o, n)
+        pairs = pair_values(GraphCutOracle(g, early_exit=False), n)
+        assert check_monotone(pairs)
+        assert check_consistent(pairs)
     for seed in range(4):
         h = gen_random_hypergraph(5, 6, 5, seed=seed)
-        o = HypergraphCutOracle(h, early_exit=False)
-        assert check_monotone(o, 5)
-        assert check_consistent(o, 5)
+        pairs = pair_values(HypergraphCutOracle(h, early_exit=False), 5)
+        assert check_monotone(pairs)
+        assert check_consistent(pairs)
 
 
 def test_capping_preserves_the_axioms():
@@ -51,9 +50,9 @@ def test_capping_preserves_the_axioms():
         oracle = GraphCutOracle(g, early_exit=False)
         top = total_weight(g)
         for cap in (0, 1, top // 2, top, INF):
-            capped = ThresholdedOracle(oracle, cap)
-            assert check_monotone(capped, n)
-            assert check_consistent(capped, n)
+            capped = pair_values(oracle, n, cap)
+            assert check_monotone(capped)
+            assert check_consistent(capped)
 
 
 def test_connectivity_of_submodular_is_monotone_consistent():
@@ -61,9 +60,9 @@ def test_connectivity_of_submodular_is_monotone_consistent():
         n = 3 + i % 3
         table = graph_cut_table(gen_random_graph(n, 0.7, 5, seed=40 + i))
         assert table_submodular(table)
-        o = ConnectivityOracle(table)
-        assert check_monotone(o, n)
-        assert check_consistent(o, n)
+        pairs = pair_values(ConnectivityOracle(table), n)
+        assert check_monotone(pairs)
+        assert check_consistent(pairs)
 
 
 def test_uncapped_orders_stay_valid_for_every_smaller_threshold():

@@ -8,8 +8,8 @@ import pytest
 
 from symcut import (INF, ConnectivityOracle, GraphCutOracle, MinimizeConfig, RoundStats,
                     RunStats, SetFunctionTable, WeightedGraph, check_consistent,
-                    gen_random_graph, graph_cut_table, optimal_set, verify_oracle,
-                    verify_table, write_graph, write_table)
+                    gen_random_graph, graph_cut_table, optimal_set, pair_values,
+                    verify_oracle, verify_table, write_graph, write_table)
 from symcut import brute, verify
 from symcut.brute import (CheckResult, bipartition_values, check_symmetric,
                           table_submodular, table_symmetric)
@@ -18,6 +18,7 @@ from symcut.values import set_of, value_below
 from symcut.verify import (_within_maxback, check_contraction_record, check_join_record,
                            check_order_record)
 from table_oracle import TableOracle, complete_table
+from test_brute import CONSISTENCY_VIOLATION
 
 
 def float_graph(n, seed):
@@ -108,7 +109,7 @@ def test_consistency_premise_holds_within_the_tolerance():
     # d({1, 2}, R) = 1 keeps every other triple consistent
     entries = {(2, 1): 1.0, (4, 1): 1.0 + 1e-12, (2, 5): 1.0, (3, 4): 5.0, (6, 1): 1.0}
     oracle = TableOracle(3, complete_table(3, entries, default=2.0))
-    assert check_consistent(oracle, 3).witness == (1, 2, 4)
+    assert check_consistent(pair_values(oracle, 3)).witness == (1, 2, 4)
 
 
 def test_verify_table_runs_the_oracle_sweep():
@@ -403,3 +404,39 @@ def test_verify_oracle_enumerates_the_bipartitions_once(monkeypatch):
     # for the order walks of their 9 rounds; no check of the separations
     # or of the contractions evaluates
     assert oracle.evals == 127 + 127 + 99 + 3 + 140 == 496
+
+
+def test_verify_oracle_walks_the_disjoint_pairs_once_per_threshold(monkeypatch):
+    thresholds = []
+
+    def counted(oracle, n, tau=INF):
+        thresholds.append(tau)
+        return brute.pair_values(oracle, n, tau)
+
+    monkeypatch.setattr(verify, "pair_values", counted)
+    oracle = CountingOracle(gen_random_graph(6, 0.6, 10, seed=3, connected=True))
+    report = verify_oracle(oracle, 6)
+    assert report.ok, [e for e in report.entries if not e.ok]
+    assert thresholds == [INF, 0, 39, 59]
+    # 31 for the bipartition table, 31 for the symmetry check's other side,
+    # 49 in the three solves, 3 for their result sets, 67 for the order
+    # walks of their 9 rounds, and 3^6 = 729 for each pair table: one
+    # uncapped and one per cap, each read by both axiom checks
+    assert oracle.evals == 31 + 31 + 49 + 3 + 67 + 4 * 729 == 3097
+
+
+def test_a_failed_cap_names_each_axiom_it_breaks_with_its_witness():
+    # the fixture's triple (R, S, T) = ({0}, {2}, {1}) breaks consistency
+    # at caps 1 and 9 as uncapped. Monotonicity breaks first at
+    # d({0}, {1, 2}) = 1 < d({0}, {2}) = 5, up to cap 1, where the first
+    # break is d({2}, {0, 1}) = 0 < d({2}, {1}) = 1. At cap 0 all is 0
+    oracle = TableOracle(3, complete_table(3, CONSISTENCY_VIOLATION))
+    entries = {e.name: e for e in verify_oracle(oracle, 3).entries}
+    assert entries["oracle-monotone"].detail == "(1, 6, 4)"
+    assert entries["oracle-consistent"].detail == "(1, 4, 2)"
+    capped = [(e.name, e.ok, e.detail) for e in entries.values()
+              if e.name.startswith("capped-oracle-axioms")]
+    assert capped == [
+        ("capped-oracle-axioms[cap=0]", True, ""),
+        ("capped-oracle-axioms[cap=1]", False, "monotone (4, 3, 2); consistent (1, 4, 2)"),
+        ("capped-oracle-axioms[cap=9]", False, "monotone (1, 6, 4); consistent (1, 4, 2)")]
